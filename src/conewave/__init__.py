@@ -30,9 +30,7 @@ from .solver import (
 from .waveops import (
     ConeAccumulator,
     ConeRegion,
-    DuhamelEvaluator,
     dt_kirchhoff_radial,
-    duhamel,
     duhamel_direct,
     free_field,
     kirchhoff_radial,
@@ -61,11 +59,9 @@ __all__ = [
     "bilinear_form",
     "ConeRegion",
     "ConeAccumulator",
-    "DuhamelEvaluator",
     "kirchhoff_radial",
     "dt_kirchhoff_radial",
     "free_field",
-    "duhamel",
     "duhamel_direct",
     "Params",
     "SolutionHistory",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, RadialProfile, trapezoid_weighted
+from .grid import MassWeights, RadialProfile, trapezoid_weighted
 from .potential import convolve_profile
 from .solver import SolutionHistory
 
@@ -58,11 +58,6 @@ def mass_rhs(u_slice: RadialProfile, gamma: float, t: float) -> float:
     )
 
 
-def _slice_profile(hist: SolutionHistory, n: int) -> RadialProfile:
-    sup = min(n * hist.grid.h + hist.params.R, hist.grid.r_max)
-    return RadialProfile(hist.grid, hist.u[n], support_radius=sup)
-
-
 def mass_series(hist: SolutionHistory):
     """(t, F, F'' by the identity) along a stored run.
 
@@ -75,15 +70,10 @@ def mass_series(hist: SolutionHistory):
     h = grid.h
     t = np.arange(hist.n_used) * h
     F = hist.series.mass[: hist.n_used].copy()
-    mw_x0 = np.arange(grid.n_r - 1) * h
-    m2 = ((mw_x0 + h) ** 3 - mw_x0**3) / 3.0
-    m3 = ((mw_x0 + h) ** 4 - mw_x0**4) / 4.0
+    mw = MassWeights(grid)
     rhs = np.empty(hist.n_used)
     for n in range(hist.n_used):
-        row = hist.g[n]
-        c1 = (row[1:] - row[:-1]) / h
-        c0 = row[:-1] - c1 * mw_x0
-        rhs[n] = 4.0 * math.pi * float(np.sum(c0 * m2 + c1 * m3)) / (1.0 + t[n]) ** 2
+        rhs[n] = mw.mass(hist.g[n]) / (1.0 + t[n]) ** 2
     return t, F, rhs
 
 

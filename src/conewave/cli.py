@@ -34,6 +34,7 @@ from .grid import Grid
 from .harness import sweep
 from .norms import verify_lemma_integrals
 from .solver import (
+    DATA_FAMILIES,
     NumericalAbort,
     Params,
     dissipation_monitor,
@@ -63,7 +64,6 @@ _DEFAULTS = {
     "family": "bump_v1_only",
     "out": "out",
     "seed": 0,
-    "threads": 1,
     "blowup_threshold": 1e6,
     "t_star": -1.0,
     "run_dalembert": 0,
@@ -77,7 +77,7 @@ _DEFAULTS = {
 
 _FLOAT_KEYS = {"gamma", "R", "epsilon", "h", "t_max", "blowup_threshold", "t_star",
                "verify_T", "trilinear_h", "delta"}
-_INT_KEYS = {"seed", "threads", "run_dalembert", "refine", "lemma_samples"}
+_INT_KEYS = {"seed", "run_dalembert", "refine", "lemma_samples"}
 
 
 class ConfigError(ValueError):
@@ -126,10 +126,31 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"mode must be one of {_MODES}, got {cfg['mode']!r}")
     if not (-0.5 < cfg["gamma"] < 3.0):
         raise ConfigError(f"gamma out of range: {cfg['gamma']}")
-    if cfg["R"] < 1.0:
-        raise ConfigError(f"R must be >= 1, got {cfg['R']}")
-    if cfg["mode"] == "sweep" and not str(cfg["epsilon_list"]).strip():
+    if not (1.0 <= cfg["R"] < math.inf):
+        raise ConfigError(f"R must be >= 1 and finite, got {cfg['R']}")
+    h = cfg["h"]
+    if not (0.0 < h < math.inf):
+        raise ConfigError(f"h must be positive and finite, got {h}")
+    if abs(cfg["R"] / h - round(cfg["R"] / h)) > 1e-9:
+        raise ConfigError(f"R must be an integer number of cells h, got R={cfg['R']}, h={h}")
+    if not (0.0 < cfg["t_max"] < math.inf):
+        raise ConfigError(f"t_max must be positive and finite, got {cfg['t_max']}")
+    if cfg["family"] not in DATA_FAMILIES:
+        raise ConfigError(f"family must be one of {DATA_FAMILIES}, got {cfg['family']!r}")
+    eps_text = str(cfg["epsilon_list"])
+    try:
+        eps = [float(s) for s in eps_text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"key epsilon_list: not a list of numbers: {eps_text!r}") from exc
+    if any(b <= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError(f"epsilon_list must be strictly increasing, got {eps}")
+    if any(e < 0.0 for e in [cfg["epsilon"], *eps]):
+        raise ConfigError("epsilon and epsilon_list must be >= 0")
+    if cfg["mode"] == "sweep" and not eps:
         raise ConfigError("sweep mode requires epsilon_list")
+    if cfg["mode"] == "sweep" and cfg["gamma"] >= 0.0:
+        raise ConfigError(f"sweep mode measures blow-up times: need gamma < 0, got {cfg['gamma']}")
+    cfg["epsilon_list"] = eps
     return RunConfig(cfg)
 
 
@@ -155,15 +176,6 @@ def _write_summary(path: Path, summary: dict) -> None:
 def _write_invariants(path: Path, invariants: dict) -> None:
     lines = [f"{k}={'pass' if v else 'fail'}" for k, v in sorted(invariants.items())]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _series_rows(series):
-    return [
-        (t, xn, dis, ms, su)
-        for t, xn, dis, ms, su in zip(
-            series.t, series.x_norm_running, series.dissipation, series.mass, series.sup_u
-        )
-    ]
 
 
 def _mode_solve(cfg: RunConfig, out: Path):
@@ -216,15 +228,14 @@ def _mode_solve(cfg: RunConfig, out: Path):
         if np.count_nonzero(w) >= 2:
             dw = dis[w]
             summary["dissipation_max_over_min"] = float(dw.max() / dw.min())
-    _write_csv(out / "results.csv", CSV_HEADER, _series_rows(hist.series))
+    _write_csv(out / "results.csv", CSV_HEADER, hist.series.rows())
     _write_summary(out / "summary.json", summary)
     return invariants
 
 
 def _mode_sweep(cfg: RunConfig, out: Path):
-    eps = [float(s) for s in str(cfg.epsilon_list).split(",") if s.strip()]
     fit = sweep(
-        cfg.gamma, cfg.R, eps, h=cfg.h, t_max=cfg.t_max, family=cfg.family,
+        cfg.gamma, cfg.R, cfg.epsilon_list, h=cfg.h, t_max=cfg.t_max, family=cfg.family,
         refine=cfg.refine, delta=cfg.delta,
     )
     rows = []
@@ -399,7 +410,6 @@ def main(argv=None) -> int:
     ap.add_argument("--mode", choices=_MODES, help="override the config mode")
     ap.add_argument("--out", help="output directory")
     ap.add_argument("--seed", type=int, help="seed for randomized verifiers")
-    ap.add_argument("--threads", type=int, help="advisory; runs are sequential")
     args = ap.parse_args(argv)
     overrides = {
         k: v
@@ -407,7 +417,6 @@ def main(argv=None) -> int:
             ("mode", args.mode),
             ("out", args.out),
             ("seed", args.seed),
-            ("threads", args.threads),
         )
         if v is not None
     }

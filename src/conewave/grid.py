@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Grid", "RadialProfile", "power_moment", "trapezoid_weighted", "interp"]
+__all__ = ["Grid", "RadialProfile", "power_moment", "trapezoid_weighted", "MassWeights", "interp"]
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,26 @@ def trapezoid_weighted(p: RadialProfile, weight_exponent: float, a: float, b: fl
     for v in contrib:
         total += v
     return total
+
+
+class MassWeights:
+    """Vectorized exact integral of r^2 * PL(row) over all cells of a grid,
+    for many rows on the same grid."""
+
+    def __init__(self, grid: Grid):
+        h = grid.h
+        x0 = np.arange(grid.n_r - 1) * h
+        x1 = x0 + h
+        self.m2 = (x1**3 - x0**3) / 3.0
+        self.m3 = (x1**4 - x0**4) / 4.0
+        self.x0 = x0
+        self.h = h
+
+    def mass(self, row: np.ndarray) -> float:
+        """4 pi int r^2 PL(row)(r) dr over the whole grid."""
+        c1 = (row[1:] - row[:-1]) / self.h
+        c0 = row[:-1] - c1 * self.x0
+        return 4.0 * math.pi * float(np.sum(c0 * self.m2 + c1 * self.m3))
 
 
 def interp(p: RadialProfile, r: float) -> float:

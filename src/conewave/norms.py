@@ -26,6 +26,7 @@ __all__ = [
     "tau",
     "n_gamma",
     "weight_row",
+    "slice_x_norm",
     "x_norm",
     "w_weight",
     "d_gamma",
@@ -73,6 +74,13 @@ def weight_row(params: WeightParams, r: np.ndarray, t: float) -> np.ndarray:
     return tp * n_gamma(np.maximum(tm, 0.0), params.gamma)
 
 
+def slice_x_norm(params: WeightParams, r: np.ndarray, t: float, u_row: np.ndarray) -> float:
+    """Supremum of tau_plus * N(tau_minus) * |u| over the nodes r <= t+R of
+    one slice; ``r`` and ``u_row`` cover the same nodes."""
+    mask = r <= t + params.R + 1e-12
+    return float(np.max(weight_row(params, r[mask], t) * np.abs(u_row[mask])))
+
+
 def x_norm(u_slices, params: WeightParams, grid, up_to: float | None = None) -> float:
     """Grid supremum of tau_plus * N(tau_minus) * |u| over the cone r <= t+R.
 
@@ -86,12 +94,7 @@ def x_norm(u_slices, params: WeightParams, grid, up_to: float | None = None) -> 
         n_max = min(n_max, int(round(up_to / h)) + 1)
     best = 0.0
     for n in range(n_max):
-        t = n * h
-        row = weight_row(params, r, t)
-        mask = r <= t + params.R + 1e-12
-        v = np.max(row[mask] * np.abs(u_slices[n][mask])) if np.any(mask) else 0.0
-        if v > best:
-            best = float(v)
+        best = max(best, slice_x_norm(params, r, n * h, u_slices[n]))
     return best
 
 

@@ -259,7 +259,7 @@ class ConvolutionKernel:
         dw = wj1 - wj
         return np.stack([j * wj, j * dw + wj, dw])
 
-    def apply(self, w: RadialProfile, active_n: int | None = None) -> np.ndarray:
+    def apply(self, w: RadialProfile) -> np.ndarray:
         """Values of (V_gamma * w) at all grid nodes (index 0 is the axis)."""
         if w.grid != self.grid:
             raise ValueError("profile grid does not match kernel grid")
@@ -273,9 +273,6 @@ class ConvolutionKernel:
         xi_star = k_edge - J_full
         if xi_star < 1e-12:
             xi_star = 0.0
-        if active_n is None:
-            active_n = n
-        active_n = min(active_n, n)
 
         acc = np.zeros(n)
         if J_full > 0:
@@ -301,11 +298,11 @@ class ConvolutionKernel:
             acc += self._partial_cell(w.samples, J_full, xi_star)
 
         d = self.d
-        i = np.arange(1, active_n)
+        i = np.arange(1, n)
         if self.log_branch:
-            out[1:active_n] = (2.0 * math.pi * h / i) * acc[1:active_n]
+            out[1:] = (2.0 * math.pi * h / i) * acc[1:]
         else:
-            out[1:active_n] = (2.0 * math.pi * h ** (1.0 + d) / (i * d)) * acc[1:active_n]
+            out[1:] = (2.0 * math.pi * h ** (1.0 + d) / (i * d)) * acc[1:]
         out[0] = 4.0 * math.pi * trapezoid_weighted(w, 2.0 - self.gamma, 0.0, w.grid.r_max)
         return out
 

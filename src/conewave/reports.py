@@ -22,18 +22,6 @@ class EstimateReport:
     empirical_constant: float = 0.0
     extra: dict = field(default_factory=dict)
 
-    def to_text(self) -> str:
-        lines = [
-            f"name={self.name}",
-            f"samples={self.samples}",
-            f"max_ratio={self.max_ratio!r}",
-            f"violations={self.violations}",
-            f"empirical_constant={self.empirical_constant!r}",
-        ]
-        for k in sorted(self.extra):
-            lines.append(f"{k}={self.extra[k]!r}")
-        return "\n".join(lines) + "\n"
-
     def to_dict(self) -> dict:
         out = {
             "name": self.name,

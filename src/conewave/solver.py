@@ -28,16 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, RadialProfile
-from .norms import NormSeries, WeightParams, weight_row, x_norm
+from .grid import Grid, MassWeights, RadialProfile
+from .norms import NormSeries, WeightParams, slice_x_norm, x_norm
 from .potential import ConvolutionKernel
-from .waveops import ConeAccumulator, FreeField, TimeWeights, lam_prefix
+from .waveops import ConeAccumulator, FreeField, lam_prefix
 
 __all__ = [
     "NumericalAbort",
     "Params",
     "BlowupReport",
     "SolutionHistory",
+    "DATA_FAMILIES",
     "make_data",
     "solve_march",
     "solve_dalembert",
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 _MAX_SLICE_SWEEPS = 4
+
+DATA_FAMILIES = ("bump_v1_only", "bump_both")
 
 
 class NumericalAbort(RuntimeError):
@@ -141,34 +144,15 @@ def make_data(family: str, epsilon: float, R: float, grid: Grid):
     ``bump_v1_only``: v0 = 0, v1 = eps (1-(r/R)^2)^3 on r <= R;
     ``bump_both``: the same bump in both components.
     """
+    if family not in DATA_FAMILIES:
+        raise ValueError(f"unknown data family {family!r}")
     r = grid.radii()
     x = np.minimum(r / R, 1.0)
     bump = np.where(r <= R, (1.0 - x * x) ** 3, 0.0)
-    zero = RadialProfile(grid, np.zeros(grid.n_r), support_radius=R)
-    if family == "bump_v1_only":
-        return zero, RadialProfile(grid, epsilon * bump, support_radius=R)
+    v1 = RadialProfile(grid, epsilon * bump, support_radius=R)
     if family == "bump_both":
-        b = RadialProfile(grid, epsilon * bump, support_radius=R)
-        return b, b
-    raise ValueError(f"unknown data family {family!r}")
-
-
-class _MassWeights:
-    """Vectorized exact integral of r^2 * PL(u) over the grid cells."""
-
-    def __init__(self, grid: Grid):
-        h = grid.h
-        x0 = np.arange(grid.n_r - 1) * h
-        x1 = x0 + h
-        self.m2 = (x1**3 - x0**3) / 3.0
-        self.m3 = (x1**4 - x0**4) / 4.0
-        self.x0 = x0
-        self.h = h
-
-    def mass(self, row: np.ndarray) -> float:
-        c1 = (row[1:] - row[:-1]) / self.h
-        c0 = row[:-1] - c1 * self.x0
-        return 4.0 * math.pi * float(np.sum(c0 * self.m2 + c1 * self.m3))
+        return v1, v1
+    return RadialProfile(grid, np.zeros(grid.n_r), support_radius=R), v1
 
 
 class _Recorder:
@@ -177,10 +161,8 @@ class _Recorder:
         self.r = grid.radii()
         self.wp = params.weights()
         self.h = grid.h
-        self.R = params.R
-        self.mw = _MassWeights(grid)
+        self.mw = MassWeights(grid)
         n_t = grid.n_t
-        self.x_slice = np.zeros(n_t)
         self.x_run = np.zeros(n_t)
         self.dissip = np.zeros(n_t)
         self.mass = np.zeros(n_t)
@@ -194,10 +176,7 @@ class _Recorder:
         t = n * self.h
         sup = float(np.max(np.abs(row)))
         self.sup_u[n] = sup
-        mask = self.r <= t + self.R + 1e-12
-        w = weight_row(self.wp, self.r[mask], t)
-        xs = float(np.max(w * np.abs(row[mask])))
-        self.x_slice[n] = xs
+        xs = slice_x_norm(self.wp, self.r, t, row)
         self.x_run[n] = max(xs, self.x_run[n - 1] if n else 0.0)
         self.dissip[n] = float(np.max((1.0 + t + self.r) * np.abs(row))) / (1.0 + t)
         self.mass[n] = self.mw.mass(row)
@@ -555,74 +534,22 @@ def scattering_check(hist: SolutionHistory, t_star: float, keep_fields: bool = F
     M = hist.n_used - 1
     if n_star >= M:
         raise ValueError("t_star must leave room before the end of the run")
-    jr = hist.params.support_cells
-    n_r = grid.n_r
-    tw = TimeWeights(grid.n_t, h)
+    acc = ConeAccumulator(grid, hist.params.support_cells)
     r = grid.radii()
-
-    Arev = np.zeros(grid.n_t + n_r + 2)
-    boff = grid.n_t
-    Brev = np.zeros(grid.n_t + n_r + 2)
-    Bx = np.zeros(grid.n_t + n_r + 2)
-    wts = np.zeros(grid.n_t + 2)  # wts[m] = sum_{m' >= m} w T, built downward
-
-    phi_cache: dict[int, np.ndarray] = {}
-
-    def push(m: int, first_push: bool):
-        L = min(m + jr + 1, n_r - 1)
-        phi = lam_prefix(hist.g[m][: L + 1], h)
-        w = tw.wr[m - 1] if first_push else tw.w_slice[m]
-        Arev[m : m + L + 1] += w * phi
-        Brev[boff - m : boff - m + L + 1] += w * phi
-        lam = np.arange(L + 1) * h
-        Bx[boff - m : boff - m + L + 1] += w * lam * hist.g[m][: L + 1]
-        wts[m] = wts[m + 1] + w * phi[L]
-        phi_cache[m] = phi
-
     out_t = []
     out_val = []
     fields: dict[int, np.ndarray] = {}
-    # accumulate slices from the top down; after slice n+1 is in, emit t_n
+    # fold slices in from the top down; after slice n+1 is in, emit t_n.  The
+    # top slice carries only the right-endpoint weight of its cell.
     for m in range(M, n_star, -1):
-        push(m, first_push=(m == M))
+        acc._add(m, acc.tw.wr[m - 1] if m == M else acc.tw.w_slice[m], hist.g[m])
         n = m - 1
-        k = np.arange(1, n_r)
-        first = Brev[boff + k - n]
-        over = k - n > jr + 1
-        if np.any(over):
-            first[over] = wts[n + 1]
-        # antidiagonal part (slices n+1..k+n); those with the cone edge past
-        # their support fold into the running total sum
-        second = Arev[n + k].copy()
-        mceil = np.maximum((k + n - jr) // 2, n + 1)
-        second += wts[n + 1] - wts[np.minimum(mceil, M + 1)]
-        # slices m > k+n contribute Phi_m(m-(k+n)) via the negative diagonal
-        neg_ok = n + k <= M
-        neg_idx = np.where(neg_ok, boff - np.minimum(n + k, boff), 0)
-        second += np.where(neg_ok, Brev[neg_idx], 0.0)
-
-        phi_np1 = phi_cache[n + 1]
-        Lp = phi_np1.shape[0] - 1
-        i_np1 = phi_np1[np.minimum(k + 1, Lp)] - phi_np1[np.minimum(np.abs(k - 1), Lp)]
-        # bottom cell [t_n, t_{n+1}] replaced by the closure
-        A1 = 1.0 + n * h
-        B1 = A1 + h
-        lg = math.log1p(h / A1)
-        J1r = 1.0 - (2.0 * A1 / h) * lg + A1 / B1
-        K1r = lg - h / B1
-        J2r = K1r - J1r
-        gp1 = hist.g[n + 1]
-        gn = hist.g[n]
-        tail = np.zeros(n_r)
-        tail[1:] = (first - second - tw.wr[n] * i_np1) / (2.0 * k * h)
-        tail[1:] += J1r * gp1[1:] + J2r * gn[1:]
-        ax = Bx[boff - n] - tw.wr[n] * h * gp1[1]
-        tail[0] = ax + J1r * gp1[0] + J2r * gn[0]
+        tail = acc.eval_tail(n, hist.g[n])
         t = n * h
         out_t.append(t)
         out_val.append(float(np.max((1.0 + t + r) * np.abs(tail))))
         if keep_fields:
-            fields[n] = tail.copy()
+            fields[n] = tail
 
     out_t.reverse()
     out_val.reverse()
@@ -652,9 +579,7 @@ def _build_scaled_data(hist: SolutionHistory, s: float):
         raise ValueError("base run too short to read scaled data")
     e = 0.5 * (3.0 - gamma)
     r = grid.radii()
-    rs = s * r
-    if rs[-1] > grid.r_max + 1e-9:
-        pass  # values beyond the base grid are outside the data support anyway
+    rs = s * r  # radii past r_max lie outside the data support; clamping them is harmless
     u_here = np.interp(np.minimum(rs, grid.r_max), r, hist.u[n1])
     if n1 >= 1:
         ut_here = np.interp(

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .grid import Grid, RadialProfile
-from .norms import WeightParams, d_gamma, n_gamma, tau, weight_row
+from .norms import WeightParams, d_gamma, n_gamma, slice_x_norm, tau, weight_row
 from .potential import convolve_profile
 from .reports import EstimateReport
 from .waveops import ConeAccumulator, FreeField, derivative_profile
@@ -204,9 +204,7 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
         if n >= 1:
             kmax = min(n + jr, grid.n_r - 1)
             vals = acc.eval_slice(n, g_row, kmax)
-            mask = r[: kmax + 1] <= t + R + 1e-12
-            wrow = weight_row(wp, r[: kmax + 1], t)
-            run_norm = max(run_norm, float(np.max(wrow[mask] * np.abs(vals[mask]))))
+            run_norm = max(run_norm, slice_x_norm(wp, r[: kmax + 1], t, vals))
             rhs = (c2 if explicit else 1.0) * d_gamma(t, gamma, R) * rfac
             t_list.append(t)
             norm_list.append(run_norm)

@@ -40,8 +40,6 @@ __all__ = [
     "TimeWeights",
     "lam_prefix",
     "duhamel_direct",
-    "DuhamelEvaluator",
-    "duhamel",
     "ConeAccumulator",
 ]
 
@@ -301,78 +299,6 @@ def duhamel_direct(
     return total
 
 
-class DuhamelEvaluator:
-    """Prefix-sum evaluation of (L G) against a fixed source history.
-
-    Preprocessing is O(n_t * n_r) (one lambda-prefix row per slice); each
-    evaluation point then costs O(n_t) lookups, or O(1) per node when a
-    whole slice is requested through :class:`ConeAccumulator`.
-    """
-
-    def __init__(self, g_table: np.ndarray, grid: Grid, support_cells: int | None = None):
-        self.grid = grid
-        self.g = np.asarray(g_table, dtype=float)
-        self.phi = np.stack([lam_prefix(row, grid.h) for row in self.g])
-        self.n_slices = self.g.shape[0]
-        # with declared slice supports the prefix rows saturate, so cones
-        # may exit the grid without losing mass
-        self.support_cells = support_cells
-
-    def _phi_at(self, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Phi_m evaluated at arbitrary radii x (vectorized over slices)."""
-        grid = self.grid
-        h = grid.h
-        xc = np.minimum(x, grid.r_max)
-        j = np.minimum((xc / h).astype(int), grid.n_r - 2)
-        x0 = j * h
-        g0 = self.g[m, j]
-        g1 = self.g[m, j + 1]
-        c1 = (g1 - g0) / h
-        c0 = g0 - c1 * x0
-        part = c0 * (xc**2 - x0**2) / 2.0 + c1 * (xc**3 - x0**3) / 3.0
-        return self.phi[m, j] + part
-
-    def evaluate(self, r: float, t: float) -> float:
-        grid = self.grid
-        n = grid.index_of_time(t)
-        if r < 0.0 or r > grid.r_max + 1e-9:
-            raise ValueError(f"r={r} outside the grid")
-        if self.support_cells is None and r + t > grid.r_max + 1e-9:
-            raise ValueError("cone exits the grid")
-        if n == 0:
-            return 0.0
-        has_cur = self.n_slices > n
-        h = grid.h
-        tw = TimeWeights(n + 1, h)
-        m = np.arange(n)
-        w = _interior_weights(tw, n) if has_cur else tw.w_slice[:n]
-        tau_m = (n - m) * h
-        if r < 0.5 * h:
-            lam_idx = np.minimum(n - m, grid.n_r - 1)
-            vals = tau_m * self.g[m, lam_idx]
-            total = float(np.sum(w * vals))
-            if has_cur:
-                J1, J2 = tw.closure(n)
-                total += J1 * self.g[n - 1, 0] + J2 * self.g[n, 0]
-            return total
-        hi = self._phi_at(m, r + tau_m)
-        lo = self._phi_at(m, np.abs(r - tau_m))
-        total = float(np.sum(w * (hi - lo))) / (2.0 * r)
-        if has_cur:
-            J1, J2 = tw.closure(n)
-            gp = interp(RadialProfile(grid, self.g[n - 1]), r)
-            gc = interp(RadialProfile(grid, self.g[n]), r)
-            total += J1 * gp + J2 * gc
-        return total
-
-
-def duhamel(
-    g_table: np.ndarray, grid: Grid, r: float, t: float, support_cells: int | None = None
-) -> float:
-    """(L G)(r, t) via the prefix-sum path (one-shot convenience wrapper)."""
-    return DuhamelEvaluator(g_table, grid, support_cells).evaluate(r, t)
-
-
 # ---------------------------------------------------------------------------
 # Incremental cone accumulator (the marching hot path)
 # ---------------------------------------------------------------------------
@@ -392,6 +318,11 @@ class ConeAccumulator:
     folded into a running sum of slice totals (Phi saturates there).
     ``support_cells`` is the source support radius in cells (R/h for the
     nonlinear march).
+
+    The march pushes slices 0, 1, ... and reads :meth:`eval_slice`.  The
+    backward tail of a finished run pushes the same bookkeeping from the last
+    slice down and reads :meth:`eval_tail`; there the totals in push order
+    are the suffix sums over the later slices.
     """
 
     def __init__(self, grid: Grid, support_cells: int):
@@ -404,31 +335,39 @@ class ConeAccumulator:
             )
         self.tw = TimeWeights(n_t, grid.h)
         self.A = np.zeros(n_t + n_r)
-        self.Ax = np.zeros(n_t + n_r)
-        self.boff = n_t - 1
         self.B = np.zeros(n_t + n_r)
-        self.wt_cum = np.zeros(n_t + 1)  # wt_cum[p] = sum_{m<p} w_m T_m
+        self.Ax = np.zeros(n_t + n_r)  # lambda-moment of the slices, by antidiagonal
+        self.Bx = np.zeros(n_t + n_r)  # the same, by diagonal
+        self.boff = n_t - 1
+        self.totals = np.zeros(n_t + 1)  # totals[p] = sum of w_m T_m over the first p pushes
         self.n_pushed = 0
         self._phi_prev: np.ndarray | None = None
         self._g_prev: np.ndarray | None = None
 
-    def push_slice(self, g_row: np.ndarray) -> None:
-        m = self.n_pushed
-        grid = self.grid
+    def _add(self, m: int, w: float, g_row: np.ndarray) -> None:
+        """Fold source slice m with time weight w into the diagonal sums."""
+        h = self.grid.h
         # samples must vanish strictly beyond index m + jr; the linear ramp
         # of an edge sample still carries mass into the next cell, so the
         # prefix saturates one index later
-        L = min(m + self.jr + 1, grid.n_r - 1)
-        phi = lam_prefix(g_row[: L + 1], grid.h)
-        w = self.tw.w_slice[m]
-        self.A[m : m + L + 1] += w * phi
-        self.B[self.boff - m : self.boff - m + L + 1] += w * phi
-        lam = np.arange(L + 1) * grid.h
-        self.Ax[m : m + L + 1] += w * lam * g_row[: L + 1]
-        self.wt_cum[m + 1] = self.wt_cum[m] + w * phi[L]
-        self.n_pushed = m + 1
+        L = min(m + self.jr + 1, self.grid.n_r - 1)
+        phi = lam_prefix(g_row[: L + 1], h)
+        wphi = w * phi
+        wlam_g = w * (np.arange(L + 1) * h) * g_row[: L + 1]
+        b0 = self.boff - m
+        self.A[m : m + L + 1] += wphi
+        self.B[b0 : b0 + L + 1] += wphi
+        self.Ax[m : m + L + 1] += wlam_g
+        self.Bx[b0 : b0 + L + 1] += wlam_g
+        p = self.n_pushed
+        self.totals[p + 1] = self.totals[p] + wphi[L]
+        self.n_pushed = p + 1
         self._phi_prev = phi
         self._g_prev = np.asarray(g_row, dtype=float)
+
+    def push_slice(self, g_row: np.ndarray) -> None:
+        m = self.n_pushed
+        self._add(m, self.tw.w_slice[m], g_row)
 
     def eval_slice(self, n: int, g_cur: np.ndarray, kmax: int) -> np.ndarray:
         """Duhamel values at nodes 0..kmax of slice n; requires slices
@@ -445,18 +384,18 @@ class ConeAccumulator:
 
         first = self.A[n + k]
         fold1 = np.maximum(0, (k + n - jr) // 2)  # slices with d - m > m + jr + 1
-        first = first + self.wt_cum[np.minimum(fold1, n)]
+        first = first + self.totals[np.minimum(fold1, n)]
         second = self.B[self.boff + k - n]
         low = k < n
         if np.any(low):
             kl = k[low]
             fold2 = np.maximum(0, (n - kl - jr) // 2)
-            second[low] += self.A[n - kl] + self.wt_cum[np.minimum(fold2, n)]
+            second[low] += self.A[n - kl] + self.totals[np.minimum(fold2, n)]
 
         phi_prev = self._phi_prev
         Lp = phi_prev.shape[0] - 1
         hi_idx = np.minimum(k + 1, Lp)
-        lo_idx = np.minimum(np.abs(k - 1), Lp)
+        lo_idx = np.minimum(k - 1, Lp)
         i_prev = phi_prev[hi_idx] - phi_prev[lo_idx]
         wl_top = self.tw.wl[n - 1]
 
@@ -470,3 +409,46 @@ class ConeAccumulator:
         ax = self.Ax[n] - wl_top * h * gp[1] if Lp >= 1 else self.Ax[n]
         out[0] = ax + J1 * gp[0] + J2 * g_cur[0]
         return out
+
+    def eval_tail(self, n: int, g_n: np.ndarray) -> np.ndarray:
+        """Backward Duhamel tail at every node of slice n: the part of L
+        over the times after t_n, up to the top slice M.  Requires slices
+        M, M-1, ..., n+1 folded in by :meth:`_add` in that order, the top
+        one with the right-endpoint weight ``wr[M-1]`` of its cell and the
+        others with ``w_slice``; ``g_n`` is source slice n."""
+        grid = self.grid
+        h = grid.h
+        jr = self.jr
+        boff = self.boff
+        p = self.n_pushed  # slices n+1 .. n+p are in
+        tot = self.totals
+        k = np.arange(1, grid.n_r)
+
+        first = self.B[boff + k - n]
+        first[k - n > jr + 1] = tot[p]
+        # antidiagonal part (slices n+1..k+n); those with the cone edge past
+        # their support fold into the running total sum
+        second = self.A[n + k]
+        mceil = np.maximum((k + n - jr) // 2, n + 1)
+        second += tot[p] - tot[np.maximum(p + n + 1 - mceil, 0)]
+        # slices m > k+n contribute Phi_m(m-(k+n)) via the negative diagonal
+        later = k <= p
+        second += np.where(later, self.B[np.where(later, boff - n - k, 0)], 0.0)
+
+        phi_next = self._phi_prev
+        Lp = phi_next.shape[0] - 1
+        i_next = phi_next[np.minimum(k + 1, Lp)] - phi_next[np.minimum(k - 1, Lp)]
+        wr_bot = self.tw.wr[n]
+        # bottom cell [t_n, t_{n+1}] replaced by the closure
+        A1 = 1.0 + n * h
+        B1 = A1 + h
+        lg = math.log1p(h / A1)
+        J1 = 1.0 - (2.0 * A1 / h) * lg + A1 / B1
+        J2 = (lg - h / B1) - J1
+        g_next = self._g_prev
+        tail = np.zeros(grid.n_r)
+        tail[1:] = (first - second - wr_bot * i_next) / (2.0 * k * h)
+        tail[1:] += J1 * g_next[1:] + J2 * g_n[1:]
+        ax = self.Bx[boff - n] - wr_bot * h * g_next[1]
+        tail[0] = ax + J1 * g_next[0] + J2 * g_n[0]
+        return tail

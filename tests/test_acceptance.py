@@ -30,7 +30,7 @@ from conewave.solver import (
     solve_march,
 )
 from conewave.verify import c1_constant, verify_bilinear, verify_trilinear
-from conewave.waveops import DuhamelEvaluator, kirchhoff_radial
+from conewave.waveops import ConeAccumulator, duhamel_direct, kirchhoff_radial
 
 from oracles import mc_convolution, random_profile
 
@@ -87,17 +87,35 @@ def test_c2_closed_form_duhamel():
     h = 1 / 32
     grid = Grid(h=h, n_r=int(6.5 / h) + 1, n_t=3 * 32 + 1)
     gt = np.ones((grid.n_t, grid.n_r))
-    ev = DuhamelEvaluator(gt, grid)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, grid.n_t))
         t = n * h
         k = int(rng.integers(0, int((grid.r_max - t) / h)))
-        got = ev.evaluate(k * h, t)
+        got = duhamel_direct(gt, grid, k * h, t)
         worst = max(worst, abs(got - (t - math.log1p(t))))
     assert worst <= 1e-8
-    ok(f"C2 closed-form Duhamel: PASS (100 points, max err {worst:.2e})")
+    # the march's path: a source equal to 1 on lam <= s + jr h looks like
+    # G = 1 from every node whose backward cone stays inside it (k + n <= jr)
+    jr = grid.n_r - grid.n_t
+    idx = np.arange(grid.n_r)
+    acc = ConeAccumulator(grid, jr)
+    worst_acc = 0.0
+    nodes = 0
+    for n in range(grid.n_t):
+        g_row = (idx <= n + jr).astype(float)
+        if n >= 1:
+            t = n * h
+            vals = acc.eval_slice(n, g_row, min(n + jr, grid.n_r - 1))[: jr - n + 1]
+            worst_acc = max(worst_acc, float(np.max(np.abs(vals - (t - math.log1p(t))))))
+            nodes += vals.size
+        acc.push_slice(g_row)
+    assert worst_acc <= 1e-12
+    ok(
+        f"C2 closed-form Duhamel: PASS (reference: 100 points, max err {worst:.2e}; "
+        f"accumulator: {nodes} nodes, max err {worst_acc:.2e})"
+    )
 
 
 # --------------------------------------------------------------------------

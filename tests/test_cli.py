@@ -55,6 +55,21 @@ class TestMainExitCodes:
         path = write_cfg(tmp_path, "bad.cfg", "mode = dance\n")
         assert main(["--config", path]) == 2
 
+    @pytest.mark.parametrize(
+        "body",
+        ["h = 0.3\n", "h = nan\n", "family = foo\n", "t_max = -5\n",
+         "mode = sweep\ngamma = -0.4\nepsilon_list = 5.4,3.2\n", "epsilon = -1\n",
+         "mode = sweep\nepsilon_list = 1,2\n"],
+        ids=["h_not_dividing_R", "h_nan", "unknown_family", "negative_t_max",
+             "decreasing_epsilon_list", "negative_epsilon", "sweep_without_blowup"],
+    )
+    def test_bad_value_is_2(self, tmp_path, capsys, body):
+        path = write_cfg(tmp_path, "bad.cfg", body + f"out = {tmp_path}/out\n")
+        assert main(["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
     def test_solve_zero_data(self, tmp_path):
         path = write_cfg(
             tmp_path,

@@ -124,10 +124,9 @@ class TestLemmaIntegrals:
 
     def test_report_serialization(self):
         rep = verify_lemma_integrals(50, seed=4)
-        text = rep.to_text()
-        assert text.startswith("name=decay_integral_lemmas\n")
-        assert "violations=0" in text
         d = rep.to_dict()
+        assert d["name"] == "decay_integral_lemmas"
+        assert d["violations"] == 0
         assert d["samples"] == 50
         assert "max_ratio" in d
 

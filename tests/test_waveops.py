@@ -7,9 +7,7 @@ from conewave.grid import Grid, RadialProfile, trapezoid_weighted
 from conewave.waveops import (
     ConeAccumulator,
     ConeRegion,
-    DuhamelEvaluator,
     dt_kirchhoff_radial,
-    duhamel,
     duhamel_direct,
     free_field,
     FreeField,
@@ -136,24 +134,14 @@ class TestDuhamel:
     def test_zero_source(self):
         grid = Grid(h=1 / 16, n_r=65, n_t=17)
         gt = np.zeros((grid.n_t, grid.n_r))
-        assert duhamel(gt, grid, 0.5, 0.5) == 0.0
+        assert duhamel_direct(gt, grid, 0.5, 0.5) == 0.0
 
     def test_closed_form_l_one(self):
         grid = Grid(h=1 / 32, n_r=int(4.5 * 32) + 1, n_t=3 * 32 + 1)
         gt = np.ones((grid.n_t, grid.n_r))
-        ev = DuhamelEvaluator(gt, grid)
         for (r, t) in [(0.7, 1.0), (0.0, 1.0), (1.25, 3.0), (0.3, 3.0)]:
             want = t - math.log1p(t)
-            assert ev.evaluate(r, t) == pytest.approx(want, abs=1e-12)
-
-    def test_direct_matches_evaluator(self):
-        grid = Grid(h=1 / 8, n_r=49, n_t=25)
-        rng = np.random.default_rng(3)
-        gt = rng.normal(size=(grid.n_t, grid.n_r))
-        ev = DuhamelEvaluator(gt, grid)
-        for (r, t) in [(0.5, 1.0), (0.0, 2.0), (1.25, 2.5), (2.0, 3.0)]:
-            d = duhamel_direct(gt, grid, r, t)
-            assert ev.evaluate(r, t) == pytest.approx(d, abs=1e-14)
+            assert duhamel_direct(gt, grid, r, t) == pytest.approx(want, abs=1e-12)
 
     def test_accumulator_matches_direct(self):
         # the fast path must reproduce the nested quadrature to 1e-10 on
@@ -186,16 +174,14 @@ class TestDuhamel:
         grid = Grid(h=1 / 8, n_r=49, n_t=25)
         rng = np.random.default_rng(5)
         gt = np.abs(rng.normal(size=(grid.n_t, grid.n_r)))
-        ev = DuhamelEvaluator(gt, grid)
         for (r, t) in [(0.5, 1.0), (1.5, 2.0), (0.0, 3.0)]:
-            assert ev.evaluate(r, t) >= 0.0
+            assert duhamel_direct(gt, grid, r, t) >= 0.0
 
     def test_off_grid_radius(self):
         grid = Grid(h=1 / 32, n_r=int(4.5 * 32) + 1, n_t=2 * 32 + 1)
         gt = np.ones((grid.n_t, grid.n_r))
-        ev = DuhamelEvaluator(gt, grid)
         want = 2.0 - math.log1p(2.0)
-        assert ev.evaluate(0.7137, 2.0) == pytest.approx(want, abs=1e-12)
+        assert duhamel_direct(gt, grid, 0.7137, 2.0) == pytest.approx(want, abs=1e-12)
 
     def test_independent_nested_oracle(self):
         # smooth analytic source against scipy-grade nested quadrature
@@ -207,8 +193,7 @@ class TestDuhamel:
             return np.exp(-lam) * (1.0 + s)
 
         gt = np.array([g_func(r, n * h) for n in range(grid.n_t)])
-        ev = DuhamelEvaluator(gt, grid)
-        got = ev.evaluate(0.75, 2.0)
+        got = duhamel_direct(gt, grid, 0.75, 2.0)
         want = slow_cone_integral(g_func, 0.75, 2.0)
         assert got == pytest.approx(want, rel=2e-4)
 
