@@ -33,6 +33,8 @@ __all__ = [
     "frame_cubic_check",
     "EnvelopeResult",
     "ode_envelope",
+    "MassDiagnostics",
+    "mass_diagnostics",
     "KatoParams",
     "min_kato_j",
     "j1_for_delta",
@@ -80,11 +82,9 @@ def mass_series(hist: SolutionHistory):
 def frame_check(u_slice: RadialProfile, F_val: float, gamma: float, t: float):
     """(lhs, rhs) of the pair bound
     F'' >= 2^-gamma F (1+t)^-(gamma+2) int u^2 dx  at one slice."""
-    grid = u_slice.grid
     lhs = mass_rhs(u_slice, gamma, t)
-    sq = RadialProfile(grid, u_slice.samples**2, u_slice.support_radius)
-    l2 = 4.0 * math.pi * trapezoid_weighted(sq, 2.0, 0.0, grid.r_max)
-    rhs = 2.0 ** (-gamma) * F_val * (1.0 + t) ** (-(gamma + 2.0)) * l2
+    sq = RadialProfile(u_slice.grid, u_slice.samples**2, u_slice.support_radius)
+    rhs = 2.0 ** (-gamma) * F_val * (1.0 + t) ** (-(gamma + 2.0)) * mass(sq)
     return lhs, rhs
 
 
@@ -184,6 +184,72 @@ def ode_envelope(
         C2=C2,
         closed_form=closed,
         closed_form_valid=t_grid >= t2 - 1e-12,
+    )
+
+
+@dataclass
+class MassDiagnostics:
+    """The mass-functional chain checked along one stored run; each group of
+    fields is None where the run cannot support it (see mass_diagnostics)."""
+
+    t: np.ndarray
+    F: np.ndarray
+    rhs: np.ndarray  # F'' by the identity
+    identity_window: np.ndarray | None  # slices of t[1:-1] in [2R, t_numeric - R]
+    identity_max_rel: float | None  # worst |d2F - rhs| / |rhs| on the window
+    pair_min_ratio: float  # smallest lhs/rhs of the pair bound (inf if none)
+    cubic_min_ratio: float  # same for the cubic bound
+    envelope: EnvelopeResult | None  # seeded at the slice of t_gamma
+    closed_form_dominated: bool | None  # F >= closed form on its validity range
+    envelope_dominated: bool | None  # F >= comparison-ODE envelope past the seed
+
+
+def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile) -> MassDiagnostics:
+    """Mass identity, pair/cubic ratios and envelope checks of a stored run
+    with data (0, v1).
+
+    The identity check needs a blown-up run of at least 5 slices; its window
+    [2R, t_numeric - R] is past the data transient and clear of the singular
+    ramp.  The ratio scan samples about 200 slices until sup u exceeds 1e2.
+    The envelope, seeded at the slice of t_gamma = 2/(2+gamma), needs
+    gamma < 0 and a run that reaches past that slice.
+    """
+    params, grid = hist.params, hist.grid
+    h, R, gamma, n_used = grid.h, params.R, params.gamma, hist.n_used
+    t, F, rhs = mass_series(hist)
+    window = max_rel = None
+    if n_used >= 5 and hist.blowup.t_numeric is not None:
+        d2F = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / h**2
+        tm = t[1:-1]
+        in_window = (tm >= 2.0 * R) & (tm <= hist.blowup.t_numeric - R)
+        rel = np.abs(d2F - rhs[1:-1]) / np.maximum(np.abs(rhs[1:-1]), 1e-300)
+        if np.any(in_window):
+            window, max_rel = in_window, float(np.max(rel[in_window]))
+    worst_pair = worst_cubic = math.inf
+    for n in range(1, n_used - 5, max(1, n_used // 200)):
+        if hist.series.sup_u[n] > 1e2:
+            break
+        prof = RadialProfile(grid, hist.u[n], support_radius=min(n * h + R, grid.r_max))
+        lhs, rr = frame_check(prof, F[n], gamma, t[n])
+        if rr > 0.0:
+            worst_pair = min(worst_pair, lhs / rr)
+        lhs2, rr2 = frame_cubic_check(F[n], rhs[n], gamma, t[n])
+        if rr2 > 0.0:
+            worst_cubic = min(worst_cubic, lhs2 / rr2)
+    ig = int(round(2.0 / (2.0 + gamma) / h))  # slice of t_gamma
+    env = closed_ok = env_ok = None
+    if gamma < 0.0 and 1 <= ig < n_used - 1:
+        C0 = mass(v1) / params.epsilon
+        Fp = (F[ig + 1] - F[ig - 1]) / (2.0 * h)
+        env = ode_envelope(params.epsilon, C0, gamma, t, F[ig], Fp, seed_t=ig * h)
+        cf = env.closed_form_valid
+        closed_ok = bool(np.all(F[cf] >= env.closed_form[cf] * (1.0 - 1e-9)))
+        dom = t >= ig * h
+        env_ok = bool(np.all(F[dom] >= env.envelope[dom] * (1.0 - 1e-6) - 1e-12))
+    return MassDiagnostics(
+        t=t, F=F, rhs=rhs, identity_window=window, identity_max_rel=max_rel,
+        pair_min_ratio=worst_pair, cubic_min_ratio=worst_cubic, envelope=env,
+        closed_form_dominated=closed_ok, envelope_dominated=env_ok,
     )
 
 

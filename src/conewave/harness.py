@@ -37,6 +37,22 @@ class LifespanFit:
     delta: float = 0.5
     points: list = field(default_factory=list)
 
+    @property
+    def uncensored(self) -> list:
+        return [p for p in self.points if not p.censored]
+
+    @property
+    def monotone_in_epsilon(self) -> bool:
+        """Blow-up times strictly decrease along the uncensored points."""
+        pts = self.uncensored
+        return all(b.t_numeric < a.t_numeric for a, b in zip(pts, pts[1:]))
+
+    @property
+    def threshold_gaps_within_2h(self) -> bool:
+        """Every uncensored threshold gap is at most two finest-grid cells."""
+        fine_h = self.points[0].levels[-1][0]
+        return all(p.threshold_gap <= 2.0 * fine_h + 1e-12 for p in self.uncensored)
+
     def to_dict(self) -> dict:
         return {
             "gamma": self.gamma,

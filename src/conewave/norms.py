@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .potential import is_log_branch
 from .reports import EstimateReport
 
 __all__ = [
@@ -33,9 +34,6 @@ __all__ = [
     "verify_lemma_integrals",
     "NormSeries",
 ]
-
-_GAMMA2_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class WeightParams:
@@ -55,8 +53,8 @@ def tau(r, t, R: float):
 
 
 def n_gamma(rho, gamma: float):
-    """Decay profile N_gamma; log branch selected for |gamma - 2| < 1e-9."""
-    if abs(gamma - 2.0) < _GAMMA2_TOL:
+    """Decay profile N_gamma; log branch selected by ``is_log_branch``."""
+    if is_log_branch(gamma):
         rho = np.asarray(rho, dtype=float)
         out = np.zeros_like(rho)
         pos = rho > 0.0
@@ -102,7 +100,7 @@ def w_weight(r: float, t: float, params: WeightParams) -> float:
     """Three-branch bilinear-estimate weight W_R(r, t)."""
     tp, _ = tau(r, t, params.R)
     g, R = params.gamma, params.R
-    if abs(g - 2.0) < _GAMMA2_TOL:
+    if is_log_branch(g):
         return R ** (-1.0) * math.log1p(R) * tp**2 / math.log1p(tp)
     if g > 2.0:
         return R ** (g - 3.0) * tp**2

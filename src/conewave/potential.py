@@ -21,6 +21,7 @@ Two evaluation paths share that quadrature:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from scipy import fft as sfft
 from .grid import RadialProfile, _cell_moments, trapezoid_weighted
 
 __all__ = [
+    "is_log_branch",
     "kernel_value",
     "convolve_power",
     "ConvolutionKernel",
@@ -39,7 +41,6 @@ __all__ = [
 
 GAMMA_LOW = -0.5
 GAMMA_HIGH = 3.0
-_LOG_BRANCH_TOL = 1e-9  # |gamma - 2| below this selects the log kernel
 
 
 def _check_gamma(gamma: float) -> None:
@@ -47,8 +48,10 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in ({GAMMA_LOW}, {GAMMA_HIGH}), got {gamma}")
 
 
-def _is_log_branch(gamma: float) -> bool:
-    return abs(gamma - 2.0) < _LOG_BRANCH_TOL
+def is_log_branch(gamma: float) -> bool:
+    """gamma = 2 up to roundoff: the log kernel, the log weight N_2 and the
+    gamma = 2 proof branch of the estimates."""
+    return abs(gamma - 2.0) < 1e-9
 
 
 def kernel_value(gamma: float, r: float, rho: float) -> float:
@@ -60,7 +63,7 @@ def kernel_value(gamma: float, r: float, rho: float) -> float:
         return 4.0 * math.pi * rho ** (2.0 - gamma)
     a = r + rho
     b = abs(r - rho)
-    if _is_log_branch(gamma):
+    if is_log_branch(gamma):
         if b == 0.0:
             return math.inf
         return (2.0 * math.pi * rho / r) * (-math.log(b / a))
@@ -135,7 +138,7 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
     c1 = (s[j + 1] - s[j]) / h
     c0 = s[j] - c1 * x0
 
-    logb = _is_log_branch(gamma)
+    logb = is_log_branch(gamma)
     d = 2.0 - gamma
     moms = (lambda z0, z1: _zmom_log(z0, z1)) if logb else (lambda z0, z1: _zmom_pow(d, z0, z1))
 
@@ -183,7 +186,7 @@ def _moment_tables(gamma: float, n: int):
     precision: the m = 2 combinations cancel ~s^2 of significance.
     """
     ld = np.longdouble
-    if _is_log_branch(gamma):
+    if is_log_branch(gamma):
 
         def anti(k, z):
             p = ld(k + 1)
@@ -238,7 +241,7 @@ class ConvolutionKernel:
         self.grid = grid
         self.n = grid.n_r
         self.h = grid.h
-        self.log_branch = _is_log_branch(gamma)
+        self.log_branch = is_log_branch(gamma)
         self.d = 2.0 - gamma
         self.P, self.Q = _moment_tables(gamma, self.n)
         self._kfft: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -352,19 +355,14 @@ class ConvolutionKernel:
         return res
 
 
-_kernel_cache: dict[tuple, ConvolutionKernel] = {}
+@functools.lru_cache(maxsize=8)
+def _kernel(gamma: float, grid) -> ConvolutionKernel:
+    return ConvolutionKernel(gamma, grid)
 
 
 def convolve_profile(w: RadialProfile, gamma: float) -> np.ndarray:
     """Slice-path convolution at every grid node, with kernel-table reuse."""
-    key = (gamma, w.grid.h, w.grid.n_r)
-    kern = _kernel_cache.get(key)
-    if kern is None:
-        if len(_kernel_cache) > 8:
-            _kernel_cache.clear()
-        kern = ConvolutionKernel(gamma, w.grid)
-        _kernel_cache[key] = kern
-    return kern.apply(w)
+    return _kernel(gamma, w.grid).apply(w)
 
 
 def convolve_profile_direct(w: RadialProfile, gamma: float) -> np.ndarray:
@@ -457,7 +455,7 @@ def bilinear_form(w1: RadialProfile, w2: RadialProfile, gamma: float) -> float:
     implemented on the log branch (gamma = 2).
     """
     _check_gamma(gamma)
-    if _is_log_branch(gamma):
+    if is_log_branch(gamma):
         raise NotImplementedError("bilinear_form is not implemented for gamma = 2")
     if w1.grid != w2.grid:
         raise ValueError("profiles live on different grids")

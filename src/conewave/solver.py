@@ -312,9 +312,6 @@ def solve_dalembert(
     u_tab = np.zeros((n_t, n_r)) if store_history else None
     g_tab = np.zeros((n_t, n_r)) if store_history else None
 
-    def axis_fix(u_row):
-        u_row[0] = (4.0 * u_row[1] - u_row[2]) / 3.0
-
     def source(u_row, n):
         if not nonlinear:
             return np.zeros(n_r)
@@ -327,6 +324,17 @@ def solve_dalembert(
             u_tab[n] = u_row
             g_tab[n] = g_row
         return rec.record(n, u_row)
+
+    def close(n, U_row):
+        # slice n from U = r u: zero beyond the cone, divide by r, axis limit
+        kmax = min(n + jr, n_r - 1)
+        U_row[kmax + 1 :] = 0.0
+        u_row = np.zeros(n_r)
+        u_row[1:] = U_row[1:] / r[1:]
+        u_row[0] = (4.0 * u_row[1] - u_row[2]) / 3.0
+        u_row[kmax + 1 :] = 0.0
+        g_row = source(u_row, n)
+        return u_row, g_row, record_and_check(n, u_row, g_row)
 
     damp = 1.0 / (1.0 + np.arange(n_t) * h) ** 2
 
@@ -345,14 +353,7 @@ def solve_dalembert(
             + 0.5 * (psi[2:] - psi[:-2])
             + 0.5 * h * h * S0[1:-1]
         )
-        kmax = min(1 + jr, n_r - 1)
-        U_cur[kmax + 1 :] = 0.0
-        u_cur = np.zeros(n_r)
-        u_cur[1:] = U_cur[1:] / r[1:]
-        axis_fix(u_cur)
-        u_cur[kmax + 1 :] = 0.0
-        g_cur = source(u_cur, 1)
-        blew = record_and_check(1, u_cur, g_cur)
+        _, g_cur, blew = close(1, U_cur)
         n_used = 2
 
         for n in range(1, n_t - 1):
@@ -361,17 +362,9 @@ def solve_dalembert(
             S = r * g_cur * damp[n]
             U_next = np.zeros(n_r)
             U_next[1:-1] = U_cur[2:] + U_cur[:-2] - U_prev[1:-1] + h * h * S[1:-1]
-            kmax = min(n + 1 + jr, n_r - 1)
-            U_next[kmax + 1 :] = 0.0
-            u_next = np.zeros(n_r)
-            u_next[1:] = U_next[1:] / r[1:]
-            axis_fix(u_next)
-            u_next[kmax + 1 :] = 0.0
-            g_next = source(u_next, n + 1)
-            blew = record_and_check(n + 1, u_next, g_next)
+            _, g_cur, blew = close(n + 1, U_next)
             n_used = n + 2
             U_prev, U_cur = U_cur, U_next
-            u_cur, g_cur = u_next, g_next
 
     return SolutionHistory(
         params=params,

@@ -26,8 +26,8 @@ import math
 import numpy as np
 
 from .grid import Grid, RadialProfile
-from .norms import WeightParams, d_gamma, n_gamma, slice_x_norm, tau, weight_row
-from .potential import convolve_profile
+from .norms import WeightParams, d_gamma, slice_x_norm, tau, weight_row
+from .potential import convolve_profile, is_log_branch
 from .reports import EstimateReport
 from .waveops import ConeAccumulator, FreeField, derivative_profile
 
@@ -45,7 +45,7 @@ _SLACK = 1e-12
 
 def c1_constant(gamma: float, R: float = 1.0) -> float:
     """Explicit bilinear constant of the proof branch containing gamma."""
-    if abs(gamma - 2.0) < 1e-9:
+    if is_log_branch(gamma):
         if R <= 1.0:
             raise ValueError("the gamma = 2 branch requires R > 1")
         return 2.0 * math.pi * 16.0 * 216.0 / 25.0 * math.log1p(R) ** 2
@@ -73,7 +73,7 @@ def bilinear_rhs(gamma: float, R: float, r, t) -> np.ndarray:
     """C1 ||u|| ||w|| / W_R at unit norms, i.e. the explicit closing-display
     expression of the branch containing gamma."""
     tp, _ = tau(r, t, R)
-    if abs(gamma - 2.0) < 1e-9:
+    if is_log_branch(gamma):
         if R <= 1.0:
             raise ValueError("the gamma = 2 branch requires R > 1")
         return (
@@ -185,7 +185,7 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
     wp = WeightParams(gamma, R)
     r = grid.radii()
     acc = ConeAccumulator(grid, jr)
-    explicit = abs(gamma - 2.0) >= 1e-9
+    explicit = not is_log_branch(gamma)
     c2 = 2.0 * c1_constant(gamma, R) if explicit else float("nan")
     rfac = R ** (3.0 - gamma) * R * R if explicit else R**3 * math.log1p(R)
 
@@ -210,12 +210,9 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
             norm_list.append(run_norm)
             ratio = run_norm / rhs
             ratio_list.append(ratio)
-            if explicit:
-                max_ratio = max(max_ratio, ratio)
-                if ratio > 1.0 + _SLACK:
-                    violations += 1
-            else:
-                max_ratio = max(max_ratio, ratio)
+            max_ratio = max(max_ratio, ratio)
+            if explicit and ratio > 1.0 + _SLACK:
+                violations += 1
         acc.push_slice(g_row)
 
     t_arr = np.array(t_list)

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from conewave.blowup import mass_diagnostics
 from conewave.grid import Grid
 from conewave.harness import sweep
 from conewave.solver import Params, make_data, solve_dalembert, solve_march
@@ -27,6 +28,13 @@ def blowup_run():
     params = Params(gamma=-0.4, R=1.0, epsilon=4.1, grid=grid)
     data = make_data("bump_v1_only", 4.1, 1.0, grid)
     return params, data, solve_march(params, data)
+
+
+@pytest.fixture(scope="session")
+def blowup_diag(blowup_run):
+    """Mass-functional diagnostics of the blow-up run."""
+    _, data, hist = blowup_run
+    return mass_diagnostics(hist, data[1])
 
 
 @pytest.fixture(scope="session")

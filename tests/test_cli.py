@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conewave.cli import ConfigError, main, parse_config, run
+from conewave.cli import ConfigError, main, parse_config
 
 
 def write_cfg(tmp_path, name, text):
@@ -154,6 +154,12 @@ class TestModes:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["blew_up"] is True
         assert summary["frame_pair_min_ratio"] < 1.0  # reported, not asserted
+
+    def test_blowup_mode_ends_before_t_gamma(self, tmp_path):
+        # t_max < t_gamma = 1.25: no envelope seed and no identity window
+        body = "mode = blowup\ngamma = -0.4\nepsilon = 4.1\nh = 0.0625\nt_max = 1\n"
+        path = write_cfg(tmp_path, "b.cfg", body + f"out = {tmp_path}/out\n")
+        assert main(["--config", path]) == 0
 
     def test_sweep_mode_quick(self, tmp_path):
         path = write_cfg(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conewave.harness import LifespanPoint, fit_slope, lifespan_measure
+from conewave.harness import fit_slope, lifespan_measure
 
 
 class TestFitSlope:
@@ -61,8 +61,7 @@ class TestSweepFixture:
         assert fit.slope_stderr < 0.5
 
     def test_monotonicity(self, lifespan_sweep):
-        pts = [p for p in lifespan_sweep.points if not p.censored]
-        assert all(b.t_numeric < a.t_numeric for a, b in zip(pts, pts[1:]))
+        assert lifespan_sweep.monotone_in_epsilon
 
     def test_refinement_stability(self, lifespan_sweep):
         for p in lifespan_sweep.points:
@@ -74,7 +73,7 @@ class TestSweepFixture:
     def test_lower_bound_shape(self, lifespan_sweep):
         # anchored at the smallest epsilon with the same 25% slope latitude
         # the fit check uses
-        pts = [p for p in lifespan_sweep.points if not p.censored]
+        pts = lifespan_sweep.uncensored
         e0, t0 = pts[0].epsilon, pts[0].t_numeric
         theo = lifespan_sweep.theoretical
         for p in pts:

@@ -5,6 +5,7 @@ import pytest
 
 from conewave.grid import Grid, RadialProfile, trapezoid_weighted
 from conewave.potential import (
+    ConvolutionKernel,
     bilinear_form,
     convolve_power,
     convolve_profile,
@@ -84,6 +85,14 @@ class TestPaths:
         direct = convolve_profile_direct(w, gamma)
         scale = np.max(np.abs(direct)) + 1e-300
         assert np.max(np.abs(fast - direct)) / scale < 1e-10
+
+    def test_profile_cache_keys_on_whole_grid(self, grid):
+        # grids that share h and n_r but not n_t (a verify run's bilinear
+        # and trilinear grids can) each get their own kernel
+        rng = np.random.default_rng(11)
+        for n_t in (1, 5):
+            w = random_profile(Grid(h=grid.h, n_r=grid.n_r, n_t=n_t), rng)
+            assert np.array_equal(convolve_profile(w, 1.0), ConvolutionKernel(1.0, w.grid).apply(w))
 
     def test_near_log_branch_stability(self, grid):
         rng = np.random.default_rng(7)

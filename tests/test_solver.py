@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conewave.grid import Grid, RadialProfile, trapezoid_weighted
-from conewave.norms import x_norm
+from conewave.grid import Grid, trapezoid_weighted
 from conewave.solver import (
     BlowupReport,
     NumericalAbort,

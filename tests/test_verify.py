@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conewave.grid import Grid, RadialProfile
-from conewave.norms import WeightParams, weight_row, x_norm
+from conewave.norms import WeightParams, weight_row
 from conewave.solver import make_data
 from conewave.verify import (
     bilinear_rhs,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conewave.grid import Grid, RadialProfile, trapezoid_weighted
+from conewave.grid import Grid, RadialProfile
 from conewave.waveops import (
     ConeAccumulator,
     ConeRegion,
