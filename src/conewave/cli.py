@@ -10,9 +10,10 @@ run writes into its output directory:
   pass flags, keys sorted;
 * ``invariants.txt`` -- one ``name=pass|fail`` line per asserted invariant.
 
-Exit status: 0 all invariants pass, 1 invariant failure, 2 config error,
-3 numerical abort.  With a fixed seed the outputs are byte-identical across
-repeated runs.
+Exit status: 0 all invariants pass, 1 an invariant failed (or none was
+checked: ``no_invariant_checked=fail``), 2 config error, 3 numerical
+abort.  With a fixed seed the outputs are byte-identical across repeated
+runs.
 
 Grids cover the full forward cone (r_max = t_max + R), so a stored run
 costs O(n_t * n_r) ~ (t_max/h)^2 doubles; desk-scale configs keep
@@ -243,7 +244,7 @@ def _mode_solve(cfg: RunConfig, out: Path):
 def _mode_sweep(cfg: RunConfig, out: Path):
     fit = sweep(
         cfg.gamma, cfg.R, cfg.epsilon_list, h=cfg.h, t_max=cfg.t_max, family=cfg.family,
-        refine=cfg.refine, delta=cfg.delta,
+        blowup_threshold=cfg.blowup_threshold, refine=cfg.refine, delta=cfg.delta,
     )
     rows = []
     for p in fit.points:
@@ -352,6 +353,8 @@ def run(cfg: RunConfig) -> int:
     except NumericalAbort as exc:
         (out / "invariants.txt").write_text(f"numerical_abort=fail # {exc}\n")
         return 3
+    if not invariants:  # a run that checked nothing must not read as all-pass
+        invariants = {"no_invariant_checked": False}
     _write_invariants(out / "invariants.txt", invariants)
     return 0 if all(invariants.values()) else 1
 

@@ -21,7 +21,7 @@ class LifespanPoint:
     t_numeric: float | None  # Richardson-extrapolated; None when censored
     censored: bool
     levels: list = field(default_factory=list)  # (h, t_at_stop_threshold)
-    threshold_gap: float = math.nan  # |t(1e4) - t(1e6)| at the finest grid
+    threshold_gap: float = math.nan  # BlowupReport.threshold_gap at the finest grid
     richardson_increment: float = math.nan
 
 
@@ -66,13 +66,13 @@ class LifespanFit:
         }
 
 
-def _one_run(gamma, R, epsilon, h, t_max, family, thresholds):
+def _one_run(gamma, R, epsilon, h, t_max, family, blowup_threshold):
     grid = Grid.for_domain(h, t_max + R, t_max)
     params = Params(
-        gamma=gamma, R=R, epsilon=epsilon, grid=grid, blowup_threshold=max(thresholds)
+        gamma=gamma, R=R, epsilon=epsilon, grid=grid, blowup_threshold=blowup_threshold
     )
     data = make_data(family, epsilon, R, grid)
-    return solve_march(params, data, store_history=False, thresholds=thresholds)
+    return solve_march(params, data, store_history=False)
 
 
 def lifespan_measure(
@@ -82,14 +82,15 @@ def lifespan_measure(
     h: float,
     t_max: float,
     family: str = "bump_v1_only",
-    thresholds=(1e4, 1e6),
+    blowup_threshold: float = 1e6,
     refine: int = 1,
 ) -> LifespanPoint:
     """Threshold blow-up time with grid-refinement acceptance.
 
     Runs at h, h/2, ... (``refine``+1 levels), records the stop-threshold
     crossing per level, Richardson-extrapolates the two finest levels
-    assuming second order, and reports the coarse/fine threshold agreement.
+    assuming second order, and reports the coarse/fine increment and the
+    finest level's gap between the stop and stop/100 crossings.
     Censored when no crossing occurs before t_max at the finest level.
     """
     if gamma >= 0.0:
@@ -98,16 +99,10 @@ def lifespan_measure(
     hist = None
     for lev in range(refine + 1):
         hh = h / 2**lev
-        hist = _one_run(gamma, R, epsilon, hh, t_max, family, thresholds)
+        hist = _one_run(gamma, R, epsilon, hh, t_max, family, blowup_threshold)
         levels.append((hh, hist.blowup.t_numeric))
-    stop_thr = max(thresholds)
-    low_thr = min(thresholds)
     if hist.blowup.t_numeric is None:
         return LifespanPoint(epsilon=epsilon, t_numeric=None, censored=True, levels=levels)
-    gap = abs(
-        hist.blowup.crossings.get(stop_thr, math.nan)
-        - hist.blowup.crossings.get(low_thr, math.nan)
-    )
     if len(levels) >= 2 and levels[-2][1] is not None:
         t_f = levels[-1][1]
         t_c = levels[-2][1]
@@ -121,7 +116,7 @@ def lifespan_measure(
         t_numeric=extrap,
         censored=False,
         levels=levels,
-        threshold_gap=gap,
+        threshold_gap=hist.blowup.threshold_gap,
         richardson_increment=inc,
     )
 
@@ -162,7 +157,7 @@ def sweep(
     h: float,
     t_max: float,
     family: str = "bump_v1_only",
-    thresholds=(1e4, 1e6),
+    blowup_threshold: float = 1e6,
     refine: int = 1,
     delta: float = 0.5,
 ) -> LifespanFit:
@@ -175,7 +170,8 @@ def sweep(
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly increasing")
     points = [
-        lifespan_measure(gamma, R, e, h, t_max, family, thresholds, refine) for e in eps
+        lifespan_measure(gamma, R, e, h, t_max, family, blowup_threshold, refine)
+        for e in eps
     ]
     fit = fit_slope(
         [(p.epsilon, p.t_numeric) for p in points if not p.censored], gamma, delta

@@ -16,9 +16,10 @@ provided:
   with source r*(V*u^2)u/(1+t)^2 and marches it with the exact
   characteristic stencil (dt = dr).
 
-Both record the same per-slice series (weighted norm, dissipation weight,
-mass functional, sup) and the same threshold-crossing bookkeeping, so they
-can be cross-validated slice by slice.
+Both hand each finished slice to one recorder, which keeps the same
+per-slice series (weighted norm, dissipation weight, mass functional, sup)
+and threshold crossings for either, so they can be cross-validated slice
+by slice.
 """
 
 from __future__ import annotations
@@ -98,13 +99,24 @@ class Params:
         return WeightParams(self.gamma, self.R)
 
 
+# a run records the first crossing of the stop threshold and of this many
+# times less, so a lifespan comes with its agreement across two decades
+_LOW_THRESHOLD_FACTOR = 100.0
+
+
 @dataclass
 class BlowupReport:
     blew_up: bool
     t_numeric: float | None
     threshold: float
     crossings: dict = field(default_factory=dict)  # threshold -> first crossing time
-    refinement_levels: list = field(default_factory=list)  # (h, t_numeric) pairs
+
+    @property
+    def threshold_gap(self) -> float:
+        """|t(threshold) - t(threshold / 100)|; nan unless both were crossed."""
+        c = self.crossings
+        low = self.threshold / _LOW_THRESHOLD_FACTOR
+        return abs(c.get(self.threshold, math.nan) - c.get(low, math.nan))
 
 
 @dataclass
@@ -156,8 +168,15 @@ def make_data(family: str, epsilon: float, R: float, grid: Grid):
 
 
 class _Recorder:
-    def __init__(self, params: Params, thresholds):
+    """The one record of a run.  Each finished slice goes through
+    ``record``, which aborts on non-finite values, stores the rows (with
+    ``store_history``), updates the per-slice series and the threshold
+    crossings, and reports the stop; ``history`` builds the result."""
+
+    def __init__(self, params: Params, backend: str, store_history: bool = True):
         grid = params.grid
+        self.params = params
+        self.backend = backend
         self.r = grid.radii()
         self.wp = params.weights()
         self.h = grid.h
@@ -167,46 +186,69 @@ class _Recorder:
         self.dissip = np.zeros(n_t)
         self.mass = np.zeros(n_t)
         self.sup_u = np.zeros(n_t)
-        self.thresholds = sorted(set(thresholds) | {params.blowup_threshold})
-        self.crossings: dict = {}
+        self.u = np.zeros((n_t, grid.n_r)) if store_history else None
+        self.g = np.zeros((n_t, grid.n_r)) if store_history else None
         self.stop_threshold = params.blowup_threshold
+        self.thresholds = (self.stop_threshold / _LOW_THRESHOLD_FACTOR, self.stop_threshold)
+        self.crossings: dict = {}
+        self.n_used = 0
+        self.blew_up = False
 
-    def record(self, n: int, row: np.ndarray) -> bool:
-        """Store slice diagnostics; True when the stop threshold is crossed."""
+    def record(self, n: int, u_row: np.ndarray, g_row: np.ndarray) -> bool:
+        """Record slice n; True when it crosses the stop threshold."""
+        if not np.all(np.isfinite(u_row)):
+            raise NumericalAbort(n, self.backend)
+        if self.u is not None:
+            self.u[n] = u_row
+            self.g[n] = g_row
         t = n * self.h
-        sup = float(np.max(np.abs(row)))
+        sup = float(np.max(np.abs(u_row)))
         self.sup_u[n] = sup
-        xs = slice_x_norm(self.wp, self.r, t, row)
+        xs = slice_x_norm(self.wp, self.r, t, u_row)
         self.x_run[n] = max(xs, self.x_run[n - 1] if n else 0.0)
-        self.dissip[n] = float(np.max((1.0 + t + self.r) * np.abs(row))) / (1.0 + t)
-        self.mass[n] = self.mw.mass(row)
+        self.dissip[n] = float(np.max((1.0 + t + self.r) * np.abs(u_row))) / (1.0 + t)
+        self.mass[n] = self.mw.mass(u_row)
         for thr in self.thresholds:
             if thr not in self.crossings and sup > thr:
                 self.crossings[thr] = t
-        return sup > self.stop_threshold
+        self.n_used = n + 1
+        self.blew_up = sup > self.stop_threshold
+        return self.blew_up
 
-    def series(self, n_used: int) -> NormSeries:
-        sl = slice(0, n_used)
-        return NormSeries(
-            t=np.arange(n_used) * self.h,
+    def history(self) -> SolutionHistory:
+        sl = slice(0, self.n_used)
+        series = NormSeries(
+            t=np.arange(self.n_used) * self.h,
             x_norm_running=self.x_run[sl].copy(),
             dissipation=self.dissip[sl].copy(),
             mass=self.mass[sl].copy(),
             sup_u=self.sup_u[sl].copy(),
         )
-
-    def blowup_report(self, blew_up: bool) -> BlowupReport:
-        t_num = self.crossings.get(self.stop_threshold)
-        return BlowupReport(
-            blew_up=blew_up,
-            t_numeric=t_num if blew_up else None,
+        blowup = BlowupReport(
+            blew_up=self.blew_up,
+            t_numeric=self.crossings.get(self.stop_threshold) if self.blew_up else None,
             threshold=self.stop_threshold,
-            crossings=dict(sorted(self.crossings.items())),
+            crossings=self.crossings,
+        )
+        return SolutionHistory(
+            params=self.params,
+            grid=self.params.grid,
+            n_used=self.n_used,
+            series=series,
+            blowup=blowup,
+            u=None if self.u is None else self.u[sl],
+            g=None if self.g is None else self.g[sl],
+            backend=self.backend,
         )
 
 
-def _source_row(kern: ConvolutionKernel, u_row: np.ndarray, support_radius: float) -> np.ndarray:
-    """G = (V_gamma * u^2) u for one slice (undamped: no 1/(1+t)^2 here)."""
+def _source_row(
+    kern: ConvolutionKernel | None, u_row: np.ndarray, support_radius: float
+) -> np.ndarray:
+    """G = (V_gamma * u^2) u for one slice (undamped: no 1/(1+t)^2 here);
+    zero without a kernel (the linear reference runs)."""
+    if kern is None:
+        return np.zeros_like(u_row)
     sq = RadialProfile(kern.grid, u_row * u_row, support_radius=support_radius)
     return kern.apply(sq) * u_row
 
@@ -216,7 +258,6 @@ def solve_march(
     data,
     nonlinear: bool = True,
     store_history: bool = True,
-    thresholds=(1e4, 1e6),
 ) -> SolutionHistory:
     """March the integral equation causally on the characteristic grid.
 
@@ -233,21 +274,17 @@ def solve_march(
     kern = ConvolutionKernel(params.gamma, grid) if nonlinear else None
     free = FreeField(v0, v1, grid)
     acc = ConeAccumulator(grid, jr)
-    rec = _Recorder(params, thresholds)
-    n_r, n_t = grid.n_r, grid.n_t
-    u_tab = np.zeros((n_t, n_r)) if store_history else None
-    g_tab = np.zeros((n_t, n_r)) if store_history else None
+    rec = _Recorder(params, "march", store_history)
+    n_r = grid.n_r
 
     g_prev = np.zeros(n_r)
-    n_used = 0
-    blew = False
-    for n in range(n_t):
+    for n in range(grid.n_t):
         kmax = min(n + jr, n_r - 1)
         support = (n + jr) * grid.h
         base = free.slice(n)
-        if n == 0 or not nonlinear:
+        if n == 0 or kern is None:
             u_row = base
-            g_row = _source_row(kern, u_row, support) if nonlinear else np.zeros(n_r)
+            g_row = _source_row(kern, u_row, support)
         else:
             g_cur = g_prev
             u_row = np.zeros(n_r)
@@ -267,63 +304,24 @@ def solve_march(
                     break  # closure no longer contracting (late blow-up stage)
                 prev_delta = delta
             g_row = g_cur
-        if not np.all(np.isfinite(u_row)):
-            raise NumericalAbort(n, "march")
-        if store_history:
-            u_tab[n] = u_row
-            g_tab[n] = g_row
-        crossed = rec.record(n, u_row)
+        if rec.record(n, u_row, g_row):
+            break
         acc.push_slice(g_row)
         g_prev = g_row
-        n_used = n + 1
-        if crossed:
-            blew = True
-            break
-
-    return SolutionHistory(
-        params=params,
-        grid=grid,
-        n_used=n_used,
-        series=rec.series(n_used),
-        blowup=rec.blowup_report(blew),
-        u=u_tab[:n_used] if store_history else None,
-        g=g_tab[:n_used] if store_history else None,
-        backend="march",
-    )
+    return rec.history()
 
 
-def solve_dalembert(
-    params: Params,
-    data,
-    nonlinear: bool = True,
-    store_history: bool = True,
-    thresholds=(1e4, 1e6),
-) -> SolutionHistory:
+def solve_dalembert(params: Params, data, nonlinear: bool = True) -> SolutionHistory:
     """Independent backend: U = r u solves U_tt - U_rr = r G/(1+t)^2 with
     odd reflection at the axis; exact characteristic stencil at dt = dr."""
     v0, v1 = data
     grid = params.grid
     jr = params.support_cells
     kern = ConvolutionKernel(params.gamma, grid) if nonlinear else None
-    rec = _Recorder(params, thresholds)
+    rec = _Recorder(params, "dalembert")
     n_r, n_t = grid.n_r, grid.n_t
     h = grid.h
     r = grid.radii()
-    u_tab = np.zeros((n_t, n_r)) if store_history else None
-    g_tab = np.zeros((n_t, n_r)) if store_history else None
-
-    def source(u_row, n):
-        if not nonlinear:
-            return np.zeros(n_r)
-        return _source_row(kern, u_row, (n + jr) * h)
-
-    def record_and_check(n, u_row, g_row):
-        if not np.all(np.isfinite(u_row)):
-            raise NumericalAbort(n, "dalembert")
-        if store_history:
-            u_tab[n] = u_row
-            g_tab[n] = g_row
-        return rec.record(n, u_row)
 
     def close(n, U_row):
         # slice n from U = r u: zero beyond the cone, divide by r, axis limit
@@ -333,49 +331,36 @@ def solve_dalembert(
         u_row[1:] = U_row[1:] / r[1:]
         u_row[0] = (4.0 * u_row[1] - u_row[2]) / 3.0
         u_row[kmax + 1 :] = 0.0
-        g_row = source(u_row, n)
-        return u_row, g_row, record_and_check(n, u_row, g_row)
+        g_row = _source_row(kern, u_row, (n + jr) * h)
+        rec.record(n, u_row, g_row)
+        return g_row
 
     damp = 1.0 / (1.0 + np.arange(n_t) * h) ** 2
 
     u_prev = v0.samples.copy()
-    g_prev = source(u_prev, 0)
+    g_prev = _source_row(kern, u_prev, jr * h)
     U_prev = r * u_prev
-    blew = record_and_check(0, u_prev, g_prev)
-    n_used = 1
+    if rec.record(0, u_prev, g_prev) or n_t == 1:
+        return rec.history()
 
-    if n_t > 1 and not blew:
-        psi = lam_prefix((v0 + v1).samples, h)
-        S0 = r * g_prev * damp[0]
-        U_cur = np.zeros(n_r)
-        U_cur[1:-1] = (
-            0.5 * (U_prev[2:] + U_prev[:-2])
-            + 0.5 * (psi[2:] - psi[:-2])
-            + 0.5 * h * h * S0[1:-1]
-        )
-        _, g_cur, blew = close(1, U_cur)
-        n_used = 2
-
-        for n in range(1, n_t - 1):
-            if blew:
-                break
-            S = r * g_cur * damp[n]
-            U_next = np.zeros(n_r)
-            U_next[1:-1] = U_cur[2:] + U_cur[:-2] - U_prev[1:-1] + h * h * S[1:-1]
-            _, g_cur, blew = close(n + 1, U_next)
-            n_used = n + 2
-            U_prev, U_cur = U_cur, U_next
-
-    return SolutionHistory(
-        params=params,
-        grid=grid,
-        n_used=n_used,
-        series=rec.series(n_used),
-        blowup=rec.blowup_report(blew),
-        u=u_tab[:n_used] if store_history else None,
-        g=g_tab[:n_used] if store_history else None,
-        backend="dalembert",
+    psi = lam_prefix((v0 + v1).samples, h)
+    S0 = r * g_prev * damp[0]
+    U_cur = np.zeros(n_r)
+    U_cur[1:-1] = (
+        0.5 * (U_prev[2:] + U_prev[:-2])
+        + 0.5 * (psi[2:] - psi[:-2])
+        + 0.5 * h * h * S0[1:-1]
     )
+    g_cur = close(1, U_cur)
+    for n in range(1, n_t - 1):
+        if rec.blew_up:
+            break
+        S = r * g_cur * damp[n]
+        U_next = np.zeros(n_r)
+        U_next[1:-1] = U_cur[2:] + U_cur[:-2] - U_prev[1:-1] + h * h * S[1:-1]
+        g_cur = close(n + 1, U_next)
+        U_prev, U_cur = U_cur, U_next
+    return rec.history()
 
 
 # ---------------------------------------------------------------------------

@@ -249,21 +249,15 @@ def _interior_weights(tw: TimeWeights, n: int) -> np.ndarray:
     return w
 
 
-def duhamel_direct(
-    g_table: np.ndarray,
-    grid: Grid,
-    r: float,
-    t: float,
-    has_current_slice: bool = True,
-) -> float:
+def duhamel_direct(g_table: np.ndarray, grid: Grid, r: float, t: float) -> float:
     """Reference nested quadrature of (L G)(r, t) over the cone region.
 
     ``g_table`` rows are source slices (nonlinearity without the 1/(1+s)^2
-    factor, which is applied here).  When the slice at t itself is present
-    the newest cell uses the closure; otherwise the plain trapezoid cap.
+    factor, which is applied here) up to and including the slice at t; the
+    newest cell uses the closure.
     """
     n = grid.index_of_time(t)
-    if n + 1 > g_table.shape[0] + (0 if has_current_slice else 1):
+    if n + 1 > g_table.shape[0]:
         raise ValueError("source history does not reach the requested time")
     if r < 0.0:
         raise ValueError("r must be >= 0")
@@ -282,21 +276,15 @@ def duhamel_direct(
             return lam * interp(row, lam)
         return trapezoid_weighted(row, 1.0, abs(r - (n - m) * h), r + (n - m) * h) / (2.0 * r)
 
-    if has_current_slice:
-        w = _interior_weights(tw, n)
-        total = 0.0
-        for m in range(n):
-            if w[m] != 0.0:
-                total += w[m] * inner(m)
-        J1, J2 = tw.closure(n)
-        g_prev = interp(RadialProfile(grid, g_table[n - 1]), r if not axis else 0.0)
-        g_cur = interp(RadialProfile(grid, g_table[n]), r if not axis else 0.0)
-        return total + J1 * g_prev + J2 * g_cur
-    # plain composite over cells 0..n-1; the I_n endpoint vanishes exactly
+    w = _interior_weights(tw, n)
     total = 0.0
     for m in range(n):
-        total += tw.w_slice[m] * inner(m)
-    return total
+        if w[m] != 0.0:
+            total += w[m] * inner(m)
+    J1, J2 = tw.closure(n)
+    g_prev = interp(RadialProfile(grid, g_table[n - 1]), r if not axis else 0.0)
+    g_cur = interp(RadialProfile(grid, g_table[n]), r if not axis else 0.0)
+    return total + J1 * g_prev + J2 * g_cur
 
 
 # ---------------------------------------------------------------------------

@@ -156,23 +156,33 @@ class TestModes:
         assert summary["frame_pair_min_ratio"] < 1.0  # reported, not asserted
 
     def test_blowup_mode_ends_before_t_gamma(self, tmp_path):
-        # t_max < t_gamma = 1.25: no envelope seed and no identity window
+        # t_max < t_gamma = 1.25: no envelope seed and no identity window, so
+        # nothing is checked and the run must not read as all-pass
         body = "mode = blowup\ngamma = -0.4\nepsilon = 4.1\nh = 0.0625\nt_max = 1\n"
         path = write_cfg(tmp_path, "b.cfg", body + f"out = {tmp_path}/out\n")
-        assert main(["--config", path]) == 0
+        assert main(["--config", path]) == 1
+        inv = (tmp_path / "out" / "invariants.txt").read_text()
+        assert inv == "no_invariant_checked=fail\n"
 
     def test_sweep_mode_quick(self, tmp_path):
-        path = write_cfg(
-            tmp_path,
-            "s.cfg",
+        body = (
             "mode = sweep\ngamma = -0.4\nepsilon_list = 4.0,4.6,5.3,6.1\n"
-            f"h = 0.125\nt_max = 60\nrefine = 0\nout = {tmp_path}/out\n",
+            "h = 0.125\nt_max = 60\nrefine = 0\n"
         )
-        status = main(["--config", path])
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert (tmp_path / "out" / "results.csv").read_text().startswith("# conewave sweep")
-        assert summary["slope"] < -3.0
-        assert status in (0, 1)
+        rows = {}
+        for tag, extra in (("default", ""), ("low", "blowup_threshold = 1e3\n")):
+            out = tmp_path / tag
+            path = write_cfg(tmp_path, f"{tag}.cfg", body + extra + f"out = {out}\n")
+            status = main(["--config", path])
+            summary = json.loads((out / "summary.json").read_text())
+            csv = (out / "results.csv").read_text().splitlines()
+            assert csv[0].startswith("# conewave sweep")
+            assert summary["slope"] < -3.0
+            assert status in (0, 1)
+            eps, t_numeric, _, thr, _ = csv[-1].split(",")
+            rows[tag] = (eps, float(t_numeric), float(thr))
+        # the config's stop threshold reaches the runs, not only the CSV column
+        assert rows == {"default": ("6.1", 10.5, 1e6), "low": ("6.1", 10.375, 1000.0)}
 
     def test_shipped_configs_parse(self):
         cfg_dir = Path(__file__).resolve().parents[1] / "configs"

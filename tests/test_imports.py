@@ -1,5 +1,5 @@
 """A stand-in for a linter's unused-import rule: every module-level
-``from ... import`` name is used (``__init__`` and ``__future__`` exempt)."""
+``from ... import`` name is used (``__future__`` exempt)."""
 
 import ast
 from pathlib import Path
@@ -28,6 +28,6 @@ def test_no_unused_from_imports():
     found = {
         str(p.relative_to(ROOT)): names
         for p in sorted(paths)
-        if p.name != "__init__.py" and (names := unused_imports(p.read_text()))
+        if (names := unused_imports(p.read_text()))
     }
     assert found == {}

@@ -134,9 +134,11 @@ class TestMarch:
     def test_numerical_abort(self):
         p = build(1.0, 1.0, 1e150, 1 / 8, 2.0, thr=1e308)
         d = make_data("bump_v1_only", 1e150, 1.0, p.grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalAbort):
-                solve_march(p, d)
+        for solve, backend in ((solve_march, "march"), (solve_dalembert, "dalembert")):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalAbort) as exc:
+                    solve(p, d)
+            assert (exc.value.backend, exc.value.slice_index) == (backend, 2)
 
     def test_lean_mode_series_match(self):
         p = build(1.0, 1.0, 0.5, 1 / 16, 3.0)
