@@ -139,6 +139,9 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"R must be an integer number of cells h, got R={cfg['R']}, h={h}")
     if not (0.0 < cfg["t_max"] < math.inf):
         raise ConfigError(f"t_max must be positive and finite, got {cfg['t_max']}")
+    bt = cfg["blowup_threshold"]
+    if not (0.0 < bt < math.inf):
+        raise ConfigError(f"blowup_threshold must be positive and finite, got {bt}")
     if cfg["family"] not in DATA_FAMILIES:
         raise ConfigError(f"family must be one of {DATA_FAMILIES}, got {cfg['family']!r}")
     eps_text = str(cfg["epsilon_list"])

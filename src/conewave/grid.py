@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Grid", "RadialProfile", "power_moment", "trapezoid_weighted", "MassWeights", "interp"]
+__all__ = ["Grid", "RadialProfile", "cell_moments", "trapezoid_weighted", "MassWeights", "interp"]
 
 
 @dataclass(frozen=True)
@@ -108,27 +108,13 @@ class RadialProfile:
         return RadialProfile(self.grid, c * self.samples, self.support_radius)
 
 
-def power_moment(e: float, x0: float, x1: float) -> float:
-    """Exact integral of lambda**e over [x0, x1], 0 <= x0 <= x1.
+def cell_moments(e: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Exact integral of lambda**e over each [x0, x1], elementwise; empty or
+    reversed cells give 0.
 
-    Uses expm1/log for stability when e+1 is small or the interval is tiny
-    relative to x0.  With x0 == 0 the exponent must satisfy e > -1.
+    Uses expm1/log for stability when e+1 is small or a cell is tiny relative
+    to its x0.  Where x0 == 0 the exponent must satisfy e > -1.
     """
-    if x1 <= x0:
-        return 0.0
-    p = e + 1.0
-    if x0 == 0.0:
-        if p <= 0.0:
-            raise ValueError(f"lambda**{e} is not integrable down to 0")
-        return x1**p / p
-    u = p * math.log(x1 / x0)
-    if p == 0.0:
-        return math.log(x1 / x0)
-    return x0**p * math.expm1(u) / p
-
-
-def _cell_moments(e: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """Vectorized power_moment over many cells (x0 may contain zeros)."""
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     out = np.zeros(np.broadcast(x0, x1).shape)
@@ -174,8 +160,8 @@ def trapezoid_weighted(p: RadialProfile, weight_exponent: float, a: float, b: fl
     # linear interpolant on cell j: c0 + c1*lambda
     c1 = (s[cells + 1] - s[cells]) / h
     c0 = s[cells] - c1 * cells * h
-    m0 = _cell_moments(weight_exponent, x0, x1)
-    m1 = _cell_moments(weight_exponent + 1.0, x0, x1)
+    m0 = cell_moments(weight_exponent, x0, x1)
+    m1 = cell_moments(weight_exponent + 1.0, x0, x1)
     # fixed left-to-right accumulation for reproducibility
     total = 0.0
     contrib = c0 * m0 + c1 * m1

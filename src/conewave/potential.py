@@ -17,6 +17,11 @@ Two evaluation paths share that quadrature:
   depend only on the index sum i+j (Hankel part) and difference i-j
   (Toeplitz part), so a whole slice costs three FFT correlations instead of
   an O(n^2) double loop.
+
+The slice tables, the truncated last cell of ``apply`` and the bilinear
+oracle all take their unit-cell moments from one routine, ``_xi_moments``;
+``convolve_power`` keeps its own rho-polynomial form as the independent
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import RadialProfile, _cell_moments, trapezoid_weighted
+from .grid import RadialProfile, cell_moments, trapezoid_weighted
 
 __all__ = [
     "is_log_branch",
@@ -79,26 +84,53 @@ def kernel_value(gamma: float, r: float, rho: float) -> float:
 def _zmom_pow(d: float, z0: np.ndarray, z1: np.ndarray):
     """(M_d, M_{d+1}, M_{d+2}) with M_e = int_{z0}^{z1} z**e dz, elementwise."""
     return (
-        _cell_moments(d, z0, z1),
-        _cell_moments(d + 1.0, z0, z1),
-        _cell_moments(d + 2.0, z0, z1),
+        cell_moments(d, z0, z1),
+        cell_moments(d + 1.0, z0, z1),
+        cell_moments(d + 2.0, z0, z1),
     )
 
 
 def _zmom_log(z0: np.ndarray, z1: np.ndarray):
-    """(L_0, L_1, L_2) with L_k = int_{z0}^{z1} z**k log z dz, elementwise."""
-    z0 = np.asarray(z0, dtype=float)
-    z1 = np.asarray(z1, dtype=float)
+    """(L_0, L_1, L_2) with L_k = int_{z0}^{z1} z**k log z dz, elementwise,
+    in the float type of the arguments (long double for the slice tables)."""
 
     def anti(k, z):
         out = np.zeros_like(z)
-        pos = z > 0.0
+        pos = z > 0
         zp = z[pos]
-        p = k + 1.0
-        out[pos] = zp**p * (np.log(zp) / p - 1.0 / p**2)
+        p = z.dtype.type(k + 1)
+        out[pos] = zp**p * (np.log(zp) / p - 1 / p**2)
         return out
 
     return tuple(anti(k, z1) - anti(k, z0) for k in range(3))
+
+
+def _zmom(gamma: float):
+    """z-moments of the kernel factor K(z) = z**(2-gamma) (log z at gamma = 2)."""
+    return _zmom_log if is_log_branch(gamma) else functools.partial(_zmom_pow, 2.0 - gamma)
+
+
+def _xi_moments(zmom, base, sign: int, xi: float = 1.0):
+    """(T_0, T_1, T_2) with T_m = int_0^xi x^m K(base + sign*x) dx.
+
+    ``zmom`` gives the z-moments of K over z = base + sign*[0, xi].  The
+    m = 2 combination cancels ~base^2 of significance, so its operation
+    order fixes the last bits of every table built from it.
+    """
+    if sign > 0:  # x = z - base
+        m0, m1, m2 = zmom(base, base + xi)
+        return m0, m1 - base * m0, m2 - 2 * base * m1 + base * base * m0
+    m0, m1, m2 = zmom(base - xi, base)  # x = base - z
+    return m0, base * m0 - m1, base * base * m0 - 2 * base * m1 + m2
+
+
+def _cell_coeffs(s: np.ndarray, j0: int, j1: int) -> np.ndarray:
+    """Rows (j w_j, j dw_j + w_j, dw_j) for cells j0..j1-1: on cell j the
+    profile times rho/h is the quadratic sum_m a_m xi^m in xi = rho/h - j."""
+    j = np.arange(j0, j1)
+    w = s[j0:j1]
+    dw = s[j0 + 1 : j1 + 1] - w
+    return np.stack([j * w, j * dw + w, dw])
 
 
 def _poly_against_power(c0: np.ndarray, c1: np.ndarray, r0: float, sign: int, moms) -> np.ndarray:
@@ -140,7 +172,7 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
 
     logb = is_log_branch(gamma)
     d = 2.0 - gamma
-    moms = (lambda z0, z1: _zmom_log(z0, z1)) if logb else (lambda z0, z1: _zmom_pow(d, z0, z1))
+    moms = _zmom(gamma)
 
     # (r + rho) part: z = r + rho, rho = -r + z
     plus = _poly_against_power(c0, c1, -r, +1, moms(r + x0, r + x1))
@@ -187,45 +219,16 @@ def _moment_tables(gamma: float, n: int):
     """
     ld = np.longdouble
     if is_log_branch(gamma):
-
-        def anti(k, z):
-            p = ld(k + 1)
-            out = np.zeros_like(z)
-            pos = z > 0
-            out[pos] = z[pos] ** p * (np.log(z[pos]) / p - 1 / p**2)
-            return out
-
-        def mom(k, z0, z1):
-            return anti(k, z1) - anti(k, z0)
-
+        zmom = _zmom_log
     else:
         d = ld(2.0 - gamma)
 
-        def mom(k, z0, z1):
-            p = d + k + 1
-            return (z1**p - z0**p) / p
+        def zmom(z0, z1):
+            return tuple((z1**p - z0**p) / p for p in [d + k + 1 for k in range(3)])
 
-    def build(sv, lower):
-        z0 = sv - 1 if lower else sv
-        z1 = sv if lower else sv + 1
-        m0 = mom(0, z0, z1)
-        m1 = mom(1, z0, z1)
-        m2 = mom(2, z0, z1)
-        if lower:  # xi = s - z
-            t0 = m0
-            t1 = sv * m0 - m1
-            t2 = sv * sv * m0 - 2 * sv * m1 + m2
-        else:  # xi = z - s
-            t0 = m0
-            t1 = m1 - sv * m0
-            t2 = m2 - 2 * sv * m1 + sv * sv * m0
-        return np.stack([t0, t1, t2]).astype(float)
-
-    sP = np.arange(2 * n - 1, dtype=np.longdouble)
-    P = build(sP, lower=False)
-    sQ = np.arange(1, n, dtype=np.longdouble)
-    Q = np.concatenate([np.zeros((3, 1)), build(sQ, lower=True)], axis=1)
-    return P, Q
+    P = np.stack(_xi_moments(zmom, np.arange(2 * n - 1, dtype=ld), +1)).astype(float)
+    Q = np.stack(_xi_moments(zmom, np.arange(1, n, dtype=ld), -1)).astype(float)
+    return P, np.concatenate([np.zeros((3, 1)), Q], axis=1)
 
 
 class ConvolutionKernel:
@@ -255,13 +258,6 @@ class ConvolutionKernel:
             self._kfft[L] = got
         return got
 
-    def _coeff_vectors(self, s: np.ndarray, n_cells: int):
-        j = np.arange(n_cells)
-        wj = s[:n_cells]
-        wj1 = s[1 : n_cells + 1]
-        dw = wj1 - wj
-        return np.stack([j * wj, j * dw + wj, dw])
-
     def apply(self, w: RadialProfile) -> np.ndarray:
         """Values of (V_gamma * w) at all grid nodes (index 0 is the axis)."""
         if w.grid != self.grid:
@@ -279,7 +275,7 @@ class ConvolutionKernel:
 
         acc = np.zeros(n)
         if J_full > 0:
-            a = self._coeff_vectors(w.samples, J_full)
+            a = _cell_coeffs(w.samples, 0, J_full)
             L = sfft.next_fast_len(J_full + 2 * n - 1)
             Pf, Qf = self._kernel_fft(L)
             af = sfft.rfft(a, L, axis=1)
@@ -311,47 +307,17 @@ class ConvolutionKernel:
 
     def _partial_cell(self, s: np.ndarray, J: int, xi_star: float) -> np.ndarray:
         """Moment contribution of the truncated cell [J h, (J + xi*) h]."""
-        n = self.n
-        wj = s[J]
-        wj1 = s[J + 1] if J + 1 < n else 0.0
-        dw = wj1 - wj
-        a = np.array([J * wj, J * dw + wj, dw])
-        i = np.arange(n, dtype=float)
-
-        if self.log_branch:
-
-            def mom(k, z0, z1):
-                return _zmom_log(z0, z1)[k]
-
-        else:
-
-            def mom(k, z0, z1):
-                return _cell_moments(self.d + k, z0, z1)
-
-        def xi_moments(base, sign):
-            # int_0^{xi*} xi^m K(base + sign*xi) dxi via z = base + sign*xi
-            if sign > 0:
-                z0, z1 = base, base + xi_star
-            else:
-                z0, z1 = base - xi_star, base
-            m0 = mom(0, z0, z1)
-            m1 = mom(1, z0, z1)
-            m2 = mom(2, z0, z1)
-            # xi = sign*(z - base)
-            t0 = m0
-            t1 = sign * (m1 - base * m0)
-            t2 = m2 - 2.0 * base * m1 + base * base * m0
-            return t0, t1, t2
-
-        plus = xi_moments(i + J, +1)
-        res = a[0] * plus[0] + a[1] * plus[1] + a[2] * plus[2]
+        a = _cell_coeffs(s, J, J + 1)[:, 0]
+        zmom = _zmom(self.gamma)
+        i = np.arange(self.n, dtype=float)
         low = i <= J
-        if np.any(low):
-            t = xi_moments(J - i[low], +1)
-            res[low] -= a[0] * t[0] + a[1] * t[1] + a[2] * t[2]
-        if np.any(~low):
-            t = xi_moments(i[~low] - J, -1)
-            res[~low] -= a[0] * t[0] + a[1] * t[1] + a[2] * t[2]
+
+        def against(t):
+            return a[0] * t[0] + a[1] * t[1] + a[2] * t[2]
+
+        res = against(_xi_moments(zmom, i + J, +1, xi_star))
+        res[low] -= against(_xi_moments(zmom, J - i[low], +1, xi_star))
+        res[~low] -= against(_xi_moments(zmom, i[~low] - J, -1, xi_star))
         return res
 
 
@@ -375,52 +341,42 @@ def convolve_profile_direct(w: RadialProfile, gamma: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ximom_pow(m: int, s, e: float, lower: bool) -> np.ndarray:
-    """int_0^1 xi^m (s + xi)^e dxi (lower=False) or int_0^1 xi^m (s - xi)^e dxi."""
-    s = np.asarray(s, dtype=float)
-    if lower:
-        z0, z1 = s - 1.0, s
-    else:
-        z0, z1 = s, s + 1.0
-    M = [_cell_moments(e + k, z0, z1) for k in range(m + 1)]
-    if m == 0:
-        return M[0]
-    if lower:  # xi = s - z
-        if m == 1:
-            return s * M[0] - M[1]
-        return s * s * M[0] - 2.0 * s * M[1] + M[2]
-    if m == 1:
-        return M[1] - s * M[0]
-    return M[2] - 2.0 * s * M[1] + s * s * M[0]
-
-
 _GAUSS_N = 48
 _gauss_x, _gauss_w = np.polynomial.legendre.leggauss(_GAUSS_N)
 _gx01 = 0.5 * (_gauss_x + 1.0)
 _gw01 = 0.5 * _gauss_w
 
 
-def _dp_table(d: float, a: int, b: int, smax: int) -> np.ndarray:
-    """Dp_ab(S) = int int xi^a eta^b (S + xi + eta)^d, S = 0..smax."""
-    # inner integral over eta is exact; outer over xi by Gauss (smooth for
-    # S >= 1, substitution xi = u^2 tames the S = 0 corner)
-    out = np.zeros(smax + 1)
-    for Sv in range(smax + 1):
-        if Sv == 0:
-            u = _gx01
-            xi = u * u
-            jac = 2.0 * u
-        else:
-            xi = _gx01
-            jac = np.ones_like(xi)
-        inner = _ximom_pow(b, Sv + xi, d, lower=False)
-        out[Sv] = float(np.sum(_gw01 * jac * xi**a * inner))
-    return out
+def _outer_xi(zmom, base: int, sign: int, corner: bool) -> np.ndarray:
+    """[a, b] -> int_0^1 xi^a T_b(base + xi) dxi with T_b the unit-cell
+    moments of K around base + xi.
+
+    The inner integral is exact; the outer one is Gauss in xi, smooth away
+    from the corner cell, where the substitution xi = u^2 tames it.
+    """
+    if corner:
+        u = _gx01
+        xi = u * u
+        jac = 2.0 * u
+    else:
+        xi = _gx01
+        jac = np.ones_like(xi)
+    inner = _xi_moments(zmom, base + xi, sign)
+    return np.array(
+        [[float(np.sum(_gw01 * jac * xi**a * inner[b])) for b in range(3)] for a in range(3)]
+    )
 
 
-def _dm_table(d: float, a: int, b: int, mmax: int) -> np.ndarray:
-    """Dm_ab(m) = int int xi^a eta^b |m + xi - eta|^d, m = 0..mmax."""
-    out = np.zeros(mmax + 1)
+def _dp_tables(d: float, smax: int) -> np.ndarray:
+    """Dp[a, b, S] = int int xi^a eta^b (S + xi + eta)^d, S = 0..smax."""
+    zmom = functools.partial(_zmom_pow, d)
+    return np.stack([_outer_xi(zmom, S, +1, S == 0) for S in range(smax + 1)], axis=-1)
+
+
+def _dm_tables(d: float, mmax: int) -> np.ndarray:
+    """Dm[a, b, m] = int int xi^a eta^b |m + xi - eta|^d, m = 0..mmax."""
+    zmom = functools.partial(_zmom_pow, d)
+    out = np.zeros((3, 3, mmax + 1))
     # m = 0: both triangles in closed form via Beta functions
     def beta_int(bb, dd):
         # int_0^1 u^bb (1-u)^dd du with integer bb
@@ -431,19 +387,13 @@ def _dm_table(d: float, a: int, b: int, mmax: int) -> np.ndarray:
 
     # triangle eta < xi: int_0^1 xi^a [int_0^xi eta^b (xi-eta)^d deta] dxi
     #                  = B(b+1, d+1) / (a+b+d+2)
-    t1 = beta_int(b, d) / (a + b + d + 2.0)
-    t2 = beta_int(a, d) / (a + b + d + 2.0)
-    out[0] = t1 + t2
+    for a in range(3):
+        for b in range(3):
+            t1 = beta_int(b, d) / (a + b + d + 2.0)
+            t2 = beta_int(a, d) / (a + b + d + 2.0)
+            out[a, b, 0] = t1 + t2
     for m in range(1, mmax + 1):
-        if m == 1:
-            u = _gx01
-            xi = u * u
-            jac = 2.0 * u
-        else:
-            xi = _gx01
-            jac = np.ones_like(xi)
-        inner = _ximom_pow(b, m + xi, d, lower=True)
-        out[m] = float(np.sum(_gw01 * jac * xi**a * inner))
+        out[:, :, m] = _outer_xi(zmom, m, -1, m == 1)
     return out
 
 
@@ -470,17 +420,14 @@ def bilinear_form(w1: RadialProfile, w2: RadialProfile, gamma: float) -> float:
         # node-aligned supports
         if abs(nc - b / h) > 1e-9 and b / h - np.floor(b / h + 1e-12) > 1e-9:
             raise ValueError("bilinear_form needs node-aligned support radii")
-        s = w.samples
-        j = np.arange(nc)
-        dw = s[j + 1] - s[j]
-        return np.stack([j * s[j], j * dw + s[j], dw]), nc
+        return _cell_coeffs(w.samples, 0, nc), nc
 
     A, na = cells(w1)
     B, nb = cells(w2)
     if na == 0 or nb == 0:
         return 0.0
-    smax = na + nb - 2
-    mmax = max(na, nb) - 1
+    dp = _dp_tables(d, na + nb - 2)
+    dm = _dm_tables(d, max(na, nb) - 1)
     total = 0.0
     I = np.arange(nb)[:, None]
     J = np.arange(na)[None, :]
@@ -489,10 +436,7 @@ def bilinear_form(w1: RadialProfile, w2: RadialProfile, gamma: float) -> float:
     sign_lower = (I > J).ravel()  # w2-cell index above w1-cell index
     for a_deg in range(3):
         for b_deg in range(3):
-            dp = _dp_table(d, a_deg, b_deg, smax)
-            dm_ab = _dm_table(d, a_deg, b_deg, mmax)
-            dm_ba = dm_ab if a_deg == b_deg else _dm_table(d, b_deg, a_deg, mmax)
             coef = (B[a_deg][:, None] * A[b_deg][None, :]).ravel()
-            dm = np.where(sign_lower, dm_ab[Mdiff], dm_ba[Mdiff])
-            total += float(np.sum(coef * (dp[Splus] - dm)))
+            dmv = np.where(sign_lower, dm[a_deg, b_deg][Mdiff], dm[b_deg, a_deg][Mdiff])
+            total += float(np.sum(coef * (dp[a_deg, b_deg][Splus] - dmv)))
     return 8.0 * math.pi**2 / d * h ** (4.0 + d) * total

@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _MAX_SLICE_SWEEPS = 4
+_PICARD_MAX_ITER = 25
+_PICARD_TOL = 1e-11
 
 DATA_FAMILIES = ("bump_v1_only", "bump_both")
 
@@ -75,8 +77,6 @@ class Params:
     epsilon: float
     grid: Grid
     blowup_threshold: float = 1e6
-    picard_max_iter: int = 25
-    picard_tol: float = 1e-11
 
     def __post_init__(self):
         if not (-0.5 < self.gamma < 3.0):
@@ -85,7 +85,7 @@ class Params:
             raise ValueError(f"R must be >= 1, got {self.R}")
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
-        if self.blowup_threshold <= 0.0:
+        if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be positive")
         jr = self.R / self.grid.h
         if abs(jr - round(jr)) > 1e-9:
@@ -263,7 +263,7 @@ def solve_march(
 
     Each slice is free field + accumulated Duhamel history; the current
     slice enters only through the newest-cell closure and is resolved by a
-    few fixed-point sweeps (tolerance ``params.picard_tol``).  Marching
+    few fixed-point sweeps (tolerance ``_PICARD_TOL``).  Marching
     stops early once sup|u| exceeds ``params.blowup_threshold``.
     """
     v0, v1 = data
@@ -298,7 +298,7 @@ def solve_march(
                 scale = 1.0 + float(np.max(np.abs(g_new)))
                 u_row = new_row
                 g_cur = g_new
-                if delta <= params.picard_tol * scale:
+                if delta <= _PICARD_TOL * scale:
                     break
                 if delta > prev_delta and sweep >= 1:
                     break  # closure no longer contracting (late blow-up stage)
@@ -425,7 +425,7 @@ def picard_local(params: Params, data, T: float, M: float, c1: float) -> PicardR
     norms: list[float] = []
     converged = False
     iterations = 0
-    for it in range(params.picard_max_iter):
+    for it in range(_PICARD_MAX_ITER):
         g_tab = np.zeros_like(u_old)
         for m in range(n_T + 1):
             g_tab[m] = _source_row(kern, u_old[m], (m + jr) * grid.h)
@@ -442,7 +442,7 @@ def picard_local(params: Params, data, T: float, M: float, c1: float) -> PicardR
             ratios.append(norms[-1] / norms[-2])
         u_old = u_new
         iterations = it + 1
-        if d <= params.picard_tol * max(1.0, x_norm(u_new, wp, grid)):
+        if d <= _PICARD_TOL * max(1.0, x_norm(u_new, wp, grid)):
             converged = True
             break
     diagnosis = ""

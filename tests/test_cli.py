@@ -59,9 +59,11 @@ class TestMainExitCodes:
         "body",
         ["h = 0.3\n", "h = nan\n", "family = foo\n", "t_max = -5\n",
          "mode = sweep\ngamma = -0.4\nepsilon_list = 5.4,3.2\n", "epsilon = -1\n",
-         "mode = sweep\nepsilon_list = 1,2\n"],
+         "mode = sweep\nepsilon_list = 1,2\n", "blowup_threshold = 0\n",
+         "blowup_threshold = -5\n", "blowup_threshold = nan\n"],
         ids=["h_not_dividing_R", "h_nan", "unknown_family", "negative_t_max",
-             "decreasing_epsilon_list", "negative_epsilon", "sweep_without_blowup"],
+             "decreasing_epsilon_list", "negative_epsilon", "sweep_without_blowup",
+             "zero_blowup_threshold", "negative_blowup_threshold", "nan_blowup_threshold"],
     )
     def test_bad_value_is_2(self, tmp_path, capsys, body):
         path = write_cfg(tmp_path, "bad.cfg", body + f"out = {tmp_path}/out\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conewave.grid import Grid, RadialProfile, interp, power_moment, trapezoid_weighted
+from conewave.grid import Grid, RadialProfile, cell_moments, interp, trapezoid_weighted
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ class TestPowerMoment:
             e = rng.uniform(-2.5, 3.0)
             x0 = rng.uniform(0.1, 2.0)
             x1 = x0 + rng.uniform(0.0, 3.0)
-            got = power_moment(e, x0, x1)
+            got = float(cell_moments(e, x0, x1))
             if abs(e + 1.0) < 1e-12:
                 want = math.log(x1 / x0)
             else:
@@ -68,9 +68,11 @@ class TestPowerMoment:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_zero_endpoint(self):
-        assert power_moment(0.5, 0.0, 2.0) == pytest.approx(2.0**1.5 / 1.5, rel=1e-14)
+        got = cell_moments(0.5, np.array([0.0, 1.0]), np.array([2.0, 1.0]))
+        assert got[0] == pytest.approx(2.0**1.5 / 1.5, rel=1e-14)
+        assert got[1] == 0.0  # empty cell
         with pytest.raises(ValueError):
-            power_moment(-1.5, 0.0, 1.0)
+            cell_moments(-1.5, 0.0, 1.0)
 
 
 class TestTrapezoidWeighted:

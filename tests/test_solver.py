@@ -68,6 +68,9 @@ class TestParams:
             Params(gamma=1.0, R=1.0, epsilon=-1.0, grid=grid)
         with pytest.raises(ValueError):
             Params(gamma=1.0, R=1.03, epsilon=1.0, grid=grid)  # off-cell R
+        for thr in (0.0, math.nan):  # a nan threshold could never stop a march
+            with pytest.raises(ValueError):
+                Params(gamma=1.0, R=1.0, epsilon=1.0, grid=grid, blowup_threshold=thr)
 
 
 class TestMakeData:
