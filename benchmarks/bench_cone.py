@@ -26,7 +26,7 @@ def bench_convolution(gamma=1.0):
         s[-n // 8 :] = 0.0
         w = RadialProfile(grid, s, support_radius=(n - n // 8 - 1) * grid.h)
         kern = ConvolutionKernel(gamma, grid)
-        kern.apply(w)  # warm the kernel-transform cache
+        kern.apply(w)  # build the kernel spectrum of this FFT length
         t0 = time.perf_counter()
         reps = 20
         for _ in range(reps):

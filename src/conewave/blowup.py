@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MassWeights, RadialProfile, trapezoid_weighted
-from .potential import convolve_profile
+from .potential import cached_kernel
 from .solver import SolutionHistory
 
 __all__ = [
@@ -52,9 +52,8 @@ def mass_rhs(u_slice: RadialProfile, gamma: float, t: float) -> float:
     """F''(t) by the integrated equation:
     4 pi (1+t)^-2 int r^2 (V_gamma*u^2)(r) u(r) dr."""
     grid = u_slice.grid
-    sq = RadialProfile(grid, u_slice.samples**2, u_slice.support_radius)
-    conv = convolve_profile(sq, gamma)
-    prod = RadialProfile(grid, conv * u_slice.samples, u_slice.support_radius)
+    cube = cached_kernel(gamma, grid).cubic(u_slice)
+    prod = RadialProfile(grid, cube, u_slice.support_radius)
     return (
         4.0 * math.pi / (1.0 + t) ** 2 * trapezoid_weighted(prod, 2.0, 0.0, grid.r_max)
     )

@@ -13,10 +13,12 @@ needs no special casing and pure power-law data come out exact.
 Two evaluation paths share that quadrature:
 
 * ``convolve_power`` -- single target radius, used by verifiers and tests;
-* ``ConvolutionKernel.apply`` -- every grid node at once.  The cell moments
-  depend only on the index sum i+j (Hankel part) and difference i-j
-  (Toeplitz part), so a whole slice costs three FFT correlations instead of
-  an O(n^2) double loop.
+* ``ConvolutionKernel.apply`` -- the first ``n_out`` grid nodes at once.
+  The cell moments depend only on the index sum i+j (Hankel part) and
+  difference i-j (Toeplitz parts), so a slice costs one FFT correlation,
+  against one cached kernel spectrum per power-of-two length, instead of an
+  O(n^2) double loop.  ``ConvolutionKernel.cubic`` windows it to the
+  support of u for the source term (V*u^2) u.
 
 The slice tables, the truncated last cell of ``apply`` and the bilinear
 oracle all take their unit-cell moments from one routine, ``_xi_moments``;
@@ -39,6 +41,7 @@ __all__ = [
     "kernel_value",
     "convolve_power",
     "ConvolutionKernel",
+    "cached_kernel",
     "convolve_profile",
     "convolve_profile_direct",
     "bilinear_form",
@@ -131,6 +134,16 @@ def _cell_coeffs(s: np.ndarray, j0: int, j1: int) -> np.ndarray:
     w = s[j0:j1]
     dw = s[j0 + 1 : j1 + 1] - w
     return np.stack([j * w, j * dw + w, dw])
+
+
+def _hat_weights(e: float, x0: np.ndarray, x1: np.ndarray, h: float):
+    """(left, right) node weights of int_{x0}^{x1} lambda**e PL(lambda):
+    the linear interpolant between the nodes at x0 and x0 + h, integrated
+    exactly up to x1 (<= x0 + h)."""
+    m0 = cell_moments(e, x0, x1)
+    m1 = cell_moments(e + 1.0, x0, x1)
+    right = (m1 - x0 * m0) / h
+    return m0 - right, right
 
 
 def _poly_against_power(c0: np.ndarray, c1: np.ndarray, r0: float, sign: int, moms) -> np.ndarray:
@@ -234,8 +247,18 @@ def _moment_tables(gamma: float, n: int):
 class ConvolutionKernel:
     """Precomputed moment tables for one (gamma, grid) pair.
 
-    ``apply`` evaluates (V_gamma * w) at every node of the grid with three
-    FFT correlations; kernel transforms are cached per FFT length.
+    ``apply`` evaluates (V_gamma * w) at the first ``n_out`` nodes with one
+    circular correlation of the three cell-coefficient rows against a
+    kernel spectrum: one forward FFT and one inverse per call.  The spectrum
+    of length L holds P on [0, L/2) and Q reflected onto (L/2, L), so
+    index i of the correlation is the Hankel sum and index -i the sum of
+    both Toeplitz parts.  L is the power of two at or above 2 (n_out + J)
+    for J full cells, and one spectrum is kept per such L: a march holds at
+    most log2(4 n) of them.  The axis value is a dot product with node
+    weights taken once from ``cell_moments``.
+
+    ``cubic`` gives the source term (V_gamma * u^2) u through ``apply``,
+    windowed to the support of u.
     """
 
     def __init__(self, gamma: float, grid):
@@ -247,24 +270,40 @@ class ConvolutionKernel:
         self.log_branch = is_log_branch(gamma)
         self.d = 2.0 - gamma
         self.P, self.Q = _moment_tables(gamma, self.n)
-        self._kfft: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._spectra: dict[int, np.ndarray] = {}
+        h, d = self.h, self.d
+        i = np.arange(1, self.n)
+        if self.log_branch:
+            self._scale = 2.0 * math.pi * h / i
+        else:
+            self._scale = 2.0 * math.pi * h ** (1.0 + d) / (i * d)
+        x0 = np.arange(self.n - 1) * h
+        self._axis_w = _hat_weights(d, x0, x0 + h, h)
 
-    def _kernel_fft(self, L: int):
-        got = self._kfft.get(L)
+    def _spectrum(self, L: int) -> np.ndarray:
+        """rfft of the 3 x L buffer with P on [0, L/2) and Q(s) at L - s."""
+        got = self._spectra.get(L)
         if got is None:
-            Pf = sfft.rfft(self.P, L, axis=1)
-            Qf = sfft.rfft(self.Q, L, axis=1)
-            got = (Pf, Qf)
-            self._kfft[L] = got
+            half = L // 2
+            K = np.zeros((3, L))
+            p = min(half, self.P.shape[1])
+            K[:, :p] = self.P[:, :p]
+            q = min(half, self.n) - 1
+            K[:, L - q :] = self.Q[:, q:0:-1]
+            got = self._spectra[L] = sfft.rfft(K, axis=1)
         return got
 
-    def apply(self, w: RadialProfile) -> np.ndarray:
-        """Values of (V_gamma * w) at all grid nodes (index 0 is the axis)."""
+    def apply(self, w: RadialProfile, n_out: int | None = None) -> np.ndarray:
+        """Values of (V_gamma * w) at the first ``n_out`` grid nodes (all of
+        them by default; index 0 is the axis)."""
         if w.grid != self.grid:
             raise ValueError("profile grid does not match kernel grid")
-        n, h = self.n, self.h
+        m = self.n if n_out is None else n_out
+        if not 1 <= m <= self.n:
+            raise ValueError(f"n_out must lie in [1, {self.n}], got {n_out}")
+        h = self.h
         b = min(w.support_radius, w.grid.r_max)
-        out = np.zeros(n)
+        out = np.zeros(m)
         if b <= 0.0:
             return out
         k_edge = b / h
@@ -273,43 +312,49 @@ class ConvolutionKernel:
         if xi_star < 1e-12:
             xi_star = 0.0
 
-        acc = np.zeros(n)
+        s = w.samples
+        acc = np.zeros(m)
         if J_full > 0:
-            a = _cell_coeffs(w.samples, 0, J_full)
-            L = sfft.next_fast_len(J_full + 2 * n - 1)
-            Pf, Qf = self._kernel_fft(L)
-            af = sfft.rfft(a, L, axis=1)
-            arevf = sfft.rfft(a[:, ::-1], L, axis=1)
-            # F_m = fullconv(arev_m, P_m): index N-1+i gives the Hankel sum
-            # sum_j a_j P(i+j); index N-1-i gives the upper-Toeplitz sum
-            # sum_{j>=i} a_j P(j-i).
-            F = sfft.irfft((arevf * Pf).sum(axis=0), L)
-            V = sfft.irfft((af * Qf).sum(axis=0), L)
-            i = np.arange(n)
-            acc += F[J_full - 1 + i]
-            upper = np.zeros(n)
-            m = min(J_full, n)
-            upper[:m] = F[J_full - m : J_full][::-1]
-            acc -= upper
-            acc -= V[:n]
+            L = 1 << (2 * (m + J_full) - 1).bit_length()
+            af = sfft.rfft(_cell_coeffs(s, 0, J_full), L, axis=1)
+            # c[k] = sum_j a_j K(j + k): the Hankel sum sum_j a_j P(i+j) at
+            # k = i, and sum_{j>=i} a_j P(j-i) + sum_{j<i} a_j Q(i-j) at k = -i
+            c = sfft.irfft((af.conj() * self._spectrum(L)).sum(axis=0), L)
+            acc = c[:m]
+            acc[1:] -= c[: L - m : -1]
 
         if xi_star > 0.0:
-            acc += self._partial_cell(w.samples, J_full, xi_star)
+            acc += self._partial_cell(s, J_full, xi_star, m)
 
-        d = self.d
-        i = np.arange(1, n)
-        if self.log_branch:
-            out[1:] = (2.0 * math.pi * h / i) * acc[1:]
-        else:
-            out[1:] = (2.0 * math.pi * h ** (1.0 + d) / (i * d)) * acc[1:]
-        out[0] = 4.0 * math.pi * trapezoid_weighted(w, 2.0 - self.gamma, 0.0, w.grid.r_max)
+        out[1:] = self._scale[: m - 1] * acc[1:]
+        wl, wr = self._axis_w
+        axis = float(np.dot(wl[:J_full], s[:J_full]) + np.dot(wr[:J_full], s[1 : J_full + 1]))
+        if xi_star > 0.0:
+            x0 = np.array([J_full * h])
+            pl, pr = _hat_weights(self.d, x0, np.array([b]), h)
+            axis += float(pl[0] * s[J_full] + pr[0] * s[J_full + 1])
+        out[0] = 4.0 * math.pi * axis
         return out
 
-    def _partial_cell(self, s: np.ndarray, J: int, xi_star: float) -> np.ndarray:
-        """Moment contribution of the truncated cell [J h, (J + xi*) h]."""
+    def cubic(self, u: RadialProfile) -> np.ndarray:
+        """(V_gamma * u^2) u at every grid node.
+
+        u vanishes beyond its support, so the convolution is needed only on
+        the support nodes and one more; the nodes past them are exactly 0.
+        """
+        b = min(u.support_radius, u.grid.r_max)
+        m = min(self.n, math.ceil(b / self.h - 1e-12) + 1)
+        sq = RadialProfile(u.grid, u.samples * u.samples, u.support_radius)
+        out = np.zeros(self.n)
+        out[:m] = self.apply(sq, n_out=m) * u.samples[:m]
+        return out
+
+    def _partial_cell(self, s: np.ndarray, J: int, xi_star: float, m: int) -> np.ndarray:
+        """Moment contribution of the truncated cell [J h, (J + xi*) h] at
+        the first ``m`` nodes."""
         a = _cell_coeffs(s, J, J + 1)[:, 0]
         zmom = _zmom(self.gamma)
-        i = np.arange(self.n, dtype=float)
+        i = np.arange(m, dtype=float)
         low = i <= J
 
         def against(t):
@@ -322,13 +367,14 @@ class ConvolutionKernel:
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel(gamma: float, grid) -> ConvolutionKernel:
+def cached_kernel(gamma: float, grid) -> ConvolutionKernel:
+    """The kernel of (gamma, grid), shared by one-shot callers."""
     return ConvolutionKernel(gamma, grid)
 
 
 def convolve_profile(w: RadialProfile, gamma: float) -> np.ndarray:
     """Slice-path convolution at every grid node, with kernel-table reuse."""
-    return _kernel(gamma, w.grid).apply(w)
+    return cached_kernel(gamma, w.grid).apply(w)
 
 
 def convolve_profile_direct(w: RadialProfile, gamma: float) -> np.ndarray:

@@ -249,8 +249,7 @@ def _source_row(
     zero without a kernel (the linear reference runs)."""
     if kern is None:
         return np.zeros_like(u_row)
-    sq = RadialProfile(kern.grid, u_row * u_row, support_radius=support_radius)
-    return kern.apply(sq) * u_row
+    return kern.cubic(RadialProfile(kern.grid, u_row, support_radius=support_radius))
 
 
 def solve_march(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grid import Grid, RadialProfile
 from .norms import WeightParams, d_gamma, slice_x_norm, tau, weight_row
-from .potential import convolve_profile, is_log_branch
+from .potential import cached_kernel, convolve_profile, is_log_branch
 from .reports import EstimateReport
 from .waveops import ConeAccumulator, FreeField, derivative_profile
 
@@ -185,6 +185,7 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
     wp = WeightParams(gamma, R)
     r = grid.radii()
     acc = ConeAccumulator(grid, jr)
+    kern = cached_kernel(gamma, grid)
     explicit = not is_log_branch(gamma)
     c2 = 2.0 * c1_constant(gamma, R) if explicit else float("nan")
     rfac = R ** (3.0 - gamma) * R * R if explicit else R**3 * math.log1p(R)
@@ -198,9 +199,7 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
     for n in range(grid.n_t):
         t = n * h
         sat = saturating_profile(gamma, R, t, grid)
-        sq = RadialProfile(grid, sat.samples**2, sat.support_radius)
-        conv = convolve_profile(sq, gamma)
-        g_row = conv * sat.samples
+        g_row = kern.cubic(sat)
         if n >= 1:
             kmax = min(n + jr, grid.n_r - 1)
             vals = acc.eval_slice(n, g_row, kmax)

@@ -1,0 +1,57 @@
+"""The benchmark's tracer wraps conewave names by attribute lookup; a rename
+in the package would break only a traced benchmark run.  Parse the wrap list
+of ``perfbench/child.py`` (without installing the tracer) and resolve every
+wrapped name on its conewave object."""
+
+import ast
+import importlib
+from pathlib import Path
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def _install_body() -> list:
+    tree = ast.parse(CHILD.read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_install"]
+    return fn.body
+
+
+def _owners(body) -> dict:
+    """Local name -> object for the imports at the top of ``_install``."""
+    owners = {}
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                owners[alias.asname or alias.name] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            mod = importlib.import_module(node.module)
+            for alias in node.names:
+                owners[alias.asname or alias.name] = getattr(mod, alias.name)
+    return owners
+
+
+def _wrapped(body) -> list:
+    """(owner name, attribute) of every ``w(<owner>, "<attr>", ...)`` call."""
+    out = []
+    for node in ast.walk(ast.Module(body=body, type_ignores=[])):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "w"
+        ):
+            owner, attr = node.args[:2]
+            assert isinstance(owner, ast.Name) and isinstance(attr, ast.Constant)
+            out.append((owner.id, attr.value))
+    return out
+
+
+def test_wrapped_names_resolve():
+    body = _install_body()
+    owners = _owners(body)
+    wrapped = _wrapped(body)
+    assert len(wrapped) >= 20
+    for owner, attr in wrapped:
+        assert owner in owners, f"{owner} is not imported in _install"
+        obj = owners[owner]
+        assert getattr(obj, "__module__", obj.__name__).startswith("conewave.")
+        assert callable(getattr(obj, attr, None)), f"{owner}.{attr} does not resolve"

@@ -12,6 +12,7 @@ from conewave.potential import (
     convolve_profile_direct,
     kernel_value,
 )
+from conewave.solver import Params, make_data, solve_march
 
 from oracles import mc_convolution, random_profile
 
@@ -126,6 +127,95 @@ class TestPaths:
         assert got == pytest.approx(want, rel=1e-9)
         fast = convolve_profile(w, 0.0)
         assert fast[32] == pytest.approx(got, rel=1e-10)
+
+
+def positive_profile(grid, cells: float) -> RadialProfile:
+    """Smooth profile, positive on a support of ``cells`` cells (which may end
+    inside a cell) and zero beyond."""
+    r = grid.radii()
+    b = cells * grid.h
+    x = np.minimum(r / b, 1.0)
+    s = (1.0 - 0.9 * x * x) * (1.0 + 0.5 * np.cos(8.0 * r / b))
+    s[r > b + 1e-12] = 0.0
+    return RadialProfile(grid, s, support_radius=b)
+
+
+class TestWindow:
+    """The windowed slice path against the all-node path and the references."""
+
+    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("cells", [64, 64.4, 200, 200.7])
+    def test_cubic_matches_full_path(self, gamma, cells, grid):
+        kern = ConvolutionKernel(gamma, grid)
+        u = positive_profile(grid, cells)
+        sq = RadialProfile(grid, u.samples * u.samples, u.support_radius)
+        want = kern.apply(sq) * u.samples
+        got = kern.cubic(u)
+        live = u.samples != 0.0
+        assert np.max(np.abs(got[live] - want[live]) / np.abs(want[live])) <= 1e-12
+        assert np.all(got[~live] == 0.0)
+
+    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("cells", [64, 64.4])
+    def test_window_prefix(self, gamma, cells, grid):
+        kern = ConvolutionKernel(gamma, grid)
+        w = positive_profile(grid, cells)
+        full = kern.apply(w)
+        for m in (1, 2, 65, 66, 130, grid.n_r):
+            win = kern.apply(w, n_out=m)
+            assert win.shape == (m,)
+            assert np.max(np.abs(win - full[:m]) / np.abs(full[:m])) <= 1e-12
+
+    def test_window_bounds(self, grid):
+        kern = ConvolutionKernel(1.0, grid)
+        w = positive_profile(grid, 64)
+        for m in (0, grid.n_r + 1):
+            with pytest.raises(ValueError):
+                kern.apply(w, n_out=m)
+
+    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
+    def test_axis_dot_matches_trapezoid(self, gamma, grid):
+        kern = ConvolutionKernel(gamma, grid)
+        for cells in (1, 1.3, 64, 64.4, 255.5, grid.n_r - 1):
+            w = positive_profile(grid, cells)
+            want = 4 * math.pi * trapezoid_weighted(w, 2.0 - gamma, 0.0, grid.r_max)
+            assert abs(kern.apply(w, n_out=1)[0] - want) <= 1e-14 * abs(want)
+
+    def test_spectrum_cache_bounded(self, monkeypatch):
+        # one spectrum per power-of-two FFT length: a march whose support
+        # grows over 640 slices of a 1025-node grid stays within log2(4 n_r)
+        made = []
+
+        class Recorded(ConvolutionKernel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr("conewave.solver.ConvolutionKernel", Recorded)
+        grid = Grid.for_domain(1 / 16, 64.0, 40.0)
+        assert grid.n_r >= 1000 and grid.n_t >= 600
+        params = Params(gamma=1.0, R=1.0, epsilon=1e-3, grid=grid)
+        hist = solve_march(params, make_data("bump_v1_only", 1e-3, 1.0, grid), store_history=False)
+        assert hist.n_used == grid.n_t
+        (kern,) = made
+        assert 1 <= len(kern._spectra) <= math.ceil(math.log2(4 * grid.n_r))
+        assert all(L & (L - 1) == 0 for L in kern._spectra)
+
+    @pytest.mark.parametrize("n_r, bound", [(513, 6.9e-12), (2049, 3.3e-10)])
+    def test_far_nodes_at_scale(self, n_r, bound):
+        # a 64-cell support read at 32 nodes of the outer half, where the
+        # Hankel and Toeplitz parts cancel, so aliasing between the P and
+        # reflected Q halves of the spectrum would show; the bound is ten
+        # times the difference the two-correlation path showed (6.9e-13 at
+        # n_r = 513, 3.3e-11 at 2049), part of which is convolve_power's own
+        # roundoff
+        grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
+        w = positive_profile(grid, 64)
+        nodes = np.linspace(n_r // 2, n_r - 1, 32).astype(int)
+        for gamma in (-0.4, 1.0, 2.5):
+            fast = ConvolutionKernel(gamma, grid).apply(w)[nodes]
+            ref = np.array([convolve_power(w, gamma, float(i * grid.h)) for i in nodes])
+            assert np.max(np.abs(fast - ref) / np.abs(ref)) <= bound
 
 
 class TestProperties:
