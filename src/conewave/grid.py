@@ -46,9 +46,6 @@ class Grid:
     def radii(self) -> np.ndarray:
         return np.arange(self.n_r) * self.h
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_t) * self.h
-
     @classmethod
     def for_domain(cls, h: float, r_max: float, t_max: float) -> "Grid":
         """Grid covering [0, r_max] x [0, t_max]; extents rounded up to nodes."""
@@ -103,9 +100,6 @@ class RadialProfile:
             self.samples + other.samples,
             max(self.support_radius, other.support_radius),
         )
-
-    def scaled(self, c: float) -> "RadialProfile":
-        return RadialProfile(self.grid, c * self.samples, self.support_radius)
 
 
 def cell_moments(e: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:

@@ -8,8 +8,13 @@ over the forward cone r <= t + R, with
            p**3 / log(1+p)   for g = 2,
            p**3              for g in (2, 3).
 
-Suprema are taken over grid nodes, which is a lower bound for the true sup;
-verifiers that assert inequalities re-run on refined grids to bound the gap.
+``slice_x_norm`` takes that supremum over the nodes of one time slice; a
+run's norm is the running maximum over its slices.  Suprema are taken over
+grid nodes, which is a lower bound for the true sup; verifiers that assert
+inequalities re-run on refined grids to bound the gap.
+
+The module also holds the Duhamel growth factor ``d_gamma`` and the
+randomized check of the two decay-integral lemmas.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ __all__ = [
     "n_gamma",
     "weight_row",
     "slice_x_norm",
-    "x_norm",
-    "w_weight",
     "d_gamma",
     "verify_lemma_integrals",
     "NormSeries",
@@ -77,34 +80,6 @@ def slice_x_norm(params: WeightParams, r: np.ndarray, t: float, u_row: np.ndarra
     one slice; ``r`` and ``u_row`` cover the same nodes."""
     mask = r <= t + params.R + 1e-12
     return float(np.max(weight_row(params, r[mask], t) * np.abs(u_row[mask])))
-
-
-def x_norm(u_slices, params: WeightParams, grid, up_to: float | None = None) -> float:
-    """Grid supremum of tau_plus * N(tau_minus) * |u| over the cone r <= t+R.
-
-    ``u_slices`` is a (n_slices, n_r) table whose row n lives at t = n*h.
-    """
-    u_slices = np.atleast_2d(np.asarray(u_slices))
-    r = grid.radii()
-    h = grid.h
-    n_max = u_slices.shape[0]
-    if up_to is not None:
-        n_max = min(n_max, int(round(up_to / h)) + 1)
-    best = 0.0
-    for n in range(n_max):
-        best = max(best, slice_x_norm(params, r, n * h, u_slices[n]))
-    return best
-
-
-def w_weight(r: float, t: float, params: WeightParams) -> float:
-    """Three-branch bilinear-estimate weight W_R(r, t)."""
-    tp, _ = tau(r, t, params.R)
-    g, R = params.gamma, params.R
-    if is_log_branch(g):
-        return R ** (-1.0) * math.log1p(R) * tp**2 / math.log1p(tp)
-    if g > 2.0:
-        return R ** (g - 3.0) * tp**2
-    return R ** (g - 3.0) * tp**g
 
 
 def d_gamma(T: float, gamma: float, R: float) -> float:

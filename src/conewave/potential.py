@@ -351,10 +351,12 @@ class ConvolutionKernel:
 
     def _partial_cell(self, s: np.ndarray, J: int, xi_star: float, m: int) -> np.ndarray:
         """Moment contribution of the truncated cell [J h, (J + xi*) h] at
-        the first ``m`` nodes."""
+        the first ``m`` nodes.  On the log branch the moments are taken at
+        long-double bases, as in ``_moment_tables``: their m = 2
+        combination cancels ~base^2 of significance."""
         a = _cell_coeffs(s, J, J + 1)[:, 0]
         zmom = _zmom(self.gamma)
-        i = np.arange(m, dtype=float)
+        i = np.arange(m, dtype=np.longdouble if self.log_branch else float)
         low = i <= J
 
         def against(t):
@@ -363,7 +365,7 @@ class ConvolutionKernel:
         res = against(_xi_moments(zmom, i + J, +1, xi_star))
         res[low] -= against(_xi_moments(zmom, J - i[low], +1, xi_star))
         res[~low] -= against(_xi_moments(zmom, i[~low] - J, -1, xi_star))
-        return res
+        return res.astype(float)
 
 
 @functools.lru_cache(maxsize=8)

@@ -19,7 +19,9 @@ provided:
 Both hand each finished slice to one recorder, which keeps the same
 per-slice series (weighted norm, dissipation weight, mass functional, sup)
 and threshold crossings for either, so they can be cross-validated slice
-by slice.
+by slice.  A stored run is post-processed by ``liouville`` (v = u/(1+t))
+with ``dissipation_monitor``, and by ``scattering_check`` (distance to the
+outgoing free wave).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, MassWeights, RadialProfile
-from .norms import NormSeries, WeightParams, slice_x_norm, x_norm
+from .norms import NormSeries, WeightParams, slice_x_norm
 from .potential import ConvolutionKernel
 from .waveops import ConeAccumulator, FreeField, lam_prefix
 
@@ -43,17 +45,12 @@ __all__ = [
     "make_data",
     "solve_march",
     "solve_dalembert",
-    "PicardResult",
-    "picard_window",
-    "picard_local",
     "liouville",
     "scattering_check",
     "dissipation_monitor",
-    "scale_symmetry_check",
 ]
 
 _MAX_SLICE_SWEEPS = 4
-_PICARD_MAX_ITER = 25
 _PICARD_TOL = 1e-11
 
 DATA_FAMILIES = ("bump_v1_only", "bump_both")
@@ -363,97 +360,6 @@ def solve_dalembert(params: Params, data, nonlinear: bool = True) -> SolutionHis
 
 
 # ---------------------------------------------------------------------------
-# Picard iteration on a short window
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PicardResult:
-    u: np.ndarray
-    ratios: list
-    norms: list
-    iterations: int
-    converged: bool
-    diagnosis: str = ""
-
-
-def picard_window(params: Params, data, c1: float) -> tuple[float, float]:
-    """A (T, M) pair satisfying the smallness condition
-    T <= sqrt(2 pi / (3 M^2 C1 R^(3-gamma))) with M sized from the free
-    field's weighted norm."""
-    grid = params.grid
-    v0, v1 = data
-    free = FreeField(v0, v1, grid)
-    n_R = min(grid.n_t - 1, int(round(params.R / grid.h)))
-    tab = free.table(n_R + 1)
-    b = x_norm(tab, params.weights(), grid)
-    M = max(2.2 * b, 1e-12)
-    t_bound = math.sqrt(2.0 * math.pi / (3.0 * M * M * c1 * params.R ** (3.0 - params.gamma)))
-    T = min(0.95 * t_bound, params.R - grid.h)
-    T = max(grid.h, math.floor(T / grid.h) * grid.h)
-    return T, M
-
-
-def picard_local(params: Params, data, T: float, M: float, c1: float) -> PicardResult:
-    """Iterate u -> u0 + L[(V*u^2)u] on [0, T] from u_0 = u0.
-
-    Validates the smallness condition, tracks the weighted norms of the
-    successive differences, and reports their ratios (the contraction
-    factors).  A ratio above 0.6 marks the run as a failed precondition.
-    """
-    grid = params.grid
-    n_T = grid.index_of_time(T)
-    if n_T < 1:
-        raise ValueError("T must span at least one slice")
-    if T >= params.R:
-        raise ValueError("smallness requires T < R")
-    t_bound = math.sqrt(2.0 * math.pi / (3.0 * M * M * c1 * params.R ** (3.0 - params.gamma)))
-    if T > t_bound * (1.0 + 1e-12):
-        raise ValueError(f"T={T} violates the smallness bound {t_bound}")
-    v0, v1 = data
-    jr = params.support_cells
-    kern = ConvolutionKernel(params.gamma, grid)
-    free_tab = FreeField(v0, v1, grid).table(n_T + 1)
-    wp = params.weights()
-    u0_norm = x_norm(free_tab, wp, grid)
-    if u0_norm > 0.5 * M * (1.0 + 1e-9):
-        raise ValueError(f"free-field norm {u0_norm} exceeds M/2 = {0.5 * M}")
-
-    u_old = free_tab.copy()
-    ratios: list[float] = []
-    norms: list[float] = []
-    converged = False
-    iterations = 0
-    for it in range(_PICARD_MAX_ITER):
-        g_tab = np.zeros_like(u_old)
-        for m in range(n_T + 1):
-            g_tab[m] = _source_row(kern, u_old[m], (m + jr) * grid.h)
-        acc = ConeAccumulator(grid, jr)
-        u_new = free_tab.copy()
-        for n in range(n_T + 1):
-            if n >= 1:
-                kmax = min(n + jr, grid.n_r - 1)
-                u_new[n, : kmax + 1] += acc.eval_slice(n, g_tab[n], kmax)
-            acc.push_slice(g_tab[n])
-        d = x_norm(u_new - u_old, wp, grid)
-        norms.append(d)
-        if len(norms) >= 2 and norms[-2] > 0.0:
-            ratios.append(norms[-1] / norms[-2])
-        u_old = u_new
-        iterations = it + 1
-        if d <= _PICARD_TOL * max(1.0, x_norm(u_new, wp, grid)):
-            converged = True
-            break
-    diagnosis = ""
-    if any(rho > 0.6 for rho in ratios):
-        diagnosis = "non-contraction: a successive-difference ratio exceeded 0.6"
-    return PicardResult(
-        u=u_old, ratios=ratios, norms=norms, iterations=iterations,
-        converged=converged, diagnosis=diagnosis,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Post-processing
 # ---------------------------------------------------------------------------
 
@@ -541,91 +447,3 @@ def scattering_check(hist: SolutionHistory, t_star: float, keep_fields: bool = F
     if keep_fields:
         return np.array(out_t), np.array(out_val), rem, fields
     return np.array(out_t), np.array(out_val), rem
-
-
-def _build_scaled_data(hist: SolutionHistory, s: float):
-    """Data of the s-scaled companion run, read off the base run at the
-    slice t = s - 1 (s >= 1): u_scaled(r, 0) = s^e u(s r, s-1) with
-    e = (3-gamma)/2, and the matching time derivative by centered
-    differences."""
-    grid = hist.grid
-    h = grid.h
-    gamma = hist.params.gamma
-    n1 = grid.index_of_time(s - 1.0)
-    if n1 + 1 >= hist.n_used:
-        raise ValueError("base run too short to read scaled data")
-    e = 0.5 * (3.0 - gamma)
-    r = grid.radii()
-    rs = s * r  # radii past r_max lie outside the data support; clamping them is harmless
-    u_here = np.interp(np.minimum(rs, grid.r_max), r, hist.u[n1])
-    if n1 >= 1:
-        ut_here = np.interp(
-            np.minimum(rs, grid.r_max), r, (hist.u[n1 + 1] - hist.u[n1 - 1]) / (2.0 * h)
-        )
-    else:
-        ut_here = np.interp(np.minimum(rs, grid.r_max), r, (hist.u[1] - hist.u[0]) / h)
-    sup = ((s - 1.0) + hist.params.R) / s
-    u0 = s**e * u_here
-    ut0 = s ** (e + 1.0) * ut_here
-    u0[r > sup + 1e-12] = 0.0
-    ut0[r > sup + 1e-12] = 0.0
-    v0 = RadialProfile(grid, u0, support_radius=min(sup, grid.r_max))
-    v1 = RadialProfile(grid, ut0 - u0, support_radius=min(sup, grid.r_max))
-    return v0, v1
-
-
-def scale_symmetry_check(params: Params, data, sigma: float, t_check: float | None = None) -> float:
-    """Equivariance of the original field under the scaling symmetry.
-
-    For sigma >= 1 the companion run starts from the scaled state of the
-    base run; for sigma < 1 the roles invert (the map at 1/sigma is applied
-    to the companion and compared against the base).  Returns the sup
-    mismatch of v over the aligned grid points; 0 for sigma = 1 by
-    determinism.
-    """
-    if not (0.5 - 1e-12 <= sigma <= 2.0 + 1e-12):
-        raise ValueError("sigma must lie in [1/2, 2]")
-    grid = params.grid
-    h = grid.h
-    if abs(round(1.0 / h) - 1.0 / h) > 1e-9:
-        raise ValueError("scale check needs 1/h integer so shifted times stay on the grid")
-    s = sigma if sigma >= 1.0 else 1.0 / sigma
-    gamma = params.gamma
-    e = 0.5 * (3.0 - gamma)
-
-    t_b = t_check if t_check is not None else (grid.t_max - (s - 1.0)) / s - 2 * h
-    base = solve_march(params, data)
-    if base.blowup.blew_up:
-        raise ValueError("scale check needs a run without blow-up")
-    if s == 1.0:
-        comp = solve_march(params, data)  # identical inputs, deterministic
-    else:
-        comp = solve_march(params, _build_scaled_data(base, s))
-
-    mism = 0.0
-    off = round((s - 1.0) / h)
-    n = 1
-    while True:
-        tn = n * h
-        npr = round(s * n) + off  # base-run slice at time s(1+t_n) - 1
-        if npr >= base.n_used or n >= comp.n_used or tn > t_b:
-            break
-        kk = np.arange(comp.grid.n_r)
-        ks = s * kk
-        k_int = np.abs(ks - np.round(ks)) < 1e-9
-        ks_idx = np.round(ks[k_int]).astype(int)
-        valid = ks_idx <= base.grid.n_r - 1
-        comp_u = comp.u[n][k_int][valid]
-        base_u = base.u[npr][ks_idx[valid]]
-        if sigma >= 1.0:
-            # v_comp(y, t) vs s^(5-g)/2 v_base(s y, s(1+t)-1)
-            mism = max(mism, float(np.max(np.abs(comp_u - s**e * base_u))) / (1.0 + tn))
-        else:
-            # inverse reading: v_base at the pulled-back point vs
-            # sigma^(5-g)/2 v_comp
-            tb = npr * h
-            lhs_v = base_u / (1.0 + tb)
-            rhs_v = sigma ** (0.5 * (5.0 - gamma)) * comp_u / (1.0 + tn)
-            mism = max(mism, float(np.max(np.abs(lhs_v - rhs_v))))
-        n += 1
-    return mism

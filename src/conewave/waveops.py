@@ -19,19 +19,22 @@ two prefix-sum lookups, and the time sums regroup into per-diagonal
 accumulators: a full causal march costs O(n_t * n_r) total instead of
 O(n_t^2 * n_r).  The closure makes L exact for sources that are constant in
 lambda and linear in (t - s), e.g. L(1) = t - log(1+t) to roundoff.
+
+Each operator has one fast path and one pointwise reference: ``FreeField``
+tabulates the free field that ``kirchhoff_radial``, ``dt_kirchhoff_radial``
+and ``free_field`` evaluate point by point, and ``ConeAccumulator`` marches
+the Duhamel term that ``duhamel_direct`` sums directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, RadialProfile, interp, trapezoid_weighted
 
 __all__ = [
-    "ConeRegion",
     "kirchhoff_radial",
     "dt_kirchhoff_radial",
     "free_field",
@@ -42,47 +45,6 @@ __all__ = [
     "duhamel_direct",
     "ConeAccumulator",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Cone geometry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConeRegion:
-    """Backward characteristic region of (r, t) in cone coordinates
-    alpha = s + lam, beta = s - lam, clipped to sources supported in
-    lam <= s + R."""
-
-    r: float
-    t: float
-    R: float
-
-    @property
-    def alpha_range(self) -> tuple[float, float]:
-        return (abs(self.t - self.r), self.t + self.r)
-
-    @property
-    def beta_range(self) -> tuple[float, float]:
-        return (-self.R, self.t - self.r)
-
-    def contains_lambda_s(self, lam: float, s: float) -> bool:
-        if not (0.0 <= s <= self.t):
-            return False
-        return abs(self.r - (self.t - s)) <= lam <= self.r + (self.t - s)
-
-    def contains_alpha_beta(self, alpha: float, beta: float) -> bool:
-        """Membership in the raw (unclipped) region of the change of
-        variables; the two-case split mirrors t >= r vs t < r.  The second
-        piece ends at beta = r - t (the published display's t - r would
-        overcount the region and break the integral identity)."""
-        r, t = self.r, self.t
-        if t >= r:
-            in_d1 = (r - t <= beta <= t - r) and (t - r <= alpha <= r + t)
-            in_d2 = (-r - t <= beta <= r - t) and (-beta <= alpha <= r + t)
-            return in_d1 or in_d2
-        return (-t - r <= beta <= t - r) and (-beta <= alpha <= r + t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,27 @@
-"""Independent oracles used by the tests.
+"""Independent oracles and test-side drivers used by the tests.
 
-These deliberately avoid the package's quadrature machinery: the Monte
-Carlo convolution samples the 3D integral directly, the brute-force
-exponent scan re-derives the Kato parameter inequality, and the slow cone
-integral nests scipy quadratures.
+The oracles deliberately avoid the package's quadrature machinery: the
+Monte Carlo convolution samples the 3D integral directly, the mpmath
+convolution integrates the shell kernel cell by cell at 30 digits, the
+brute-force exponent scan re-derives the Kato parameter inequality, the
+slow cone integral nests Gauss quadratures, and ``w_weight`` is the paper's
+bilinear-estimate weight.  The two drivers run the package's march and
+cone accumulator on questions no CLI mode asks: Picard iteration on a
+short window, and equivariance under the scaling symmetry.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from conewave.grid import RadialProfile
+from conewave.norms import WeightParams, slice_x_norm, tau
+from conewave.potential import ConvolutionKernel, is_log_branch
+from conewave.solver import solve_march
+from conewave.waveops import ConeAccumulator, FreeField
 
 
 def profile_value(w: RadialProfile, x: np.ndarray) -> np.ndarray:
@@ -99,3 +108,127 @@ def slow_cone_integral(g_func, r0: float, t0: float, n_s: int = 400, n_lam: int 
         svals = mid + half * xs
         total += float(np.sum(wxs * [inner(s) / (1.0 + s) ** 2 for s in svals])) * half
     return total
+
+
+def mp_convolution(w: RadialProfile, gamma: float, r: float, dps: int = 30) -> float:
+    """(V_gamma * w)(r) for the truncated piecewise-linear profile ``w`` at
+    r > 0, by mpmath quadrature of the shell kernel on each cell, split at
+    rho = r where the kernel is singular."""
+    with mpmath.workdps(dps):
+        h, r = mpmath.mpf(w.h), mpmath.mpf(r)
+        b = mpmath.mpf(w.support_radius)
+        d = 2 - mpmath.mpf(gamma)
+
+        def kernel(rho):
+            a, c = r + rho, abs(r - rho)
+            val = mpmath.log(a / c) if is_log_branch(gamma) else (a**d - c**d) / d
+            return 2 * mpmath.pi * rho / r * val
+
+        total = mpmath.mpf(0)
+        for j in range(math.ceil(w.support_radius / w.h - 1e-12)):
+            x0 = j * h
+            x1 = min(x0 + h, b)
+            s0 = mpmath.mpf(w.samples[j])
+            ds = mpmath.mpf(w.samples[j + 1]) - s0
+            ends = [x0, r, x1] if x0 < r < x1 else [x0, x1]
+            total += mpmath.quad(lambda rho: kernel(rho) * (s0 + ds * (rho - x0) / h), ends)
+        return float(total)
+
+
+def w_weight(r: float, t: float, params: WeightParams) -> float:
+    """Three-branch bilinear-estimate weight W_R(r, t)."""
+    tp, _ = tau(r, t, params.R)
+    g, R = params.gamma, params.R
+    if is_log_branch(g):
+        return R ** (-1.0) * math.log1p(R) * tp**2 / math.log1p(tp)
+    if g > 2.0:
+        return R ** (g - 3.0) * tp**2
+    return R ** (g - 3.0) * tp**g
+
+
+def picard_iterates(params, data, c1: float):
+    """Picard iteration u -> u0 + L[(V*u^2)u] from the free field u0.
+
+    The window [0, T] satisfies the smallness condition
+    T <= sqrt(2 pi / (3 M^2 C1 R^(3-gamma))) with M = 2.2 times the free
+    field's weighted norm up to t = R, and T < R.  Returns
+    (T, M, u, norms, converged): the last iterate on the window's slices,
+    the weighted norms of the successive differences, and whether the last
+    of them fell below 1e-11 relative to the iterate within 25 iterations.
+    """
+    grid, h, jr = params.grid, params.grid.h, params.support_cells
+    wp, r = params.weights(), grid.radii()
+
+    def norm(tab):
+        return max(slice_x_norm(wp, r, n * h, row) for n, row in enumerate(tab))
+
+    free = FreeField(*data, grid)
+    M = max(2.2 * norm(free.table(min(grid.n_t - 1, jr) + 1)), 1e-12)
+    T = math.sqrt(2.0 * math.pi / (3.0 * M * M * c1 * params.R ** (3.0 - params.gamma)))
+    n_T = max(1, math.floor(min(0.95 * T, params.R - h) / h))
+    kern = ConvolutionKernel(params.gamma, grid)
+    u0 = free.table(n_T + 1)
+    u, norms = u0, []
+    for _ in range(25):
+        acc = ConeAccumulator(grid, jr)
+        new = u0.copy()
+        for n, row in enumerate(u):
+            g = kern.cubic(RadialProfile(grid, row, support_radius=(n + jr) * h))
+            if n:
+                kmax = min(n + jr, grid.n_r - 1)
+                new[n, : kmax + 1] += acc.eval_slice(n, g, kmax)
+            acc.push_slice(g)
+        norms.append(norm(new - u))
+        u = new
+        if norms[-1] <= 1e-11 * max(1.0, norm(u)):
+            return n_T * h, M, u, norms, True
+    return n_T * h, M, u, norms, False
+
+
+def _scaled_data(hist, s: float):
+    """Data of the s-scaled companion run (s >= 1), read off the base run at
+    t = s - 1: u(r, 0) = s^e u(s r, s - 1) with e = (3 - gamma)/2, and the
+    matching time derivative by centered differences."""
+    grid, h, u = hist.grid, hist.grid.h, hist.u
+    n1 = grid.index_of_time(s - 1.0)
+    e = 0.5 * (3.0 - hist.params.gamma)
+    r = grid.radii()
+    rs = np.minimum(s * r, grid.r_max)  # past r_max lies outside the data support
+    ut = (u[n1 + 1] - u[n1 - 1]) / (2.0 * h) if n1 else (u[1] - u[0]) / h
+    sup = min((s - 1.0 + hist.params.R) / s, grid.r_max)
+    inside = r <= sup + 1e-12
+    u0 = np.where(inside, s**e * np.interp(rs, r, u[n1]), 0.0)
+    ut0 = np.where(inside, s ** (e + 1.0) * np.interp(rs, r, ut), 0.0)
+    return RadialProfile(grid, u0, sup), RadialProfile(grid, ut0 - u0, sup)
+
+
+def scale_symmetry_mismatch(params, data, sigma: float, t_check: float) -> float:
+    """Sup mismatch of the original field v = u/(1+t) under the scaling
+    symmetry v -> sigma^((5-gamma)/2) v(sigma y, sigma(1+t) - 1), over the
+    grid points the base and companion runs share up to t_check.
+
+    With s = max(sigma, 1/sigma) the companion run starts from the scaled
+    state of the base run at t = s - 1; for sigma < 1 the map is read
+    backwards, from the companion to the base.
+    """
+    grid, h, gamma = params.grid, params.grid.h, params.gamma
+    s = max(sigma, 1.0 / sigma)
+    e = 0.5 * (3.0 - gamma)
+    base = solve_march(params, data)
+    comp = solve_march(params, _scaled_data(base, s))
+    ks = s * np.arange(grid.n_r)
+    k = np.flatnonzero((np.abs(ks - np.round(ks)) < 1e-9) & (np.round(ks) <= grid.n_r - 1))
+    ks = np.round(ks[k]).astype(int)
+    off = round((s - 1.0) / h)
+    mism = 0.0
+    for n in range(1, comp.n_used):
+        tn, npr = n * h, round(s * n) + off  # base slice at time s(1+t_n) - 1
+        if npr >= base.n_used or tn > t_check:
+            break
+        comp_u, base_u = comp.u[n][k], base.u[npr][ks]
+        if sigma >= 1.0:
+            diff = np.abs(comp_u - s**e * base_u) / (1.0 + tn)
+        else:
+            diff = np.abs(base_u / (1.0 + npr * h) - sigma**(e + 1.0) * comp_u / (1.0 + tn))
+        mism = max(mism, float(np.max(diff)))
+    return mism

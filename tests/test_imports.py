@@ -1,10 +1,26 @@
-"""A stand-in for a linter's unused-import rule: every module-level
-``from ... import`` name is used (``__future__`` exempt)."""
+"""Stand-ins for two linter rules: every module-level ``from ... import``
+name is used (``__future__`` exempt), and every name a ``conewave`` module
+exports in ``__all__`` has a user inside the package, so code that only
+tests reach lives under ``tests/``."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "conewave"
+
+# Exports that only tests call: the independent references of the shipped
+# operators, and the Kato exponent calculus that ROADMAP item 5's sweep is
+# to use.
+TEST_ONLY_EXPORTS = (
+    "kernel_value",
+    "convolve_profile_direct",
+    "bilinear_form",
+    "free_field",
+    "duhamel_direct",
+    "kato_bound",
+    "j1_for_delta",
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -19,15 +35,47 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unreached_exports(sources: list[str]) -> list[str]:
+    """Names in some module's ``__all__`` that no module refers to by name
+    or attribute."""
+    trees = [ast.parse(s) for s in sources]
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    exported = [
+        name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+    return [name for name in exported if name not in used]
+
+
 def test_scan_flags_an_unused_name():
     assert unused_imports("from math import pi, tau\nx = tau\n") == ["pi"]
 
 
 def test_no_unused_from_imports():
-    paths = [*(ROOT / "src" / "conewave").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]
     found = {
         str(p.relative_to(ROOT)): names
         for p in sorted(paths)
         if (names := unused_imports(p.read_text()))
     }
     assert found == {}
+
+
+def test_export_scan_flags_an_unreached_name():
+    lib = '__all__ = ["f", "g", "C"]\ndef f(): pass\ndef g(): pass\nclass C: pass\n'
+    user = "import lib\nlib.f()\nC()\n"
+    assert unreached_exports([lib, user]) == ["g"]
+
+
+def test_every_export_has_a_package_user():
+    found = unreached_exports([p.read_text() for p in sorted(SRC.glob("*.py"))])
+    assert sorted(found) == sorted(TEST_ONLY_EXPORTS)

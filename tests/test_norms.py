@@ -9,12 +9,14 @@ from conewave.norms import (
     WeightParams,
     d_gamma,
     n_gamma,
+    slice_x_norm,
     tau,
     verify_lemma_integrals,
-    w_weight,
     weight_row,
-    x_norm,
 )
+from conewave.verify import bilinear_rhs, c1_constant
+
+from oracles import w_weight
 
 
 class TestTau:
@@ -53,35 +55,24 @@ class TestNGamma:
 
 class TestXNorm:
     def setup_method(self):
-        self.grid = Grid(h=1 / 8, n_r=33, n_t=17)
+        self.r = Grid(h=1 / 8, n_r=33, n_t=17).radii()
         self.wp = WeightParams(1.0, 1.0)
 
     def test_zero(self):
-        u = np.zeros((self.grid.n_t, self.grid.n_r))
-        assert x_norm(u, self.wp, self.grid) == 0.0
+        assert slice_x_norm(self.wp, self.r, 1.0, np.zeros(self.r.size)) == 0.0
 
     def test_saturating_gives_one(self):
-        r = self.grid.radii()
-        u = np.zeros((self.grid.n_t, self.grid.n_r))
-        for n in range(self.grid.n_t):
-            t = n * self.grid.h
-            mask = r <= t + 1.0 + 1e-12
-            u[n][mask] = 1.0 / weight_row(self.wp, r[mask], t)
-        assert x_norm(u, self.wp, self.grid) == pytest.approx(1.0, rel=1e-12)
+        for t in (0.0, 0.5, 2.0):
+            mask = self.r <= t + 1.0 + 1e-12
+            u = np.zeros(self.r.size)
+            u[mask] = 1.0 / weight_row(self.wp, self.r[mask], t)
+            assert slice_x_norm(self.wp, self.r, t, u) == pytest.approx(1.0, rel=1e-12)
 
     def test_homogeneity(self):
-        rng = np.random.default_rng(1)
-        u = rng.normal(size=(self.grid.n_t, self.grid.n_r))
-        v1 = x_norm(u, self.wp, self.grid)
-        v2 = x_norm(2.0 * u, self.wp, self.grid)
+        u = np.random.default_rng(1).normal(size=self.r.size)
+        v1 = slice_x_norm(self.wp, self.r, 1.0, u)
+        v2 = slice_x_norm(self.wp, self.r, 1.0, 2.0 * u)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
-
-    def test_up_to_restriction(self):
-        rng = np.random.default_rng(2)
-        u = rng.normal(size=(self.grid.n_t, self.grid.n_r))
-        full = x_norm(u, self.wp, self.grid)
-        half = x_norm(u, self.wp, self.grid, up_to=self.grid.t_max / 2)
-        assert half <= full + 1e-15
 
 
 class TestWWeight:
@@ -90,6 +81,18 @@ class TestWWeight:
         assert w_weight(0.0, 2.0, WeightParams(2.5, 1.0)) == pytest.approx(16.0)
         want = math.log(2.0) * 4.0 / math.log(3.0)
         assert w_weight(0.0, 0.0, WeightParams(2.0, 1.0)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "gamma, R",
+        [(-0.4, 1.0), (0.5, 1.0), (1.9, 1.0), (2.5, 1.0), (2.9, 1.0), (2.0, 1.3), (2.0, 2.0)],
+    )
+    def test_bilinear_rhs_times_weight_is_c1(self, gamma, R):
+        # each branch of bilinear_rhs is C1 / W_R of the same branch
+        wp = WeightParams(gamma, R)
+        for t in (0.0, 0.7, 5.0, 40.0):
+            r = np.linspace(0.0, t + R, 25)
+            got = bilinear_rhs(gamma, R, r, t) * np.array([w_weight(x, t, wp) for x in r])
+            assert np.allclose(got, c1_constant(gamma, R), rtol=1e-14, atol=0.0)
 
 
 class TestDGamma:

@@ -14,7 +14,7 @@ from conewave.potential import (
 )
 from conewave.solver import Params, make_data, solve_march
 
-from oracles import mc_convolution, random_profile
+from oracles import mc_convolution, mp_convolution, random_profile
 
 
 @pytest.fixture
@@ -127,6 +127,18 @@ class TestPaths:
         assert got == pytest.approx(want, rel=1e-9)
         fast = convolve_profile(w, 0.0)
         assert fast[32] == pytest.approx(got, rel=1e-10)
+
+    @pytest.mark.parametrize("cells, bound", [(64.4, 1e-10), (64.0, 1e-11)])
+    def test_log_branch_far_node_against_mpmath(self, cells, bound):
+        # a support ending inside a cell runs the truncated-cell moments,
+        # whose m = 2 combination cancels ~base^2 at far nodes
+        grid = Grid(h=1 / 16, n_r=2049, n_t=1)
+        r = grid.radii()
+        b = cells * grid.h
+        w = RadialProfile(grid, np.where(r <= b, 1.0 + 0.5 * np.cos(r), 0.0), support_radius=b)
+        got = ConvolutionKernel(2.0, grid).apply(w, n_out=2001)[2000]
+        want = mp_convolution(w, 2.0, r[2000])
+        assert got == pytest.approx(want, rel=bound)
 
 
 def positive_profile(grid, cells: float) -> RadialProfile:

