@@ -142,6 +142,26 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     bt = cfg["blowup_threshold"]
     if not (0.0 < bt < math.inf):
         raise ConfigError(f"blowup_threshold must be positive and finite, got {bt}")
+    for key in ("verify_T", "trilinear_h"):
+        if not (0.0 < cfg[key] < math.inf):
+            raise ConfigError(f"{key} must be positive and finite, got {cfg[key]}")
+    if cfg["lemma_samples"] < 1:
+        raise ConfigError(f"lemma_samples must be >= 1, got {cfg['lemma_samples']}")
+    if cfg["refine"] < 0:
+        raise ConfigError(f"refine must be >= 0, got {cfg['refine']}")
+    # kept as the raw string: the verify invariant names are built from its tokens
+    for tok in str(cfg["verify_gammas"]).split(","):
+        try:
+            g = float(tok)
+        except ValueError as exc:
+            raise ConfigError(f"key verify_gammas: not a number: {tok!r}") from exc
+        if not (-0.5 < g < 3.0):
+            raise ConfigError(f"verify_gammas: gamma out of range: {g}")
+    ts = cfg["t_star"]
+    if cfg["mode"] == "solve" and cfg["gamma"] > 0.0 and ts > 0.0:
+        # the scattering check starts at t_star and needs a slice after it
+        if not ts < cfg["t_max"] or abs(round(ts / h) * h - ts) > 1e-9 * max(1.0, ts):
+            raise ConfigError(f"t_star must be a multiple of h below t_max, got {ts}")
     if cfg["family"] not in DATA_FAMILIES:
         raise ConfigError(f"family must be one of {DATA_FAMILIES}, got {cfg['family']!r}")
     eps_text = str(cfg["epsilon_list"])
@@ -221,7 +241,8 @@ def _mode_solve(cfg: RunConfig, out: Path):
     if cfg.run_dalembert:
         alt = solve_dalembert(params, data)
         n = min(hist.n_used, alt.n_used)
-        diff = float(np.max(np.abs(hist.u[:n] - alt.u[:n])))
+        # row by row: two full-table temporaries would double the peak memory
+        diff = max(float(np.max(np.abs(a - b))) for a, b in zip(hist.u[:n], alt.u[:n]))
         summary["backend_sup_diff"] = diff
         invariants["backend_agreement"] = diff <= 50.0 * cfg.h**2 * max(
             1.0, float(hist.series.sup_u.max())
@@ -233,8 +254,7 @@ def _mode_solve(cfg: RunConfig, out: Path):
         invariants["scattering_decreasing"] = bool(
             np.all(np.diff(vals) <= 1e-12 * max(1.0, float(vals[0])))
         )
-        v = liouville(hist)
-        _, dis = dissipation_monitor(v)
+        _, dis = dissipation_monitor(liouville(hist), hist.grid)
         w = hist.series.t >= 10.0
         if np.count_nonzero(w) >= 2:
             dw = dis[w]

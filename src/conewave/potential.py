@@ -20,10 +20,10 @@ Two evaluation paths share that quadrature:
   O(n^2) double loop.  ``ConvolutionKernel.cubic`` windows it to the
   support of u for the source term (V*u^2) u.
 
-The slice tables, the truncated last cell of ``apply`` and the bilinear
-oracle all take their unit-cell moments from one routine, ``_xi_moments``;
-``convolve_power`` keeps its own rho-polynomial form as the independent
-reference they are tested against.
+The slice tables and the truncated last cell of ``apply`` take their
+unit-cell moments from one routine, ``_xi_moments``; ``convolve_power``
+keeps its own rho-polynomial form as the independent reference the fast
+path is tested against.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "cached_kernel",
     "convolve_profile",
     "convolve_profile_direct",
-    "bilinear_form",
 ]
 
 GAMMA_LOW = -0.5
@@ -383,108 +382,3 @@ def convolve_profile_direct(w: RadialProfile, gamma: float) -> np.ndarray:
     """O(n^2) reference: the point path looped over all nodes."""
     return np.array([convolve_power(w, gamma, r) for r in w.grid.radii()])
 
-
-# ---------------------------------------------------------------------------
-# Exact piecewise-linear bilinear form (symmetry oracle)
-# ---------------------------------------------------------------------------
-
-
-_GAUSS_N = 48
-_gauss_x, _gauss_w = np.polynomial.legendre.leggauss(_GAUSS_N)
-_gx01 = 0.5 * (_gauss_x + 1.0)
-_gw01 = 0.5 * _gauss_w
-
-
-def _outer_xi(zmom, base: int, sign: int, corner: bool) -> np.ndarray:
-    """[a, b] -> int_0^1 xi^a T_b(base + xi) dxi with T_b the unit-cell
-    moments of K around base + xi.
-
-    The inner integral is exact; the outer one is Gauss in xi, smooth away
-    from the corner cell, where the substitution xi = u^2 tames it.
-    """
-    if corner:
-        u = _gx01
-        xi = u * u
-        jac = 2.0 * u
-    else:
-        xi = _gx01
-        jac = np.ones_like(xi)
-    inner = _xi_moments(zmom, base + xi, sign)
-    return np.array(
-        [[float(np.sum(_gw01 * jac * xi**a * inner[b])) for b in range(3)] for a in range(3)]
-    )
-
-
-def _dp_tables(d: float, smax: int) -> np.ndarray:
-    """Dp[a, b, S] = int int xi^a eta^b (S + xi + eta)^d, S = 0..smax."""
-    zmom = functools.partial(_zmom_pow, d)
-    return np.stack([_outer_xi(zmom, S, +1, S == 0) for S in range(smax + 1)], axis=-1)
-
-
-def _dm_tables(d: float, mmax: int) -> np.ndarray:
-    """Dm[a, b, m] = int int xi^a eta^b |m + xi - eta|^d, m = 0..mmax."""
-    zmom = functools.partial(_zmom_pow, d)
-    out = np.zeros((3, 3, mmax + 1))
-    # m = 0: both triangles in closed form via Beta functions
-    def beta_int(bb, dd):
-        # int_0^1 u^bb (1-u)^dd du with integer bb
-        val = 1.0 / (dd + 1.0)
-        for k in range(1, bb + 1):
-            val *= k / (dd + 1.0 + k)
-        return val
-
-    # triangle eta < xi: int_0^1 xi^a [int_0^xi eta^b (xi-eta)^d deta] dxi
-    #                  = B(b+1, d+1) / (a+b+d+2)
-    for a in range(3):
-        for b in range(3):
-            t1 = beta_int(b, d) / (a + b + d + 2.0)
-            t2 = beta_int(a, d) / (a + b + d + 2.0)
-            out[a, b, 0] = t1 + t2
-    for m in range(1, mmax + 1):
-        out[:, :, m] = _outer_xi(zmom, m, -1, m == 1)
-    return out
-
-
-def bilinear_form(w1: RadialProfile, w2: RadialProfile, gamma: float) -> float:
-    """Exact 4 pi int r^2 (V_gamma * w1)(r) w2(r) dr for piecewise-linear
-    profiles; symmetric in (w1, w2) by construction.
-
-    Serves as the symmetry oracle for the mass-functional identities.  Not
-    implemented on the log branch (gamma = 2).
-    """
-    _check_gamma(gamma)
-    if is_log_branch(gamma):
-        raise NotImplementedError("bilinear_form is not implemented for gamma = 2")
-    if w1.grid != w2.grid:
-        raise ValueError("profiles live on different grids")
-    d = 2.0 - gamma
-    h = w1.h
-    n = w1.grid.n_r
-
-    def cells(w):
-        b = min(w.support_radius, w.grid.r_max)
-        nc = min(int(np.ceil(b / h - 1e-12)), n - 1)
-        # truncation inside a cell is not supported here; callers use
-        # node-aligned supports
-        if abs(nc - b / h) > 1e-9 and b / h - np.floor(b / h + 1e-12) > 1e-9:
-            raise ValueError("bilinear_form needs node-aligned support radii")
-        return _cell_coeffs(w.samples, 0, nc), nc
-
-    A, na = cells(w1)
-    B, nb = cells(w2)
-    if na == 0 or nb == 0:
-        return 0.0
-    dp = _dp_tables(d, na + nb - 2)
-    dm = _dm_tables(d, max(na, nb) - 1)
-    total = 0.0
-    I = np.arange(nb)[:, None]
-    J = np.arange(na)[None, :]
-    Splus = (I + J).ravel()
-    Mdiff = np.abs(I - J).ravel()
-    sign_lower = (I > J).ravel()  # w2-cell index above w1-cell index
-    for a_deg in range(3):
-        for b_deg in range(3):
-            coef = (B[a_deg][:, None] * A[b_deg][None, :]).ravel()
-            dmv = np.where(sign_lower, dm[a_deg, b_deg][Mdiff], dm[b_deg, a_deg][Mdiff])
-            total += float(np.sum(coef * (dp[a_deg, b_deg][Splus] - dmv)))
-    return 8.0 * math.pi**2 / d * h ** (4.0 + d) * total

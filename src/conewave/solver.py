@@ -19,8 +19,10 @@ provided:
 Both hand each finished slice to one recorder, which keeps the same
 per-slice series (weighted norm, dissipation weight, mass functional, sup)
 and threshold crossings for either, so they can be cross-validated slice
-by slice.  A stored run is post-processed by ``liouville`` (v = u/(1+t))
-with ``dissipation_monitor``, and by ``scattering_check`` (distance to the
+by slice.  Both always march the cubic equation: the linear field is the
+``waveops.FreeField`` table, not a solver option.  A stored run is
+post-processed by ``liouville`` (the table v = u/(1+t)), whose rows
+``dissipation_monitor`` reads, and by ``scattering_check`` (distance to the
 outgoing free wave).
 """
 
@@ -128,8 +130,6 @@ class SolutionHistory:
     blowup: BlowupReport
     u: np.ndarray | None = None
     g: np.ndarray | None = None
-    backend: str = "march"
-    kind: str = "u"
 
     def finite_propagation_violations(self) -> int:
         if self.u is None:
@@ -235,24 +235,17 @@ class _Recorder:
             blowup=blowup,
             u=None if self.u is None else self.u[sl],
             g=None if self.g is None else self.g[sl],
-            backend=self.backend,
         )
 
 
-def _source_row(
-    kern: ConvolutionKernel | None, u_row: np.ndarray, support_radius: float
-) -> np.ndarray:
-    """G = (V_gamma * u^2) u for one slice (undamped: no 1/(1+t)^2 here);
-    zero without a kernel (the linear reference runs)."""
-    if kern is None:
-        return np.zeros_like(u_row)
+def _source_row(kern, u_row: np.ndarray, support_radius: float) -> np.ndarray:
+    """G = (V_gamma * u^2) u for one slice (undamped: no 1/(1+t)^2 here)."""
     return kern.cubic(RadialProfile(kern.grid, u_row, support_radius=support_radius))
 
 
 def solve_march(
     params: Params,
     data,
-    nonlinear: bool = True,
     store_history: bool = True,
 ) -> SolutionHistory:
     """March the integral equation causally on the characteristic grid.
@@ -267,7 +260,7 @@ def solve_march(
     jr = params.support_cells
     if grid.n_r - 1 < grid.n_t - 1 + jr:
         raise ValueError("grid must satisfy r_max >= t_max + R for the causal march")
-    kern = ConvolutionKernel(params.gamma, grid) if nonlinear else None
+    kern = ConvolutionKernel(params.gamma, grid)
     free = FreeField(v0, v1, grid)
     acc = ConeAccumulator(grid, jr)
     rec = _Recorder(params, "march", store_history)
@@ -278,7 +271,7 @@ def solve_march(
         kmax = min(n + jr, n_r - 1)
         support = (n + jr) * grid.h
         base = free.slice(n)
-        if n == 0 or kern is None:
+        if n == 0:
             u_row = base
             g_row = _source_row(kern, u_row, support)
         else:
@@ -307,13 +300,13 @@ def solve_march(
     return rec.history()
 
 
-def solve_dalembert(params: Params, data, nonlinear: bool = True) -> SolutionHistory:
+def solve_dalembert(params: Params, data) -> SolutionHistory:
     """Independent backend: U = r u solves U_tt - U_rr = r G/(1+t)^2 with
     odd reflection at the axis; exact characteristic stencil at dt = dr."""
     v0, v1 = data
     grid = params.grid
     jr = params.support_cells
-    kern = ConvolutionKernel(params.gamma, grid) if nonlinear else None
+    kern = ConvolutionKernel(params.gamma, grid)
     rec = _Recorder(params, "dalembert")
     n_r, n_t = grid.n_r, grid.n_t
     h = grid.h
@@ -364,35 +357,22 @@ def solve_dalembert(params: Params, data, nonlinear: bool = True) -> SolutionHis
 # ---------------------------------------------------------------------------
 
 
-def liouville(hist: SolutionHistory) -> SolutionHistory:
-    """v = u/(1+t): invert the damping substitution slice by slice."""
+def liouville(hist: SolutionHistory) -> np.ndarray:
+    """The table v = u/(1+t): the damping substitution inverted slice by slice."""
     if hist.u is None:
         raise ValueError("run stored no history")
     t = np.arange(hist.n_used) * hist.grid.h
-    v = hist.u / (1.0 + t)[:, None]
-    return SolutionHistory(
-        params=hist.params,
-        grid=hist.grid,
-        n_used=hist.n_used,
-        series=hist.series,
-        blowup=hist.blowup,
-        u=v,
-        g=None,
-        backend=hist.backend,
-        kind="v",
-    )
+    return hist.u / (1.0 + t)[:, None]
 
 
-def dissipation_monitor(v_hist: SolutionHistory) -> tuple[np.ndarray, np.ndarray]:
-    """Series t -> (1+t) sup_r (1+t+r)|v| for a Liouville-transformed run."""
-    if v_hist.kind != "v":
-        raise ValueError("dissipation_monitor expects the output of liouville()")
-    grid = v_hist.grid
+def dissipation_monitor(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Series t -> (1+t) sup_r (1+t+r)|v| for the rows of a v table
+    (the output of ``liouville``)."""
     r = grid.radii()
-    t = np.arange(v_hist.n_used) * grid.h
-    vals = np.empty(v_hist.n_used)
-    for n in range(v_hist.n_used):
-        vals[n] = (1.0 + t[n]) * float(np.max((1.0 + t[n] + r) * np.abs(v_hist.u[n])))
+    t = np.arange(len(v)) * grid.h
+    vals = np.empty(len(v))
+    for n in range(len(v)):
+        vals[n] = (1.0 + t[n]) * float(np.max((1.0 + t[n] + r) * np.abs(v[n])))
     return t, vals
 
 

@@ -240,8 +240,7 @@ def test_c5_global_regime(global_run):
     w = ser.t >= 10.0
     xr = ser.x_norm_running[w]
     assert xr.max() / xr.min() < 10.0
-    v = liouville(hist)
-    td, dis = dissipation_monitor(v)
+    td, dis = dissipation_monitor(liouville(hist), hist.grid)
     dw = dis[td >= 10.0]
     assert dw.max() / dw.min() < 10.0
     ts, vals, rem = scattering_check(hist, 100.0)

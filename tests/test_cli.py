@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -5,6 +6,11 @@ import numpy as np
 import pytest
 
 from conewave.cli import ConfigError, main, parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def write_cfg(tmp_path, name, text):
@@ -60,10 +66,19 @@ class TestMainExitCodes:
         ["h = 0.3\n", "h = nan\n", "family = foo\n", "t_max = -5\n",
          "mode = sweep\ngamma = -0.4\nepsilon_list = 5.4,3.2\n", "epsilon = -1\n",
          "mode = sweep\nepsilon_list = 1,2\n", "blowup_threshold = 0\n",
-         "blowup_threshold = -5\n", "blowup_threshold = nan\n"],
+         "blowup_threshold = -5\n", "blowup_threshold = nan\n",
+         *(f"h = 0.25\n{b}" for b in (
+             "mode = verify\nverify_gammas = abc\n", "mode = verify\nverify_gammas = 3.5\n",
+             "mode = verify\nlemma_samples = 0\n", "mode = verify\ntrilinear_h = 0\n",
+             "mode = verify\nverify_T = -1\n",
+             "mode = sweep\ngamma = -0.4\nepsilon_list = 4,5\nrefine = -1\n",
+             "t_star = 500\n", "t_star = 3.01\n"))],
         ids=["h_not_dividing_R", "h_nan", "unknown_family", "negative_t_max",
              "decreasing_epsilon_list", "negative_epsilon", "sweep_without_blowup",
-             "zero_blowup_threshold", "negative_blowup_threshold", "nan_blowup_threshold"],
+             "zero_blowup_threshold", "negative_blowup_threshold", "nan_blowup_threshold",
+             "verify_gamma_not_a_number", "verify_gamma_out_of_range", "zero_lemma_samples",
+             "zero_trilinear_h", "negative_verify_T", "negative_refine",
+             "t_star_past_t_max", "t_star_off_grid"],
     )
     def test_bad_value_is_2(self, tmp_path, capsys, body):
         path = write_cfg(tmp_path, "bad.cfg", body + f"out = {tmp_path}/out\n")
@@ -187,8 +202,15 @@ class TestModes:
         assert rows == {"default": ("6.1", 10.5, 1e6), "low": ("6.1", 10.375, 1000.0)}
 
     def test_shipped_configs_parse(self):
-        cfg_dir = Path(__file__).resolve().parents[1] / "configs"
+        cfg_dir = ROOT / "configs"
         found = sorted(cfg_dir.glob("*.cfg"))
         assert len(found) >= 6
         for cfg in found:
             parse_config(str(cfg))
+
+    @pytest.mark.parametrize("smoke", [False, True])
+    @pytest.mark.parametrize("name", workloads.WORKLOADS)
+    def test_perfbench_configs_parse(self, tmp_path, name, smoke):
+        path = tmp_path / f"{name}.cfg"
+        workloads.write_config(workloads.make_config(name, 7, smoke), path)
+        parse_config(str(path))

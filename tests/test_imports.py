@@ -15,7 +15,6 @@ SRC = ROOT / "src" / "conewave"
 TEST_ONLY_EXPORTS = (
     "kernel_value",
     "convolve_profile_direct",
-    "bilinear_form",
     "free_field",
     "duhamel_direct",
     "kato_bound",

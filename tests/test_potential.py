@@ -6,7 +6,6 @@ import pytest
 from conewave.grid import Grid, RadialProfile, trapezoid_weighted
 from conewave.potential import (
     ConvolutionKernel,
-    bilinear_form,
     convolve_power,
     convolve_profile,
     convolve_profile_direct,
@@ -241,28 +240,6 @@ class TestProperties:
             c1 = convolve_profile(w1, gamma)
             c2 = convolve_profile(w2, gamma)
             assert np.all(c2 >= c1 - 1e-12 * np.max(np.abs(c2)))
-
-    @pytest.mark.parametrize("gamma", [-0.4, 0.5, 1.0, 2.5])
-    def test_bilinear_symmetry(self, gamma, grid):
-        rng = np.random.default_rng(int(20 * (gamma + 1)))
-        for _ in range(5):
-            w1 = random_profile(grid, rng)
-            w2 = random_profile(grid, rng)
-            b12 = bilinear_form(w1, w2, gamma)
-            b21 = bilinear_form(w2, w1, gamma)
-            assert b12 == pytest.approx(b21, rel=1e-8, abs=1e-12)
-
-    def test_bilinear_consistent_with_convolution(self, grid):
-        rng = np.random.default_rng(9)
-        w1 = random_profile(grid, rng)
-        w2 = random_profile(grid, rng)
-        gamma = 1.0
-        b = bilinear_form(w1, w2, gamma)
-        conv = convolve_profile(w1, gamma)
-        r = grid.radii()
-        w2v = np.where(r <= w2.support_radius, w2.samples, 0.0)
-        approx = 4 * math.pi * np.trapezoid(r**2 * conv * w2v, r)
-        assert b == pytest.approx(approx, rel=5e-4)
 
     def test_mc_oracle_spot(self, grid):
         rng = np.random.default_rng(11)

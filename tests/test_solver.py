@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conewave.grid import Grid, trapezoid_weighted
+from conewave.norms import slice_x_norm
 from conewave.solver import (
     BlowupReport,
     NumericalAbort,
@@ -109,13 +110,6 @@ class TestMarch:
         assert np.all(hist.u == 0.0)
         assert not hist.blowup.blew_up
 
-    def test_nonlinearity_off_is_free_field(self):
-        p = build(1.0, 1.0, 1.0, 1 / 32, 3.0)
-        d = make_data("bump_both", 1.0, 1.0, p.grid)
-        hist = solve_march(p, d, nonlinear=False)
-        tab = FreeField(d[0], d[1], p.grid).table(p.grid.n_t)
-        assert np.array_equal(hist.u, tab)
-
     def test_positivity_and_propagation(self):
         p = build(1.0, 1.0, 1.0, 1 / 16, 4.0)
         d = make_data("bump_v1_only", 1.0, 1.0, p.grid)
@@ -128,9 +122,12 @@ class TestMarch:
         p = build(1.0, 1.0, 1e-3, 1 / 16, 50.0)
         d = make_data("bump_v1_only", 1e-3, 1.0, p.grid)
         run = solve_march(p, d)
-        free = solve_march(p, d, nonlinear=False)
+        free = FreeField(d[0], d[1], p.grid)
+        r = p.grid.radii()
         xa = run.series.x_norm_running[-1]
-        xb = free.series.x_norm_running[-1]
+        xb = max(
+            slice_x_norm(p.weights(), r, n * p.grid.h, free.slice(n)) for n in range(p.grid.n_t)
+        )
         assert abs(xa - xb) <= 0.1 * xb
 
     def test_numerical_abort(self):
@@ -153,11 +150,13 @@ class TestMarch:
 
 class TestDalembert:
     def test_free_case_second_order(self):
+        # at eps = 1e-6 the cubic term is ~1e-12 of the field: the error
+        # against the exact free field is the stencil's own
         diffs = []
         for h in (1 / 16, 1 / 32):
-            p = build(1.0, 1.0, 1.0, h, 3.0)
-            d = make_data("bump_both", 1.0, 1.0, p.grid)
-            hist = solve_dalembert(p, d, nonlinear=False)
+            p = build(1.0, 1.0, 1e-6, h, 3.0)
+            d = make_data("bump_both", 1e-6, 1.0, p.grid)
+            hist = solve_dalembert(p, d)
             tab = FreeField(d[0], d[1], p.grid).table(p.grid.n_t)
             diffs.append(np.max(np.abs(hist.u - tab)))
         assert diffs[0] / diffs[1] > 3.0  # ~4 for second order
@@ -201,14 +200,14 @@ class TestPostprocessing:
         hist = solve_march(p, d)
         v = liouville(hist)
         t = np.arange(hist.n_used) * p.grid.h
-        assert np.array_equal(v.u, hist.u / (1.0 + t)[:, None])
+        assert np.array_equal(v, hist.u / (1.0 + t)[:, None])
         # multiplying back restores u to within one ulp
-        back = v.u * (1.0 + t)[:, None]
+        back = v * (1.0 + t)[:, None]
         assert np.allclose(back, hist.u, rtol=1e-15, atol=0.0)
         n = hist.n_used // 2
         if hist.u[n].any():
             k = int(np.argmax(np.abs(hist.u[n])))
-            assert v.u[n][k] == pytest.approx(hist.u[n][k] / (1.0 + t[n]), rel=1e-15)
+            assert v[n][k] == pytest.approx(hist.u[n][k] / (1.0 + t[n]), rel=1e-15)
 
     def test_zero_run_diagnostics(self):
         p = build(1.0, 1.0, 0.0, 1 / 16, 4.0)
@@ -216,15 +215,8 @@ class TestPostprocessing:
         hist = solve_march(p, d)
         ts, vals, rem = scattering_check(hist, 2.0)
         assert np.all(vals == 0.0)
-        _, dis = dissipation_monitor(liouville(hist))
+        _, dis = dissipation_monitor(liouville(hist), p.grid)
         assert np.all(dis == 0.0)
-
-    def test_free_run_scatters_exactly(self):
-        p = build(1.0, 1.0, 0.5, 1 / 16, 4.0)
-        d = make_data("bump_v1_only", 0.5, 1.0, p.grid)
-        hist = solve_march(p, d, nonlinear=False)
-        ts, vals, rem = scattering_check(hist, 2.0)
-        assert np.all(vals == 0.0)
 
     def test_scattering_tail_against_nested_quadrature(self):
         # independent slow evaluation of the backward cone integral
