@@ -33,7 +33,7 @@ import numpy as np
 
 from .blowup import mass_diagnostics
 from .grid import Grid
-from .harness import sweep
+from .harness import MIN_FIT_POINTS, sweep
 from .norms import verify_lemma_integrals
 from .potential import is_log_branch
 from .solver import (
@@ -173,8 +173,11 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"epsilon_list must be strictly increasing, got {eps}")
     if any(e < 0.0 for e in [cfg["epsilon"], *eps]):
         raise ConfigError("epsilon and epsilon_list must be >= 0")
-    if cfg["mode"] == "sweep" and not eps:
-        raise ConfigError("sweep mode requires epsilon_list")
+    if cfg["mode"] == "sweep" and len(eps) < MIN_FIT_POINTS:
+        raise ConfigError(
+            f"sweep mode fits a slope: epsilon_list needs at least {MIN_FIT_POINTS} "
+            f"values, got {len(eps)}"
+        )
     if cfg["mode"] == "sweep" and cfg["gamma"] >= 0.0:
         raise ConfigError(f"sweep mode measures blow-up times: need gamma < 0, got {cfg['gamma']}")
     cfg["epsilon_list"] = eps

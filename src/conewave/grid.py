@@ -82,10 +82,18 @@ class RadialProfile:
         if sr < 0.0:
             object.__setattr__(self, "support_radius", self.grid.r_max)
             return
-        if sr > self.grid.r_max + 1e-12:
+        if not sr <= self.grid.r_max + 1e-12:
             raise ValueError(f"support_radius {sr} exceeds r_max {self.grid.r_max}")
-        beyond = self.grid.radii() > sr + 1e-12
-        if np.any(samples[beyond] != 0.0):
+        # the nodes beyond the support are those with radii() > sr + 1e-12:
+        # a suffix, since k*h rounds monotonically in k; its start k is found
+        # from the quotient and corrected by the same float comparison
+        h, n, thr = self.grid.h, self.grid.n_r, sr + 1e-12
+        k = min(int(thr / h), n)
+        while k > 0 and (k - 1) * h > thr:
+            k -= 1
+        while k < n and not k * h > thr:
+            k += 1
+        if np.any(samples[k:]):
             raise ValueError("nonzero samples beyond the declared support radius")
 
     @property

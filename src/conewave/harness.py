@@ -12,7 +12,11 @@ import numpy as np
 from .grid import Grid
 from .solver import Params, make_data, solve_march
 
-__all__ = ["LifespanPoint", "LifespanFit", "lifespan_measure", "fit_slope", "sweep"]
+__all__ = [
+    "MIN_FIT_POINTS", "LifespanPoint", "LifespanFit", "lifespan_measure", "fit_slope", "sweep",
+]
+
+MIN_FIT_POINTS = 4  # uncensored (eps, T) pairs the slope fit needs
 
 
 @dataclass
@@ -121,12 +125,16 @@ def lifespan_measure(
     )
 
 
+def _fit_pairs(pairs) -> list:
+    return [(e, t) for e, t in pairs if t is not None and t > 0.0]
+
+
 def fit_slope(pairs, gamma: float, delta: float = 0.5) -> LifespanFit:
     """Least-squares slope of log T against log eps with its standard error;
     passes when the slope is within 25 percent of 2/gamma."""
-    pairs = [(e, t) for e, t in pairs if t is not None and t > 0.0]
-    if len(pairs) < 4:
-        raise ValueError("need at least 4 uncensored (eps, T) pairs")
+    pairs = _fit_pairs(pairs)
+    if len(pairs) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} uncensored (eps, T) pairs")
     x = np.log([e for e, _ in pairs])
     y = np.log([t for _, t in pairs])
     n = len(x)
@@ -164,7 +172,9 @@ def sweep(
     """Measure each sweep point (independent runs) and fit the scaling law.
 
     Censored points never enter the fit; epsilons must be strictly
-    increasing so the monotonicity check is meaningful.
+    increasing so the monotonicity check is meaningful.  With fewer than
+    ``MIN_FIT_POINTS`` uncensored points the fit is not made: slope and
+    its error are nan and the fit does not pass.
     """
     eps = list(epsilons)
     if any(b <= a for a, b in zip(eps, eps[1:])):
@@ -173,8 +183,19 @@ def sweep(
         lifespan_measure(gamma, R, e, h, t_max, family, blowup_threshold, refine)
         for e in eps
     ]
-    fit = fit_slope(
-        [(p.epsilon, p.t_numeric) for p in points if not p.censored], gamma, delta
-    )
+    pairs = _fit_pairs((p.epsilon, p.t_numeric) for p in points)
+    if len(pairs) >= MIN_FIT_POINTS:
+        fit = fit_slope(pairs, gamma, delta)
+    else:
+        fit = LifespanFit(
+            gamma=gamma,
+            epsilons=[e for e, _ in pairs],
+            t_numerics=[t for _, t in pairs],
+            slope=math.nan,
+            slope_stderr=math.nan,
+            theoretical=2.0 / gamma,
+            passed=False,
+            delta=delta,
+        )
     fit.points = points
     return fit

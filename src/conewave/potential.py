@@ -15,10 +15,11 @@ Two evaluation paths share that quadrature:
 * ``convolve_power`` -- single target radius, used by verifiers and tests;
 * ``ConvolutionKernel.apply`` -- the first ``n_out`` grid nodes at once.
   The cell moments depend only on the index sum i+j (Hankel part) and
-  difference i-j (Toeplitz parts), so a slice costs one FFT correlation,
-  against one cached kernel spectrum per power-of-two length, instead of an
-  O(n^2) double loop.  ``ConvolutionKernel.cubic`` windows it to the
-  support of u for the source term (V*u^2) u.
+  difference i-j (Toeplitz parts), so a slice costs one FFT correlation
+  (``numpy.fft``'s real transforms), against one cached kernel spectrum per
+  power-of-two length, instead of an O(n^2) double loop.
+  ``ConvolutionKernel.cubic`` windows it to the support of u for the source
+  term (V*u^2) u.
 
 The slice tables and the truncated last cell of ``apply`` take their
 unit-cell moments from one routine, ``_xi_moments``; ``convolve_power``
@@ -32,7 +33,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import fft as sfft
 
 from .grid import RadialProfile, cell_moments, trapezoid_weighted
 
@@ -289,7 +289,7 @@ class ConvolutionKernel:
             K[:, :p] = self.P[:, :p]
             q = min(half, self.n) - 1
             K[:, L - q :] = self.Q[:, q:0:-1]
-            got = self._spectra[L] = sfft.rfft(K, axis=1)
+            got = self._spectra[L] = np.fft.rfft(K, axis=1)
         return got
 
     def apply(self, w: RadialProfile, n_out: int | None = None) -> np.ndarray:
@@ -315,10 +315,10 @@ class ConvolutionKernel:
         acc = np.zeros(m)
         if J_full > 0:
             L = 1 << (2 * (m + J_full) - 1).bit_length()
-            af = sfft.rfft(_cell_coeffs(s, 0, J_full), L, axis=1)
+            af = np.fft.rfft(_cell_coeffs(s, 0, J_full), L, axis=1)
             # c[k] = sum_j a_j K(j + k): the Hankel sum sum_j a_j P(i+j) at
             # k = i, and sum_{j>=i} a_j P(j-i) + sum_{j<i} a_j Q(i-j) at k = -i
-            c = sfft.irfft((af.conj() * self._spectrum(L)).sum(axis=0), L)
+            c = np.fft.irfft((af.conj() * self._spectrum(L)).sum(axis=0), L)
             acc = c[:m]
             acc[1:] -= c[: L - m : -1]
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .grid import Grid, MassWeights, RadialProfile
 from .norms import NormSeries, WeightParams, slice_x_norm
-from .potential import ConvolutionKernel
+from .potential import cached_kernel
 from .waveops import ConeAccumulator, FreeField, lam_prefix
 
 __all__ = [
@@ -260,7 +260,7 @@ def solve_march(
     jr = params.support_cells
     if grid.n_r - 1 < grid.n_t - 1 + jr:
         raise ValueError("grid must satisfy r_max >= t_max + R for the causal march")
-    kern = ConvolutionKernel(params.gamma, grid)
+    kern = cached_kernel(params.gamma, grid)
     free = FreeField(v0, v1, grid)
     acc = ConeAccumulator(grid, jr)
     rec = _Recorder(params, "march", store_history)
@@ -306,7 +306,7 @@ def solve_dalembert(params: Params, data) -> SolutionHistory:
     v0, v1 = data
     grid = params.grid
     jr = params.support_cells
-    kern = ConvolutionKernel(params.gamma, grid)
+    kern = cached_kernel(params.gamma, grid)
     rec = _Recorder(params, "dalembert")
     n_r, n_t = grid.n_r, grid.n_t
     h = grid.h

@@ -293,6 +293,8 @@ class ConeAccumulator:
         self.n_pushed = 0
         self._phi_prev: np.ndarray | None = None
         self._g_prev: np.ndarray | None = None
+        # (kmax, *_history(n, kmax)) of the slice n = n_pushed being closed
+        self._memo: tuple | None = None
 
     def _add(self, m: int, w: float, g_row: np.ndarray) -> None:
         """Fold source slice m with time weight w into the diagonal sums."""
@@ -314,6 +316,7 @@ class ConeAccumulator:
         self.n_pushed = p + 1
         self._phi_prev = phi
         self._g_prev = np.asarray(g_row, dtype=float)
+        self._memo = None
 
     def push_slice(self, g_row: np.ndarray) -> None:
         m = self.n_pushed
@@ -321,14 +324,28 @@ class ConeAccumulator:
 
     def eval_slice(self, n: int, g_cur: np.ndarray, kmax: int) -> np.ndarray:
         """Duhamel values at nodes 0..kmax of slice n; requires slices
-        0..n-1 pushed and the current source iterate ``g_cur``."""
+        0..n-1 pushed and the current source iterate ``g_cur``.  The part
+        that ``g_cur`` does not enter is computed on the first call of a
+        slice and kept until the next push, so each further closure sweep
+        costs one vector add."""
         if self.n_pushed != n:
             raise RuntimeError(f"accumulator holds {self.n_pushed} slices, expected {n}")
-        grid = self.grid
-        h = grid.h
-        out = np.zeros(kmax + 1)
         if n == 0:
-            return out
+            return np.zeros(kmax + 1)
+        memo = self._memo
+        if memo is None or memo[0] != kmax:
+            memo = self._memo = (kmax, *self._history(n, kmax))
+        _, hist, j1gp, ax, J2 = memo
+        out = np.empty(kmax + 1)
+        out[1:] = hist + (j1gp + J2 * g_cur[1 : kmax + 1])
+        out[0] = ax + J2 * g_cur[0]
+        return out
+
+    def _history(self, n: int, kmax: int):
+        """The part of :meth:`eval_slice` that does not depend on the
+        current source: the history term at nodes 1..kmax, the J1 closure
+        term of slice n-1 there, the axis value with its J1 term, and J2."""
+        h = self.grid.h
         jr = self.jr
         k = np.arange(1, kmax + 1)
 
@@ -353,12 +370,9 @@ class ConeAccumulator:
         g_prev = self._g_prev
         gp = np.zeros(kmax + 1)
         gp[: min(g_prev.shape[0], kmax + 1)] = g_prev[: kmax + 1]
-        out[1:] = (first - second - wl_top * i_prev) / (2.0 * k * h)
-        out[1:] += J1 * gp[1:] + J2 * g_cur[1 : kmax + 1]
-
+        hist = (first - second - wl_top * i_prev) / (2.0 * k * h)
         ax = self.Ax[n] - wl_top * h * gp[1] if Lp >= 1 else self.Ax[n]
-        out[0] = ax + J1 * gp[0] + J2 * g_cur[0]
-        return out
+        return hist, J1 * gp[1:], ax + J1 * gp[0], J2
 
     def eval_tail(self, n: int, g_n: np.ndarray) -> np.ndarray:
         """Backward Duhamel tail at every node of slice n: the part of L

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +73,14 @@ class TestMainExitCodes:
              "mode = verify\nlemma_samples = 0\n", "mode = verify\ntrilinear_h = 0\n",
              "mode = verify\nverify_T = -1\n",
              "mode = sweep\ngamma = -0.4\nepsilon_list = 4,5\nrefine = -1\n",
-             "t_star = 500\n", "t_star = 3.01\n"))],
+             "t_star = 500\n", "t_star = 3.01\n",
+             "mode = sweep\ngamma = -0.4\nepsilon_list = 4.6,5.1,5.4\n"))],
         ids=["h_not_dividing_R", "h_nan", "unknown_family", "negative_t_max",
              "decreasing_epsilon_list", "negative_epsilon", "sweep_without_blowup",
              "zero_blowup_threshold", "negative_blowup_threshold", "nan_blowup_threshold",
              "verify_gamma_not_a_number", "verify_gamma_out_of_range", "zero_lemma_samples",
              "zero_trilinear_h", "negative_verify_T", "negative_refine",
-             "t_star_past_t_max", "t_star_off_grid"],
+             "t_star_past_t_max", "t_star_off_grid", "sweep_with_three_points"],
     )
     def test_bad_value_is_2(self, tmp_path, capsys, body):
         path = write_cfg(tmp_path, "bad.cfg", body + f"out = {tmp_path}/out\n")
@@ -200,6 +202,26 @@ class TestModes:
             rows[tag] = (eps, float(t_numeric), float(thr))
         # the config's stop threshold reaches the runs, not only the CSV column
         assert rows == {"default": ("6.1", 10.5, 1e6), "low": ("6.1", 10.375, 1000.0)}
+
+    def test_sweep_with_too_few_blowups_reports_every_point(self, tmp_path):
+        # two of five points stay censored, leaving three for a four-point fit:
+        # the run still writes its artifacts and fails the slope check
+        body = (
+            "mode = sweep\ngamma = -0.4\nepsilon_list = 0.5,0.6,4.6,5.1,5.4\n"
+            f"h = 0.25\nt_max = 40\nrefine = 0\nout = {tmp_path}/out\n"
+        )
+        assert main(["--config", write_cfg(tmp_path, "s.cfg", body)]) == 1
+        out = tmp_path / "out"
+        csv = (out / "results.csv").read_text().splitlines()
+        assert csv[0].startswith("# conewave sweep")
+        cols = [line.split(",") for line in csv[1:]]
+        assert [c[0] for c in cols] == ["0.5", "0.6", "4.6", "5.1", "5.4"]
+        assert [c[4] for c in cols] == ["1", "1", "0", "0", "0"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False and math.isnan(summary["slope"])
+        assert summary["epsilons"] == [4.6, 5.1, 5.4]
+        inv = (out / "invariants.txt").read_text()
+        assert "slope_within_25pct=fail" in inv
 
     def test_shipped_configs_parse(self):
         cfg_dir = ROOT / "configs"

@@ -44,6 +44,26 @@ class TestProfile:
             RadialProfile(grid, s, support_radius=5 * grid.h)
         RadialProfile(grid, s, support_radius=10 * grid.h)  # edge node allowed
 
+    @pytest.mark.parametrize("h", [1 / 8, 0.1, 1 / 3, 1 / 64])
+    def test_support_validation_matches_radii_predicate(self, h):
+        # the check raises exactly when a node with radii() > sr + 1e-12
+        # carries a nonzero sample: supports on a node, 1e-13 to either
+        # side of one, and mid-cell, with one nonzero node near the edge
+        g = Grid(h=h, n_r=41, n_t=1)
+        for j in (0, 1, 3, 7, 10, 29, 39, 40):
+            for sr in (j * h, j * h + 1e-13, j * h - 1e-13, (j + 0.5) * h):
+                if not 0.0 <= sr <= g.r_max + 1e-12:
+                    continue
+                for i in range(max(j - 1, 0), min(j + 3, g.n_r)):
+                    samples = np.zeros(g.n_r)
+                    samples[i] = 1.0
+                    beyond = bool(np.any(samples[g.radii() > sr + 1e-12]))
+                    if beyond:
+                        with pytest.raises(ValueError, match="beyond the declared support"):
+                            RadialProfile(g, samples, support_radius=sr)
+                    else:
+                        RadialProfile(g, samples, support_radius=sr)
+
     def test_shape_validation(self, grid):
         with pytest.raises(ValueError):
             RadialProfile(grid, np.zeros(grid.n_r - 1))

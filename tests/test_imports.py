@@ -1,9 +1,12 @@
 """Stand-ins for two linter rules: every module-level ``from ... import``
 name is used (``__future__`` exempt), and every name a ``conewave`` module
 exports in ``__all__`` has a user inside the package, so code that only
-tests reach lives under ``tests/``."""
+tests reach lives under ``tests/``.  Also: the CLI imports no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +81,12 @@ def test_export_scan_flags_an_unreached_name():
 def test_every_export_has_a_package_user():
     found = unreached_exports([p.read_text() for p in sorted(SRC.glob("*.py"))])
     assert sorted(found) == sorted(TEST_ONLY_EXPORTS)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy.fft serves the slice convolution, so the package needs no scipy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code = "import sys, conewave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

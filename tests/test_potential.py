@@ -6,6 +6,7 @@ import pytest
 from conewave.grid import Grid, RadialProfile, trapezoid_weighted
 from conewave.potential import (
     ConvolutionKernel,
+    cached_kernel,
     convolve_power,
     convolve_profile,
     convolve_profile_direct,
@@ -192,23 +193,16 @@ class TestWindow:
             want = 4 * math.pi * trapezoid_weighted(w, 2.0 - gamma, 0.0, grid.r_max)
             assert abs(kern.apply(w, n_out=1)[0] - want) <= 1e-14 * abs(want)
 
-    def test_spectrum_cache_bounded(self, monkeypatch):
+    def test_spectrum_cache_bounded(self):
         # one spectrum per power-of-two FFT length: a march whose support
         # grows over 640 slices of a 1025-node grid stays within log2(4 n_r)
-        made = []
-
-        class Recorded(ConvolutionKernel):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr("conewave.solver.ConvolutionKernel", Recorded)
+        cached_kernel.cache_clear()
         grid = Grid.for_domain(1 / 16, 64.0, 40.0)
         assert grid.n_r >= 1000 and grid.n_t >= 600
         params = Params(gamma=1.0, R=1.0, epsilon=1e-3, grid=grid)
         hist = solve_march(params, make_data("bump_v1_only", 1e-3, 1.0, grid), store_history=False)
         assert hist.n_used == grid.n_t
-        (kern,) = made
+        kern = cached_kernel(1.0, grid)
         assert 1 <= len(kern._spectra) <= math.ceil(math.log2(4 * grid.n_r))
         assert all(L & (L - 1) == 0 for L in kern._spectra)
 

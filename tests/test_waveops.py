@@ -157,17 +157,23 @@ class TestDuhamel:
             row[r > m * h + 1.0 + 1e-12] = 0.0
             gt[m] = row
         acc = ConeAccumulator(grid, jr)
+        twin = ConeAccumulator(grid, jr)
         worst = 0.0
         for n in range(n_t):
             if n >= 1:
                 kmax = min(n + jr, grid.n_r - 1)
+                # a decoy sweep first: the history kept for slice n must not
+                # carry anything of the source it was first called with
+                acc.eval_slice(n, 2.0 * gt[n], kmax)
                 fast = acc.eval_slice(n, gt[n], kmax)
+                assert fast.tobytes() == twin.eval_slice(n, gt[n], kmax).tobytes()
                 for k in (0, 1, max(1, n // 2), min(kmax, n), kmax):
                     if (k + n) * h <= grid.r_max + 1e-12:
                         ref = duhamel_direct(gt, grid, k * h, n * h)
                         scale = max(1.0, abs(ref))
                         worst = max(worst, abs(fast[k] - ref) / scale)
             acc.push_slice(gt[n])
+            twin.push_slice(gt[n])
         assert worst < 1e-10
 
     def test_positivity(self):
