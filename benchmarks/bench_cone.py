@@ -57,7 +57,7 @@ def bench_march():
         acc = ConeAccumulator(grid, jr)
         for n in range(n_t):
             if n >= 1:
-                acc.eval_slice(n, gt[n], min(n + jr, grid.n_r - 1))
+                acc.eval_slice(gt[n])
             acc.push_slice(gt[n])
         accum_s = time.perf_counter() - t0
 

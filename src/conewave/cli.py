@@ -200,7 +200,11 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _write_summary(path: Path, summary: dict) -> None:
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2, default=float) + "\n")
+    """Strict JSON: a non-finite float is written as null, every finite one
+    with its exact repr."""
+    text = json.dumps(summary, default=float)
+    strict = json.loads(text, parse_constant=lambda _: None)
+    path.write_text(json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_invariants(path: Path, invariants: dict) -> None:
@@ -246,6 +250,7 @@ def _mode_solve(cfg: RunConfig, out: Path):
         n = min(hist.n_used, alt.n_used)
         # row by row: two full-table temporaries would double the peak memory
         diff = max(float(np.max(np.abs(a - b))) for a, b in zip(hist.u[:n], alt.u[:n]))
+        del alt  # frees its u and g tables before the post-processing
         summary["backend_sup_diff"] = diff
         invariants["backend_agreement"] = diff <= 50.0 * cfg.h**2 * max(
             1.0, float(hist.series.sup_u.max())

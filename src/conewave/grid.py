@@ -39,10 +39,6 @@ class Grid:
     def r_max(self) -> float:
         return (self.n_r - 1) * self.h
 
-    @property
-    def t_max(self) -> float:
-        return (self.n_t - 1) * self.h
-
     def radii(self) -> np.ndarray:
         return np.arange(self.n_r) * self.h
 

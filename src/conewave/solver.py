@@ -36,7 +36,7 @@ import numpy as np
 from .grid import Grid, MassWeights, RadialProfile
 from .norms import NormSeries, WeightParams, slice_x_norm
 from .potential import cached_kernel
-from .waveops import ConeAccumulator, FreeField, lam_prefix
+from .waveops import ConeAccumulator, FreeField, duhamel_tails, lam_prefix
 
 __all__ = [
     "NumericalAbort",
@@ -258,17 +258,14 @@ def solve_march(
     v0, v1 = data
     grid = params.grid
     jr = params.support_cells
-    if grid.n_r - 1 < grid.n_t - 1 + jr:
-        raise ValueError("grid must satisfy r_max >= t_max + R for the causal march")
+    # first, so a grid short of the forward cone fails before any table is built
+    acc = ConeAccumulator(grid, jr)
     kern = cached_kernel(params.gamma, grid)
     free = FreeField(v0, v1, grid)
-    acc = ConeAccumulator(grid, jr)
     rec = _Recorder(params, "march", store_history)
     n_r = grid.n_r
 
-    g_prev = np.zeros(n_r)
     for n in range(grid.n_t):
-        kmax = min(n + jr, n_r - 1)
         support = (n + jr) * grid.h
         base = free.slice(n)
         if n == 0:
@@ -276,12 +273,11 @@ def solve_march(
             g_row = _source_row(kern, u_row, support)
         else:
             g_cur = g_prev
-            u_row = np.zeros(n_r)
             prev_delta = math.inf
             for sweep in range(_MAX_SLICE_SWEEPS):
-                dh = acc.eval_slice(n, g_cur, kmax)
+                dh = acc.eval_slice(g_cur)
                 new_row = np.zeros(n_r)
-                new_row[: kmax + 1] = base[: kmax + 1] + dh
+                new_row[: dh.size] = base[: dh.size] + dh
                 g_new = _source_row(kern, new_row, support)
                 delta = float(np.max(np.abs(g_new - g_cur)))
                 scale = 1.0 + float(np.max(np.abs(g_new)))
@@ -376,14 +372,13 @@ def dissipation_monitor(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarr
     return t, vals
 
 
-def scattering_check(hist: SolutionHistory, t_star: float, keep_fields: bool = False):
+def scattering_check(hist: SolutionHistory, t_star: float):
     """Weighted distance to the outgoing free wave.
 
     Builds u_plus by subtracting the remaining Duhamel tail (truncated at
-    the end of the run) and returns (t, sup_r (1+t+r)|u - u_plus|) for
-    t >= t_star, plus an estimate of the neglected tail.  Refuses blown-up
-    runs.  With ``keep_fields`` the pointwise tail slices are returned as a
-    fourth element (slice index -> array), for cross-validation.
+    the end of the run; ``waveops.duhamel_tails``) and returns
+    (t, sup_r (1+t+r)|u - u_plus|) for t >= t_star, plus an estimate of the
+    neglected tail.  Refuses blown-up runs.
     """
     if hist.blowup.blew_up:
         raise ValueError("scattering_check refuses runs that blew up")
@@ -397,23 +392,13 @@ def scattering_check(hist: SolutionHistory, t_star: float, keep_fields: bool = F
     M = hist.n_used - 1
     if n_star >= M:
         raise ValueError("t_star must leave room before the end of the run")
-    acc = ConeAccumulator(grid, hist.params.support_cells)
     r = grid.radii()
     out_t = []
     out_val = []
-    fields: dict[int, np.ndarray] = {}
-    # fold slices in from the top down; after slice n+1 is in, emit t_n.  The
-    # top slice carries only the right-endpoint weight of its cell.
-    for m in range(M, n_star, -1):
-        acc._add(m, acc.tw.wr[m - 1] if m == M else acc.tw.w_slice[m], hist.g[m])
-        n = m - 1
-        tail = acc.eval_tail(n, hist.g[n])
+    for n, tail in duhamel_tails(hist.g[: M + 1], grid, hist.params.support_cells, n_star):
         t = n * h
         out_t.append(t)
         out_val.append(float(np.max((1.0 + t + r) * np.abs(tail))))
-        if keep_fields:
-            fields[n] = tail
-
     out_t.reverse()
     out_val.reverse()
     # crude estimate of the neglected tail beyond the run, assuming the
@@ -424,6 +409,4 @@ def scattering_check(hist: SolutionHistory, t_star: float, keep_fields: bool = F
     rem = supg * U ** (hist.params.gamma + 1.0) * (
         U ** (2.0 - q) / (q - 2.0) - (1.0 + t_star) * U ** (1.0 - q) / (q - 1.0)
     ) / 2.0
-    if keep_fields:
-        return np.array(out_t), np.array(out_val), rem, fields
     return np.array(out_t), np.array(out_val), rem

@@ -135,19 +135,18 @@ def verify_bilinear(
 
     rng = np.random.default_rng(seed)
     t_rand = rng.choice(lattice_n, size=min(10, len(lattice_n)), replace=False)
+    wp = WeightParams(gamma, R)
     for n in t_rand:
         t = n * h
         sat = saturating_profile(gamma, R, t, grid)
-        wp = WeightParams(gamma, R)
-        wrow = weight_row(wp, r, t)
         mask = r <= t + R + 1e-12
         for _ in range(n_random // len(t_rand)):
             xi1 = rng.uniform(-1.0, 1.0, size=grid.n_r)
             xi2 = rng.uniform(-1.0, 1.0, size=grid.n_r)
             u = xi1 * sat.samples
             w = xi2 * sat.samples
-            nu = float(np.max(wrow[mask] * np.abs(u[mask])))
-            nw = float(np.max(wrow[mask] * np.abs(w[mask])))
+            nu = slice_x_norm(wp, r, t, u)
+            nw = slice_x_norm(wp, r, t, w)
             prod = RadialProfile(grid, u * w, sat.support_radius)
             lhs = convolve_profile(prod, gamma)
             rhs = bilinear_rhs(gamma, R, r, t) * nu * nw
@@ -181,10 +180,9 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
     ``empirical_constant`` carries the measured C2.
     """
     grid = Grid.for_domain(h, T + R, T)
-    jr = int(round(R / h))
     wp = WeightParams(gamma, R)
     r = grid.radii()
-    acc = ConeAccumulator(grid, jr)
+    acc = ConeAccumulator(grid, int(round(R / h)))
     kern = cached_kernel(gamma, grid)
     explicit = not is_log_branch(gamma)
     c2 = 2.0 * c1_constant(gamma, R) if explicit else float("nan")
@@ -201,9 +199,8 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
         sat = saturating_profile(gamma, R, t, grid)
         g_row = kern.cubic(sat)
         if n >= 1:
-            kmax = min(n + jr, grid.n_r - 1)
-            vals = acc.eval_slice(n, g_row, kmax)
-            run_norm = max(run_norm, slice_x_norm(wp, r[: kmax + 1], t, vals))
+            vals = acc.eval_slice(g_row)
+            run_norm = max(run_norm, slice_x_norm(wp, r[: vals.size], t, vals))
             rhs = (c2 if explicit else 1.0) * d_gamma(t, gamma, R) * rfac
             t_list.append(t)
             norm_list.append(run_norm)

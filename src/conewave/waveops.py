@@ -23,7 +23,8 @@ lambda and linear in (t - s), e.g. L(1) = t - log(1+t) to roundoff.
 Each operator has one fast path and one pointwise reference: ``FreeField``
 tabulates the free field that ``kirchhoff_radial``, ``dt_kirchhoff_radial``
 and ``free_field`` evaluate point by point, and ``ConeAccumulator`` marches
-the Duhamel term that ``duhamel_direct`` sums directly.
+the Duhamel term that ``duhamel_direct`` sums directly; ``duhamel_tails``
+runs the same bookkeeping backward over a finished run.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "lam_prefix",
     "duhamel_direct",
     "ConeAccumulator",
+    "duhamel_tails",
 ]
 
 
@@ -136,9 +138,6 @@ class FreeField:
         j = min(n, n_r - 1)
         out[0] = self._v0s[j] + t * self._dv0[j] + t * self._sum_s[j]
         return out
-
-    def table(self, n_slices: int) -> np.ndarray:
-        return np.stack([self.slice(n) for n in range(n_slices)])
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +268,9 @@ class ConeAccumulator:
     ``support_cells`` is the source support radius in cells (R/h for the
     nonlinear march).
 
-    The march pushes slices 0, 1, ... and reads :meth:`eval_slice`.  The
-    backward tail of a finished run pushes the same bookkeeping from the last
-    slice down and reads :meth:`eval_tail`; there the totals in push order
+    The march pushes slices 0, 1, ... and reads :meth:`eval_slice`.
+    :func:`duhamel_tails` folds the slices of a finished run in from the last
+    one down and reads :meth:`_eval_tail`; there the totals in push order
     are the suffix sums over the later slices.
     """
 
@@ -293,7 +292,7 @@ class ConeAccumulator:
         self.n_pushed = 0
         self._phi_prev: np.ndarray | None = None
         self._g_prev: np.ndarray | None = None
-        # (kmax, *_history(n, kmax)) of the slice n = n_pushed being closed
+        # _history(n, kmax) of the slice n = n_pushed being closed
         self._memo: tuple | None = None
 
     def _add(self, m: int, w: float, g_row: np.ndarray) -> None:
@@ -322,20 +321,19 @@ class ConeAccumulator:
         m = self.n_pushed
         self._add(m, self.tw.w_slice[m], g_row)
 
-    def eval_slice(self, n: int, g_cur: np.ndarray, kmax: int) -> np.ndarray:
-        """Duhamel values at nodes 0..kmax of slice n; requires slices
-        0..n-1 pushed and the current source iterate ``g_cur``.  The part
-        that ``g_cur`` does not enter is computed on the first call of a
-        slice and kept until the next push, so each further closure sweep
-        costs one vector add."""
-        if self.n_pushed != n:
-            raise RuntimeError(f"accumulator holds {self.n_pushed} slices, expected {n}")
+    def eval_slice(self, g_cur: np.ndarray) -> np.ndarray:
+        """Duhamel values of slice n = ``n_pushed`` at its live nodes
+        0..min(n + jr, n_r - 1), given the current source iterate ``g_cur``
+        of that slice.  The part that ``g_cur`` does not enter is computed
+        on the first call of a slice and kept until the next push, so each
+        further closure sweep costs one vector add."""
+        n = self.n_pushed
+        kmax = min(n + self.jr, self.grid.n_r - 1)
         if n == 0:
             return np.zeros(kmax + 1)
-        memo = self._memo
-        if memo is None or memo[0] != kmax:
-            memo = self._memo = (kmax, *self._history(n, kmax))
-        _, hist, j1gp, ax, J2 = memo
+        if self._memo is None:
+            self._memo = self._history(n, kmax)
+        hist, j1gp, ax, J2 = self._memo
         out = np.empty(kmax + 1)
         out[1:] = hist + (j1gp + J2 * g_cur[1 : kmax + 1])
         out[0] = ax + J2 * g_cur[0]
@@ -374,12 +372,10 @@ class ConeAccumulator:
         ax = self.Ax[n] - wl_top * h * gp[1] if Lp >= 1 else self.Ax[n]
         return hist, J1 * gp[1:], ax + J1 * gp[0], J2
 
-    def eval_tail(self, n: int, g_n: np.ndarray) -> np.ndarray:
-        """Backward Duhamel tail at every node of slice n: the part of L
-        over the times after t_n, up to the top slice M.  Requires slices
-        M, M-1, ..., n+1 folded in by :meth:`_add` in that order, the top
-        one with the right-endpoint weight ``wr[M-1]`` of its cell and the
-        others with ``w_slice``; ``g_n`` is source slice n."""
+    def _eval_tail(self, n: int, g_n: np.ndarray) -> np.ndarray:
+        """Backward Duhamel tail at every node of slice n, with slices
+        M, M-1, ..., n+1 folded in as :func:`duhamel_tails` does; ``g_n`` is
+        source slice n."""
         grid = self.grid
         h = grid.h
         jr = self.jr
@@ -416,3 +412,17 @@ class ConeAccumulator:
         ax = self.Bx[boff - n] - wr_bot * h * g_next[1]
         tail[0] = ax + J1 * g_next[0] + J2 * g_n[0]
         return tail
+
+
+def duhamel_tails(g: np.ndarray, grid: Grid, support_cells: int, n_stop: int):
+    """Backward Duhamel tails of a finished run with source slices ``g``
+    (rows 0..M): yields (n, tail) for n = M-1 down to ``n_stop``, where
+    ``tail`` is the part of L over the times after t_n, up to t_M, at every
+    node of slice n.  The top slice carries only the right-endpoint weight
+    of its cell."""
+    acc = ConeAccumulator(grid, support_cells)
+    tw = acc.tw
+    M = len(g) - 1
+    for m in range(M, n_stop, -1):
+        acc._add(m, tw.wr[m - 1] if m == M else tw.w_slice[m], g[m])
+        yield m - 1, acc._eval_tail(m - 1, g[m - 1])

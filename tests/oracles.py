@@ -5,9 +5,10 @@ Monte Carlo convolution samples the 3D integral directly, the mpmath
 convolution integrates the shell kernel cell by cell at 30 digits, the
 brute-force exponent scan re-derives the Kato parameter inequality, the
 slow cone integral nests Gauss quadratures, and ``w_weight`` is the paper's
-bilinear-estimate weight.  The two drivers run the package's march and
-cone accumulator on questions no CLI mode asks: Picard iteration on a
-short window, and equivariance under the scaling symmetry.
+bilinear-estimate weight.  ``free_table`` stacks free-field slices.  The
+two drivers run the package's march and cone accumulator on questions no
+CLI mode asks: Picard iteration on a short window, and equivariance under
+the scaling symmetry.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ def w_weight(r: float, t: float, params: WeightParams) -> float:
     return R ** (g - 3.0) * tp**g
 
 
+def free_table(free: FreeField, n_slices: int) -> np.ndarray:
+    """Slices 0..n_slices-1 of a ``FreeField``, stacked."""
+    return np.stack([free.slice(n) for n in range(n_slices)])
+
+
 def picard_iterates(params, data, c1: float):
     """Picard iteration u -> u0 + L[(V*u^2)u] from the free field u0.
 
@@ -163,11 +169,11 @@ def picard_iterates(params, data, c1: float):
         return max(slice_x_norm(wp, r, n * h, row) for n, row in enumerate(tab))
 
     free = FreeField(*data, grid)
-    M = max(2.2 * norm(free.table(min(grid.n_t - 1, jr) + 1)), 1e-12)
+    M = max(2.2 * norm(free_table(free, min(grid.n_t - 1, jr) + 1)), 1e-12)
     T = math.sqrt(2.0 * math.pi / (3.0 * M * M * c1 * params.R ** (3.0 - params.gamma)))
     n_T = max(1, math.floor(min(0.95 * T, params.R - h) / h))
     kern = ConvolutionKernel(params.gamma, grid)
-    u0 = free.table(n_T + 1)
+    u0 = free_table(free, n_T + 1)
     u, norms = u0, []
     for _ in range(25):
         acc = ConeAccumulator(grid, jr)
@@ -175,8 +181,8 @@ def picard_iterates(params, data, c1: float):
         for n, row in enumerate(u):
             g = kern.cubic(RadialProfile(grid, row, support_radius=(n + jr) * h))
             if n:
-                kmax = min(n + jr, grid.n_r - 1)
-                new[n, : kmax + 1] += acc.eval_slice(n, g, kmax)
+                dh = acc.eval_slice(g)
+                new[n, : dh.size] += dh
             acc.push_slice(g)
         norms.append(norm(new - u))
         u = new

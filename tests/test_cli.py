@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,15 @@ def write_cfg(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def strict_json(path):
+    """Parse as strict JSON: NaN and Infinity tokens are an error."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestConfigParsing:
@@ -193,7 +201,7 @@ class TestModes:
             out = tmp_path / tag
             path = write_cfg(tmp_path, f"{tag}.cfg", body + extra + f"out = {out}\n")
             status = main(["--config", path])
-            summary = json.loads((out / "summary.json").read_text())
+            summary = strict_json(out / "summary.json")
             csv = (out / "results.csv").read_text().splitlines()
             assert csv[0].startswith("# conewave sweep")
             assert summary["slope"] < -3.0
@@ -217,8 +225,8 @@ class TestModes:
         cols = [line.split(",") for line in csv[1:]]
         assert [c[0] for c in cols] == ["0.5", "0.6", "4.6", "5.1", "5.4"]
         assert [c[4] for c in cols] == ["1", "1", "0", "0", "0"]
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["passed"] is False and math.isnan(summary["slope"])
+        summary = strict_json(out / "summary.json")
+        assert summary["passed"] is False and summary["slope"] is None
         assert summary["epsilons"] == [4.6, 5.1, 5.4]
         inv = (out / "invariants.txt").read_text()
         assert "slope_within_25pct=fail" in inv

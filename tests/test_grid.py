@@ -18,7 +18,6 @@ def const_profile(grid, c=1.0):
 class TestGrid:
     def test_alignment_and_extents(self, grid):
         assert grid.r_max == pytest.approx(4.0)
-        assert grid.t_max == pytest.approx(2 / 64)
         assert np.allclose(np.diff(grid.radii()), grid.h)
 
     def test_validation(self):

@@ -1,7 +1,8 @@
-"""Stand-ins for two linter rules: every module-level ``from ... import``
+"""Stand-ins for three linter rules: every module-level ``from ... import``
 name is used (``__future__`` exempt), and every name a ``conewave`` module
-exports in ``__all__`` has a user inside the package, so code that only
-tests reach lives under ``tests/``.  Also: the CLI imports no scipy."""
+exports in ``__all__`` and every public method of a ``conewave`` class has a
+user inside the package, so code that only tests reach lives under
+``tests/``.  Also: the CLI imports no scipy."""
 
 import ast
 import os
@@ -37,16 +38,20 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-def unreached_exports(sources: list[str]) -> list[str]:
-    """Names in some module's ``__all__`` that no module refers to by name
-    or attribute."""
-    trees = [ast.parse(s) for s in sources]
-    used = {
+def _used_names(trees) -> set[str]:
+    return {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+
+
+def unreached_exports(sources: list[str]) -> list[str]:
+    """Names in some module's ``__all__`` that no module refers to by name
+    or attribute."""
+    trees = [ast.parse(s) for s in sources]
+    used = _used_names(trees)
     exported = [
         name
         for tree in trees
@@ -56,6 +61,23 @@ def unreached_exports(sources: list[str]) -> list[str]:
         for name in ast.literal_eval(node.value)
     ]
     return [name for name in exported if name not in used]
+
+
+def unreached_methods(sources: list[str]) -> list[str]:
+    """``Class.method`` for each public method of a module-level class that
+    no module refers to by name or attribute."""
+    trees = [ast.parse(s) for s in sources]
+    used = _used_names(trees)
+    return [
+        f"{cls.name}.{fn.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and fn.name not in used
+    ]
 
 
 def test_scan_flags_an_unused_name():
@@ -81,6 +103,16 @@ def test_export_scan_flags_an_unreached_name():
 def test_every_export_has_a_package_user():
     found = unreached_exports([p.read_text() for p in sorted(SRC.glob("*.py"))])
     assert sorted(found) == sorted(TEST_ONLY_EXPORTS)
+
+
+def test_method_scan_flags_an_unreached_method():
+    lib = "class C:\n    def f(self): pass\n    def g(self): pass\n    def _h(self): pass\n"
+    user = "import lib\nlib.C().f()\n"
+    assert unreached_methods([lib, user]) == ["C.g"]
+
+
+def test_every_public_method_has_a_package_user():
+    assert unreached_methods([p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
 
 
 def test_cli_import_loads_no_scipy():
