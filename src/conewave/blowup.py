@@ -52,7 +52,7 @@ def mass_rhs(u_slice: RadialProfile, gamma: float, t: float) -> float:
     """F''(t) by the integrated equation:
     4 pi (1+t)^-2 int r^2 (V_gamma*u^2)(r) u(r) dr."""
     grid = u_slice.grid
-    cube = cached_kernel(gamma, grid).cubic(u_slice)
+    cube = cached_kernel(gamma, grid).cubic(u_slice.samples, u_slice.support_radius)
     prod = RadialProfile(grid, cube, u_slice.support_radius)
     return (
         4.0 * math.pi / (1.0 + t) ** 2 * trapezoid_weighted(prod, 2.0, 0.0, grid.r_max)

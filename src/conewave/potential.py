@@ -335,17 +335,23 @@ class ConvolutionKernel:
         out[0] = 4.0 * math.pi * axis
         return out
 
-    def cubic(self, u: RadialProfile) -> np.ndarray:
-        """(V_gamma * u^2) u at every grid node.
+    def cubic(self, u: np.ndarray, support_radius: float) -> np.ndarray:
+        """(V_gamma * u^2) u at the nodes of ``u``, the samples of the first
+        ``u.size`` grid nodes (zero past them) of a profile supported on
+        [0, ``support_radius``].
 
         u vanishes beyond its support, so the convolution is needed only on
         the support nodes and one more; the nodes past them are exactly 0.
         """
-        b = min(u.support_radius, u.grid.r_max)
+        k = u.size
+        sq = np.zeros(self.n)
+        sq[:k] = u * u
+        b = min(support_radius, self.grid.r_max)
         m = min(self.n, math.ceil(b / self.h - 1e-12) + 1)
-        sq = RadialProfile(u.grid, u.samples * u.samples, u.support_radius)
-        out = np.zeros(self.n)
-        out[:m] = self.apply(sq, n_out=m) * u.samples[:m]
+        conv = self.apply(RadialProfile(self.grid, sq, support_radius), n_out=m)
+        out = np.zeros(k)
+        j = min(k, m)
+        out[:j] = conv[:j] * u[:j]
         return out
 
     def _partial_cell(self, s: np.ndarray, J: int, xi_star: float, m: int) -> np.ndarray:

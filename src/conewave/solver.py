@@ -238,11 +238,6 @@ class _Recorder:
         )
 
 
-def _source_row(kern, u_row: np.ndarray, support_radius: float) -> np.ndarray:
-    """G = (V_gamma * u^2) u for one slice (undamped: no 1/(1+t)^2 here)."""
-    return kern.cubic(RadialProfile(kern.grid, u_row, support_radius=support_radius))
-
-
 def solve_march(
     params: Params,
     data,
@@ -270,25 +265,27 @@ def solve_march(
         base = free.slice(n)
         if n == 0:
             u_row = base
-            g_row = _source_row(kern, u_row, support)
+            g_row = kern.cubic(u_row, support)
         else:
-            g_cur = g_prev
+            # the sweeps run on the live window, nodes 0..min(n + jr, n_r - 1)
+            k = min(n + jr, n_r - 1) + 1
+            g_cur = g_prev[:k]
             prev_delta = math.inf
             for sweep in range(_MAX_SLICE_SWEEPS):
-                dh = acc.eval_slice(g_cur)
-                new_row = np.zeros(n_r)
-                new_row[: dh.size] = base[: dh.size] + dh
-                g_new = _source_row(kern, new_row, support)
+                u_w = base[:k] + acc.eval_slice(g_cur)
+                g_new = kern.cubic(u_w, support)
                 delta = float(np.max(np.abs(g_new - g_cur)))
                 scale = 1.0 + float(np.max(np.abs(g_new)))
-                u_row = new_row
                 g_cur = g_new
                 if delta <= _PICARD_TOL * scale:
                     break
                 if delta > prev_delta and sweep >= 1:
                     break  # closure no longer contracting (late blow-up stage)
                 prev_delta = delta
-            g_row = g_cur
+            u_row = np.zeros(n_r)
+            u_row[:k] = u_w
+            g_row = np.zeros(n_r)
+            g_row[:k] = g_cur
         if rec.record(n, u_row, g_row):
             break
         acc.push_slice(g_row)
@@ -316,14 +313,14 @@ def solve_dalembert(params: Params, data) -> SolutionHistory:
         u_row[1:] = U_row[1:] / r[1:]
         u_row[0] = (4.0 * u_row[1] - u_row[2]) / 3.0
         u_row[kmax + 1 :] = 0.0
-        g_row = _source_row(kern, u_row, (n + jr) * h)
+        g_row = kern.cubic(u_row, (n + jr) * h)
         rec.record(n, u_row, g_row)
         return g_row
 
     damp = 1.0 / (1.0 + np.arange(n_t) * h) ** 2
 
     u_prev = v0.samples.copy()
-    g_prev = _source_row(kern, u_prev, jr * h)
+    g_prev = kern.cubic(u_prev, jr * h)
     U_prev = r * u_prev
     if rec.record(0, u_prev, g_prev) or n_t == 1:
         return rec.history()

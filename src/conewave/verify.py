@@ -197,7 +197,7 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
     for n in range(grid.n_t):
         t = n * h
         sat = saturating_profile(gamma, R, t, grid)
-        g_row = kern.cubic(sat)
+        g_row = kern.cubic(sat.samples, sat.support_radius)
         if n >= 1:
             vals = acc.eval_slice(g_row)
             run_norm = max(run_norm, slice_x_norm(wp, r[: vals.size], t, vals))

@@ -179,7 +179,7 @@ def picard_iterates(params, data, c1: float):
         acc = ConeAccumulator(grid, jr)
         new = u0.copy()
         for n, row in enumerate(u):
-            g = kern.cubic(RadialProfile(grid, row, support_radius=(n + jr) * h))
+            g = kern.cubic(row, (n + jr) * h)
             if n:
                 dh = acc.eval_slice(g)
                 new[n, : dh.size] += dh

@@ -162,10 +162,24 @@ class TestWindow:
         u = positive_profile(grid, cells)
         sq = RadialProfile(grid, u.samples * u.samples, u.support_radius)
         want = kern.apply(sq) * u.samples
-        got = kern.cubic(u)
+        got = kern.cubic(u.samples, u.support_radius)
         live = u.samples != 0.0
         assert np.max(np.abs(got[live] - want[live]) / np.abs(want[live])) <= 1e-12
         assert np.all(got[~live] == 0.0)
+
+    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("cells", [64, 64.4, 200.7])
+    def test_cubic_prefix_bitwise(self, gamma, cells, grid):
+        # the march passes only the live window: any prefix that covers the
+        # support gives the first entries of the full-row source, bit for bit
+        kern = ConvolutionKernel(gamma, grid)
+        u = positive_profile(grid, cells)
+        full = kern.cubic(u.samples, u.support_radius)
+        assert full.shape == (grid.n_r,)
+        for k in (math.ceil(cells) + 1, math.ceil(cells) + 2, grid.n_r - 1):
+            got = kern.cubic(u.samples[:k], u.support_radius)
+            assert got.shape == (k,)
+            assert np.array_equal(got, full[:k])
 
     @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("cells", [64, 64.4])
