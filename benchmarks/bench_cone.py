@@ -1,6 +1,7 @@
 """Scaling benchmark for the two hot kernels.
 
-* slice convolution: FFT moment path vs the O(n^2) per-point path;
+* slice convolution: FFT moment path vs the O(n^2) per-point path, with
+  the FFT length L that ``apply`` takes for each n_r;
 * causal Duhamel march: per-diagonal accumulator (O(1) per node) vs the
   direct nested quadrature (O(n_t) per node).
 
@@ -12,19 +13,20 @@ import time
 import numpy as np
 
 from conewave.grid import Grid, RadialProfile
-from conewave.potential import ConvolutionKernel, convolve_profile_direct
+from conewave.potential import ConvolutionKernel, _fft_length, convolve_profile_direct
 from conewave.waveops import ConeAccumulator, duhamel_direct
 
 
 def bench_convolution(gamma=1.0):
     print(f"slice convolution, gamma={gamma}")
-    print(f"{'n_r':>7} {'fft_ms':>9} {'direct_ms':>10} {'speedup':>8}")
+    print(f"{'n_r':>7} {'fft_L':>7} {'fft_ms':>9} {'direct_ms':>10} {'speedup':>8}")
     for n in (129, 257, 513, 1025, 2049):
         grid = Grid(h=4.0 / (n - 1), n_r=n, n_t=1)
         rng = np.random.default_rng(n)
         s = np.convolve(rng.normal(size=n), np.ones(5) / 5, "same")
         s[-n // 8 :] = 0.0
-        w = RadialProfile(grid, s, support_radius=(n - n // 8 - 1) * grid.h)
+        cells = n - n // 8 - 1
+        w = RadialProfile(grid, s, support_radius=cells * grid.h)
         kern = ConvolutionKernel(gamma, grid)
         kern.apply(w)  # build the kernel spectrum of this FFT length
         t0 = time.perf_counter()
@@ -35,7 +37,8 @@ def bench_convolution(gamma=1.0):
         t0 = time.perf_counter()
         convolve_profile_direct(w, gamma)
         direct_ms = (time.perf_counter() - t0) * 1e3
-        print(f"{n:>7} {fft_ms:>9.2f} {direct_ms:>10.1f} {direct_ms/fft_ms:>8.1f}x")
+        L = _fft_length(n, cells)
+        print(f"{n:>7} {L:>7} {fft_ms:>9.2f} {direct_ms:>10.1f} {direct_ms/fft_ms:>8.1f}x")
 
 
 def bench_march():

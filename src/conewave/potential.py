@@ -16,10 +16,12 @@ Two evaluation paths share that quadrature:
 * ``ConvolutionKernel.apply`` -- the first ``n_out`` grid nodes at once.
   The cell moments depend only on the index sum i+j (Hankel part) and
   difference i-j (Toeplitz parts), so a slice costs one FFT correlation
-  (``numpy.fft``'s real transforms), against one cached kernel spectrum per
-  power-of-two length, instead of an O(n^2) double loop.
+  (``numpy.fft``'s real transforms) instead of an O(n^2) double loop.  Its
+  length L is taken from the ladder {2^a, 3 * 2^a}, about 3 n_out in a
+  march, with P on the lower two thirds of the buffer and Q reflected onto
+  the top third; one kernel spectrum is cached per length.
   ``ConvolutionKernel.cubic`` windows it to the support of u for the source
-  term (V*u^2) u.
+  term (V*u^2) u, on a prefix of the grid.
 
 The slice tables and the truncated last cell of ``apply`` take their
 unit-cell moments from one routine, ``_xi_moments``; ``convolve_power``
@@ -243,21 +245,38 @@ def _moment_tables(gamma: float, n: int):
     return P, np.concatenate([np.zeros((3, 1)), Q], axis=1)
 
 
+def _fft_length(m: int, J: int) -> int:
+    """FFT length of ``apply`` for ``m`` output nodes and ``J`` full cells:
+    the smallest 2^a or 3 * 2^a at or above max(3m, 3(m + J)/2).
+
+    Then floor(L/3) >= m - 1 holds the reflected Q(1..m-1), and the
+    L - floor(L/3) >= m + J - 1 entries below them hold P(0..m+J-2), so
+    the correlation never wraps one part onto the other.  The ladder has
+    two lengths per octave, so a march whose window grows keeps few spectra.
+    """
+    need = max(3 * m, -(-3 * (m + J) // 2))
+    p = 1 << (need - 1).bit_length()  # the power of two at or above need
+    return 3 * (p // 4) if 3 * (p // 4) >= need else p
+
+
 class ConvolutionKernel:
     """Precomputed moment tables for one (gamma, grid) pair.
 
     ``apply`` evaluates (V_gamma * w) at the first ``n_out`` nodes with one
     circular correlation of the three cell-coefficient rows against a
     kernel spectrum: one forward FFT and one inverse per call.  The spectrum
-    of length L holds P on [0, L/2) and Q reflected onto (L/2, L), so
-    index i of the correlation is the Hankel sum and index -i the sum of
-    both Toeplitz parts.  L is the power of two at or above 2 (n_out + J)
-    for J full cells, and one spectrum is kept per such L: a march holds at
-    most log2(4 n) of them.  The axis value is a dot product with node
-    weights taken once from ``cell_moments``.
+    of length L holds P on [0, L - floor(L/3)) and Q reflected onto the top
+    floor(L/3) entries, so index i of the correlation is the Hankel sum and
+    index -i the sum of both Toeplitz parts.  For J full cells L is the
+    smallest 2^a or 3 * 2^a at or above max(3 n_out, 3 (n_out + J)/2)
+    (``_fft_length``): from 3 n_out to below 4.5 n_out in a march, where
+    J = n_out - 1.  One spectrum is kept per L; the ladder has two lengths
+    per octave and every L lies below 4.5 n, so a kernel holds fewer than
+    2 log2(4 n) of them.  The axis value is a dot product with node weights
+    taken once from ``cell_moments``.
 
     ``cubic`` gives the source term (V_gamma * u^2) u through ``apply``,
-    windowed to the support of u.
+    windowed to the support of u, on the nodes of a prefix of the grid.
     """
 
     def __init__(self, gamma: float, grid):
@@ -280,14 +299,15 @@ class ConvolutionKernel:
         self._axis_w = _hat_weights(d, x0, x0 + h, h)
 
     def _spectrum(self, L: int) -> np.ndarray:
-        """rfft of the 3 x L buffer with P on [0, L/2) and Q(s) at L - s."""
+        """rfft of the 3 x L buffer with P on [0, L - floor(L/3)) and Q(s)
+        at L - s for 1 <= s <= min(floor(L/3), n - 1)."""
         got = self._spectra.get(L)
         if got is None:
-            half = L // 2
+            third = L // 3
             K = np.zeros((3, L))
-            p = min(half, self.P.shape[1])
+            p = min(L - third, self.P.shape[1])
             K[:, :p] = self.P[:, :p]
-            q = min(half, self.n) - 1
+            q = min(third, self.n - 1)
             K[:, L - q :] = self.Q[:, q:0:-1]
             got = self._spectra[L] = np.fft.rfft(K, axis=1)
         return got
@@ -314,7 +334,7 @@ class ConvolutionKernel:
         s = w.samples
         acc = np.zeros(m)
         if J_full > 0:
-            L = 1 << (2 * (m + J_full) - 1).bit_length()
+            L = _fft_length(m, J_full)
             af = np.fft.rfft(_cell_coeffs(s, 0, J_full), L, axis=1)
             # c[k] = sum_j a_j K(j + k): the Hankel sum sum_j a_j P(i+j) at
             # k = i, and sum_{j>=i} a_j P(j-i) + sum_{j<i} a_j Q(i-j) at k = -i

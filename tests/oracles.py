@@ -3,9 +3,10 @@
 The oracles deliberately avoid the package's quadrature machinery: the
 Monte Carlo convolution samples the 3D integral directly, the mpmath
 convolution integrates the shell kernel cell by cell at 30 digits, the
-brute-force exponent scan re-derives the Kato parameter inequality, the
-slow cone integral nests Gauss quadratures, and ``w_weight`` is the paper's
-bilinear-estimate weight.  ``free_table`` stacks free-field slices.  The
+exact convolution at gamma = 0 and 1 sums closed-form cell moments with
+``math.fsum``, the brute-force exponent scan re-derives the Kato parameter
+inequality, the slow cone integral nests Gauss quadratures, and
+``w_weight`` is the paper's bilinear-estimate weight.  ``free_table`` stacks free-field slices.  The
 two drivers run the package's march and cone accumulator on questions no
 CLI mode asks: Picard iteration on a short window, and equivariance under
 the scaling symmetry.
@@ -134,6 +135,57 @@ def mp_convolution(w: RadialProfile, gamma: float, r: float, dps: int = 30) -> f
             ends = [x0, r, x1] if x0 < r < x1 else [x0, x1]
             total += mpmath.quad(lambda rho: kernel(rho) * (s0 + ds * (rho - x0) / h), ends)
         return float(total)
+
+
+def _cell_moment_terms(w: RadialProfile, e: int) -> list[list[float]]:
+    """Per cell j of the support: terms whose sum is int rho^e w(rho) drho
+    over cell j, cut at the support radius, for e in {1, 2}.
+
+    On the cell rho = x0 + h xi and w = s0 (1 - xi) + s1 xi, so
+    rho^e w expands into products of (x0, h xi) powers with xi^a (1 - xi)
+    and xi^(a+1), integrated exactly over [0, xi*].  For w >= 0 every term
+    is nonnegative, so summing them cancels nothing.
+    """
+    h, b = w.h, w.support_radius
+    powers = [(1, 0), (1, 1)] if e == 1 else [(1, 0), (2, 1), (1, 2)]  # (binomial, a)
+    cells = []
+    for j in range(math.ceil(b / h - 1e-12)):
+        x0 = j * h
+        xs = min(1.0, (b - x0) / h)
+        s0, s1 = float(w.samples[j]), float(w.samples[j + 1])
+        terms = []
+        for binom, a in powers:
+            coef = binom * x0 ** (e - a) * h ** (a + 1)
+            # int_0^xs xi^a (1 - xi) and int_0^xs xi^(a+1)
+            left = xs ** (a + 1) * (1.0 / (a + 1) - xs / (a + 2))
+            right = xs ** (a + 2) / (a + 2)
+            terms += [coef * s0 * left, coef * s1 * right]
+        cells.append(terms)
+    return cells
+
+
+def exact_convolution(w: RadialProfile, gamma: float) -> np.ndarray:
+    """(V_gamma * w) at every grid node where the shell kernel is a
+    polynomial, summed with ``math.fsum`` over exact cell moments:
+
+        gamma = 0:  4 pi int rho^2 w                      (every node),
+        gamma = 1:  (4 pi / r) int_0^r rho^2 w + 4 pi int_r^b rho w.
+
+    For w >= 0 no step cancels, so the values are correct to a few ulps at
+    any grid size."""
+    m2 = _cell_moment_terms(w, 2)
+    n_r = w.grid.n_r
+    if gamma == 0.0:
+        return np.full(n_r, 4.0 * math.pi * math.fsum(t for c in m2 for t in c))
+    if gamma != 1.0:
+        raise ValueError("closed forms exist here only at gamma = 0 and 1")
+    m1 = _cell_moment_terms(w, 1)
+    out = np.empty(n_r)
+    for i in range(n_r):
+        inner = math.fsum(t for c in m2[:i] for t in c)
+        outer = math.fsum(t for c in m1[i:] for t in c)
+        out[i] = 4.0 * math.pi * ((inner / (i * w.h) if i else 0.0) + outer)
+    return out
 
 
 def w_weight(r: float, t: float, params: WeightParams) -> float:

@@ -6,6 +6,7 @@ import pytest
 from conewave.grid import Grid, RadialProfile, trapezoid_weighted
 from conewave.potential import (
     ConvolutionKernel,
+    _fft_length,
     cached_kernel,
     convolve_power,
     convolve_profile,
@@ -14,7 +15,7 @@ from conewave.potential import (
 )
 from conewave.solver import Params, make_data, solve_march
 
-from oracles import mc_convolution, mp_convolution, random_profile
+from oracles import exact_convolution, mc_convolution, mp_convolution, random_profile
 
 
 @pytest.fixture
@@ -208,7 +209,7 @@ class TestWindow:
             assert abs(kern.apply(w, n_out=1)[0] - want) <= 1e-14 * abs(want)
 
     def test_spectrum_cache_bounded(self):
-        # one spectrum per power-of-two FFT length: a march whose support
+        # one spectrum per FFT length of the ladder: a march whose support
         # grows over 640 slices of a 1025-node grid stays within log2(4 n_r)
         cached_kernel.cache_clear()
         grid = Grid.for_domain(1 / 16, 64.0, 40.0)
@@ -218,7 +219,22 @@ class TestWindow:
         assert hist.n_used == grid.n_t
         kern = cached_kernel(1.0, grid)
         assert 1 <= len(kern._spectra) <= math.ceil(math.log2(4 * grid.n_r))
-        assert all(L & (L - 1) == 0 for L in kern._spectra)
+        # the march convolves u^2 on its window: m nodes over J = m - 1 cells
+        ladder = {_fft_length(m, m - 1) for m in range(1, grid.n_r + 1)}
+        assert set(kern._spectra) <= ladder
+
+    def test_fft_length_separates_p_and_q(self):
+        # every (n_out, full cells) pair of a 130-node grid: the reflected Q
+        # part fits in the top floor(L/3) entries and P below them, and L is
+        # 2^a or 3 * 2^a
+        n_r = 130
+        for m in range(1, n_r + 1):
+            for J in range(n_r):
+                L = _fft_length(m, J)
+                third = L // 3
+                assert third >= m - 1 and L - third >= m + J - 1
+                odd = L // (L & -L)
+                assert odd in (1, 3)
 
     @pytest.mark.parametrize("n_r, bound", [(513, 6.9e-12), (2049, 3.3e-10)])
     def test_far_nodes_at_scale(self, n_r, bound):
@@ -235,6 +251,25 @@ class TestWindow:
             fast = ConvolutionKernel(gamma, grid).apply(w)[nodes]
             ref = np.array([convolve_power(w, gamma, float(i * grid.h)) for i in nodes])
             assert np.max(np.abs(fast - ref) / np.abs(ref)) <= bound
+
+    @pytest.mark.parametrize(
+        "n_r, gamma, cells, bound",
+        [
+            (513, 0.0, 64, 6.4e-12), (2049, 0.0, 64, 1.3e-11), (8193, 0.0, 64, 1.3e-9),
+            (513, 0.0, 64.4, 6.2e-12), (2049, 0.0, 64.4, 4.8e-11), (8193, 0.0, 64.4, 1.3e-9),
+            (513, 1.0, 64, 2.0e-13), (2049, 1.0, 64, 1.7e-12), (8193, 1.0, 64, 9.8e-12),
+            (513, 1.0, 64.4, 5.9e-13), (2049, 1.0, 64.4, 3.7e-11), (8193, 1.0, 64.4, 2.9e-9),
+        ],
+    )
+    def test_exact_polynomial_kernels_at_scale(self, n_r, gamma, cells, bound):
+        # at gamma = 0 and 1 the shell kernel is a polynomial, so the
+        # convolution has an exact closed form at every node; each bound is
+        # ten times the error of the power-of-two layout (P on [0, L/2))
+        grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
+        w = positive_profile(grid, cells)
+        want = exact_convolution(w, gamma)
+        got = ConvolutionKernel(gamma, grid).apply(w)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= bound
 
 
 class TestProperties:
