@@ -78,13 +78,16 @@ def mass_series(hist: SolutionHistory):
     return t, F, rhs
 
 
+def _pair_rhs(u_slice: RadialProfile, F_val: float, gamma: float, t: float) -> float:
+    """2^-gamma F (1+t)^-(gamma+2) int u^2 dx: the right side of the pair bound."""
+    sq = RadialProfile(u_slice.grid, u_slice.samples**2, u_slice.support_radius)
+    return 2.0 ** (-gamma) * F_val * (1.0 + t) ** (-(gamma + 2.0)) * mass(sq)
+
+
 def frame_check(u_slice: RadialProfile, F_val: float, gamma: float, t: float):
     """(lhs, rhs) of the pair bound
     F'' >= 2^-gamma F (1+t)^-(gamma+2) int u^2 dx  at one slice."""
-    lhs = mass_rhs(u_slice, gamma, t)
-    sq = RadialProfile(u_slice.grid, u_slice.samples**2, u_slice.support_radius)
-    rhs = 2.0 ** (-gamma) * F_val * (1.0 + t) ** (-(gamma + 2.0)) * mass(sq)
-    return lhs, rhs
+    return mass_rhs(u_slice, gamma, t), _pair_rhs(u_slice, F_val, gamma, t)
 
 
 def frame_cubic_check(F_val: float, Fpp_val: float, gamma: float, t: float):
@@ -229,9 +232,10 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile) -> MassDiagnostic
         if hist.series.sup_u[n] > 1e2:
             break
         prof = RadialProfile(grid, hist.u[n], support_radius=min(n * h + R, grid.r_max))
-        lhs, rr = frame_check(prof, F[n], gamma, t[n])
+        # the pair bound's lhs is F'' by the identity, which rhs[n] holds
+        rr = _pair_rhs(prof, F[n], gamma, t[n])
         if rr > 0.0:
-            worst_pair = min(worst_pair, lhs / rr)
+            worst_pair = min(worst_pair, rhs[n] / rr)
         lhs2, rr2 = frame_cubic_check(F[n], rhs[n], gamma, t[n])
         if rr2 > 0.0:
             worst_cubic = min(worst_cubic, lhs2 / rr2)

@@ -6,10 +6,10 @@ convolution integrates the shell kernel cell by cell at 30 digits, the
 exact convolution at gamma = 0 and 1 sums closed-form cell moments with
 ``math.fsum``, the brute-force exponent scan re-derives the Kato parameter
 inequality, the slow cone integral nests Gauss quadratures, and
-``w_weight`` is the paper's bilinear-estimate weight.  ``free_table`` stacks free-field slices.  The
-two drivers run the package's march and cone accumulator on questions no
-CLI mode asks: Picard iteration on a short window, and equivariance under
-the scaling symmetry.
+``w_weight`` is the paper's bilinear-estimate weight.  ``free_table``
+stacks free-field slices.  The two drivers run the package's march and
+cone accumulator on questions no CLI mode asks: Picard iteration on a
+short window, and equivariance under the scaling symmetry.
 """
 
 from __future__ import annotations

@@ -14,13 +14,16 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "conewave"
 
 # Exports that only tests call: the independent references of the shipped
-# operators, and the Kato exponent calculus that ROADMAP item 5's sweep is
-# to use.
+# operators, the pair bound with its lhs from a fresh convolution (the strict
+# xfail holds it to the printed constant; mass_diagnostics reads that lhs
+# from the stored source), and the Kato exponent calculus that ROADMAP item
+# 5's sweep is to use.
 TEST_ONLY_EXPORTS = (
     "kernel_value",
     "convolve_profile_direct",
     "free_field",
     "duhamel_direct",
+    "frame_check",
     "kato_bound",
     "j1_for_delta",
 )
