@@ -1,0 +1,262 @@
+"""Lockstep sweep benchmark: a parent commit against the working tree.
+
+Writes BENCH_batch.json with four parts:
+
+* ``pairs``   -- alternating perfbench runs per workload (``perfbench/run.py
+  --trace 0`` of each checkout): medians, quartiles and wins of run_ref_s,
+  setup_s and peak_rss_mb;
+* ``layers``  -- the lean lifespan sweep of perfbench's lifespan workload
+  (h = 1/8, t_max = 170, refine = 0) split by layer: the parent's sweep
+  (one march per point), the working tree's one-point path
+  (``lifespan_measure`` per point) and its lockstep ``sweep``, interleaved
+  in one process; CPU seconds in the free field, history plus closure
+  evaluation, slice convolution, recorder and push;
+* ``configs`` -- CPU seconds of one CLI run of each shipped config, two
+  rounds alternating between the checkouts;
+* ``tier1``   -- tier-1 wall time of each checkout and the setup time of the
+  ``lifespan_sweep`` fixture (the setup of ``test_c7_blowup_regime``).
+
+Run:  python benchmarks/bench_sweep.py --parent REV [--seed 23] [--pairs 10]
+          [--seconds 30] [--parts pairs,layers,configs,tier1]
+
+The parent is exported with ``git archive`` into a temporary directory.
+Parts not named keep their entries from an existing BENCH_batch.json.
+"""
+
+import argparse
+import functools
+import json
+import os
+import platform
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "BENCH_batch.json"
+WORKLOADS = ("lifespan", "global", "verify")
+METRICS = ("run_ref_s", "setup_s", "peak_rss_mb")
+CONFIGS = tuple(sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")))
+LAYERS = {  # layer -> (module, class, method) wrapped in each package
+    "free_field": ("waveops", "FreeField", "slice"),
+    "history_and_closure_eval": ("waveops", "ConeAccumulator", "eval_slice"),
+    "slice_convolution": ("potential", "ConvolutionKernel", "cubic"),
+    "recorder": ("solver", "_Recorder", "record"),
+    "push": ("waveops", "ConeAccumulator", "push_slice"),
+}
+
+
+def summary(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(parent: list, change: list) -> dict:
+    p, c = summary(parent), summary(change)
+    return {
+        "parent": p,
+        "change": c,
+        "change_wins": sum(b < a for a, b in zip(parent, change)),
+        "median_change_minus_parent": c["median"] - p["median"],
+        "relative_median_change": c["median"] / p["median"] - 1.0,
+        "parent_iqr": p["q3"] - p["q1"],
+    }
+
+
+def sides(parent_dir: Path) -> dict:
+    return {"parent": parent_dir, "change": ROOT}
+
+
+def in_order(i: int) -> tuple:
+    """Parent first in even rounds, change first in odd ones."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def run_pairs(parent_dir: Path, seed: int, pairs: int, seconds: int) -> dict:
+    got = {w: {s: [] for s in ("parent", "change")} for w in WORKLOADS}
+    for i in range(pairs):
+        for side in in_order(i):
+            for w in WORKLOADS:
+                root = sides(parent_dir)[side]
+                cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", w,
+                       "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+                out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+                rec = json.loads(out.stdout.strip().splitlines()[-1])
+                got[w][side].append(rec)
+                print(f"pair {i} {side} {w} run_ref_s {rec['metrics']['run_ref_s']['value']:.3f}",
+                      file=sys.stderr)
+    res = {}
+    for w, by in got.items():
+        res[w] = {m: compare(*[[r["metrics"][m]["value"] for r in by[s]] for s in ("parent", "change")])
+                  for m in METRICS}
+        res[w]["failed"] = {s: sum(r["failed"] for r in by[s]) for s in by}
+    return res
+
+
+def _layer_worker(parent_src: str, seed: int, reps: int) -> dict:
+    """Child process: wrap each layer of both packages, then time the three
+    sweep variants interleaved."""
+    pkgs = Path(tempfile.mkdtemp())
+    shutil.copytree(Path(parent_src) / "conewave", pkgs / "conewave_parent")
+    sys.path[:0] = [str(pkgs), str(ROOT / "src"), str(ROOT / "perfbench")]
+    import importlib
+
+    from workloads import make_config
+
+    spent: dict = {}
+
+    def wrap(owner, name, label):
+        fn = getattr(owner, name)
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            t0 = time.process_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[label] = spent.get(label, 0.0) + time.process_time() - t0
+
+        setattr(owner, name, timed)
+
+    mods = {}
+    for pkg in ("conewave_parent", "conewave"):
+        for label, (mod, cls, meth) in LAYERS.items():
+            wrap(getattr(importlib.import_module(f"{pkg}.{mod}"), cls), meth, label)
+        mods[pkg] = importlib.import_module(f"{pkg}.harness")
+    cfg = make_config("lifespan", seed)
+    eps = [float(e) for e in cfg["epsilon_list"].split(",")]
+    args = dict(h=cfg["h"], t_max=cfg["t_max"], refine=cfg["refine"])
+    variants = {
+        "parent_serial": lambda: mods["conewave_parent"].sweep(cfg["gamma"], cfg["R"], eps, **args),
+        "change_serial": lambda: [mods["conewave"].lifespan_measure(cfg["gamma"], cfg["R"], e, **args)
+                                  for e in eps],
+        "change_batched": lambda: mods["conewave"].sweep(cfg["gamma"], cfg["R"], eps, **args),
+    }
+    for run in variants.values():  # kernels and spectra, once per package
+        run()
+    got = {k: [] for k in variants}
+    for i in range(reps):
+        names = list(variants) if i % 2 == 0 else list(reversed(variants))
+        for name in names:
+            spent.clear()
+            t0 = time.process_time()
+            variants[name]()
+            total = time.process_time() - t0
+            row = {label: spent.get(label, 0.0) for label in LAYERS}
+            row["other"] = total - sum(row.values())
+            row["total"] = total
+            got[name].append(row)
+    shutil.rmtree(pkgs)
+    return {
+        "epsilons": eps,
+        "reps": reps,
+        "cpu_s_median": {name: {k: statistics.median(r[k] for r in rows) for k in rows[0]}
+                         for name, rows in got.items()},
+    }
+
+
+def run_layers(parent_dir: Path, seed: int, reps: int) -> dict:
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'benchmarks')!r}); "
+            f"import bench_sweep; print(json.dumps(bench_sweep._layer_worker("
+            f"{str(parent_dir / 'src')!r}, {seed}, {reps})))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    res = json.loads(out.stdout.strip().splitlines()[-1])
+    res["what"] = ("CPU seconds per lean lifespan sweep (perfbench lifespan workload at this "
+                   "seed), medians over interleaved repetitions in one process; each layer is "
+                   "the time inside the wrapped method, 'other' the rest of the sweep")
+    return res
+
+
+def cli_cpu(root: Path, cfg: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "conewave.cli", "--config",
+                                 str(ROOT / "configs" / f"{cfg}.cfg"), "--out", tmp],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+    return {"cpu_s": usage.ru_utime + usage.ru_stime, "wall_s": wall,
+            "exit": os.waitstatus_to_exitcode(status)}
+
+
+def run_configs(parent_dir: Path, rounds: int = 2) -> dict:
+    res = {c: {"parent": [], "change": []} for c in CONFIGS}
+    for i in range(rounds):
+        for c in CONFIGS:
+            for side in in_order(i):
+                res[c][side].append(cli_cpu(sides(parent_dir)[side], c))
+    return res
+
+
+def run_tier1(parent_dir: Path) -> dict:
+    res = {}
+    for side, root in sides(parent_dir).items():
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              "--continue-on-collection-errors", "--durations=0"],
+                             cwd=root, env=env, capture_output=True, text=True).stdout
+        last = out.strip().splitlines()[-1]
+        fixture = re.search(r"([\d.]+)s setup\s+tests/test_acceptance.py::test_c7_blowup_regime", out)
+        res[side] = {
+            "result": re.sub(r"=+", "", last).strip(),
+            "wall_s": float(re.search(r"in ([\d.]+)s", last).group(1)),
+            "lifespan_sweep_fixture_s": float(fixture.group(1)) if fixture else None,
+        }
+    return res
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent commit")
+    ap.add_argument("--seed", type=int, default=23)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--layer-reps", type=int, default=6)
+    ap.add_argument("--parts", default="pairs,layers,configs,tier1")
+    args = ap.parse_args()
+    record = json.loads(OUT.read_text()) if OUT.exists() else {}
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
+                         capture_output=True, text=True, check=True).stdout.strip()
+    import numpy
+
+    record.update({
+        "what": "Lockstep sweep marches (one row-batched march per refinement level): the "
+                "parent commit against the change",
+        "command": f"python benchmarks/bench_sweep.py --parent {rev} --seed {args.seed} "
+                   f"--pairs {args.pairs} --seconds {args.seconds}",
+        "parent": rev,
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy.__version__, "cpu": platform.machine()},
+    })
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_dir = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        parts = args.parts.split(",")
+        if "pairs" in parts:
+            record["pairs"] = {
+                "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+                "order": "alternating: parent first in even pairs, change first in odd pairs; "
+                         "per pair the workloads ran lifespan, global, verify",
+                "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of a "
+                             "side; each run is one perfbench --trace 0 measurement",
+                "workloads": run_pairs(parent_dir, args.seed, args.pairs, args.seconds),
+            }
+        if "layers" in parts:
+            record["layers"] = run_layers(parent_dir, args.seed, args.layer_reps)
+        if "configs" in parts:
+            record["configs"] = run_configs(parent_dir)
+        if "tier1" in parts:
+            record["tier1"] = run_tier1(parent_dir)
+    OUT.write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

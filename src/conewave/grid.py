@@ -181,11 +181,23 @@ class MassWeights:
         self.x0 = x0
         self.h = h
 
-    def mass(self, row: np.ndarray) -> float:
-        """4 pi int r^2 PL(row)(r) dr over the whole grid."""
-        c1 = (row[1:] - row[:-1]) / self.h
-        c0 = row[:-1] - c1 * self.x0
-        return 4.0 * math.pi * float(np.sum(c0 * self.m2 + c1 * self.m3))
+    def mass(self, row: np.ndarray):
+        """4 pi int r^2 PL(row)(r) dr over the whole grid, for the samples
+        (..., k) of the first k nodes (zero past them); a stack gives one
+        mass per row.  The cell terms are summed over every cell of the
+        grid, so a window sums as its zero-padded row does, bit for bit."""
+        k = row.shape[-1]
+        n_c = self.x0.size
+        c = min(k, n_c)  # the cells that touch a node of the window
+        right = row[..., 1 : c + 1]
+        if k == c:  # the right node of the last cell lies past the window
+            right = np.concatenate([right, np.zeros(row.shape[:-1] + (1,))], axis=-1)
+        c1 = (right - row[..., :c]) / self.h
+        c0 = row[..., :c] - c1 * self.x0[:c]
+        cells = np.zeros(row.shape[:-1] + (n_c,))
+        cells[..., :c] = c0 * self.m2[:c] + c1 * self.m3[:c]
+        total = 4.0 * math.pi * cells.sum(axis=-1)
+        return float(total) if row.ndim == 1 else total
 
 
 def interp(p: RadialProfile, r: float) -> float:

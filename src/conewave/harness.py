@@ -1,5 +1,9 @@
 """Lifespan sweeps: measure threshold blow-up times across epsilon and fit
 the log-log scaling law against the theoretical exponent 2/gamma.
+
+``sweep`` marches all epsilon of one refinement level in lockstep, as the
+rows of one ``solver.march_batch`` call per level; ``lifespan_measure`` is
+the one-point path, and each point of a sweep equals it field for field.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid
-from .solver import Params, make_data, solve_march
+from .solver import NumericalAbort, Params, march_batch, make_data, solve_march
 
 __all__ = [
     "MIN_FIT_POINTS", "LifespanPoint", "LifespanFit", "lifespan_measure", "fit_slope", "sweep",
@@ -70,13 +74,37 @@ class LifespanFit:
         }
 
 
-def _one_run(gamma, R, epsilon, h, t_max, family, blowup_threshold):
+def _level_runs(gamma, R, epsilons, h, t_max, family, blowup_threshold):
+    """(params, data) of each epsilon on the grid of spacing h."""
     grid = Grid.for_domain(h, t_max + R, t_max)
-    params = Params(
-        gamma=gamma, R=R, epsilon=epsilon, grid=grid, blowup_threshold=blowup_threshold
+    params = [
+        Params(gamma=gamma, R=R, epsilon=e, grid=grid, blowup_threshold=blowup_threshold)
+        for e in epsilons
+    ]
+    return params, [make_data(family, e, R, grid) for e in epsilons]
+
+
+def _point(epsilon: float, levels: list, hist) -> LifespanPoint:
+    """The point of one epsilon from its (h, t) levels, coarse to fine, and
+    the finest level's history: Richardson on the two finest levels."""
+    if hist.blowup.t_numeric is None:
+        return LifespanPoint(epsilon=epsilon, t_numeric=None, censored=True, levels=levels)
+    if len(levels) >= 2 and levels[-2][1] is not None:
+        t_f = levels[-1][1]
+        t_c = levels[-2][1]
+        extrap = t_f + (t_f - t_c) / 3.0
+        inc = abs(t_f - t_c)
+    else:
+        extrap = levels[-1][1]
+        inc = math.nan
+    return LifespanPoint(
+        epsilon=epsilon,
+        t_numeric=extrap,
+        censored=False,
+        levels=levels,
+        threshold_gap=hist.blowup.threshold_gap,
+        richardson_increment=inc,
     )
-    data = make_data(family, epsilon, R, grid)
-    return solve_march(params, data, store_history=False)
 
 
 def lifespan_measure(
@@ -103,26 +131,10 @@ def lifespan_measure(
     hist = None
     for lev in range(refine + 1):
         hh = h / 2**lev
-        hist = _one_run(gamma, R, epsilon, hh, t_max, family, blowup_threshold)
+        (params,), (data,) = _level_runs(gamma, R, [epsilon], hh, t_max, family, blowup_threshold)
+        hist = solve_march(params, data, store_history=False)
         levels.append((hh, hist.blowup.t_numeric))
-    if hist.blowup.t_numeric is None:
-        return LifespanPoint(epsilon=epsilon, t_numeric=None, censored=True, levels=levels)
-    if len(levels) >= 2 and levels[-2][1] is not None:
-        t_f = levels[-1][1]
-        t_c = levels[-2][1]
-        extrap = t_f + (t_f - t_c) / 3.0
-        inc = abs(t_f - t_c)
-    else:
-        extrap = levels[-1][1]
-        inc = math.nan
-    return LifespanPoint(
-        epsilon=epsilon,
-        t_numeric=extrap,
-        censored=False,
-        levels=levels,
-        threshold_gap=hist.blowup.threshold_gap,
-        richardson_increment=inc,
-    )
+    return _point(epsilon, levels, hist)
 
 
 def _fit_pairs(pairs) -> list:
@@ -169,7 +181,13 @@ def sweep(
     refine: int = 1,
     delta: float = 0.5,
 ) -> LifespanFit:
-    """Measure each sweep point (independent runs) and fit the scaling law.
+    """Measure each sweep point and fit the scaling law.
+
+    Each refinement level marches its points in lockstep (one
+    ``march_batch`` call); every point equals ``lifespan_measure`` of its
+    epsilon.  A point that aborts raises its ``NumericalAbort`` once the
+    level ends, the first in (point, level) order as a point-by-point sweep
+    would, and later points are not marched further.
 
     Censored points never enter the fit; epsilons must be strictly
     increasing so the monotonicity check is meaningful.  With fewer than
@@ -179,10 +197,26 @@ def sweep(
     eps = list(epsilons)
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly increasing")
-    points = [
-        lifespan_measure(gamma, R, e, h, t_max, family, blowup_threshold, refine)
-        for e in eps
-    ]
+    if gamma >= 0.0:
+        raise ValueError("sweep expects the blow-up regime gamma < 0")
+    levels = [[] for _ in eps]
+    hists: list = [None] * len(eps)
+    abort = None  # the first abort in (point, level) order
+    n_run = len(eps)  # points before the first aborted one
+    for lev in range(refine + 1):
+        if not n_run:
+            break
+        hh = h / 2**lev
+        params, data = _level_runs(gamma, R, eps[:n_run], hh, t_max, family, blowup_threshold)
+        for i, out in enumerate(march_batch(params, data, store_history=False)):
+            if isinstance(out, NumericalAbort):
+                abort, n_run = out, i
+                break
+            levels[i].append((hh, out.blowup.t_numeric))
+            hists[i] = out
+    if abort is not None:
+        raise abort
+    points = [_point(e, lv, hist) for e, lv, hist in zip(eps, levels, hists)]
     pairs = _fit_pairs((p.epsilon, p.t_numeric) for p in points)
     if len(pairs) >= MIN_FIT_POINTS:
         fit = fit_slope(pairs, gamma, delta)

@@ -21,12 +21,15 @@ Two evaluation paths share that quadrature:
   march, with P on the lower two thirds of the buffer and Q reflected onto
   the top third; one kernel spectrum is cached per length.
   ``ConvolutionKernel.cubic`` windows it to the support of u for the source
-  term (V*u^2) u, on a prefix of the grid.
+  term (V*u^2) u, on a prefix of the grid, for a stack of rows at once
+  (one transform call; each row bitwise equal to a one-row call).
 
-The slice tables and the truncated last cell of ``apply`` take their
-unit-cell moments from one routine, ``_xi_moments``; ``convolve_power``
-keeps its own rho-polynomial form as the independent reference the fast
-path is tested against.
+The slice tables and the near bases of the truncated last cell of
+``apply`` take their moments from one routine, ``_xi_moments``, in long
+double; the far bases of the truncated cell take the series
+``_xi_series``, whose terms cancel nothing.  ``convolve_power`` keeps its
+own rho-polynomial form as the independent reference the fast path is
+tested against.
 """
 
 from __future__ import annotations
@@ -128,13 +131,53 @@ def _xi_moments(zmom, base, sign: int, xi: float = 1.0):
     return m0, base * m0 - m1, base * base * m0 - 2 * base * m1 + m2
 
 
+# the truncated cell takes its moments from the series in x / base where
+# xi / base is at most this (the terms shrink by 1/8 or faster)
+_SERIES_RATIO = 0.125
+_SERIES_TERMS = 20
+
+
+def _xi_series(gamma: float, base: np.ndarray, sign: int, xi):
+    """(T_0, T_1, T_2) of ``_xi_moments`` as the series in x / base of
+    K(base + sign*x), for xi / base <= ``_SERIES_RATIO``: the binomial
+    series of (1 + u)^d, or log base + log1p(u) at gamma = 2.  Each T_m
+    keeps full relative precision however large the base, where the moment
+    form cancels ~3 (base/xi)^2 of significance."""
+    u = sign * xi / base
+    log = is_log_branch(gamma)
+    d = 2.0 - gamma
+    out = []
+    for m in range(3):
+        e = m + 1
+        if log:
+            total = np.log(base) / e
+            coef = -np.ones_like(u)
+            for k in range(1, _SERIES_TERMS + 1):
+                coef = -coef * u
+                total = total + coef / (k * (e + k))
+            out.append(total * xi**e)
+        else:
+            total = np.full_like(u, 1 / e)
+            coef = np.ones_like(u)
+            for k in range(1, _SERIES_TERMS + 1):
+                coef = coef * u * ((d - k + 1) / k)
+                total = total + coef / (e + k)
+            out.append(base**d * xi**e * total)
+    return tuple(out)
+
+
 def _cell_coeffs(s: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """Rows (j w_j, j dw_j + w_j, dw_j) for cells j0..j1-1: on cell j the
-    profile times rho/h is the quadratic sum_m a_m xi^m in xi = rho/h - j."""
+    """Rows (j w_j, j dw_j + w_j, dw_j) for cells j0..j1-1, shape (..., 3,
+    j1 - j0) for samples (..., n): on cell j the profile times rho/h is the
+    quadratic sum_m a_m xi^m in xi = rho/h - j."""
     j = np.arange(j0, j1)
-    w = s[j0:j1]
-    dw = s[j0 + 1 : j1 + 1] - w
-    return np.stack([j * w, j * dw + w, dw])
+    w = s[..., j0:j1]
+    out = np.empty(w.shape[:-1] + (3, j1 - j0))
+    dw = np.subtract(s[..., j0 + 1 : j1 + 1], w, out=out[..., 2, :])
+    np.multiply(j, w, out=out[..., 0, :])
+    np.multiply(j, dw, out=out[..., 1, :])
+    out[..., 1, :] += w
+    return out
 
 
 def _hat_weights(e: float, x0: np.ndarray, x1: np.ndarray, h: float):
@@ -222,6 +265,20 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
     return 2.0 * math.pi / (r * d) * total
 
 
+def _zmom_ld(gamma: float):
+    """z-moments of the kernel factor for long-double arguments: the power
+    branch as differences of powers, which long double carries through the
+    cancellation of the m = 2 combination."""
+    if is_log_branch(gamma):
+        return _zmom_log
+    d = np.longdouble(2.0 - gamma)
+
+    def zmom(z0, z1):
+        return tuple((z1**p - z0**p) / p for p in [d + k + 1 for k in range(3)])
+
+    return zmom
+
+
 def _moment_tables(gamma: float, n: int):
     """Unit-cell moment tables P_m(s), Q_m(s) for the slice path.
 
@@ -232,14 +289,7 @@ def _moment_tables(gamma: float, n: int):
     precision: the m = 2 combinations cancel ~s^2 of significance.
     """
     ld = np.longdouble
-    if is_log_branch(gamma):
-        zmom = _zmom_log
-    else:
-        d = ld(2.0 - gamma)
-
-        def zmom(z0, z1):
-            return tuple((z1**p - z0**p) / p for p in [d + k + 1 for k in range(3)])
-
+    zmom = _zmom_ld(gamma)
     P = np.stack(_xi_moments(zmom, np.arange(2 * n - 1, dtype=ld), +1)).astype(float)
     Q = np.stack(_xi_moments(zmom, np.arange(1, n, dtype=ld), -1)).astype(float)
     return P, np.concatenate([np.zeros((3, 1)), Q], axis=1)
@@ -320,9 +370,17 @@ class ConvolutionKernel:
         m = self.n if n_out is None else n_out
         if not 1 <= m <= self.n:
             raise ValueError(f"n_out must lie in [1, {self.n}], got {n_out}")
+        return self._convolve(w.samples, min(w.support_radius, w.grid.r_max), m)
+
+    def _convolve(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
+        """(V_gamma * w) at the first ``m`` nodes for each row of ``s``: the
+        samples (..., k) of profiles supported on [0, b], with k at least
+        the nodes of the cells that reach b.  Rows share one transform
+        call, and each row's values are those of a one-row call, bit for
+        bit."""
         h = self.h
-        b = min(w.support_radius, w.grid.r_max)
-        out = np.zeros(m)
+        lead = s.shape[:-1]
+        out = np.zeros(lead + (m,))
         if b <= 0.0:
             return out
         k_edge = b / h
@@ -331,65 +389,78 @@ class ConvolutionKernel:
         if xi_star < 1e-12:
             xi_star = 0.0
 
-        s = w.samples
-        acc = np.zeros(m)
+        acc = np.zeros(lead + (m,))
         if J_full > 0:
             L = _fft_length(m, J_full)
-            af = np.fft.rfft(_cell_coeffs(s, 0, J_full), L, axis=1)
+            af = np.fft.rfft(_cell_coeffs(s, 0, J_full), L, axis=-1)
             # c[k] = sum_j a_j K(j + k): the Hankel sum sum_j a_j P(i+j) at
             # k = i, and sum_{j>=i} a_j P(j-i) + sum_{j<i} a_j Q(i-j) at k = -i
-            c = np.fft.irfft((af.conj() * self._spectrum(L)).sum(axis=0), L)
-            acc = c[:m]
-            acc[1:] -= c[: L - m : -1]
+            np.conjugate(af, out=af)
+            af *= self._spectrum(L)
+            c = np.fft.irfft(af.sum(axis=-2), L)
+            acc = c[..., :m]
+            acc[..., 1:] -= c[..., : L - m : -1]
 
         if xi_star > 0.0:
             acc += self._partial_cell(s, J_full, xi_star, m)
 
-        out[1:] = self._scale[: m - 1] * acc[1:]
+        out[..., 1:] = self._scale[: m - 1] * acc[..., 1:]
+        # one dot product per row: a stacked product would sum in another order
         wl, wr = self._axis_w
-        axis = float(np.dot(wl[:J_full], s[:J_full]) + np.dot(wr[:J_full], s[1 : J_full + 1]))
+        rows = s.reshape(-1, s.shape[-1])
+        axis = np.array(
+            [np.dot(wl[:J_full], r[:J_full]) + np.dot(wr[:J_full], r[1 : J_full + 1]) for r in rows]
+        ).reshape(lead)
         if xi_star > 0.0:
             x0 = np.array([J_full * h])
             pl, pr = _hat_weights(self.d, x0, np.array([b]), h)
-            axis += float(pl[0] * s[J_full] + pr[0] * s[J_full + 1])
-        out[0] = 4.0 * math.pi * axis
+            axis = axis + (pl[0] * s[..., J_full] + pr[0] * s[..., J_full + 1])
+        out[..., 0] = 4.0 * math.pi * axis
         return out
 
     def cubic(self, u: np.ndarray, support_radius: float) -> np.ndarray:
-        """(V_gamma * u^2) u at the nodes of ``u``, the samples of the first
-        ``u.size`` grid nodes (zero past them) of a profile supported on
-        [0, ``support_radius``].
+        """(V_gamma * u^2) u at the nodes of ``u``: the samples (..., k) of
+        the first k grid nodes (zero past them) of profiles supported on
+        [0, ``support_radius``], one row per profile.
 
         u vanishes beyond its support, so the convolution is needed only on
         the support nodes and one more; the nodes past them are exactly 0.
         """
-        k = u.size
-        sq = np.zeros(self.n)
-        sq[:k] = u * u
+        k = u.shape[-1]
         b = min(support_radius, self.grid.r_max)
         m = min(self.n, math.ceil(b / self.h - 1e-12) + 1)
-        conv = self.apply(RadialProfile(self.grid, sq, support_radius), n_out=m)
-        out = np.zeros(k)
+        sq = u * u
+        if k < m:  # the last cell reaching b needs its right node
+            sq = np.concatenate([sq, np.zeros(sq.shape[:-1] + (m - k,))], axis=-1)
+        conv = self._convolve(sq, b, m)
+        out = np.zeros(u.shape)
         j = min(k, m)
-        out[:j] = conv[:j] * u[:j]
+        out[..., :j] = conv[..., :j] * u[..., :j]
         return out
 
     def _partial_cell(self, s: np.ndarray, J: int, xi_star: float, m: int) -> np.ndarray:
         """Moment contribution of the truncated cell [J h, (J + xi*) h] at
-        the first ``m`` nodes.  On the log branch the moments are taken at
-        long-double bases, as in ``_moment_tables``: their m = 2
-        combination cancels ~base^2 of significance."""
-        a = _cell_coeffs(s, J, J + 1)[:, 0]
-        zmom = _zmom(self.gamma)
-        i = np.arange(m, dtype=np.longdouble if self.log_branch else float)
+        the first ``m`` nodes, for each row of ``s``, in long double.  Near
+        bases take the moment form, as ``_moment_tables`` does; from
+        xi / base <= ``_SERIES_RATIO`` on, where the moment form's m = 2
+        combination would cancel more than long double carries, the
+        series ``_xi_series``."""
+        a = _cell_coeffs(s, J, J + 1)[..., 0, None]
+        zmom = _zmom_ld(self.gamma)
+        i = np.arange(m, dtype=np.longdouble)
+        xi = np.longdouble(xi_star)
+
+        def moments(base, sign):
+            far = xi <= _SERIES_RATIO * base
+            t = np.empty((3, base.size), dtype=np.longdouble)
+            t[:, ~far] = _xi_moments(zmom, base[~far], sign, xi)
+            t[:, far] = _xi_series(self.gamma, base[far], sign, xi)
+            return a[..., 0, :] * t[0] + a[..., 1, :] * t[1] + a[..., 2, :] * t[2]
+
         low = i <= J
-
-        def against(t):
-            return a[0] * t[0] + a[1] * t[1] + a[2] * t[2]
-
-        res = against(_xi_moments(zmom, i + J, +1, xi_star))
-        res[low] -= against(_xi_moments(zmom, J - i[low], +1, xi_star))
-        res[~low] -= against(_xi_moments(zmom, i[~low] - J, -1, xi_star))
+        res = moments(i + J, +1)
+        res[..., low] -= moments(J - i[low], +1)
+        res[..., ~low] -= moments(i[~low] - J, -1)
         return res.astype(float)
 
 

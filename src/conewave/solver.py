@@ -16,10 +16,17 @@ provided:
   with source r*(V*u^2)u/(1+t)^2 and marches it with the exact
   characteristic stencil (dt = dr).
 
-Both hand each finished slice to one recorder, which keeps the same
-per-slice series (weighted norm, dissipation weight, mass functional, sup)
-and threshold crossings for either, so they can be cross-validated slice
-by slice.  Both always march the cubic equation: the linear field is the
+The march itself is ``march_batch``: several points that share gamma, R,
+grid and stop threshold march in lockstep as the rows of one stack, each
+slice on the live window of nodes 0..min(n + jr, n_r - 1), with one slice
+convolution per closure sweep for all rows that still sweep.  Every row
+equals its one-point march bit for bit; ``solve_march`` is the batch of one.
+
+Both backends hand each finished slice to one recorder, which keeps the
+same per-slice series (weighted norm, dissipation weight, mass functional,
+sup) and threshold crossings for every row, so they can be cross-validated
+slice by slice; the march adds each slice's closure sweeps and last
+relative step.  Both always march the cubic equation: the linear field is the
 ``waveops.FreeField`` table, not a solver option.  A stored run is
 post-processed by ``liouville`` (the table v = u/(1+t)), whose rows
 ``dissipation_monitor`` reads, and by ``scattering_check`` (distance to the
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, MassWeights, RadialProfile
-from .norms import NormSeries, WeightParams, slice_x_norm
+from .norms import NormSeries, WeightParams, weight_row
 from .potential import cached_kernel
 from .waveops import ConeAccumulator, FreeField, duhamel_tails, lam_prefix
 
@@ -45,6 +52,7 @@ __all__ = [
     "SolutionHistory",
     "DATA_FAMILIES",
     "make_data",
+    "march_batch",
     "solve_march",
     "solve_dalembert",
     "liouville",
@@ -130,6 +138,10 @@ class SolutionHistory:
     blowup: BlowupReport
     u: np.ndarray | None = None
     g: np.ndarray | None = None
+    # per slice of a march: closure sweeps, and the last step max|g_new - g|
+    # relative to 1 + max|g_new| (slice 0 needs no closure: 0 and 0.0)
+    closure_sweeps: np.ndarray | None = None
+    closure_step: np.ndarray | None = None
 
     def finite_propagation_violations(self) -> int:
         if self.u is None:
@@ -165,77 +177,210 @@ def make_data(family: str, epsilon: float, R: float, grid: Grid):
 
 
 class _Recorder:
-    """The one record of a run.  Each finished slice goes through
-    ``record``, which aborts on non-finite values, stores the rows (with
-    ``store_history``), updates the per-slice series and the threshold
-    crossings, and reports the stop; ``history`` builds the result."""
+    """The one record of a run, one row per point of a batch.  Each finished
+    slice goes through ``record`` with the rows still marching, which
+    stores the rows (with ``store_history``), updates the per-slice series
+    and the threshold crossings, and reports the rows that stop: a row
+    stops when it crosses the stop threshold, or with a ``NumericalAbort``
+    kept for it on a non-finite value.  ``outcome`` builds each row's
+    result."""
 
-    def __init__(self, params: Params, backend: str, store_history: bool = True):
-        grid = params.grid
+    def __init__(self, params: list, backend: str, store_history: bool = True):
+        p0 = params[0]
+        grid = p0.grid
         self.params = params
         self.backend = backend
         self.r = grid.radii()
-        self.wp = params.weights()
+        self.wp = p0.weights()
         self.h = grid.h
         self.mw = MassWeights(grid)
-        n_t = grid.n_t
-        self.x_run = np.zeros(n_t)
-        self.dissip = np.zeros(n_t)
-        self.mass = np.zeros(n_t)
-        self.sup_u = np.zeros(n_t)
-        self.u = np.zeros((n_t, grid.n_r)) if store_history else None
-        self.g = np.zeros((n_t, grid.n_r)) if store_history else None
-        self.stop_threshold = params.blowup_threshold
+        shape = (len(params), grid.n_t)
+        self.x_run = np.zeros(shape)
+        self.dissip = np.zeros(shape)
+        self.mass = np.zeros(shape)
+        self.sup_u = np.zeros(shape)
+        # closure sweeps and the last relative step delta / scale per slice
+        self.sweeps = np.zeros(shape, dtype=int) if backend == "march" else None
+        self.step = np.zeros(shape) if backend == "march" else None
+        self.u = np.zeros(shape + (grid.n_r,)) if store_history else None
+        self.g = np.zeros(shape + (grid.n_r,)) if store_history else None
+        self.stop_threshold = p0.blowup_threshold
         self.thresholds = (self.stop_threshold / _LOW_THRESHOLD_FACTOR, self.stop_threshold)
-        self.crossings: dict = {}
-        self.n_used = 0
-        self.blew_up = False
+        self.crossings = [{} for _ in params]
+        self.n_used = np.zeros(len(params), dtype=int)
+        self.blew_up = np.zeros(len(params), dtype=bool)
+        self.aborts: list = [None] * len(params)
 
-    def record(self, n: int, u_row: np.ndarray, g_row: np.ndarray) -> bool:
-        """Record slice n; True when it crosses the stop threshold."""
-        if not np.all(np.isfinite(u_row)):
-            raise NumericalAbort(n, self.backend)
+    def record(self, n, rows, u, g, sweeps=None, step=None) -> np.ndarray:
+        """Record slice n of the batch ``rows``: ``u`` and ``g`` hold their
+        samples (len(rows), k) on the first k nodes, zero past them; the
+        march adds each row's closure ``sweeps`` and last relative ``step``.
+        Returns the mask of the rows that stop at this slice."""
+        finite = np.isfinite(u).all(axis=-1)
+        if not finite.all():
+            for i in rows[~finite]:
+                self.aborts[i] = NumericalAbort(n, self.backend)
+            rows, u, g = rows[finite], u[finite], g[finite]
+            if sweeps is not None:
+                sweeps, step = sweeps[finite], step[finite]
+        k = u.shape[-1]
+        ids = rows
+        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+            rows = slice(rows[0], rows[-1] + 1)  # a run of rows: views, no gathers
         if self.u is not None:
-            self.u[n] = u_row
-            self.g[n] = g_row
+            self.u[rows, n, :k] = u
+            self.g[rows, n, :k] = g
+        if self.sweeps is not None:
+            self.sweeps[rows, n] = sweeps
+            self.step[rows, n] = step
         t = n * self.h
-        sup = float(np.max(np.abs(u_row)))
-        self.sup_u[n] = sup
-        xs = slice_x_norm(self.wp, self.r, t, u_row)
-        self.x_run[n] = max(xs, self.x_run[n - 1] if n else 0.0)
-        self.dissip[n] = float(np.max((1.0 + t + self.r) * np.abs(u_row))) / (1.0 + t)
-        self.mass[n] = self.mw.mass(u_row)
-        for thr in self.thresholds:
-            if thr not in self.crossings and sup > thr:
-                self.crossings[thr] = t
-        self.n_used = n + 1
-        self.blew_up = sup > self.stop_threshold
-        return self.blew_up
+        r = self.r[:k]
+        au = np.abs(u)
+        sup = au.max(axis=-1)
+        self.sup_u[rows, n] = sup
+        # the nodes slice_x_norm takes, r <= t + R: a prefix of the window
+        j = int(np.searchsorted(r, t + self.wp.R + 1e-12, side="right"))
+        xs = (weight_row(self.wp, r[:j], t) * au[:, :j]).max(axis=-1)
+        self.x_run[rows, n] = np.maximum(xs, self.x_run[rows, n - 1]) if n else xs
+        self.dissip[rows, n] = ((1.0 + t + r) * au).max(axis=-1) / (1.0 + t)
+        self.mass[rows, n] = self.mw.mass(u)
+        for i, s in zip(ids, sup):
+            for thr in self.thresholds:
+                if thr not in self.crossings[i] and s > thr:
+                    self.crossings[i][thr] = t
+        self.n_used[rows] = n + 1
+        crossed = sup > self.stop_threshold
+        self.blew_up[rows] = crossed
+        stop = ~finite
+        stop[finite] = crossed
+        return stop
 
-    def history(self) -> SolutionHistory:
-        sl = slice(0, self.n_used)
+    def outcome(self, i: int):
+        """Row i's ``SolutionHistory``, or its ``NumericalAbort``."""
+        if self.aborts[i] is not None:
+            return self.aborts[i]
+        n_used = int(self.n_used[i])
+        sl = slice(0, n_used)
         series = NormSeries(
-            t=np.arange(self.n_used) * self.h,
-            x_norm_running=self.x_run[sl].copy(),
-            dissipation=self.dissip[sl].copy(),
-            mass=self.mass[sl].copy(),
-            sup_u=self.sup_u[sl].copy(),
+            t=np.arange(n_used) * self.h,
+            x_norm_running=self.x_run[i, sl].copy(),
+            dissipation=self.dissip[i, sl].copy(),
+            mass=self.mass[i, sl].copy(),
+            sup_u=self.sup_u[i, sl].copy(),
         )
+        blew_up = bool(self.blew_up[i])
         blowup = BlowupReport(
-            blew_up=self.blew_up,
-            t_numeric=self.crossings.get(self.stop_threshold) if self.blew_up else None,
+            blew_up=blew_up,
+            t_numeric=self.crossings[i].get(self.stop_threshold) if blew_up else None,
             threshold=self.stop_threshold,
-            crossings=self.crossings,
+            crossings=self.crossings[i],
         )
         return SolutionHistory(
-            params=self.params,
-            grid=self.params.grid,
-            n_used=self.n_used,
+            params=self.params[i],
+            grid=self.params[i].grid,
+            n_used=n_used,
             series=series,
             blowup=blowup,
-            u=None if self.u is None else self.u[sl],
-            g=None if self.g is None else self.g[sl],
+            u=None if self.u is None else self.u[i, sl],
+            g=None if self.g is None else self.g[i, sl],
+            closure_sweeps=None if self.sweeps is None else self.sweeps[i, sl].copy(),
+            closure_step=None if self.step is None else self.step[i, sl].copy(),
         )
+
+    def history(self) -> SolutionHistory:
+        """The result of a one-row run; raises its ``NumericalAbort``."""
+        out = self.outcome(0)
+        if isinstance(out, NumericalAbort):
+            raise out
+        return out
+
+
+def _close_slice(acc: ConeAccumulator, kern, base: np.ndarray, g: np.ndarray, support: float):
+    """Close slice n = ``acc.n_pushed`` for the rows of ``base`` (the free
+    field on the live window) by fixed-point sweeps in the source rows
+    ``g``, which start from the previous slice's sources and are updated in
+    place.  A row freezes once its step falls to ``_PICARD_TOL`` relative
+    to its source, or once the step grows (closure no longer contracting,
+    late blow-up stage); the other rows sweep on.  Returns (u, sweeps,
+    last relative step) per row."""
+    n_rows = base.shape[0]
+    u = np.empty_like(base)
+    sweeps = np.zeros(n_rows, dtype=int)
+    step = np.zeros(n_rows)
+    prev = np.full(n_rows, math.inf)
+    live = np.arange(n_rows)
+    for sweep in range(_MAX_SLICE_SWEEPS):
+        # a plain slice while every row sweeps: no gather copies
+        sel = slice(None) if live.size == n_rows else live
+        u[sel] = base[sel] + acc.eval_slice(g)[sel]
+        g_new = kern.cubic(u[sel], support)
+        delta = np.abs(g_new - g[sel]).max(axis=-1)
+        scale = 1.0 + np.abs(g_new).max(axis=-1)
+        g[sel] = g_new
+        sweeps[sel] = sweep + 1
+        step[sel] = delta / scale
+        done = delta <= _PICARD_TOL * scale
+        if sweep:
+            done |= delta > prev[sel]
+        if done.all():
+            break
+        prev[sel] = delta
+        if done.any():
+            live = live[~done]
+    return u, sweeps, step
+
+
+def march_batch(params: list, data: list, store_history: bool = True) -> list:
+    """March the integral equation for several points in lockstep.
+
+    ``params`` share gamma, R, grid and stop threshold (the points differ
+    in epsilon and data); ``data`` holds each point's (v0, v1).  Each slice
+    runs one free-field slice, one closure (``_close_slice``), one record
+    and one push for all rows that still march.  A row leaves the batch
+    when it crosses the stop threshold or hits a non-finite value.  Returns
+    per point its ``SolutionHistory`` or its ``NumericalAbort``, each equal
+    to what a one-point march gives.
+    """
+    p0 = params[0]
+    shared = (p0.gamma, p0.R, p0.grid, p0.blowup_threshold)
+    if any((p.gamma, p.R, p.grid, p.blowup_threshold) != shared for p in params):
+        raise ValueError("a batch shares gamma, R, grid and blowup_threshold")
+    grid = p0.grid
+    jr = p0.support_cells
+    # first, so a grid short of the forward cone fails before any table is built
+    acc = ConeAccumulator(grid, jr)
+    kern = cached_kernel(p0.gamma, grid)
+    rows = np.arange(len(params))
+    free = FreeField([d[0] for d in data], [d[1] for d in data], grid)
+    rec = _Recorder(params, "march", store_history)
+    n_r = grid.n_r
+
+    for n in range(grid.n_t):
+        # every slice lives on the window of nodes 0..min(n + jr, n_r - 1)
+        k = min(n + jr, n_r - 1) + 1
+        support = (n + jr) * grid.h
+        base = free.slice(n, k)
+        if n == 0:
+            u = base
+            g = kern.cubic(u, support)
+            sweeps = np.zeros(rows.size, dtype=int)
+            step = np.zeros(rows.size)
+        else:
+            g = np.zeros(base.shape)
+            g[:, : g_prev.shape[-1]] = g_prev
+            u, sweeps, step = _close_slice(acc, kern, base, g, support)
+        stop = rec.record(n, rows, u, g, sweeps, step)
+        if stop.any():
+            keep = ~stop
+            rows = rows[keep]
+            if not rows.size:
+                break
+            g = g[keep]
+            acc.keep_rows(keep)
+            free = FreeField([data[i][0] for i in rows], [data[i][1] for i in rows], grid)
+        acc.push_slice(g)
+        g_prev = g
+    return [rec.outcome(i) for i in range(len(params))]
 
 
 def solve_march(
@@ -248,49 +393,13 @@ def solve_march(
     Each slice is free field + accumulated Duhamel history; the current
     slice enters only through the newest-cell closure and is resolved by a
     few fixed-point sweeps (tolerance ``_PICARD_TOL``).  Marching
-    stops early once sup|u| exceeds ``params.blowup_threshold``.
+    stops early once sup|u| exceeds ``params.blowup_threshold``.  This is
+    the one-point batch of ``march_batch``.
     """
-    v0, v1 = data
-    grid = params.grid
-    jr = params.support_cells
-    # first, so a grid short of the forward cone fails before any table is built
-    acc = ConeAccumulator(grid, jr)
-    kern = cached_kernel(params.gamma, grid)
-    free = FreeField(v0, v1, grid)
-    rec = _Recorder(params, "march", store_history)
-    n_r = grid.n_r
-
-    for n in range(grid.n_t):
-        support = (n + jr) * grid.h
-        base = free.slice(n)
-        if n == 0:
-            u_row = base
-            g_row = kern.cubic(u_row, support)
-        else:
-            # the sweeps run on the live window, nodes 0..min(n + jr, n_r - 1)
-            k = min(n + jr, n_r - 1) + 1
-            g_cur = g_prev[:k]
-            prev_delta = math.inf
-            for sweep in range(_MAX_SLICE_SWEEPS):
-                u_w = base[:k] + acc.eval_slice(g_cur)
-                g_new = kern.cubic(u_w, support)
-                delta = float(np.max(np.abs(g_new - g_cur)))
-                scale = 1.0 + float(np.max(np.abs(g_new)))
-                g_cur = g_new
-                if delta <= _PICARD_TOL * scale:
-                    break
-                if delta > prev_delta and sweep >= 1:
-                    break  # closure no longer contracting (late blow-up stage)
-                prev_delta = delta
-            u_row = np.zeros(n_r)
-            u_row[:k] = u_w
-            g_row = np.zeros(n_r)
-            g_row[:k] = g_cur
-        if rec.record(n, u_row, g_row):
-            break
-        acc.push_slice(g_row)
-        g_prev = g_row
-    return rec.history()
+    (out,) = march_batch([params], [data], store_history)
+    if isinstance(out, NumericalAbort):
+        raise out
+    return out
 
 
 def solve_dalembert(params: Params, data) -> SolutionHistory:
@@ -300,13 +409,15 @@ def solve_dalembert(params: Params, data) -> SolutionHistory:
     grid = params.grid
     jr = params.support_cells
     kern = cached_kernel(params.gamma, grid)
-    rec = _Recorder(params, "dalembert")
+    rec = _Recorder([params], "dalembert")
+    row = np.zeros(1, dtype=int)
     n_r, n_t = grid.n_r, grid.n_t
     h = grid.h
     r = grid.radii()
 
     def close(n, U_row):
-        # slice n from U = r u: zero beyond the cone, divide by r, axis limit
+        # slice n from U = r u: zero beyond the cone, divide by r, axis limit;
+        # True when the run stops here
         kmax = min(n + jr, n_r - 1)
         U_row[kmax + 1 :] = 0.0
         u_row = np.zeros(n_r)
@@ -314,15 +425,14 @@ def solve_dalembert(params: Params, data) -> SolutionHistory:
         u_row[0] = (4.0 * u_row[1] - u_row[2]) / 3.0
         u_row[kmax + 1 :] = 0.0
         g_row = kern.cubic(u_row, (n + jr) * h)
-        rec.record(n, u_row, g_row)
-        return g_row
+        return g_row, rec.record(n, row, u_row[None], g_row[None])[0]
 
     damp = 1.0 / (1.0 + np.arange(n_t) * h) ** 2
 
     u_prev = v0.samples.copy()
     g_prev = kern.cubic(u_prev, jr * h)
     U_prev = r * u_prev
-    if rec.record(0, u_prev, g_prev) or n_t == 1:
+    if rec.record(0, row, u_prev[None], g_prev[None])[0] or n_t == 1:
         return rec.history()
 
     psi = lam_prefix((v0 + v1).samples, h)
@@ -333,14 +443,14 @@ def solve_dalembert(params: Params, data) -> SolutionHistory:
         + 0.5 * (psi[2:] - psi[:-2])
         + 0.5 * h * h * S0[1:-1]
     )
-    g_cur = close(1, U_cur)
+    g_cur, stop = close(1, U_cur)
     for n in range(1, n_t - 1):
-        if rec.blew_up:
+        if stop:
             break
         S = r * g_cur * damp[n]
         U_next = np.zeros(n_r)
         U_next[1:-1] = U_cur[2:] + U_cur[:-2] - U_prev[1:-1] + h * h * S[1:-1]
-        g_cur = close(n + 1, U_next)
+        g_cur, stop = close(n + 1, U_next)
         U_prev, U_cur = U_cur, U_next
     return rec.history()
 

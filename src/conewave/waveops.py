@@ -24,7 +24,9 @@ Each operator has one fast path and one pointwise reference: ``FreeField``
 tabulates the free field that ``kirchhoff_radial``, ``dt_kirchhoff_radial``
 and ``free_field`` evaluate point by point, and ``ConeAccumulator`` marches
 the Duhamel term that ``duhamel_direct`` sums directly; ``duhamel_tails``
-runs the same bookkeeping backward over a finished run.
+runs the same bookkeeping backward over a finished run.  Both fast paths
+take stacks of rows, one per point of a lockstep march, on a window of the
+first k nodes, and give each row what a one-row call gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -106,37 +108,46 @@ class FreeField:
     the time-derivative term; each slice is then O(n_r) gathers.  Values are
     exactly zero outside the shell t - R <= r <= t + R because both prefix
     lookups saturate at the same total.
+
+    ``v0`` and ``v1`` are profiles, or equal-length sequences of profiles
+    for a stack of fields; a slice then has one row per pair.
     """
 
-    def __init__(self, v0: RadialProfile, v1: RadialProfile, grid: Grid):
-        if v0.grid != grid or v1.grid != grid:
+    def __init__(self, v0, v1, grid: Grid):
+        single = isinstance(v0, RadialProfile)
+        pairs = [(v0, v1)] if single else list(zip(v0, v1, strict=True))
+        if any(a.grid != grid or b.grid != grid for a, b in pairs):
             raise ValueError("data profiles must live on the marching grid")
         self.grid = grid
-        self.v0 = v0
-        psum = v0 + v1
-        self._psi = lam_prefix(psum.samples, grid.h)
-        self._v0s = v0.samples
-        self._dv0 = derivative_profile(v0).samples
-        self._sum_s = psum.samples
+        tables = []
+        for a, b in pairs:
+            psum = a + b
+            tables.append(
+                (lam_prefix(psum.samples, grid.h), a.samples, derivative_profile(a).samples,
+                 psum.samples)
+            )
+        cols = [np.stack(col) for col in zip(*tables)]
+        self._psi, self._v0s, self._dv0, self._sum_s = (c[0] for c in cols) if single else cols
 
-    def slice(self, n: int) -> np.ndarray:
+    def slice(self, n: int, k: int | None = None) -> np.ndarray:
+        """Slice n at the first ``k`` nodes (all of them by default)."""
         grid = self.grid
         n_r = grid.n_r
         h = grid.h
         t = n * h
-        k = np.arange(n_r)
-        hi = np.minimum(k + n, n_r - 1)
-        lo = np.abs(k - n)
-        out = np.empty(n_r)
-        r = k[1:] * h
-        w_part = (self._psi[hi[1:]] - self._psi[lo[1:]]) / (2.0 * r)
-        s0_hi = self._v0s[hi[1:]]
-        s0_lo = self._v0s[lo[1:]]
+        idx = np.arange(1, n_r if k is None else k)
+        hi = np.minimum(idx + n, n_r - 1)
+        lo = np.abs(idx - n)
+        out = np.empty(self._psi.shape[:-1] + (idx.size + 1,))
+        r = idx * h
+        w_part = (self._psi.take(hi, axis=-1) - self._psi.take(lo, axis=-1)) / (2.0 * r)
+        s0_hi = self._v0s.take(hi, axis=-1)
+        s0_lo = self._v0s.take(lo, axis=-1)
         dt_part = ((r + t) * s0_hi + (r - t) * s0_lo) / (2.0 * r)
-        out[1:] = dt_part + w_part
+        out[..., 1:] = dt_part + w_part
         # axis: phi(t) + t phi'(t) + t (v0+v1)(t)
         j = min(n, n_r - 1)
-        out[0] = self._v0s[j] + t * self._dv0[j] + t * self._sum_s[j]
+        out[..., 0] = self._v0s[..., j] + t * self._dv0[..., j] + t * self._sum_s[..., j]
         return out
 
 
@@ -146,18 +157,19 @@ class FreeField:
 
 
 def lam_prefix(g_row: np.ndarray, h: float) -> np.ndarray:
-    """Prefix integrals Phi(j) = int_0^{j h} lam * PL(g_row)(lam) dlam."""
+    """Prefix integrals Phi(j) = int_0^{j h} lam * PL(g_row)(lam) dlam,
+    along the last axis."""
     g_row = np.asarray(g_row, dtype=float)
-    n = g_row.shape[0]
+    n = g_row.shape[-1]
     j = np.arange(n - 1)
     x0 = j * h
     x1 = x0 + h
-    c1 = (g_row[1:] - g_row[:-1]) / h
-    c0 = g_row[:-1] - c1 * x0
+    c1 = (g_row[..., 1:] - g_row[..., :-1]) / h
+    c0 = g_row[..., :-1] - c1 * x0
     cell = c0 * (x1**2 - x0**2) / 2.0 + c1 * (x1**3 - x0**3) / 3.0
-    out = np.empty(n)
-    out[0] = 0.0
-    np.cumsum(cell, out=out[1:])
+    out = np.empty(g_row.shape)
+    out[..., 0] = 0.0
+    np.cumsum(cell, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -268,6 +280,10 @@ class ConeAccumulator:
     ``support_cells`` is the source support radius in cells (R/h for the
     nonlinear march).
 
+    Source slices may be stacks (..., k) of rows on one grid: the sums then
+    carry the same leading shape, each row summed as a one-row accumulator
+    would, and :meth:`keep_rows` drops the rows whose march has ended.
+
     The march pushes slices 0, 1, ... and reads :meth:`eval_slice`.
     :func:`duhamel_tails` folds the slices of a finished run in from the last
     one down and reads :meth:`_eval_tail`; there the totals in push order
@@ -283,38 +299,60 @@ class ConeAccumulator:
                 "grid must cover the forward cone: need r_max >= t_max + support"
             )
         self.tw = TimeWeights(n_t, grid.h)
-        self.A = np.zeros(n_t + n_r)
-        self.B = np.zeros(n_t + n_r)
-        self.Ax = np.zeros(n_t + n_r)  # lambda-moment of the slices, by antidiagonal
-        self.Bx = np.zeros(n_t + n_r)  # the same, by diagonal
+        # sized for the rows of the first pushed slice (see _sums)
+        self.A = self.B = self.Ax = self.Bx = self.totals = None
         self.boff = n_t - 1
-        self.totals = np.zeros(n_t + 1)  # totals[p] = sum of w_m T_m over the first p pushes
         self.n_pushed = 0
         self._phi_prev: np.ndarray | None = None
         self._g_prev: np.ndarray | None = None
         # _history(n, kmax) of the slice n = n_pushed being closed
         self._memo: tuple | None = None
 
+    def _sums(self, lead: tuple) -> None:
+        """Allocate the diagonal sums for source rows of leading shape ``lead``."""
+        n_t, n_r = self.grid.n_t, self.grid.n_r
+        self.A = np.zeros(lead + (n_t + n_r,))
+        self.B = np.zeros(lead + (n_t + n_r,))
+        self.Ax = np.zeros(lead + (n_t + n_r,))  # lambda-moment of the slices, by antidiagonal
+        self.Bx = np.zeros(lead + (n_t + n_r,))  # the same, by diagonal
+        self.totals = np.zeros(lead + (n_t + 1,))  # totals[p] = sum of w_m T_m, first p pushes
+
     def _add(self, m: int, w: float, g_row: np.ndarray) -> None:
-        """Fold source slice m with time weight w into the diagonal sums."""
+        """Fold source slice m with time weight w into the diagonal sums;
+        ``g_row`` may stop at any node past the support (zeros follow)."""
         h = self.grid.h
+        g_row = np.asarray(g_row, dtype=float)
+        if self.A is None:
+            self._sums(g_row.shape[:-1])
         # samples must vanish strictly beyond index m + jr; the linear ramp
         # of an edge sample still carries mass into the next cell, so the
         # prefix saturates one index later
         L = min(m + self.jr + 1, self.grid.n_r - 1)
-        phi = lam_prefix(g_row[: L + 1], h)
+        g = g_row[..., : L + 1]
+        if g.shape[-1] < L + 1:
+            g = np.concatenate([g, np.zeros(g.shape[:-1] + (L + 1 - g.shape[-1],))], axis=-1)
+        phi = lam_prefix(g, h)
         wphi = w * phi
-        wlam_g = w * (np.arange(L + 1) * h) * g_row[: L + 1]
+        wlam_g = w * (np.arange(L + 1) * h) * g
         b0 = self.boff - m
-        self.A[m : m + L + 1] += wphi
-        self.B[b0 : b0 + L + 1] += wphi
-        self.Ax[m : m + L + 1] += wlam_g
-        self.Bx[b0 : b0 + L + 1] += wlam_g
+        self.A[..., m : m + L + 1] += wphi
+        self.B[..., b0 : b0 + L + 1] += wphi
+        self.Ax[..., m : m + L + 1] += wlam_g
+        self.Bx[..., b0 : b0 + L + 1] += wlam_g
         p = self.n_pushed
-        self.totals[p + 1] = self.totals[p] + wphi[L]
+        self.totals[..., p + 1] = self.totals[..., p] + wphi[..., L]
         self.n_pushed = p + 1
         self._phi_prev = phi
-        self._g_prev = np.asarray(g_row, dtype=float)
+        self._g_prev = g_row
+        self._memo = None
+
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Keep only the source rows selected by ``keep`` (an index or mask
+        over the leading axis), between a push and the next evaluation."""
+        if self.A is None:  # nothing pushed yet
+            return
+        for name in ("A", "B", "Ax", "Bx", "totals", "_phi_prev", "_g_prev"):
+            setattr(self, name, getattr(self, name)[keep])
         self._memo = None
 
     def push_slice(self, g_row: np.ndarray) -> None:
@@ -330,13 +368,13 @@ class ConeAccumulator:
         n = self.n_pushed
         kmax = min(n + self.jr, self.grid.n_r - 1)
         if n == 0:
-            return np.zeros(kmax + 1)
+            return np.zeros(g_cur.shape[:-1] + (kmax + 1,))
         if self._memo is None:
             self._memo = self._history(n, kmax)
         hist, j1gp, ax, J2 = self._memo
-        out = np.empty(kmax + 1)
-        out[1:] = hist + (j1gp + J2 * g_cur[1 : kmax + 1])
-        out[0] = ax + J2 * g_cur[0]
+        out = np.empty(g_cur.shape[:-1] + (kmax + 1,))
+        out[..., 1:] = hist + (j1gp + J2 * g_cur[..., 1 : kmax + 1])
+        out[..., 0] = ax + J2 * g_cur[..., 0]
         return out
 
     def _history(self, n: int, kmax: int):
@@ -347,30 +385,34 @@ class ConeAccumulator:
         jr = self.jr
         k = np.arange(1, kmax + 1)
 
-        first = self.A[n + k]
+        # A at n + k and B at boff + k - n are contiguous runs; gathers go
+        # through take, which is the fast one on row stacks
+        first = self.A[..., n + 1 : n + kmax + 1]
         fold1 = np.maximum(0, (k + n - jr) // 2)  # slices with d - m > m + jr + 1
-        first = first + self.totals[np.minimum(fold1, n)]
-        second = self.B[self.boff + k - n]
-        low = k < n
-        if np.any(low):
-            kl = k[low]
+        first = first + self.totals.take(np.minimum(fold1, n), axis=-1)
+        b0 = self.boff - n
+        second = self.B[..., b0 + 1 : b0 + kmax + 1].copy()
+        n_low = min(n - 1, kmax)  # the nodes k < n
+        if n_low > 0:
+            kl = k[:n_low]
             fold2 = np.maximum(0, (n - kl - jr) // 2)
-            second[low] += self.A[n - kl] + self.totals[np.minimum(fold2, n)]
+            a_low = self.A[..., n - n_low : n][..., ::-1]  # A at n - kl
+            second[..., :n_low] += a_low + self.totals.take(np.minimum(fold2, n), axis=-1)
 
         phi_prev = self._phi_prev
-        Lp = phi_prev.shape[0] - 1
+        Lp = phi_prev.shape[-1] - 1
         hi_idx = np.minimum(k + 1, Lp)
         lo_idx = np.minimum(k - 1, Lp)
-        i_prev = phi_prev[hi_idx] - phi_prev[lo_idx]
+        i_prev = phi_prev.take(hi_idx, axis=-1) - phi_prev.take(lo_idx, axis=-1)
         wl_top = self.tw.wl[n - 1]
 
         J1, J2 = self.tw.closure(n)
         g_prev = self._g_prev
-        gp = np.zeros(kmax + 1)
-        gp[: min(g_prev.shape[0], kmax + 1)] = g_prev[: kmax + 1]
+        gp = np.zeros(g_prev.shape[:-1] + (kmax + 1,))
+        gp[..., : min(g_prev.shape[-1], kmax + 1)] = g_prev[..., : kmax + 1]
         hist = (first - second - wl_top * i_prev) / (2.0 * k * h)
-        ax = self.Ax[n] - wl_top * h * gp[1] if Lp >= 1 else self.Ax[n]
-        return hist, J1 * gp[1:], ax + J1 * gp[0], J2
+        ax = self.Ax[..., n] - wl_top * h * gp[..., 1] if Lp >= 1 else self.Ax[..., n]
+        return hist, J1 * gp[..., 1:], ax + J1 * gp[..., 0], J2
 
     def _eval_tail(self, n: int, g_n: np.ndarray) -> np.ndarray:
         """Backward Duhamel tail at every node of slice n, with slices

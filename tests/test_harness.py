@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from conewave.harness import fit_slope, lifespan_measure
+from conewave.harness import fit_slope, lifespan_measure, sweep
+from conewave.solver import NumericalAbort
 
 
 class TestFitSlope:
@@ -51,6 +54,36 @@ class TestLifespanMeasure:
         assert pt.t_numeric is not None and 0.0 < pt.t_numeric < 6.0
         assert pt.threshold_gap <= 2.0 * (1 / 32) + 1e-12
         assert len(pt.levels) == 2
+
+
+class TestLockstepSweep:
+    """A sweep marches each level's points in lockstep; every point must be
+    what the one-point path measures."""
+
+    def test_points_equal_one_point_runs(self):
+        # censored (0.05, 6.0), blow-up at t = 5.5 (8.0) and within a few
+        # slices (30.0): rows leave the batch at different slices
+        eps = [0.05, 6.0, 8.0, 30.0]
+        fit = sweep(-0.4, 1.0, eps, 1 / 8, 8.0, refine=1)
+        solo = [lifespan_measure(-0.4, 1.0, e, 1 / 8, 8.0, refine=1) for e in eps]
+        assert [p.censored for p in fit.points] == [True, True, False, False]
+        # repr prints every float exactly, nan and the sign of zero included
+        assert [repr(p) for p in fit.points] == [repr(p) for p in solo]
+        assert math.isnan(fit.slope)
+
+    def test_abort_order_matches_serial_sweep(self):
+        # with no stop threshold the march runs into overflow: 8.0 aborts at
+        # slice 45, before 6.0 (slice 90), but a point-by-point sweep meets
+        # 6.0's abort first, and so must the lockstep sweep
+        kw = dict(h=1 / 8, t_max=12.0, blowup_threshold=math.inf, refine=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalAbort) as serial:
+                for e in (6.0, 8.0):
+                    lifespan_measure(-0.4, 1.0, e, **kw)
+            with pytest.raises(NumericalAbort) as batched:
+                sweep(-0.4, 1.0, [6.0, 8.0], **kw)
+        got = (batched.value.slice_index, batched.value.backend)
+        assert got == (serial.value.slice_index, serial.value.backend) == (90, "march")
 
 
 class TestSweepFixture:

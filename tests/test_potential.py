@@ -141,6 +141,18 @@ class TestPaths:
         want = mp_convolution(w, 2.0, r[2000])
         assert got == pytest.approx(want, rel=bound)
 
+    def test_log_branch_truncated_cell_against_mpmath(self):
+        # ROADMAP item 3's probe: 5.5 cells at h = 1/256, node 1000; the
+        # long-double moment form was off by 4.7e-9 there, the series by
+        # 1.3e-10 (the 5.0-cell support, with no truncated cell: 1.6e-10)
+        grid = Grid(h=1 / 256, n_r=1025, n_t=1)
+        r = grid.radii()
+        b = 5.5 * grid.h
+        w = RadialProfile(grid, np.where(r <= b, 1.0 + 0.5 * np.cos(40.0 * r), 0.0), b)
+        got = ConvolutionKernel(2.0, grid).apply(w, n_out=1001)[1000]
+        want = float(mp_convolution(w, 2.0, r[1000]))
+        assert abs(got - want) <= 1e-9 * abs(want)
+
 
 def positive_profile(grid, cells: float) -> RadialProfile:
     """Smooth profile, positive on a support of ``cells`` cells (which may end
@@ -192,6 +204,21 @@ class TestWindow:
             win = kern.apply(w, n_out=m)
             assert win.shape == (m,)
             assert np.max(np.abs(win - full[:m]) / np.abs(full[:m])) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("cells", [64, 64.4])
+    def test_cubic_row_stack_bitwise(self, gamma, cells, grid):
+        # a stack of rows (the points of a lockstep march) gives each row's
+        # one-row source bit for bit, on the live window and on full rows
+        kern = ConvolutionKernel(gamma, grid)
+        u = positive_profile(grid, cells).samples
+        stack = np.stack([u, 0.5 * u, 3.0 * u * (1.0 + np.sin(grid.radii()))])
+        stack[:, grid.radii() > cells * grid.h + 1e-12] = 0.0
+        for k in (math.ceil(cells) + 1, grid.n_r):
+            got = kern.cubic(stack[:, :k], cells * grid.h)
+            assert got.shape == (3, k)
+            for row, want in zip(got, stack[:, :k]):
+                assert row.tobytes() == kern.cubic(want, cells * grid.h).tobytes()
 
     def test_window_bounds(self, grid):
         kern = ConvolutionKernel(1.0, grid)
@@ -269,6 +296,19 @@ class TestWindow:
         w = positive_profile(grid, cells)
         want = exact_convolution(w, gamma)
         got = ConvolutionKernel(gamma, grid).apply(w)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= bound
+
+    @pytest.mark.parametrize("n_r, bound", [(2049, 1e-12), (8193, 1e-11)])
+    def test_truncated_cell_at_scale(self, n_r, bound):
+        # a support ending inside a cell: at far nodes the truncated cell's
+        # moments cancel ~3 (base/xi)^2 of significance, which float64 (and
+        # long double) moments lose; its series in x/base keeps the error at
+        # the node-aligned level (1.8e-13 and 1.6e-12 on 64 cells), where
+        # the moment form was off by 3.7e-12 and 2.8e-10
+        grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
+        w = positive_profile(grid, 64.4)
+        want = exact_convolution(w, 1.0)
+        got = ConvolutionKernel(1.0, grid).apply(w)
         assert np.max(np.abs(got - want) / np.abs(want)) <= bound
 
 

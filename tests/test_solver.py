@@ -13,6 +13,7 @@ from conewave.solver import (
     dissipation_monitor,
     liouville,
     make_data,
+    march_batch,
     scattering_check,
     solve_dalembert,
     solve_march,
@@ -154,6 +155,55 @@ class TestMarch:
         lean = solve_march(p, d, store_history=False)
         assert lean.u is None
         assert np.array_equal(full.series.sup_u, lean.series.sup_u)
+
+
+class TestMarchBatch:
+    """Rows of a lockstep march against one-point marches of the same data."""
+
+    def _points(self, eps, **kw):
+        params = [build(-0.4, 1.0, e, 1 / 16, 6.0, **kw) for e in eps]
+        return params, [make_data("bump_v1_only", e, 1.0, p.grid) for p, e in zip(params, eps)]
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_rows_equal_one_point_marches(self, store):
+        # 8.0 leaves the batch at t = 4.6, 0.5 and 5.0 march to the end
+        params, data = self._points([0.5, 8.0, 5.0])
+        batch = march_batch(params, data, store_history=store)
+        for p, d, got in zip(params, data, batch):
+            want = solve_march(p, d, store_history=store)
+            assert got.n_used == want.n_used and got.params == p
+            assert repr(got.blowup) == repr(want.blowup)
+            for a, b in zip(got.series.rows(), want.series.rows()):
+                assert repr(a) == repr(b)
+            assert got.closure_sweeps.tobytes() == want.closure_sweeps.tobytes()
+            assert got.closure_step.tobytes() == want.closure_step.tobytes()
+            if store:
+                assert got.u.tobytes() == want.u.tobytes()
+                assert got.g.tobytes() == want.g.tobytes()
+        assert batch[1].blowup.blew_up and batch[1].n_used < batch[0].n_used
+
+    def test_closure_record(self):
+        # slice 0 needs no closure; every later slice records 1 to
+        # _MAX_SLICE_SWEEPS sweeps and the step it stopped at
+        params, data = self._points([5.0])
+        hist = march_batch(params, data)[0]
+        assert hist.closure_sweeps[0] == 0 and hist.closure_step[0] == 0.0
+        assert np.all((hist.closure_sweeps[1:] >= 1) & (hist.closure_sweeps[1:] <= 4))
+        assert np.all(hist.closure_step >= 0.0)
+        assert solve_dalembert(params[0], data[0]).closure_sweeps is None
+
+    def test_abort_is_held_for_its_row(self):
+        params, data = self._points([5.0, 1e150], thr=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok, bad = march_batch(params, data, store_history=False)
+        assert isinstance(bad, NumericalAbort) and (bad.backend, bad.slice_index) == ("march", 2)
+        assert ok.n_used == params[0].grid.n_t
+
+    def test_rejects_mixed_batches(self):
+        params, data = self._points([1.0, 2.0])
+        other = build(-0.3, 1.0, 2.0, 1 / 16, 6.0)
+        with pytest.raises(ValueError):
+            march_batch([params[0], other], data)
 
 
 class TestDalembert:
