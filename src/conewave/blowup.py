@@ -8,10 +8,12 @@ radial data with v0 = 0, v1 >= 0) into
     F'' >= eps^2 C0^2 2^-(gamma+1) t^2 F / (1+t)^(gamma+4)   (linear seed)
     F'' >= 2^-(gamma+2) (3/pi) (1+t)^-(gamma+5) F^3          (cubic form)
 
-all of which this module evaluates slice by slice against a run.  The
-scalar comparison ODE built from the linear seed provides a lower envelope
-for F, and the seeded power series feeds the Kato-type parameter calculus
-that certifies the epsilon-exponent of the blow-up time upper bound.
+all of which this module evaluates slice by slice against a run.  Each
+mass integral here (F, F'' and int u^2 dx, and the data mass C0) is
+``grid.MassWeights.mass`` of a row of samples.  The scalar comparison ODE
+built from the linear seed provides a lower envelope for F, and the seeded
+power series feeds the Kato-type parameter calculus that certifies the
+epsilon-exponent of the blow-up time upper bound.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MassWeights, RadialProfile, trapezoid_weighted
-from .potential import cached_kernel
+from .grid import MassWeights, RadialProfile
 from .solver import SolutionHistory
 
 __all__ = [
-    "mass",
-    "mass_rhs",
     "mass_series",
-    "frame_check",
     "frame_cubic_check",
     "EnvelopeResult",
     "ode_envelope",
@@ -40,23 +38,6 @@ __all__ = [
     "j1_for_delta",
     "kato_bound",
 ]
-
-
-def mass(u_slice: RadialProfile) -> float:
-    """F contribution of one slice: 4 pi int r^2 u(r) dr (exact for the
-    piecewise-linear profile)."""
-    return 4.0 * math.pi * trapezoid_weighted(u_slice, 2.0, 0.0, u_slice.grid.r_max)
-
-
-def mass_rhs(u_slice: RadialProfile, gamma: float, t: float) -> float:
-    """F''(t) by the integrated equation:
-    4 pi (1+t)^-2 int r^2 (V_gamma*u^2)(r) u(r) dr."""
-    grid = u_slice.grid
-    cube = cached_kernel(gamma, grid).cubic(u_slice.samples, u_slice.support_radius)
-    prod = RadialProfile(grid, cube, u_slice.support_radius)
-    return (
-        4.0 * math.pi / (1.0 + t) ** 2 * trapezoid_weighted(prod, 2.0, 0.0, grid.r_max)
-    )
 
 
 def mass_series(hist: SolutionHistory):
@@ -78,16 +59,10 @@ def mass_series(hist: SolutionHistory):
     return t, F, rhs
 
 
-def _pair_rhs(u_slice: RadialProfile, F_val: float, gamma: float, t: float) -> float:
-    """2^-gamma F (1+t)^-(gamma+2) int u^2 dx: the right side of the pair bound."""
-    sq = RadialProfile(u_slice.grid, u_slice.samples**2, u_slice.support_radius)
-    return 2.0 ** (-gamma) * F_val * (1.0 + t) ** (-(gamma + 2.0)) * mass(sq)
-
-
-def frame_check(u_slice: RadialProfile, F_val: float, gamma: float, t: float):
-    """(lhs, rhs) of the pair bound
-    F'' >= 2^-gamma F (1+t)^-(gamma+2) int u^2 dx  at one slice."""
-    return mass_rhs(u_slice, gamma, t), _pair_rhs(u_slice, F_val, gamma, t)
+def _pair_rhs(row: np.ndarray, mw: MassWeights, F_val: float, gamma: float, t: float) -> float:
+    """2^-gamma F (1+t)^-(gamma+2) int u^2 dx: the right side of the pair
+    bound, for the samples ``row`` of u."""
+    return 2.0 ** (-gamma) * F_val * (1.0 + t) ** (-(gamma + 2.0)) * mw.mass(row**2)
 
 
 def frame_cubic_check(F_val: float, Fpp_val: float, gamma: float, t: float):
@@ -219,6 +194,7 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile) -> MassDiagnostic
     params, grid = hist.params, hist.grid
     h, R, gamma, n_used = grid.h, params.R, params.gamma, hist.n_used
     t, F, rhs = mass_series(hist)
+    mw = MassWeights(grid)
     window = max_rel = None
     if n_used >= 5 and hist.blowup.t_numeric is not None:
         d2F = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / h**2
@@ -231,9 +207,8 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile) -> MassDiagnostic
     for n in range(1, n_used - 5, max(1, n_used // 200)):
         if hist.series.sup_u[n] > 1e2:
             break
-        prof = RadialProfile(grid, hist.u[n], support_radius=min(n * h + R, grid.r_max))
         # the pair bound's lhs is F'' by the identity, which rhs[n] holds
-        rr = _pair_rhs(prof, F[n], gamma, t[n])
+        rr = _pair_rhs(hist.u[n], mw, F[n], gamma, t[n])
         if rr > 0.0:
             worst_pair = min(worst_pair, rhs[n] / rr)
         lhs2, rr2 = frame_cubic_check(F[n], rhs[n], gamma, t[n])
@@ -242,7 +217,7 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile) -> MassDiagnostic
     ig = int(round(2.0 / (2.0 + gamma) / h))  # slice of t_gamma
     env = closed_ok = env_ok = None
     if gamma < 0.0 and 1 <= ig < n_used - 1:
-        C0 = mass(v1) / params.epsilon
+        C0 = mw.mass(v1.samples) / params.epsilon
         Fp = (F[ig + 1] - F[ig - 1]) / (2.0 * h)
         env = ode_envelope(params.epsilon, C0, gamma, t, F[ig], Fp, seed_t=ig * h)
         cf = env.closed_form_valid

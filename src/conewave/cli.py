@@ -224,9 +224,7 @@ def _mode_solve(cfg: RunConfig, out: Path):
     params = _params(cfg)
     data = make_data(cfg.family, cfg.epsilon, cfg.R, params.grid)
     hist = solve_march(params, data)
-    invariants = {
-        "finite_propagation": hist.finite_propagation_violations() == 0,
-    }
+    invariants = {}
     if cfg.family == "bump_v1_only" and cfg.epsilon >= 0.0:
         invariants["positivity"] = hist.min_value() >= -1e-12 * max(
             1.0, float(hist.series.sup_u.max())

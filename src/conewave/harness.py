@@ -137,27 +137,25 @@ def lifespan_measure(
     return _point(epsilon, levels, hist)
 
 
-def _fit_pairs(pairs) -> list:
-    return [(e, t) for e, t in pairs if t is not None and t > 0.0]
-
-
 def fit_slope(pairs, gamma: float, delta: float = 0.5) -> LifespanFit:
-    """Least-squares slope of log T against log eps with its standard error;
-    passes when the slope is within 25 percent of 2/gamma."""
-    pairs = _fit_pairs(pairs)
-    if len(pairs) < MIN_FIT_POINTS:
-        raise ValueError(f"need at least {MIN_FIT_POINTS} uncensored (eps, T) pairs")
-    x = np.log([e for e, _ in pairs])
-    y = np.log([t for _, t in pairs])
-    n = len(x)
-    xbar = x.mean()
-    ybar = y.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
-    resid = y - (ybar + slope * (x - xbar))
-    stderr = math.sqrt(float(np.sum(resid**2)) / max(n - 2, 1) / sxx)
+    """Least-squares slope of log T against log eps with its standard error
+    over the uncensored (eps, T) pairs; passes when the slope is within 25
+    percent of 2/gamma.  With fewer than ``MIN_FIT_POINTS`` uncensored
+    pairs the fit is not made: slope and its error are nan and the fit does
+    not pass."""
+    pairs = [(e, t) for e, t in pairs if t is not None and t > 0.0]
+    slope = stderr = math.nan
+    if len(pairs) >= MIN_FIT_POINTS:
+        x = np.log([e for e, _ in pairs])
+        y = np.log([t for _, t in pairs])
+        n = len(x)
+        xbar = x.mean()
+        ybar = y.mean()
+        sxx = float(np.sum((x - xbar) ** 2))
+        slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+        resid = y - (ybar + slope * (x - xbar))
+        stderr = math.sqrt(float(np.sum(resid**2)) / max(n - 2, 1) / sxx)
     theo = 2.0 / gamma
-    passed = abs(slope - theo) <= 0.25 * abs(theo)
     return LifespanFit(
         gamma=gamma,
         epsilons=[e for e, _ in pairs],
@@ -165,7 +163,7 @@ def fit_slope(pairs, gamma: float, delta: float = 0.5) -> LifespanFit:
         slope=slope,
         slope_stderr=stderr,
         theoretical=theo,
-        passed=passed,
+        passed=abs(slope - theo) <= 0.25 * abs(theo),  # False on a nan slope
         delta=delta,
     )
 
@@ -189,10 +187,8 @@ def sweep(
     level ends, the first in (point, level) order as a point-by-point sweep
     would, and later points are not marched further.
 
-    Censored points never enter the fit; epsilons must be strictly
-    increasing so the monotonicity check is meaningful.  With fewer than
-    ``MIN_FIT_POINTS`` uncensored points the fit is not made: slope and
-    its error are nan and the fit does not pass.
+    Censored points never enter the fit (``fit_slope``); epsilons must be
+    strictly increasing so the monotonicity check is meaningful.
     """
     eps = list(epsilons)
     if any(b <= a for a, b in zip(eps, eps[1:])):
@@ -217,19 +213,6 @@ def sweep(
     if abort is not None:
         raise abort
     points = [_point(e, lv, hist) for e, lv, hist in zip(eps, levels, hists)]
-    pairs = _fit_pairs((p.epsilon, p.t_numeric) for p in points)
-    if len(pairs) >= MIN_FIT_POINTS:
-        fit = fit_slope(pairs, gamma, delta)
-    else:
-        fit = LifespanFit(
-            gamma=gamma,
-            epsilons=[e for e, _ in pairs],
-            t_numerics=[t for _, t in pairs],
-            slope=math.nan,
-            slope_stderr=math.nan,
-            theoretical=2.0 / gamma,
-            passed=False,
-            delta=delta,
-        )
+    fit = fit_slope(((p.epsilon, p.t_numeric) for p in points), gamma, delta)
     fit.points = points
     return fit

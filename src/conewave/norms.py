@@ -8,8 +8,9 @@ over the forward cone r <= t + R, with
            p**3 / log(1+p)   for g = 2,
            p**3              for g in (2, 3).
 
-``slice_x_norm`` takes that supremum over the nodes of one time slice; a
-run's norm is the running maximum over its slices.  Suprema are taken over
+``slice_x_norm`` takes that supremum over the nodes of one time slice, for
+one row or a stack of rows; a run's norm is the running maximum over its
+slices, which the solver's recorder keeps from it.  Suprema are taken over
 grid nodes, which is a lower bound for the true sup; verifiers that assert
 inequalities re-run on refined grids to bound the gap.
 
@@ -75,11 +76,14 @@ def weight_row(params: WeightParams, r: np.ndarray, t: float) -> np.ndarray:
     return tp * n_gamma(np.maximum(tm, 0.0), params.gamma)
 
 
-def slice_x_norm(params: WeightParams, r: np.ndarray, t: float, u_row: np.ndarray) -> float:
+def slice_x_norm(params: WeightParams, r: np.ndarray, t: float, u: np.ndarray):
     """Supremum of tau_plus * N(tau_minus) * |u| over the nodes r <= t+R of
-    one slice; ``r`` and ``u_row`` cover the same nodes."""
-    mask = r <= t + params.R + 1e-12
-    return float(np.max(weight_row(params, r[mask], t) * np.abs(u_row[mask])))
+    one slice, for the samples (..., k) of u at the k sorted nodes ``r``; a
+    stack of rows gives one supremum per row.  The nodes taken are a prefix
+    of ``r``, so the rows are sliced, not gathered."""
+    j = int(np.searchsorted(r, t + params.R + 1e-12, side="right"))
+    sup = (weight_row(params, r[:j], t) * np.abs(u[..., :j])).max(axis=-1)
+    return float(sup) if u.ndim == 1 else sup
 
 
 def d_gamma(T: float, gamma: float, R: float) -> float:

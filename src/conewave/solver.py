@@ -22,15 +22,17 @@ slice on the live window of nodes 0..min(n + jr, n_r - 1), with one slice
 convolution per closure sweep for all rows that still sweep.  Every row
 equals its one-point march bit for bit; ``solve_march`` is the batch of one.
 
-Both backends hand each finished slice to one recorder, which keeps the
-same per-slice series (weighted norm, dissipation weight, mass functional,
-sup) and threshold crossings for every row, so they can be cross-validated
-slice by slice; the march adds each slice's closure sweeps and last
-relative step.  Both always march the cubic equation: the linear field is the
-``waveops.FreeField`` table, not a solver option.  A stored run is
-post-processed by ``liouville`` (the table v = u/(1+t)), whose rows
-``dissipation_monitor`` reads, and by ``scattering_check`` (distance to the
-outgoing free wave).
+Both backends write zeros past node n + jr of slice n by construction
+(finite propagation speed), so no run needs to check it.  Both hand each
+finished slice to one recorder, which keeps the same per-slice series
+(weighted norm by ``norms.slice_x_norm``, dissipation weight, mass
+functional by ``grid.MassWeights``, sup) and threshold crossings for every
+row, so they can be cross-validated slice by slice; the march adds each
+slice's closure sweeps and last relative step.  Both always march the
+cubic equation: the linear field is the ``waveops.FreeField`` table, not a
+solver option.  A stored run is post-processed by ``liouville`` (the table
+v = u/(1+t)), whose rows ``dissipation_monitor`` reads, and by
+``scattering_check`` (distance to the outgoing free wave).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, MassWeights, RadialProfile
-from .norms import NormSeries, WeightParams, weight_row
+from .norms import NormSeries, WeightParams, slice_x_norm
 from .potential import cached_kernel
 from .waveops import ConeAccumulator, FreeField, duhamel_tails, lam_prefix
 
@@ -86,10 +88,7 @@ class Params:
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
-        if not (-0.5 < self.gamma < 3.0):
-            raise ValueError(f"gamma must lie in (-1/2, 3), got {self.gamma}")
-        if self.R < 1.0:
-            raise ValueError(f"R must be >= 1, got {self.R}")
+        self.weights()  # validates gamma and R
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
         if not self.blowup_threshold > 0.0:
@@ -132,7 +131,6 @@ class SolutionHistory:
     per-slice series, and blow-up bookkeeping."""
 
     params: Params
-    grid: Grid
     n_used: int
     series: NormSeries
     blowup: BlowupReport
@@ -143,15 +141,9 @@ class SolutionHistory:
     closure_sweeps: np.ndarray | None = None
     closure_step: np.ndarray | None = None
 
-    def finite_propagation_violations(self) -> int:
-        if self.u is None:
-            raise ValueError("run stored no history")
-        r = self.grid.radii()
-        bad = 0
-        for n in range(self.n_used):
-            if np.any(self.u[n][r > n * self.grid.h + self.params.R + 1e-12] != 0.0):
-                bad += 1
-        return bad
+    @property
+    def grid(self) -> Grid:
+        return self.params.grid
 
     def min_value(self) -> float:
         if self.u is None:
@@ -238,9 +230,7 @@ class _Recorder:
         au = np.abs(u)
         sup = au.max(axis=-1)
         self.sup_u[rows, n] = sup
-        # the nodes slice_x_norm takes, r <= t + R: a prefix of the window
-        j = int(np.searchsorted(r, t + self.wp.R + 1e-12, side="right"))
-        xs = (weight_row(self.wp, r[:j], t) * au[:, :j]).max(axis=-1)
+        xs = slice_x_norm(self.wp, r, t, u)
         self.x_run[rows, n] = np.maximum(xs, self.x_run[rows, n - 1]) if n else xs
         self.dissip[rows, n] = ((1.0 + t + r) * au).max(axis=-1) / (1.0 + t)
         self.mass[rows, n] = self.mw.mass(u)
@@ -277,7 +267,6 @@ class _Recorder:
         )
         return SolutionHistory(
             params=self.params[i],
-            grid=self.params[i].grid,
             n_used=n_used,
             series=series,
             blowup=blowup,

@@ -177,9 +177,12 @@ class TimeWeights:
     """Closed-form moments of (1+s)^-2 on the time cells.
 
     ``wl[m]``/``wr[m]`` weight the left/right endpoint of cell
-    [t_m, t_{m+1}]; ``closure(n)`` returns (J1, J2) multiplying the source
-    slices n-1 and n in the newest-cell model
-    I(s) ~ 2 r (t-s) * [linear interpolant of G(r, .)].
+    [t_m, t_{m+1}].  The two closures replace the one cell next to the
+    evaluation time, where the inner integral degenerates, by the model
+    I(s) ~ 2 r |t-s| * [linear interpolant of G(r, .)]: ``closure(n)``
+    returns (J1, J2) multiplying the source slices n-1 and n for the
+    forward value at t_n, and ``tail_closure(n)`` returns (J1, J2)
+    multiplying the slices n+1 and n for the backward tail at t_n.
     """
 
     def __init__(self, n_t: int, h: float):
@@ -208,6 +211,14 @@ class TimeWeights:
         J1 = Bc / Ac - (2.0 * Bc / h) * lg + 1.0
         K1 = h / Ac - lg
         return J1, K1 - J1
+
+    def tail_closure(self, n: int) -> tuple[float, float]:
+        h = self.h
+        A1 = 1.0 + n * h
+        B1 = A1 + h
+        lg = math.log1p(h / A1)
+        J1 = 1.0 - (2.0 * A1 / h) * lg + A1 / B1
+        return J1, (lg - h / B1) - J1
 
 
 def _interior_weights(tw: TimeWeights, n: int) -> np.ndarray:
@@ -442,11 +453,7 @@ class ConeAccumulator:
         i_next = phi_next[np.minimum(k + 1, Lp)] - phi_next[np.minimum(k - 1, Lp)]
         wr_bot = self.tw.wr[n]
         # bottom cell [t_n, t_{n+1}] replaced by the closure
-        A1 = 1.0 + n * h
-        B1 = A1 + h
-        lg = math.log1p(h / A1)
-        J1 = 1.0 - (2.0 * A1 / h) * lg + A1 / B1
-        J2 = (lg - h / B1) - J1
+        J1, J2 = self.tw.tail_closure(n)
         g_next = self._g_prev
         tail = np.zeros(grid.n_r)
         tail[1:] = (first - second - wr_bot * i_next) / (2.0 * k * h)

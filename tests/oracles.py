@@ -1,15 +1,18 @@
 """Independent oracles and test-side drivers used by the tests.
 
-The oracles deliberately avoid the package's quadrature machinery: the
-Monte Carlo convolution samples the 3D integral directly, the mpmath
-convolution integrates the shell kernel cell by cell at 30 digits, the
-exact convolution at gamma = 0 and 1 sums closed-form cell moments with
-``math.fsum``, the brute-force exponent scan re-derives the Kato parameter
-inequality, the slow cone integral nests Gauss quadratures, and
-``w_weight`` is the paper's bilinear-estimate weight.  ``free_table``
-stacks free-field slices.  The two drivers run the package's march and
-cone accumulator on questions no CLI mode asks: Picard iteration on a
-short window, and equivariance under the scaling symmetry.
+The oracles deliberately avoid the package's fast paths: ``mass``,
+``mass_rhs`` and ``frame_check`` integrate the mass functional of a
+profile through ``trapezoid_weighted``, the reference for
+``grid.MassWeights``; the Monte Carlo convolution samples the 3D integral
+directly, the mpmath convolution integrates the shell kernel cell by cell
+at 30 digits, the exact convolution at gamma = 0 and 1 sums closed-form
+cell moments with ``math.fsum``, the brute-force exponent scan re-derives
+the Kato parameter inequality, the slow cone integral nests Gauss
+quadratures, and ``w_weight`` is the paper's bilinear-estimate weight.
+``free_table`` stacks free-field slices.  The two drivers run the
+package's march and cone accumulator on questions no CLI mode asks:
+Picard iteration on a short window, and equivariance under the scaling
+symmetry.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import math
 import mpmath
 import numpy as np
 
-from conewave.grid import RadialProfile
+from conewave.grid import RadialProfile, trapezoid_weighted
 from conewave.norms import WeightParams, slice_x_norm, tau
-from conewave.potential import ConvolutionKernel, is_log_branch
+from conewave.potential import ConvolutionKernel, cached_kernel, is_log_branch
 from conewave.solver import solve_march
 from conewave.waveops import ConeAccumulator, FreeField
 
@@ -33,6 +36,32 @@ def profile_value(w: RadialProfile, x: np.ndarray) -> np.ndarray:
     vals = np.interp(np.minimum(x, w.grid.r_max), r, w.samples)
     vals = np.where(x > w.support_radius, 0.0, vals)
     return vals
+
+
+def mass(u_slice: RadialProfile) -> float:
+    """F contribution of one slice: 4 pi int r^2 u(r) dr (exact for the
+    piecewise-linear profile)."""
+    return 4.0 * math.pi * trapezoid_weighted(u_slice, 2.0, 0.0, u_slice.grid.r_max)
+
+
+def mass_rhs(u_slice: RadialProfile, gamma: float, t: float) -> float:
+    """F''(t) by the integrated equation:
+    4 pi (1+t)^-2 int r^2 (V_gamma*u^2)(r) u(r) dr."""
+    grid = u_slice.grid
+    cube = cached_kernel(gamma, grid).cubic(u_slice.samples, u_slice.support_radius)
+    prod = RadialProfile(grid, cube, u_slice.support_radius)
+    return (
+        4.0 * math.pi / (1.0 + t) ** 2 * trapezoid_weighted(prod, 2.0, 0.0, grid.r_max)
+    )
+
+
+def frame_check(u_slice: RadialProfile, F_val: float, gamma: float, t: float):
+    """(lhs, rhs) of the pair bound
+    F'' >= 2^-gamma F (1+t)^-(gamma+2) int u^2 dx  at one slice, the lhs
+    from a fresh convolution of the slice."""
+    sq = RadialProfile(u_slice.grid, u_slice.samples**2, u_slice.support_radius)
+    rhs = 2.0 ** (-gamma) * F_val * (1.0 + t) ** (-(gamma + 2.0)) * mass(sq)
+    return mass_rhs(u_slice, gamma, t), rhs
 
 
 def mc_convolution(

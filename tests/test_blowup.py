@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from conewave.blowup import (
-    frame_check,
     frame_cubic_check,
     j1_for_delta,
     kato_bound,
-    mass,
-    mass_rhs,
     mass_series,
     min_kato_j,
     ode_envelope,
 )
 from conewave.grid import Grid, RadialProfile
 
-from oracles import kato_exponent_scan
+from oracles import frame_check, kato_exponent_scan, mass, mass_rhs
 
 
 @pytest.fixture

@@ -109,7 +109,7 @@ class TestMainExitCodes:
         vals = np.array([[float(x) for x in line.split(",")] for line in csv[1:]])
         assert np.all(vals[:, 1:] == 0.0)
         inv = (tmp_path / "out" / "invariants.txt").read_text()
-        assert "finite_propagation=pass" in inv
+        assert "positivity=pass" in inv
 
     def test_numerical_abort_is_3(self, tmp_path):
         path = write_cfg(

@@ -25,8 +25,11 @@ class TestFitSlope:
         assert fit.slope_stderr < 0.1
 
     def test_insufficient_data(self):
-        with pytest.raises(ValueError):
-            fit_slope([(1.0, 10.0), (2.0, 0.3), (3.0, 0.04)], gamma=-0.4)
+        # below MIN_FIT_POINTS uncensored pairs the fit is not made
+        fit = fit_slope([(1.0, 10.0), (2.0, 0.3), (3.0, 0.04)], gamma=-0.4)
+        assert math.isnan(fit.slope) and math.isnan(fit.slope_stderr)
+        assert not fit.passed
+        assert fit.epsilons == [1.0, 2.0, 3.0]
 
     def test_censored_excluded(self):
         pairs = [(1.0, None)] + [(e, e**-5.0) for e in (1.5, 2.0, 2.5, 3.0)]

@@ -14,17 +14,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "conewave"
 
 # Exports that only tests call: the independent references of the shipped
-# operators, the pair bound with its lhs from a fresh convolution (the strict
-# xfail holds it to the printed constant; mass_diagnostics reads that lhs
-# from the stored source), the Kato exponent calculus that ROADMAP item
-# 5's sweep is to use, and the one-point lifespan that a sweep's lockstep
-# points are held to.
+# operators, the Kato exponent calculus that ROADMAP item 5's sweep is to
+# use, and the one-point lifespan that a sweep's lockstep points are held
+# to.
 TEST_ONLY_EXPORTS = (
     "kernel_value",
     "convolve_profile_direct",
     "free_field",
     "duhamel_direct",
-    "frame_check",
     "kato_bound",
     "j1_for_delta",
     "lifespan_measure",

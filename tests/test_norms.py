@@ -74,6 +74,15 @@ class TestXNorm:
         v2 = slice_x_norm(self.wp, self.r, 1.0, 2.0 * u)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
 
+    def test_stack_rows_equal_one_row_calls(self):
+        rows = np.random.default_rng(2).normal(size=(5, self.r.size))
+        for t in (0.0, 1.0, 40.0):
+            for k in (12, self.r.size):
+                stack = slice_x_norm(self.wp, self.r[:k], t, rows[:, :k])
+                assert stack.shape == (5,)
+                want = [slice_x_norm(self.wp, self.r[:k], t, row[:k]) for row in rows]
+                assert [float(x) for x in stack] == want
+
 
 class TestWWeight:
     def test_examples(self):
