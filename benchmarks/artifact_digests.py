@@ -3,13 +3,18 @@
 Runs each ``configs/*.cfg`` through ``python -m conewave.cli`` in a
 subprocess, with a temporary output directory, and prints sorted JSON:
 config name -> exit status and the sha256 of ``results.csv``,
-``summary.json`` and ``invariants.txt``.  A refactor that must leave the
-artifacts byte-identical is checked by diffing this output against the
-output at the parent commit.  Takes about 50 s of CPU.
+``summary.json`` and ``invariants.txt``.  Takes about 50 s of CPU per tree.
 
-Run:  python benchmarks/artifact_digests.py
+With ``--parent REV`` it exports REV with ``git archive`` into a temporary
+directory, runs both trees (each on its own configs), and prints instead
+the ``config/artifact`` pairs whose digests or exit statuses differ, one a
+line; it exits 1 if any do.  A refactor that must leave the artifacts
+byte-identical is checked this way.
+
+Run:  python benchmarks/artifact_digests.py [--parent REV]
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -26,13 +31,14 @@ def digest(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
-def main() -> None:
+def digests(root: Path) -> dict:
+    """config name -> exit status and artifact digests, for the tree at ``root``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
     report = {}
-    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+    for cfg in sorted((root / "configs").glob("*.cfg")):
         with tempfile.TemporaryDirectory() as tmp:
             proc = subprocess.run(
                 [sys.executable, "-m", "conewave.cli", "--config", str(cfg), "--out", tmp],
@@ -43,7 +49,31 @@ def main() -> None:
                 "exit": proc.returncode,
                 **{name: digest(Path(tmp) / name) for name in ARTIFACTS},
             }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    return report
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", metavar="REV", help="compare against the tree of this commit")
+    args = ap.parse_args()
+    report = digests(ROOT)
+    if args.parent is None:
+        print(json.dumps(report, sort_keys=True, indent=2))
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        parent = digests(Path(tmp))
+    differ = [
+        f"{cfg}/{name}"
+        for cfg in sorted(report.keys() | parent.keys())
+        for name in ("exit", *ARTIFACTS)
+        if report.get(cfg, {}).get(name) != parent.get(cfg, {}).get(name)
+    ]
+    for pair in differ:
+        print(pair)
+    sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":

@@ -68,13 +68,13 @@ def bench_march():
         budget = 2.0
         done = 0
         for n in range(1, n_t):
-            for k in range(0, min(n + jr, grid.n_r - 1) + 1):
+            for k in range(grid.window(n, jr)):
                 if (k + n) * h <= grid.r_max + 1e-12:
                     duhamel_direct(gt, grid, k * h, n * h)
                 done += 1
             if time.perf_counter() - t0 > budget:
                 break
-        frac = done / max(1, sum(min(n + jr, grid.n_r - 1) + 1 for n in range(1, n_t)))
+        frac = done / max(1, sum(grid.window(n, jr) for n in range(1, n_t)))
         direct_s = (time.perf_counter() - t0) / max(frac, 1e-9)
         print(f"{n_t:>7} {accum_s:>9.3f} {direct_s:>10.1f} {direct_s/accum_s:>8.0f}x")
 

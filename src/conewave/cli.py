@@ -225,7 +225,7 @@ def _mode_solve(cfg: RunConfig, out: Path):
     data = make_data(cfg.family, cfg.epsilon, cfg.R, params.grid)
     hist = solve_march(params, data)
     invariants = {}
-    if cfg.family == "bump_v1_only" and cfg.epsilon >= 0.0:
+    if cfg.family == "bump_v1_only":
         invariants["positivity"] = hist.min_value() >= -1e-12 * max(
             1.0, float(hist.series.sup_u.max())
         )
@@ -248,7 +248,7 @@ def _mode_solve(cfg: RunConfig, out: Path):
         n = min(hist.n_used, alt.n_used)
         # row by row: two full-table temporaries would double the peak memory
         diff = max(float(np.max(np.abs(a - b))) for a, b in zip(hist.u[:n], alt.u[:n]))
-        del alt  # frees its u and g tables before the post-processing
+        del alt  # frees its u table before the post-processing
         summary["backend_sup_diff"] = diff
         invariants["backend_agreement"] = diff <= 50.0 * cfg.h**2 * max(
             1.0, float(hist.series.sup_u.max())

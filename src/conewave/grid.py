@@ -49,6 +49,12 @@ class Grid:
         n_t = int(math.ceil(t_max / h - 1e-9)) + 1
         return cls(h=h, n_r=max(n_r, 2), n_t=max(n_t, 1))
 
+    def window(self, n: int, support_cells: int) -> int:
+        """Length of the live window of slice n for data supported on
+        ``support_cells`` cells: the nodes 0..min(n + support_cells, n_r - 1)
+        (finite propagation speed, capped at the grid edge)."""
+        return min(n + support_cells, self.n_r - 1) + 1
+
     def index_of_time(self, t: float) -> int:
         """Index of a grid time; rejects off-grid values."""
         n = int(round(t / self.h))

@@ -20,9 +20,10 @@ Two evaluation paths share that quadrature:
   length L is taken from the ladder {2^a, 3 * 2^a}, about 3 n_out in a
   march, with P on the lower two thirds of the buffer and Q reflected onto
   the top third; one kernel spectrum is cached per length.
-  ``ConvolutionKernel.cubic`` windows it to the support of u for the source
-  term (V*u^2) u, on a prefix of the grid, for a stack of rows at once
-  (one transform call; each row bitwise equal to a one-row call).
+  ``ConvolutionKernel.cubic`` gives the source term (V*u^2) u on a window
+  of the first k nodes, which is the support of u: a march slice's live
+  window.  It takes a stack of rows at once (one transform call; each row
+  bitwise equal to a one-row call).
 
 The slice tables and the near bases of the truncated last cell of
 ``apply`` take their moments from one routine, ``_xi_moments``, in long
@@ -325,8 +326,8 @@ class ConvolutionKernel:
     2 log2(4 n) of them.  The axis value is a dot product with node weights
     taken once from ``cell_moments``.
 
-    ``cubic`` gives the source term (V_gamma * u^2) u through ``apply``,
-    windowed to the support of u, on the nodes of a prefix of the grid.
+    ``cubic`` gives the source term (V_gamma * u^2) u on a window of the
+    first k nodes, with the window as the support of u.
     """
 
     def __init__(self, gamma: float, grid):
@@ -418,25 +419,14 @@ class ConvolutionKernel:
         out[..., 0] = 4.0 * math.pi * axis
         return out
 
-    def cubic(self, u: np.ndarray, support_radius: float) -> np.ndarray:
+    def cubic(self, u: np.ndarray) -> np.ndarray:
         """(V_gamma * u^2) u at the nodes of ``u``: the samples (..., k) of
-        the first k grid nodes (zero past them) of profiles supported on
-        [0, ``support_radius``], one row per profile.
-
-        u vanishes beyond its support, so the convolution is needed only on
-        the support nodes and one more; the nodes past them are exactly 0.
-        """
+        the first k grid nodes, one row per profile.  The window is the
+        support: each row is the profile supported on [0, (k - 1) h], so u
+        must vanish past the window (a slice's live window does, by finite
+        propagation speed)."""
         k = u.shape[-1]
-        b = min(support_radius, self.grid.r_max)
-        m = min(self.n, math.ceil(b / self.h - 1e-12) + 1)
-        sq = u * u
-        if k < m:  # the last cell reaching b needs its right node
-            sq = np.concatenate([sq, np.zeros(sq.shape[:-1] + (m - k,))], axis=-1)
-        conv = self._convolve(sq, b, m)
-        out = np.zeros(u.shape)
-        j = min(k, m)
-        out[..., :j] = conv[..., :j] * u[..., :j]
-        return out
+        return self._convolve(u * u, (k - 1) * self.h, k) * u
 
     def _partial_cell(self, s: np.ndarray, J: int, xi_star: float, m: int) -> np.ndarray:
         """Moment contribution of the truncated cell [J h, (J + xi*) h] at

@@ -18,17 +18,18 @@ provided:
 
 The march itself is ``march_batch``: several points that share gamma, R,
 grid and stop threshold march in lockstep as the rows of one stack, each
-slice on the live window of nodes 0..min(n + jr, n_r - 1), with one slice
-convolution per closure sweep for all rows that still sweep.  Every row
-equals its one-point march bit for bit; ``solve_march`` is the batch of one.
+slice on its live window, with one slice convolution per closure sweep for
+all rows that still sweep.  Every row equals its one-point march bit for
+bit; ``solve_march`` is the batch of one.
 
-Both backends write zeros past node n + jr of slice n by construction
-(finite propagation speed), so no run needs to check it.  Both hand each
-finished slice to one recorder, which keeps the same per-slice series
-(weighted norm by ``norms.slice_x_norm``, dissipation weight, mass
+Both backends compute u of slice n on its window (``Grid.window``), so they
+write zeros past node n + jr by construction (finite propagation speed).  Both
+hand each finished window to one recorder, which keeps the same per-slice
+series (weighted norm by ``norms.slice_x_norm``, dissipation weight, mass
 functional by ``grid.MassWeights``, sup) and threshold crossings for every
 row, so they can be cross-validated slice by slice; the march adds each
-slice's closure sweeps and last relative step.  Both always march the
+slice's closure sweeps, last relative step and sources (a d'Alembert run
+keeps u only).  Both always march the
 cubic equation: the linear field is the ``waveops.FreeField`` table, not a
 solver option.  A stored run is post-processed by ``liouville`` (the table
 v = u/(1+t)), whose rows ``dissipation_monitor`` reads, and by
@@ -127,8 +128,8 @@ class BlowupReport:
 
 @dataclass
 class SolutionHistory:
-    """March output: solution table (optional), source table (optional),
-    per-slice series, and blow-up bookkeeping."""
+    """March output: solution table (optional), source table (optional,
+    march only), per-slice series, and blow-up bookkeeping."""
 
     params: Params
     n_used: int
@@ -195,7 +196,7 @@ class _Recorder:
         self.sweeps = np.zeros(shape, dtype=int) if backend == "march" else None
         self.step = np.zeros(shape) if backend == "march" else None
         self.u = np.zeros(shape + (grid.n_r,)) if store_history else None
-        self.g = np.zeros(shape + (grid.n_r,)) if store_history else None
+        self.g = np.zeros(shape + (grid.n_r,)) if store_history and backend == "march" else None
         self.stop_threshold = p0.blowup_threshold
         self.thresholds = (self.stop_threshold / _LOW_THRESHOLD_FACTOR, self.stop_threshold)
         self.crossings = [{} for _ in params]
@@ -203,24 +204,25 @@ class _Recorder:
         self.blew_up = np.zeros(len(params), dtype=bool)
         self.aborts: list = [None] * len(params)
 
-    def record(self, n, rows, u, g, sweeps=None, step=None) -> np.ndarray:
-        """Record slice n of the batch ``rows``: ``u`` and ``g`` hold their
-        samples (len(rows), k) on the first k nodes, zero past them; the
-        march adds each row's closure ``sweeps`` and last relative ``step``.
-        Returns the mask of the rows that stop at this slice."""
+    def record(self, n, rows, u, g=None, sweeps=None, step=None) -> np.ndarray:
+        """Record slice n of the batch ``rows``: ``u`` holds their samples
+        (len(rows), k) on the first k nodes, zero past them; a march adds
+        their sources ``g`` there, closure ``sweeps`` and last relative
+        ``step``.  Returns the mask of the rows that stop at this slice."""
         finite = np.isfinite(u).all(axis=-1)
         if not finite.all():
             for i in rows[~finite]:
                 self.aborts[i] = NumericalAbort(n, self.backend)
-            rows, u, g = rows[finite], u[finite], g[finite]
+            rows, u = rows[finite], u[finite]
             if sweeps is not None:
-                sweeps, step = sweeps[finite], step[finite]
+                g, sweeps, step = g[finite], sweeps[finite], step[finite]
         k = u.shape[-1]
         ids = rows
         if rows.size and rows[-1] - rows[0] + 1 == rows.size:
             rows = slice(rows[0], rows[-1] + 1)  # a run of rows: views, no gathers
         if self.u is not None:
             self.u[rows, n, :k] = u
+        if self.g is not None:
             self.g[rows, n, :k] = g
         if self.sweeps is not None:
             self.sweeps[rows, n] = sweeps
@@ -284,7 +286,7 @@ class _Recorder:
         return out
 
 
-def _close_slice(acc: ConeAccumulator, kern, base: np.ndarray, g: np.ndarray, support: float):
+def _close_slice(acc: ConeAccumulator, kern, base: np.ndarray, g: np.ndarray):
     """Close slice n = ``acc.n_pushed`` for the rows of ``base`` (the free
     field on the live window) by fixed-point sweeps in the source rows
     ``g``, which start from the previous slice's sources and are updated in
@@ -302,7 +304,7 @@ def _close_slice(acc: ConeAccumulator, kern, base: np.ndarray, g: np.ndarray, su
         # a plain slice while every row sweeps: no gather copies
         sel = slice(None) if live.size == n_rows else live
         u[sel] = base[sel] + acc.eval_slice(g)[sel]
-        g_new = kern.cubic(u[sel], support)
+        g_new = kern.cubic(u[sel])
         delta = np.abs(g_new - g[sel]).max(axis=-1)
         scale = 1.0 + np.abs(g_new).max(axis=-1)
         g[sel] = g_new
@@ -342,22 +344,18 @@ def march_batch(params: list, data: list, store_history: bool = True) -> list:
     rows = np.arange(len(params))
     free = FreeField([d[0] for d in data], [d[1] for d in data], grid)
     rec = _Recorder(params, "march", store_history)
-    n_r = grid.n_r
 
     for n in range(grid.n_t):
-        # every slice lives on the window of nodes 0..min(n + jr, n_r - 1)
-        k = min(n + jr, n_r - 1) + 1
-        support = (n + jr) * grid.h
-        base = free.slice(n, k)
+        base = free.slice(n, grid.window(n, jr))
         if n == 0:
             u = base
-            g = kern.cubic(u, support)
+            g = kern.cubic(u)
             sweeps = np.zeros(rows.size, dtype=int)
             step = np.zeros(rows.size)
         else:
             g = np.zeros(base.shape)
             g[:, : g_prev.shape[-1]] = g_prev
-            u, sweeps, step = _close_slice(acc, kern, base, g, support)
+            u, sweeps, step = _close_slice(acc, kern, base, g)
         stop = rec.record(n, rows, u, g, sweeps, step)
         if stop.any():
             keep = ~stop
@@ -403,43 +401,45 @@ def solve_dalembert(params: Params, data) -> SolutionHistory:
     n_r, n_t = grid.n_r, grid.n_t
     h = grid.h
     r = grid.radii()
-
-    def close(n, U_row):
-        # slice n from U = r u: zero beyond the cone, divide by r, axis limit;
-        # True when the run stops here
-        kmax = min(n + jr, n_r - 1)
-        U_row[kmax + 1 :] = 0.0
-        u_row = np.zeros(n_r)
-        u_row[1:] = U_row[1:] / r[1:]
-        u_row[0] = (4.0 * u_row[1] - u_row[2]) / 3.0
-        u_row[kmax + 1 :] = 0.0
-        g_row = kern.cubic(u_row, (n + jr) * h)
-        return g_row, rec.record(n, row, u_row[None], g_row[None])[0]
-
     damp = 1.0 / (1.0 + np.arange(n_t) * h) ** 2
 
-    u_prev = v0.samples.copy()
-    g_prev = kern.cubic(u_prev, jr * h)
-    U_prev = r * u_prev
-    if rec.record(0, row, u_prev[None], g_prev[None])[0] or n_t == 1:
+    def close(n, U_row):
+        # slice n from U = r u: zero beyond the cone, divide by r on the
+        # window, axis limit; True when the run stops here
+        k = grid.window(n, jr)
+        U_row[k:] = 0.0
+        u = np.empty(k)
+        u[1:] = U_row[1:k] / r[1:k]
+        u[0] = (4.0 * u[1] - u[2]) / 3.0
+        return u, rec.record(n, row, u[None])[0]
+
+    def source(n, u):
+        # r G/(1+t)^2 of slice n from its window u, zero past it
+        S = np.zeros(n_r)
+        S[: u.size] = r[: u.size] * kern.cubic(u) * damp[n]
+        return S
+
+    u = v0.samples[: grid.window(0, jr)]
+    if rec.record(0, row, u[None])[0] or n_t == 1:
         return rec.history()
 
+    U_prev = r * v0.samples
     psi = lam_prefix((v0 + v1).samples, h)
-    S0 = r * g_prev * damp[0]
+    S = source(0, u)
     U_cur = np.zeros(n_r)
     U_cur[1:-1] = (
         0.5 * (U_prev[2:] + U_prev[:-2])
         + 0.5 * (psi[2:] - psi[:-2])
-        + 0.5 * h * h * S0[1:-1]
+        + 0.5 * h * h * S[1:-1]
     )
-    g_cur, stop = close(1, U_cur)
+    u, stop = close(1, U_cur)
     for n in range(1, n_t - 1):
         if stop:
             break
-        S = r * g_cur * damp[n]
+        S = source(n, u)
         U_next = np.zeros(n_r)
         U_next[1:-1] = U_cur[2:] + U_cur[:-2] - U_prev[1:-1] + h * h * S[1:-1]
-        g_cur, stop = close(n + 1, U_next)
+        u, stop = close(n + 1, U_next)
         U_prev, U_cur = U_cur, U_next
     return rec.history()
 

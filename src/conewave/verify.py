@@ -182,7 +182,8 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
     grid = Grid.for_domain(h, T + R, T)
     wp = WeightParams(gamma, R)
     r = grid.radii()
-    acc = ConeAccumulator(grid, int(round(R / h)))
+    jr = int(round(R / h))
+    acc = ConeAccumulator(grid, jr)
     kern = cached_kernel(gamma, grid)
     explicit = not is_log_branch(gamma)
     c2 = 2.0 * c1_constant(gamma, R) if explicit else float("nan")
@@ -197,7 +198,7 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
     for n in range(grid.n_t):
         t = n * h
         sat = saturating_profile(gamma, R, t, grid)
-        g_row = kern.cubic(sat.samples, sat.support_radius)
+        g_row = kern.cubic(sat.samples[: grid.window(n, jr)])
         if n >= 1:
             vals = acc.eval_slice(g_row)
             run_norm = max(run_norm, slice_x_norm(wp, r[: vals.size], t, vals))

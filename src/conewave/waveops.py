@@ -371,13 +371,13 @@ class ConeAccumulator:
         self._add(m, self.tw.w_slice[m], g_row)
 
     def eval_slice(self, g_cur: np.ndarray) -> np.ndarray:
-        """Duhamel values of slice n = ``n_pushed`` at its live nodes
-        0..min(n + jr, n_r - 1), given the current source iterate ``g_cur``
+        """Duhamel values of slice n = ``n_pushed`` on its live window
+        (``Grid.window``), given the current source iterate ``g_cur``
         of that slice.  The part that ``g_cur`` does not enter is computed
         on the first call of a slice and kept until the next push, so each
         further closure sweep costs one vector add."""
         n = self.n_pushed
-        kmax = min(n + self.jr, self.grid.n_r - 1)
+        kmax = self.grid.window(n, self.jr) - 1
         if n == 0:
             return np.zeros(g_cur.shape[:-1] + (kmax + 1,))
         if self._memo is None:

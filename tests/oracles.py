@@ -48,7 +48,8 @@ def mass_rhs(u_slice: RadialProfile, gamma: float, t: float) -> float:
     """F''(t) by the integrated equation:
     4 pi (1+t)^-2 int r^2 (V_gamma*u^2)(r) u(r) dr."""
     grid = u_slice.grid
-    cube = cached_kernel(gamma, grid).cubic(u_slice.samples, u_slice.support_radius)
+    sq = RadialProfile(grid, u_slice.samples**2, u_slice.support_radius)
+    cube = cached_kernel(gamma, grid).apply(sq) * u_slice.samples
     prod = RadialProfile(grid, cube, u_slice.support_radius)
     return (
         4.0 * math.pi / (1.0 + t) ** 2 * trapezoid_weighted(prod, 2.0, 0.0, grid.r_max)
@@ -260,7 +261,7 @@ def picard_iterates(params, data, c1: float):
         acc = ConeAccumulator(grid, jr)
         new = u0.copy()
         for n, row in enumerate(u):
-            g = kern.cubic(row, (n + jr) * h)
+            g = kern.cubic(row[: grid.window(n, jr)])
             if n:
                 dh = acc.eval_slice(g)
                 new[n, : dh.size] += dh

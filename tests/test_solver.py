@@ -6,10 +6,8 @@ import pytest
 from conewave.grid import Grid, trapezoid_weighted
 from conewave.norms import slice_x_norm
 from conewave.solver import (
-    BlowupReport,
     NumericalAbort,
     Params,
-    SolutionHistory,
     dissipation_monitor,
     liouville,
     make_data,
@@ -229,6 +227,29 @@ class TestDalembert:
         sup = np.max(np.abs(hm.u - hd.u))
         assert sup < 5e-4
 
+    def test_record_keeps_u_only(self):
+        # the source table's readers take march runs: a d'Alembert history
+        # keeps no g, and scattering_check refuses it
+        p = build(1.0, 1.0, 1e-3, 1 / 16, 8.0)
+        hist = solve_dalembert(p, make_data("bump_v1_only", 1e-3, 1.0, p.grid))
+        assert hist.g is None and hist.u.shape == (p.grid.n_t, p.grid.n_r)
+        with pytest.raises(ValueError):
+            scattering_check(hist, 4.0)
+
+    def test_rows_vanish_past_window(self):
+        # u of slice n is computed on its window, nodes 0..n + jr, and is
+        # exactly zero past it
+        p = build(1.0, 1.0, 0.5, 1 / 16, 3.0)
+        grid, jr = p.grid, p.support_cells
+        hist = solve_dalembert(p, make_data("bump_both", 0.5, 1.0, grid))
+        for n, row in enumerate(hist.u):
+            k = grid.window(n, jr)
+            assert np.any(row[:k]) and not np.any(row[k:])
+
+    def test_window_capped_at_grid_edge(self):
+        grid = Grid(h=1 / 16, n_r=49, n_t=40)
+        assert [grid.window(n, 16) for n in (0, 31, 32, 39)] == [17, 48, 49, 49]
+
 
 class TestPicard:
     def setup_method(self):
@@ -302,8 +323,6 @@ class TestPostprocessing:
         r = grid.radii()
         t = np.arange(grid.n_t) * h
         g = np.where(r[None, :] <= t[:, None] + p.R + 1e-12, np.exp(-r), 0.0)
-        blowup = BlowupReport(blew_up=False, t_numeric=None, threshold=p.blowup_threshold)
-        hist = SolutionHistory(p, grid.n_t, series=None, blowup=blowup, g=g)
         fields = dict(duhamel_tails(g, grid, p.support_cells, grid.index_of_time(4.0)))
         t0 = 5.0
         n0 = grid.index_of_time(t0)
