@@ -181,9 +181,9 @@ class MassDiagnostics:
     envelope_dominated: bool | None  # F >= comparison-ODE envelope past the seed
 
 
-def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile) -> MassDiagnostics:
+def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile, epsilon: float) -> MassDiagnostics:
     """Mass identity, pair/cubic ratios and envelope checks of a stored run
-    with data (0, v1).
+    with data (0, v1) of amplitude ``epsilon``.
 
     The identity check needs a blown-up run of at least 5 slices; its window
     [2R, t_numeric - R] is past the data transient and clear of the singular
@@ -217,9 +217,9 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile) -> MassDiagnostic
     ig = int(round(2.0 / (2.0 + gamma) / h))  # slice of t_gamma
     env = closed_ok = env_ok = None
     if gamma < 0.0 and 1 <= ig < n_used - 1:
-        C0 = mw.mass(v1.samples) / params.epsilon
+        C0 = mw.mass(v1.samples) / epsilon
         Fp = (F[ig + 1] - F[ig - 1]) / (2.0 * h)
-        env = ode_envelope(params.epsilon, C0, gamma, t, F[ig], Fp, seed_t=ig * h)
+        env = ode_envelope(epsilon, C0, gamma, t, F[ig], Fp, seed_t=ig * h)
         cf = env.closed_form_valid
         closed_ok = bool(np.all(F[cf] >= env.closed_form[cf] * (1.0 - 1e-9)))
         dom = t >= ig * h

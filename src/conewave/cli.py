@@ -214,10 +214,7 @@ def _write_invariants(path: Path, invariants: dict) -> None:
 
 def _params(cfg: RunConfig) -> Params:
     grid = Grid.for_domain(cfg.h, cfg.t_max + cfg.R, cfg.t_max)
-    return Params(
-        gamma=cfg.gamma, R=cfg.R, epsilon=cfg.epsilon, grid=grid,
-        blowup_threshold=cfg.blowup_threshold,
-    )
+    return Params(gamma=cfg.gamma, R=cfg.R, grid=grid, blowup_threshold=cfg.blowup_threshold)
 
 
 def _mode_solve(cfg: RunConfig, out: Path):
@@ -334,7 +331,7 @@ def _mode_blowup(cfg: RunConfig, out: Path):
     params = _params(cfg)
     data = make_data("bump_v1_only", cfg.epsilon, cfg.R, params.grid)
     hist = solve_march(params, data)
-    diag = mass_diagnostics(hist, data[1])
+    diag = mass_diagnostics(hist, data[1], cfg.epsilon)
     invariants = {}
     # pair/cubic ratios are reported only: their printed constants are not
     # attainable in the negative-exponent regime (see the project notes)

@@ -55,6 +55,12 @@ class Grid:
         (finite propagation speed, capped at the grid edge)."""
         return min(n + support_cells, self.n_r - 1) + 1
 
+    def check_cone(self, support_cells: int) -> None:
+        """Refuse a grid that does not hold the forward cone of data
+        supported on ``support_cells`` cells up to its last slice."""
+        if self.n_r - 1 < self.n_t - 1 + support_cells:
+            raise ValueError("grid must cover the forward cone: need r_max >= t_max + support")
+
     def index_of_time(self, t: float) -> int:
         """Index of a grid time; rejects off-grid values."""
         n = int(round(t / self.h))

@@ -75,12 +75,9 @@ class LifespanFit:
 
 
 def _level_runs(gamma, R, epsilons, h, t_max, family, blowup_threshold):
-    """(params, data) of each epsilon on the grid of spacing h."""
+    """The problem on the grid of spacing h, and the data of each epsilon."""
     grid = Grid.for_domain(h, t_max + R, t_max)
-    params = [
-        Params(gamma=gamma, R=R, epsilon=e, grid=grid, blowup_threshold=blowup_threshold)
-        for e in epsilons
-    ]
+    params = Params(gamma=gamma, R=R, grid=grid, blowup_threshold=blowup_threshold)
     return params, [make_data(family, e, R, grid) for e in epsilons]
 
 
@@ -131,7 +128,7 @@ def lifespan_measure(
     hist = None
     for lev in range(refine + 1):
         hh = h / 2**lev
-        (params,), (data,) = _level_runs(gamma, R, [epsilon], hh, t_max, family, blowup_threshold)
+        params, (data,) = _level_runs(gamma, R, [epsilon], hh, t_max, family, blowup_threshold)
         hist = solve_march(params, data, store_history=False)
         levels.append((hh, hist.blowup.t_numeric))
     return _point(epsilon, levels, hist)

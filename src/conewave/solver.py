@@ -16,11 +16,12 @@ provided:
   with source r*(V*u^2)u/(1+t)^2 and marches it with the exact
   characteristic stencil (dt = dr).
 
-The march itself is ``march_batch``: several points that share gamma, R,
-grid and stop threshold march in lockstep as the rows of one stack, each
-slice on its live window, with one slice convolution per closure sweep for
-all rows that still sweep.  Every row equals its one-point march bit for
-bit; ``solve_march`` is the batch of one.
+A ``Params`` is one problem (gamma, R, grid, stop threshold); the data
+(v0, v1), which carry the amplitude epsilon, are its rows.  The march
+itself is ``march_batch``: the rows of one problem march in lockstep as one
+stack, each slice on its live window, with one slice convolution per
+closure sweep for all rows that still sweep.  Every row equals its
+one-point march bit for bit; ``solve_march`` is the batch of one.
 
 Both backends compute u of slice n on its window (``Grid.window``), so they
 write zeros past node n + jr by construction (finite propagation speed).  Both
@@ -80,23 +81,24 @@ class NumericalAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class Params:
-    """One run of the damped Hartree wave problem."""
+    """One damped Hartree wave problem: gamma, the data support radius R,
+    a grid that holds the forward cone of that support, and the stop
+    threshold.  The data of a run, scaled by epsilon (``make_data``), are
+    passed beside it."""
 
     gamma: float
     R: float
-    epsilon: float
     grid: Grid
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
         self.weights()  # validates gamma and R
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
         if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be positive")
         jr = self.R / self.grid.h
         if abs(jr - round(jr)) > 1e-9:
             raise ValueError("R must be an integer number of grid cells")
+        self.grid.check_cone(self.support_cells)
 
     @property
     def support_cells(self) -> int:
@@ -160,6 +162,8 @@ def make_data(family: str, epsilon: float, R: float, grid: Grid):
     """
     if family not in DATA_FAMILIES:
         raise ValueError(f"unknown data family {family!r}")
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be >= 0")
     r = grid.radii()
     x = np.minimum(r / R, 1.0)
     bump = np.where(r <= R, (1.0 - x * x) ** 3, 0.0)
@@ -170,24 +174,23 @@ def make_data(family: str, epsilon: float, R: float, grid: Grid):
 
 
 class _Recorder:
-    """The one record of a run, one row per point of a batch.  Each finished
-    slice goes through ``record`` with the rows still marching, which
-    stores the rows (with ``store_history``), updates the per-slice series
-    and the threshold crossings, and reports the rows that stop: a row
-    stops when it crosses the stop threshold, or with a ``NumericalAbort``
-    kept for it on a non-finite value.  ``outcome`` builds each row's
-    result."""
+    """The one record of a run of ``params``, one row per data row of a
+    batch.  Each finished slice goes through ``record`` with the rows still
+    marching, which stores the rows (with ``store_history``), updates the
+    per-slice series and the threshold crossings, and reports the rows that
+    stop: a row stops when it crosses the stop threshold, or with a
+    ``NumericalAbort`` kept for it on a non-finite value.  ``outcome``
+    builds each row's result."""
 
-    def __init__(self, params: list, backend: str, store_history: bool = True):
-        p0 = params[0]
-        grid = p0.grid
+    def __init__(self, params: Params, n_rows: int, backend: str, store_history: bool = True):
+        grid = params.grid
         self.params = params
         self.backend = backend
         self.r = grid.radii()
-        self.wp = p0.weights()
+        self.wp = params.weights()
         self.h = grid.h
         self.mw = MassWeights(grid)
-        shape = (len(params), grid.n_t)
+        shape = (n_rows, grid.n_t)
         self.x_run = np.zeros(shape)
         self.dissip = np.zeros(shape)
         self.mass = np.zeros(shape)
@@ -197,12 +200,11 @@ class _Recorder:
         self.step = np.zeros(shape) if backend == "march" else None
         self.u = np.zeros(shape + (grid.n_r,)) if store_history else None
         self.g = np.zeros(shape + (grid.n_r,)) if store_history and backend == "march" else None
-        self.stop_threshold = p0.blowup_threshold
+        self.stop_threshold = params.blowup_threshold
         self.thresholds = (self.stop_threshold / _LOW_THRESHOLD_FACTOR, self.stop_threshold)
-        self.crossings = [{} for _ in params]
-        self.n_used = np.zeros(len(params), dtype=int)
-        self.blew_up = np.zeros(len(params), dtype=bool)
-        self.aborts: list = [None] * len(params)
+        self.crossings = [{} for _ in range(n_rows)]
+        self.n_used = np.zeros(n_rows, dtype=int)
+        self.aborts: list = [None] * n_rows
 
     def record(self, n, rows, u, g=None, sweeps=None, step=None) -> np.ndarray:
         """Record slice n of the batch ``rows``: ``u`` holds their samples
@@ -241,10 +243,8 @@ class _Recorder:
                 if thr not in self.crossings[i] and s > thr:
                     self.crossings[i][thr] = t
         self.n_used[rows] = n + 1
-        crossed = sup > self.stop_threshold
-        self.blew_up[rows] = crossed
         stop = ~finite
-        stop[finite] = crossed
+        stop[finite] = sup > self.stop_threshold
         return stop
 
     def outcome(self, i: int):
@@ -260,15 +260,16 @@ class _Recorder:
             mass=self.mass[i, sl].copy(),
             sup_u=self.sup_u[i, sl].copy(),
         )
-        blew_up = bool(self.blew_up[i])
+        # a row stops on the test that records its stop-threshold crossing
+        t_numeric = self.crossings[i].get(self.stop_threshold)
         blowup = BlowupReport(
-            blew_up=blew_up,
-            t_numeric=self.crossings[i].get(self.stop_threshold) if blew_up else None,
+            blew_up=t_numeric is not None,
+            t_numeric=t_numeric,
             threshold=self.stop_threshold,
             crossings=self.crossings[i],
         )
         return SolutionHistory(
-            params=self.params[i],
+            params=self.params,
             n_used=n_used,
             series=series,
             blowup=blowup,
@@ -321,29 +322,24 @@ def _close_slice(acc: ConeAccumulator, kern, base: np.ndarray, g: np.ndarray):
     return u, sweeps, step
 
 
-def march_batch(params: list, data: list, store_history: bool = True) -> list:
-    """March the integral equation for several points in lockstep.
+def march_batch(params: Params, data: list, store_history: bool = True) -> list:
+    """March the integral equation of one problem for several data rows in
+    lockstep.
 
-    ``params`` share gamma, R, grid and stop threshold (the points differ
-    in epsilon and data); ``data`` holds each point's (v0, v1).  Each slice
-    runs one free-field slice, one closure (``_close_slice``), one record
-    and one push for all rows that still march.  A row leaves the batch
-    when it crosses the stop threshold or hits a non-finite value.  Returns
-    per point its ``SolutionHistory`` or its ``NumericalAbort``, each equal
-    to what a one-point march gives.
+    ``data`` holds each row's (v0, v1).  Each slice runs one free-field
+    slice, one closure (``_close_slice``), one record and one push for all
+    rows that still march.  A row leaves the batch when it crosses the stop
+    threshold or hits a non-finite value.  Returns per row its
+    ``SolutionHistory`` (whose ``params`` is ``params``) or its
+    ``NumericalAbort``, each equal to what a one-row march gives.
     """
-    p0 = params[0]
-    shared = (p0.gamma, p0.R, p0.grid, p0.blowup_threshold)
-    if any((p.gamma, p.R, p.grid, p.blowup_threshold) != shared for p in params):
-        raise ValueError("a batch shares gamma, R, grid and blowup_threshold")
-    grid = p0.grid
-    jr = p0.support_cells
-    # first, so a grid short of the forward cone fails before any table is built
+    grid = params.grid
+    jr = params.support_cells
     acc = ConeAccumulator(grid, jr)
-    kern = cached_kernel(p0.gamma, grid)
-    rows = np.arange(len(params))
+    kern = cached_kernel(params.gamma, grid)
+    rows = np.arange(len(data))
     free = FreeField([d[0] for d in data], [d[1] for d in data], grid)
-    rec = _Recorder(params, "march", store_history)
+    rec = _Recorder(params, len(data), "march", store_history)
 
     for n in range(grid.n_t):
         base = free.slice(n, grid.window(n, jr))
@@ -367,7 +363,7 @@ def march_batch(params: list, data: list, store_history: bool = True) -> list:
             free = FreeField([data[i][0] for i in rows], [data[i][1] for i in rows], grid)
         acc.push_slice(g)
         g_prev = g
-    return [rec.outcome(i) for i in range(len(params))]
+    return [rec.outcome(i) for i in range(len(data))]
 
 
 def solve_march(
@@ -383,7 +379,7 @@ def solve_march(
     stops early once sup|u| exceeds ``params.blowup_threshold``.  This is
     the one-point batch of ``march_batch``.
     """
-    (out,) = march_batch([params], [data], store_history)
+    (out,) = march_batch(params, [data], store_history)
     if isinstance(out, NumericalAbort):
         raise out
     return out
@@ -396,7 +392,7 @@ def solve_dalembert(params: Params, data) -> SolutionHistory:
     grid = params.grid
     jr = params.support_cells
     kern = cached_kernel(params.gamma, grid)
-    rec = _Recorder([params], "dalembert")
+    rec = _Recorder(params, 1, "dalembert")
     row = np.zeros(1, dtype=int)
     n_r, n_t = grid.n_r, grid.n_t
     h = grid.h

@@ -197,8 +197,8 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
     violations = 0
     for n in range(grid.n_t):
         t = n * h
-        sat = saturating_profile(gamma, R, t, grid)
-        g_row = kern.cubic(sat.samples[: grid.window(n, jr)])
+        # the saturating profile on the window, which is its support r <= t + R
+        g_row = kern.cubic(1.0 / weight_row(wp, r[: grid.window(n, jr)], t))
         if n >= 1:
             vals = acc.eval_slice(g_row)
             run_norm = max(run_norm, slice_x_norm(wp, r[: vals.size], t, vals))

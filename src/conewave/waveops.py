@@ -304,15 +304,11 @@ class ConeAccumulator:
     def __init__(self, grid: Grid, support_cells: int):
         self.grid = grid
         self.jr = int(support_cells)
-        n_t, n_r = grid.n_t, grid.n_r
-        if n_r - 1 < n_t - 1 + self.jr:
-            raise ValueError(
-                "grid must cover the forward cone: need r_max >= t_max + support"
-            )
-        self.tw = TimeWeights(n_t, grid.h)
+        grid.check_cone(self.jr)
+        self.tw = TimeWeights(grid.n_t, grid.h)
         # sized for the rows of the first pushed slice (see _sums)
         self.A = self.B = self.Ax = self.Bx = self.totals = None
-        self.boff = n_t - 1
+        self.boff = grid.n_t - 1
         self.n_pushed = 0
         self._phi_prev: np.ndarray | None = None
         self._g_prev: np.ndarray | None = None
@@ -422,7 +418,7 @@ class ConeAccumulator:
         gp = np.zeros(g_prev.shape[:-1] + (kmax + 1,))
         gp[..., : min(g_prev.shape[-1], kmax + 1)] = g_prev[..., : kmax + 1]
         hist = (first - second - wl_top * i_prev) / (2.0 * k * h)
-        ax = self.Ax[..., n] - wl_top * h * gp[..., 1] if Lp >= 1 else self.Ax[..., n]
+        ax = self.Ax[..., n] - wl_top * h * gp[..., 1]
         return hist, J1 * gp[..., 1:], ax + J1 * gp[..., 0], J2
 
     def _eval_tail(self, n: int, g_n: np.ndarray) -> np.ndarray:

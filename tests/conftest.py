@@ -16,7 +16,7 @@ from conewave.solver import Params, make_data, solve_dalembert, solve_march
 def global_run():
     """Criterion-5 workhorse: gamma=1, R=1, eps=1e-3, t_max=200."""
     grid = Grid.for_domain(1 / 16, 201.0, 200.0)
-    params = Params(gamma=1.0, R=1.0, epsilon=1e-3, grid=grid)
+    params = Params(gamma=1.0, R=1.0, grid=grid)
     data = make_data("bump_v1_only", 1e-3, 1.0, grid)
     return params, data, solve_march(params, data)
 
@@ -25,7 +25,7 @@ def global_run():
 def blowup_run():
     """Criterion-7 qualifying blow-up run with stored history."""
     grid = Grid.for_domain(1 / 64, 56.0, 55.0)
-    params = Params(gamma=-0.4, R=1.0, epsilon=4.1, grid=grid)
+    params = Params(gamma=-0.4, R=1.0, grid=grid)
     data = make_data("bump_v1_only", 4.1, 1.0, grid)
     return params, data, solve_march(params, data)
 
@@ -34,7 +34,7 @@ def blowup_run():
 def blowup_diag(blowup_run):
     """Mass-functional diagnostics of the blow-up run."""
     _, data, hist = blowup_run
-    return mass_diagnostics(hist, data[1])
+    return mass_diagnostics(hist, data[1], 4.1)
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def backend_triplet():
     for div in (32, 64, 128):
         h = 1.0 / div
         grid = Grid.for_domain(h, 21.0, 20.0)
-        params = Params(gamma=1.0, R=1.0, epsilon=1e-3, grid=grid)
+        params = Params(gamma=1.0, R=1.0, grid=grid)
         data = make_data("bump_v1_only", 1e-3, 1.0, grid)
         hm = solve_march(params, data)
         hd = solve_dalembert(params, data)

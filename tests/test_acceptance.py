@@ -261,7 +261,7 @@ def test_c5_global_regime(global_run):
 def test_c6_contraction():
     h = 1 / 64
     grid = Grid.for_domain(h, 2.0, 1.0)
-    params = Params(gamma=1.0, R=1.0, epsilon=1e-3, grid=grid)
+    params = Params(gamma=1.0, R=1.0, grid=grid)
     data = make_data("bump_v1_only", 1e-3, 1.0, grid)
     c1 = c1_constant(1.0)
     T, M, u, norms, converged = picard_iterates(params, data, c1)
@@ -324,7 +324,7 @@ def test_c8_lifespan_scaling(lifespan_sweep):
 def test_c9_scale_symmetry():
     h = 1 / 16
     grid = Grid.for_domain(h, 11.0, 10.0)
-    params = Params(gamma=1.0, R=1.0, epsilon=1e-3, grid=grid)
+    params = Params(gamma=1.0, R=1.0, grid=grid)
     data = make_data("bump_v1_only", 1e-3, 1.0, grid)
     res = {}
     for sigma in (0.5, 2.0):

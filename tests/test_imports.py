@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "conewave"
 
 # Exports that only tests call: the independent references of the shipped
-# operators, the Kato exponent calculus that ROADMAP item 5's sweep is to
+# operators, the Kato exponent calculus that ROADMAP item 6's sweep is to
 # use, and the one-point lifespan that a sweep's lockstep points are held
 # to.
 TEST_ONLY_EXPORTS = (

@@ -250,7 +250,7 @@ class TestWindow:
         cached_kernel.cache_clear()
         grid = Grid.for_domain(1 / 16, 64.0, 40.0)
         assert grid.n_r >= 1000 and grid.n_t >= 600
-        params = Params(gamma=1.0, R=1.0, epsilon=1e-3, grid=grid)
+        params = Params(gamma=1.0, R=1.0, grid=grid)
         hist = solve_march(params, make_data("bump_v1_only", 1e-3, 1.0, grid), store_history=False)
         assert hist.n_used == grid.n_t
         kern = cached_kernel(1.0, grid)

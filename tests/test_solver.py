@@ -17,7 +17,7 @@ from conewave.solver import (
     solve_march,
 )
 from conewave.verify import c1_constant
-from conewave.waveops import FreeField, duhamel_tails
+from conewave.waveops import ConeAccumulator, FreeField, duhamel_tails
 
 from oracles import free_table, picard_iterates, scale_symmetry_mismatch
 
@@ -51,25 +51,23 @@ def _slow_tail(g, grid, M, r0, t0):
     return total
 
 
-def build(gamma, R, eps, h, t_max, thr=1e6):
+def build(gamma, R, h, t_max, thr=1e6):
     grid = Grid.for_domain(h, t_max + R, t_max)
-    return Params(gamma=gamma, R=R, epsilon=eps, grid=grid, blowup_threshold=thr)
+    return Params(gamma=gamma, R=R, grid=grid, blowup_threshold=thr)
 
 
 class TestParams:
     def test_validation(self):
         grid = Grid.for_domain(1 / 8, 2.0, 1.0)
         with pytest.raises(ValueError):
-            Params(gamma=3.2, R=1.0, epsilon=1.0, grid=grid)
+            Params(gamma=3.2, R=1.0, grid=grid)
         with pytest.raises(ValueError):
-            Params(gamma=1.0, R=0.5, epsilon=1.0, grid=grid)
+            Params(gamma=1.0, R=0.5, grid=grid)
         with pytest.raises(ValueError):
-            Params(gamma=1.0, R=1.0, epsilon=-1.0, grid=grid)
-        with pytest.raises(ValueError):
-            Params(gamma=1.0, R=1.03, epsilon=1.0, grid=grid)  # off-cell R
+            Params(gamma=1.0, R=1.03, grid=grid)  # off-cell R
         for thr in (0.0, math.nan):  # a nan threshold could never stop a march
             with pytest.raises(ValueError):
-                Params(gamma=1.0, R=1.0, epsilon=1.0, grid=grid, blowup_threshold=thr)
+                Params(gamma=1.0, R=1.0, grid=grid, blowup_threshold=thr)
 
 
 class TestMakeData:
@@ -100,25 +98,41 @@ class TestMakeData:
         with pytest.raises(ValueError):
             make_data("gauss", 1.0, 1.0, grid)
 
+    def test_negative_epsilon(self):
+        grid = Grid.for_domain(1 / 8, 2.0, 1.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            make_data("bump_v1_only", -1.0, 1.0, grid)
+
 
 class TestMarch:
     def test_zero_data(self):
-        p = build(1.0, 1.0, 0.0, 1 / 16, 3.0)
+        p = build(1.0, 1.0, 1 / 16, 3.0)
         d = make_data("bump_v1_only", 0.0, 1.0, p.grid)
         hist = solve_march(p, d)
         assert np.all(hist.u == 0.0)
         assert not hist.blowup.blew_up
 
-    def test_refuses_grid_short_of_forward_cone(self):
-        # r_max = t_max + R - h: the cone of the last slice leaves the grid
-        grid = Grid.for_domain(1 / 8, 3.0 + 1.0 - 1 / 8, 3.0)
-        p = Params(gamma=1.0, R=1.0, epsilon=0.5, grid=grid)
-        d = make_data("bump_v1_only", 0.5, 1.0, grid)
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            # r_max = t_max + R - h: the cone of the last slice leaves the grid
+            Grid.for_domain(1 / 8, 3.0 + 1.0 - 1 / 8, 3.0),
+            # r_max = t_max: the d'Alembert stencil, which builds no
+            # accumulator, must refuse it too
+            Grid(h=1 / 16, n_r=49, n_t=49),
+        ],
+        ids=["off_by_one", "r_max_eq_t_max"],
+    )
+    def test_refuses_grid_short_of_forward_cone(self, grid):
+        # neither backend can be handed such a problem, and the
+        # accumulator still refuses the grid for its direct callers
         with pytest.raises(ValueError, match="forward cone"):
-            solve_march(p, d)
+            Params(gamma=1.0, R=1.0, grid=grid)
+        with pytest.raises(ValueError, match="forward cone"):
+            ConeAccumulator(grid, round(1.0 / grid.h))
 
     def test_positivity_and_propagation(self):
-        p = build(1.0, 1.0, 1.0, 1 / 16, 4.0)
+        p = build(1.0, 1.0, 1 / 16, 4.0)
         d = make_data("bump_v1_only", 1.0, 1.0, p.grid)
         hist = solve_march(p, d)
         r = p.grid.radii()
@@ -128,7 +142,7 @@ class TestMarch:
 
     def test_small_data_tracks_free_field(self):
         # cubic nonlinearity: relative correction is O(eps^2) for the norm
-        p = build(1.0, 1.0, 1e-3, 1 / 16, 50.0)
+        p = build(1.0, 1.0, 1 / 16, 50.0)
         d = make_data("bump_v1_only", 1e-3, 1.0, p.grid)
         run = solve_march(p, d)
         free = FreeField(d[0], d[1], p.grid)
@@ -140,7 +154,7 @@ class TestMarch:
         assert abs(xa - xb) <= 0.1 * xb
 
     def test_numerical_abort(self):
-        p = build(1.0, 1.0, 1e150, 1 / 8, 2.0, thr=1e308)
+        p = build(1.0, 1.0, 1 / 8, 2.0, thr=1e308)
         d = make_data("bump_v1_only", 1e150, 1.0, p.grid)
         for solve, backend in ((solve_march, "march"), (solve_dalembert, "dalembert")):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -149,7 +163,7 @@ class TestMarch:
             assert (exc.value.backend, exc.value.slice_index) == (backend, 2)
 
     def test_lean_mode_series_match(self):
-        p = build(1.0, 1.0, 0.5, 1 / 16, 3.0)
+        p = build(1.0, 1.0, 1 / 16, 3.0)
         d = make_data("bump_v1_only", 0.5, 1.0, p.grid)
         full = solve_march(p, d, store_history=True)
         lean = solve_march(p, d, store_history=False)
@@ -161,17 +175,17 @@ class TestMarchBatch:
     """Rows of a lockstep march against one-point marches of the same data."""
 
     def _points(self, eps, **kw):
-        params = [build(-0.4, 1.0, e, 1 / 16, 6.0, **kw) for e in eps]
-        return params, [make_data("bump_v1_only", e, 1.0, p.grid) for p, e in zip(params, eps)]
+        params = build(-0.4, 1.0, 1 / 16, 6.0, **kw)
+        return params, [make_data("bump_v1_only", e, 1.0, params.grid) for e in eps]
 
     @pytest.mark.parametrize("store", [False, True])
     def test_rows_equal_one_point_marches(self, store):
         # 8.0 leaves the batch at t = 4.6, 0.5 and 5.0 march to the end
         params, data = self._points([0.5, 8.0, 5.0])
         batch = march_batch(params, data, store_history=store)
-        for p, d, got in zip(params, data, batch):
-            want = solve_march(p, d, store_history=store)
-            assert got.n_used == want.n_used and got.params == p
+        for d, got in zip(data, batch):
+            want = solve_march(params, d, store_history=store)
+            assert got.n_used == want.n_used and got.params is params
             assert repr(got.blowup) == repr(want.blowup)
             for a, b in zip(got.series.rows(), want.series.rows()):
                 assert repr(a) == repr(b)
@@ -190,20 +204,14 @@ class TestMarchBatch:
         assert hist.closure_sweeps[0] == 0 and hist.closure_step[0] == 0.0
         assert np.all((hist.closure_sweeps[1:] >= 1) & (hist.closure_sweeps[1:] <= 4))
         assert np.all(hist.closure_step >= 0.0)
-        assert solve_dalembert(params[0], data[0]).closure_sweeps is None
+        assert solve_dalembert(params, data[0]).closure_sweeps is None
 
     def test_abort_is_held_for_its_row(self):
         params, data = self._points([5.0, 1e150], thr=1e308)
         with np.errstate(over="ignore", invalid="ignore"):
             ok, bad = march_batch(params, data, store_history=False)
         assert isinstance(bad, NumericalAbort) and (bad.backend, bad.slice_index) == ("march", 2)
-        assert ok.n_used == params[0].grid.n_t
-
-    def test_rejects_mixed_batches(self):
-        params, data = self._points([1.0, 2.0])
-        other = build(-0.3, 1.0, 2.0, 1 / 16, 6.0)
-        with pytest.raises(ValueError):
-            march_batch([params[0], other], data)
+        assert ok.n_used == params.grid.n_t
 
 
 class TestDalembert:
@@ -212,7 +220,7 @@ class TestDalembert:
         # against the exact free field is the stencil's own
         diffs = []
         for h in (1 / 16, 1 / 32):
-            p = build(1.0, 1.0, 1e-6, h, 3.0)
+            p = build(1.0, 1.0, h, 3.0)
             d = make_data("bump_both", 1e-6, 1.0, p.grid)
             hist = solve_dalembert(p, d)
             tab = free_table(FreeField(d[0], d[1], p.grid), p.grid.n_t)
@@ -220,7 +228,7 @@ class TestDalembert:
         assert diffs[0] / diffs[1] > 3.0  # ~4 for second order
 
     def test_backend_cross_check(self):
-        p = build(1.0, 1.0, 0.5, 1 / 32, 3.0)
+        p = build(1.0, 1.0, 1 / 32, 3.0)
         d = make_data("bump_v1_only", 0.5, 1.0, p.grid)
         hm = solve_march(p, d)
         hd = solve_dalembert(p, d)
@@ -230,7 +238,7 @@ class TestDalembert:
     def test_record_keeps_u_only(self):
         # the source table's readers take march runs: a d'Alembert history
         # keeps no g, and scattering_check refuses it
-        p = build(1.0, 1.0, 1e-3, 1 / 16, 8.0)
+        p = build(1.0, 1.0, 1 / 16, 8.0)
         hist = solve_dalembert(p, make_data("bump_v1_only", 1e-3, 1.0, p.grid))
         assert hist.g is None and hist.u.shape == (p.grid.n_t, p.grid.n_r)
         with pytest.raises(ValueError):
@@ -239,7 +247,7 @@ class TestDalembert:
     def test_rows_vanish_past_window(self):
         # u of slice n is computed on its window, nodes 0..n + jr, and is
         # exactly zero past it
-        p = build(1.0, 1.0, 0.5, 1 / 16, 3.0)
+        p = build(1.0, 1.0, 1 / 16, 3.0)
         grid, jr = p.grid, p.support_cells
         hist = solve_dalembert(p, make_data("bump_both", 0.5, 1.0, grid))
         for n, row in enumerate(hist.u):
@@ -253,12 +261,12 @@ class TestDalembert:
 
 class TestPicard:
     def setup_method(self):
-        self.p = build(1.0, 1.0, 1e-3, 1 / 64, 1.0)
+        self.p = build(1.0, 1.0, 1 / 64, 1.0)
         self.d = make_data("bump_v1_only", 1e-3, 1.0, self.p.grid)
         self.c1 = c1_constant(1.0)
 
     def test_zero_data_one_step(self):
-        p0 = build(1.0, 1.0, 0.0, 1 / 64, 1.0)
+        p0 = build(1.0, 1.0, 1 / 64, 1.0)
         d0 = make_data("bump_v1_only", 0.0, 1.0, p0.grid)
         _, _, u, norms, converged = picard_iterates(p0, d0, self.c1)
         assert converged and norms == [0.0]
@@ -276,7 +284,7 @@ class TestPicard:
 
 class TestPostprocessing:
     def test_liouville(self):
-        p = build(1.0, 1.0, 0.5, 1 / 16, 2.0)
+        p = build(1.0, 1.0, 1 / 16, 2.0)
         d = make_data("bump_v1_only", 0.5, 1.0, p.grid)
         hist = solve_march(p, d)
         v = liouville(hist)
@@ -291,7 +299,7 @@ class TestPostprocessing:
             assert v[n][k] == pytest.approx(hist.u[n][k] / (1.0 + t[n]), rel=1e-15)
 
     def test_zero_run_diagnostics(self):
-        p = build(1.0, 1.0, 0.0, 1 / 16, 4.0)
+        p = build(1.0, 1.0, 1 / 16, 4.0)
         d = make_data("bump_v1_only", 0.0, 1.0, p.grid)
         hist = solve_march(p, d)
         ts, vals, rem = scattering_check(hist, 2.0)
@@ -301,7 +309,7 @@ class TestPostprocessing:
 
     def test_scattering_tail_against_nested_quadrature(self):
         # independent slow evaluation of the backward cone integral
-        p = build(1.0, 1.0, 0.8, 1 / 16, 8.0)
+        p = build(1.0, 1.0, 1 / 16, 8.0)
         d = make_data("bump_v1_only", 0.8, 1.0, p.grid)
         hist = solve_march(p, d)
         grid = hist.grid
@@ -317,7 +325,7 @@ class TestPostprocessing:
     def test_scattering_tail_inner_cone_limit(self):
         # a source held near the axis puts mass below the inner cone limit
         # |r - (s - t)|, where the outgoing shell of a real run has almost none
-        p = build(1.0, 1.0, 0.0, 1 / 16, 8.0)
+        p = build(1.0, 1.0, 1 / 16, 8.0)
         grid = p.grid
         h = grid.h
         r = grid.radii()
@@ -331,7 +339,7 @@ class TestPostprocessing:
             assert fields[n0][k] == pytest.approx(slow, rel=2e-3)
 
     def test_scattering_refuses_blowup(self):
-        p = build(-0.4, 1.0, 5.4, 1 / 16, 20.0)
+        p = build(-0.4, 1.0, 1 / 16, 20.0)
         d = make_data("bump_v1_only", 5.4, 1.0, p.grid)
         hist = solve_march(p, d)
         assert hist.blowup.blew_up
@@ -341,14 +349,14 @@ class TestPostprocessing:
 
 class TestScaleSymmetry:
     def test_zero_data(self):
-        p = build(1.0, 1.0, 0.0, 1 / 16, 10.0)
+        p = build(1.0, 1.0, 1 / 16, 10.0)
         d = make_data("bump_v1_only", 0.0, 1.0, p.grid)
         assert scale_symmetry_mismatch(p, d, 2.0, t_check=3.0) == 0.0
 
     def test_refinement_order(self):
         vals = []
         for h in (1 / 8, 1 / 16):
-            p = build(1.0, 1.0, 0.5, h, 10.0)
+            p = build(1.0, 1.0, h, 10.0)
             d = make_data("bump_v1_only", 0.5, 1.0, p.grid)
             vals.append(scale_symmetry_mismatch(p, d, 2.0, t_check=3.0))
         assert vals[0] / vals[1] > 2.5  # ~4 at second order
