@@ -85,6 +85,11 @@ class EnvelopeResult:
     closed_form_valid: np.ndarray  # boolean mask t >= t2
 
 
+def _envelope_c2(C0: float, gamma: float) -> float:
+    """Rate C2 = C0 2^-((2 gamma + 5)/2) / (-gamma) of the exponential bound."""
+    return C0 * 2.0 ** (-(2.0 * gamma + 5.0) / 2.0) / (-gamma)
+
+
 def ode_envelope(
     epsilon: float,
     C0: float,
@@ -112,7 +117,7 @@ def ode_envelope(
     t0 = max(1.0, t_gamma)
     t1 = (2.0 * t0 ** (-gamma / 2.0)) ** (-2.0 / gamma)
     t2 = max(t0, t1)
-    C2 = C0 * 2.0 ** (-(2.0 * gamma + 5.0) / 2.0) / (-gamma)
+    C2 = _envelope_c2(C0, gamma)
 
     t_grid = np.asarray(t_grid, dtype=float)
     env = np.zeros_like(t_grid)
@@ -294,7 +299,7 @@ def kato_bound(gamma: float, j: int, epsilon: float, C0: float, t0: float,
     q = gamma + 5.0
     a = -gamma * j / 2.0
     M = 0.5 * (p - 1.0) * a - 0.5 * q + 1.0  # = -(gamma (j+1) + 3)/2
-    C2 = C0 * 2.0 ** (-(2.0 * gamma + 5.0) / 2.0) / (-gamma)
+    C2 = _envelope_c2(C0, gamma)
     # seed coefficient in log space: the factorial underflows A fast
     logA = (
         (1 + j) * math.log(epsilon)

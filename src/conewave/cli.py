@@ -1,8 +1,9 @@
 """Command-line front end: config parsing, run orchestration, artifact
 emission.
 
-Configs are plain ``key=value`` lines (one per line, ``#`` comments).  Every
-run writes into its output directory:
+Configs are plain ``key=value`` lines (one per line, ``#`` comments).  Each
+mode computes and returns its artifacts' contents; ``run`` alone writes
+them into the output directory:
 
 * ``results.csv``    -- per-slice series (or per-point sweep results), with
   a versioned ``#`` header line;
@@ -12,8 +13,9 @@ run writes into its output directory:
 
 Exit status: 0 all invariants pass, 1 an invariant failed (or none was
 checked: ``no_invariant_checked=fail``), 2 config error, 3 numerical
-abort.  With a fixed seed the outputs are byte-identical across repeated
-runs.
+abort (``invariants.txt`` then holds the single line ``numerical_abort=fail``
+with the reason, and no other artifact is written).  With a fixed seed the
+outputs are byte-identical across repeated runs.
 
 Grids cover the full forward cone (r_max = t_max + R), so a stored run
 costs O(n_t * n_r) ~ (t_max/h)^2 doubles; desk-scale configs keep
@@ -34,7 +36,6 @@ import numpy as np
 from .blowup import mass_diagnostics
 from .grid import Grid
 from .harness import MIN_FIT_POINTS, sweep
-from .norms import verify_lemma_integrals
 from .potential import is_log_branch
 from .solver import (
     DATA_FAMILIES,
@@ -47,15 +48,13 @@ from .solver import (
     solve_dalembert,
     solve_march,
 )
-from .verify import verify_bilinear, verify_free_decay, verify_trilinear
+from .verify import verify_bilinear, verify_free_decay, verify_lemma_integrals, verify_trilinear
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 CSV_HEADER = "# conewave results v1: t,x_norm,dissipation,mass,sup_u"
 SWEEP_HEADER = "# conewave sweep v1: epsilon,t_numeric,h,threshold,censored"
 BLOWUP_HEADER = "# conewave blowup v1: t,F,Fpp_identity,envelope,sup_u,x_norm"
-
-_MODES = ("solve", "sweep", "verify", "blowup")
 
 _DEFAULTS = {
     "mode": "solve",
@@ -126,8 +125,8 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             cfg[key] = int(cfg[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"key {key}: not an integer: {cfg[key]!r}") from exc
-    if cfg["mode"] not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {cfg['mode']!r}")
+    if cfg["mode"] not in _RUNNERS:
+        raise ConfigError(f"mode must be one of {tuple(_RUNNERS)}, got {cfg['mode']!r}")
     if not (-0.5 < cfg["gamma"] < 3.0):
         raise ConfigError(f"gamma out of range: {cfg['gamma']}")
     if not (1.0 <= cfg["R"] < math.inf):
@@ -173,6 +172,9 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"epsilon_list must be strictly increasing, got {eps}")
     if any(e < 0.0 for e in [cfg["epsilon"], *eps]):
         raise ConfigError("epsilon and epsilon_list must be >= 0")
+    if cfg["mode"] == "blowup" and cfg["epsilon"] <= 0.0:
+        # the envelope constant C0 = mass(v1) / epsilon needs a positive amplitude
+        raise ConfigError(f"blowup mode needs epsilon > 0, got {cfg['epsilon']}")
     if cfg["mode"] == "sweep" and len(eps) < MIN_FIT_POINTS:
         raise ConfigError(
             f"sweep mode fits a slope: epsilon_list needs at least {MIN_FIT_POINTS} "
@@ -212,34 +214,37 @@ def _write_invariants(path: Path, invariants: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _params(cfg: RunConfig) -> Params:
+def _march(cfg: RunConfig, family: str):
+    """March the configured problem with data of ``family``.  Returns the
+    problem, the data and the history, with the summary fields that both
+    march modes report."""
     grid = Grid.for_domain(cfg.h, cfg.t_max + cfg.R, cfg.t_max)
-    return Params(gamma=cfg.gamma, R=cfg.R, grid=grid, blowup_threshold=cfg.blowup_threshold)
-
-
-def _mode_solve(cfg: RunConfig, out: Path):
-    params = _params(cfg)
-    data = make_data(cfg.family, cfg.epsilon, cfg.R, params.grid)
+    params = Params(gamma=cfg.gamma, R=cfg.R, grid=grid, blowup_threshold=cfg.blowup_threshold)
+    data = make_data(family, cfg.epsilon, cfg.R, grid)
     hist = solve_march(params, data)
+    head = {
+        "gamma": cfg.gamma,
+        "epsilon": cfg.epsilon,
+        "h": cfg.h,
+        "blew_up": hist.blowup.blew_up,
+        "t_numeric": hist.blowup.t_numeric,
+        "threshold_crossings": {str(k): v for k, v in hist.blowup.crossings.items()},
+    }
+    return params, data, hist, head
+
+
+def _mode_solve(cfg: RunConfig):
+    params, data, hist, summary = _march(cfg, cfg.family)
     invariants = {}
     if cfg.family == "bump_v1_only":
         invariants["positivity"] = hist.min_value() >= -1e-12 * max(
             1.0, float(hist.series.sup_u.max())
         )
-    summary = {
-        "mode": "solve",
-        "gamma": cfg.gamma,
-        "R": cfg.R,
-        "epsilon": cfg.epsilon,
-        "h": cfg.h,
-        "t_max": cfg.t_max,
-        "family": cfg.family,
-        "blew_up": hist.blowup.blew_up,
-        "t_numeric": hist.blowup.t_numeric,
-        "threshold_crossings": {str(k): v for k, v in hist.blowup.crossings.items()},
-        "x_norm_final": float(hist.series.x_norm_running[-1]),
-        "sup_u_max": float(hist.series.sup_u.max()),
-    }
+    summary.update(
+        R=cfg.R, t_max=cfg.t_max, family=cfg.family,
+        x_norm_final=float(hist.series.x_norm_running[-1]),
+        sup_u_max=float(hist.series.sup_u.max()),
+    )
     if cfg.run_dalembert:
         alt = solve_dalembert(params, data)
         n = min(hist.n_used, alt.n_used)
@@ -262,12 +267,10 @@ def _mode_solve(cfg: RunConfig, out: Path):
         if np.count_nonzero(w) >= 2:
             dw = dis[w]
             summary["dissipation_max_over_min"] = float(dw.max() / dw.min())
-    _write_csv(out / "results.csv", CSV_HEADER, hist.series.rows())
-    _write_summary(out / "summary.json", summary)
-    return invariants
+    return CSV_HEADER, hist.series.rows(), summary, invariants
 
 
-def _mode_sweep(cfg: RunConfig, out: Path):
+def _mode_sweep(cfg: RunConfig):
     fit = sweep(
         cfg.gamma, cfg.R, cfg.epsilon_list, h=cfg.h, t_max=cfg.t_max, family=cfg.family,
         blowup_threshold=cfg.blowup_threshold, refine=cfg.refine, delta=cfg.delta,
@@ -288,18 +291,16 @@ def _mode_sweep(cfg: RunConfig, out: Path):
         "monotone_in_epsilon": fit.monotone_in_epsilon,
         "threshold_gap_2h": fit.threshold_gaps_within_2h,
     }
-    summary = {"mode": "sweep", "h": cfg.h, "t_max": cfg.t_max, "refine": cfg.refine}
+    summary = {"h": cfg.h, "t_max": cfg.t_max, "refine": cfg.refine}
     summary.update(fit.to_dict())
     summary["threshold_gaps"] = [p.threshold_gap for p in fit.uncensored]
     summary["richardson_increments"] = [p.richardson_increment for p in fit.uncensored]
-    _write_csv(out / "results.csv", SWEEP_HEADER, rows)
-    _write_summary(out / "summary.json", summary)
-    return invariants
+    return SWEEP_HEADER, rows, summary, invariants
 
 
-def _mode_verify(cfg: RunConfig, out: Path):
+def _mode_verify(cfg: RunConfig):
     invariants = {}
-    summary = {"mode": "verify", "seed": cfg.seed}
+    summary = {"seed": cfg.seed}
     rep = verify_lemma_integrals(cfg.lemma_samples, seed=cfg.seed)
     summary["lemma_integrals"] = rep.to_dict()
     invariants["lemma_decay_no_violations"] = rep.violations == 0
@@ -322,30 +323,17 @@ def _mode_verify(cfg: RunConfig, out: Path):
     rep = verify_free_decay(v0, v1, grid, cfg.R)
     summary["free_decay_constant"] = rep.empirical_constant
     rows = [("lemma_samples", cfg.lemma_samples, 0.0, 0.0, 0.0)]
-    _write_csv(out / "results.csv", CSV_HEADER, rows)
-    _write_summary(out / "summary.json", summary)
-    return invariants
+    return CSV_HEADER, rows, summary, invariants
 
 
-def _mode_blowup(cfg: RunConfig, out: Path):
-    params = _params(cfg)
-    data = make_data("bump_v1_only", cfg.epsilon, cfg.R, params.grid)
-    hist = solve_march(params, data)
+def _mode_blowup(cfg: RunConfig):
+    _, data, hist, summary = _march(cfg, "bump_v1_only")
     diag = mass_diagnostics(hist, data[1], cfg.epsilon)
     invariants = {}
     # pair/cubic ratios are reported only: their printed constants are not
     # attainable in the negative-exponent regime (see the project notes)
-    summary = {
-        "mode": "blowup",
-        "gamma": cfg.gamma,
-        "epsilon": cfg.epsilon,
-        "h": cfg.h,
-        "blew_up": hist.blowup.blew_up,
-        "t_numeric": hist.blowup.t_numeric,
-        "threshold_crossings": {str(k): v for k, v in hist.blowup.crossings.items()},
-        "frame_pair_min_ratio": diag.pair_min_ratio,
-        "frame_cubic_min_ratio": diag.cubic_min_ratio,
-    }
+    summary["frame_pair_min_ratio"] = diag.pair_min_ratio
+    summary["frame_cubic_min_ratio"] = diag.cubic_min_ratio
     if diag.identity_max_rel is not None:
         invariants["mass_identity_1e3"] = diag.identity_max_rel <= 1e-3
         summary["mass_identity_max_rel"] = diag.identity_max_rel
@@ -358,27 +346,26 @@ def _mode_blowup(cfg: RunConfig, out: Path):
     env_col = env.envelope if env is not None else np.zeros(hist.n_used)
     ser = hist.series
     rows = zip(diag.t, diag.F, diag.rhs, env_col, ser.sup_u, ser.x_norm_running)
-    _write_csv(out / "results.csv", BLOWUP_HEADER, rows)
-    _write_summary(out / "summary.json", summary)
-    return invariants
+    return BLOWUP_HEADER, rows, summary, invariants
+
+
+# mode -> runner; each runner returns (csv header, rows, summary, invariants)
+_RUNNERS = {"solve": _mode_solve, "sweep": _mode_sweep, "verify": _mode_verify,
+            "blowup": _mode_blowup}
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the configured pipeline; returns the process exit status."""
+    """Run the configured mode, write its three artifacts and return the
+    process exit status."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if cfg.mode == "solve":
-            invariants = _mode_solve(cfg, out)
-        elif cfg.mode == "sweep":
-            invariants = _mode_sweep(cfg, out)
-        elif cfg.mode == "verify":
-            invariants = _mode_verify(cfg, out)
-        else:
-            invariants = _mode_blowup(cfg, out)
+        header, rows, summary, invariants = _RUNNERS[cfg.mode](cfg)
     except NumericalAbort as exc:
         (out / "invariants.txt").write_text(f"numerical_abort=fail # {exc}\n")
         return 3
+    _write_csv(out / "results.csv", header, rows)
+    _write_summary(out / "summary.json", {"mode": cfg.mode, **summary})
     if not invariants:  # a run that checked nothing must not read as all-pass
         invariants = {"no_invariant_checked": False}
     _write_invariants(out / "invariants.txt", invariants)
@@ -391,7 +378,7 @@ def main(argv=None) -> int:
         description="Damped cubic-convolution wave simulator and estimate verifier",
     )
     ap.add_argument("--config", help="key=value config file")
-    ap.add_argument("--mode", choices=_MODES, help="override the config mode")
+    ap.add_argument("--mode", choices=tuple(_RUNNERS), help="override the config mode")
     ap.add_argument("--out", help="output directory")
     ap.add_argument("--seed", type=int, help="seed for randomized verifiers")
     args = ap.parse_args(argv)

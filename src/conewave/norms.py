@@ -14,8 +14,9 @@ slices, which the solver's recorder keeps from it.  Suprema are taken over
 grid nodes, which is a lower bound for the true sup; verifiers that assert
 inequalities re-run on refined grids to bound the gap.
 
-The module also holds the Duhamel growth factor ``d_gamma`` and the
-randomized check of the two decay-integral lemmas.
+The module also holds the Duhamel growth factor ``d_gamma`` and
+``NormSeries``, the per-slice diagnostics of a run.  The estimates these
+weights enter are certified in ``verify``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import is_log_branch
-from .reports import EstimateReport
 
 __all__ = [
     "WeightParams",
@@ -35,7 +35,6 @@ __all__ = [
     "weight_row",
     "slice_x_norm",
     "d_gamma",
-    "verify_lemma_integrals",
     "NormSeries",
 ]
 
@@ -96,95 +95,6 @@ def d_gamma(T: float, gamma: float, R: float) -> float:
     if gamma == 0.0:
         return math.log((T + 2.0 * R) / R)
     return (1.0 / -gamma) * ((T + R) / R) ** (-gamma)
-
-
-# ---------------------------------------------------------------------------
-# Decay-integral lemma verification
-# ---------------------------------------------------------------------------
-
-
-def _lhs_decay(kappa: float, r: float, t: float) -> float:
-    """int_{|r-t|}^{r+t} (1+lam)^-(kappa+1) dlam in closed form."""
-    lo = 1.0 + abs(r - t)
-    hi = 1.0 + r + t
-    if kappa == 0.0:
-        return math.log(hi / lo)
-    return (lo ** (-kappa) - hi ** (-kappa)) / kappa
-
-
-def _rhs_decay(kappa: float, r: float, t: float) -> float:
-    b_sum = 1.0 + abs(t + r)
-    b_dif = 1.0 + abs(t - r)
-    if kappa > 0.0:
-        return 2.0 * max(1.0, kappa) / kappa * min(r, t) / (b_sum * b_dif**kappa)
-    if kappa == 0.0:
-        return math.log(b_sum / b_dif)
-    return 2.0 * max(1.0, -kappa) / (-kappa) * min(r, t) / b_sum ** (kappa + 1.0)
-
-
-_log_gauss = np.polynomial.legendre.leggauss(16)
-
-
-def _lhs_decay_log(kappa: float, r: float, t: float) -> float:
-    """int_{|r-t|}^{r+t} (1+lam)^-(kappa+1) log(2+lam) dlam by panel Gauss."""
-    lo, hi = abs(r - t), r + t
-    if hi <= lo:
-        return 0.0
-    n_panel = max(8, min(256, int((hi - lo))))
-    edges = np.linspace(lo, hi, n_panel + 1)
-    x, w = _log_gauss
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    lam = mid[:, None] + half[:, None] * x[None, :]
-    f = (1.0 + lam) ** (-(kappa + 1.0)) * np.log(2.0 + lam)
-    return float(np.sum(f * w[None, :] * half[:, None]))
-
-
-def verify_lemma_integrals(samples: int, seed: int = 0) -> EstimateReport:
-    """Randomized check of the two decay-integral lemmas.
-
-    The two-branch lemma (closed forms on both sides) is asserted: the
-    report counts violations and the max LHS/RHS ratio.  The log-weighted
-    variant has no explicit constant, so its sup ratio against the stated
-    shape is only measured and stored in ``empirical_constant``.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    max_ratio = 0.0
-    violations = 0
-    for _ in range(samples):
-        kappa = rng.uniform(-2.0, 4.0)
-        if abs(kappa) < 1e-3:
-            kappa = 1e-3 if kappa >= 0 else -1e-3
-        r = rng.uniform(0.0, 100.0)
-        t = rng.uniform(0.0, 100.0)
-        lhs = _lhs_decay(kappa, r, t)
-        rhs = _rhs_decay(kappa, r, t)
-        if lhs > rhs * (1.0 + 1e-12) + 1e-300:
-            violations += 1
-        if rhs > 0.0:
-            max_ratio = max(max_ratio, lhs / rhs)
-
-    emp = 0.0
-    n_log = max(1, samples // 10)
-    for _ in range(n_log):
-        kappa = rng.uniform(0.05, 4.0)
-        r = rng.uniform(0.01, 100.0)
-        t = rng.uniform(0.01, 100.0)
-        lhs = _lhs_decay_log(kappa, r, t)
-        b_dif = 1.0 + abs(t - r)
-        shape = min(r, t) * math.log1p(b_dif) / ((1.0 + t + r) * b_dif**kappa)
-        if shape > 0.0:
-            emp = max(emp, lhs / shape)
-    return EstimateReport(
-        name="decay_integral_lemmas",
-        samples=samples,
-        max_ratio=max_ratio,
-        violations=violations,
-        empirical_constant=emp,
-        extra={"log_variant_samples": n_log},
-    )
 
 
 @dataclass

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from conewave.grid import Grid, RadialProfile
-from conewave.norms import verify_lemma_integrals
 from conewave.potential import convolve_power
 from conewave.solver import (
     Params,
@@ -26,7 +25,12 @@ from conewave.solver import (
     scattering_check,
     solve_march,
 )
-from conewave.verify import c1_constant, verify_bilinear, verify_trilinear
+from conewave.verify import (
+    c1_constant,
+    verify_bilinear,
+    verify_lemma_integrals,
+    verify_trilinear,
+)
 from conewave.waveops import ConeAccumulator, duhamel_direct, kirchhoff_radial
 
 from oracles import mc_convolution, picard_iterates, random_profile, scale_symmetry_mismatch

@@ -82,13 +82,15 @@ class TestMainExitCodes:
              "mode = verify\nverify_T = -1\n",
              "mode = sweep\ngamma = -0.4\nepsilon_list = 4,5\nrefine = -1\n",
              "t_star = 500\n", "t_star = 3.01\n",
-             "mode = sweep\ngamma = -0.4\nepsilon_list = 4.6,5.1,5.4\n"))],
+             "mode = sweep\ngamma = -0.4\nepsilon_list = 4.6,5.1,5.4\n",
+             "mode = blowup\ngamma = -0.4\nepsilon = 0\nt_max = 3\n"))],
         ids=["h_not_dividing_R", "h_nan", "unknown_family", "negative_t_max",
              "decreasing_epsilon_list", "negative_epsilon", "sweep_without_blowup",
              "zero_blowup_threshold", "negative_blowup_threshold", "nan_blowup_threshold",
              "verify_gamma_not_a_number", "verify_gamma_out_of_range", "zero_lemma_samples",
              "zero_trilinear_h", "negative_verify_T", "negative_refine",
-             "t_star_past_t_max", "t_star_off_grid", "sweep_with_three_points"],
+             "t_star_past_t_max", "t_star_off_grid", "sweep_with_three_points",
+             "blowup_zero_epsilon"],
     )
     def test_bad_value_is_2(self, tmp_path, capsys, body):
         path = write_cfg(tmp_path, "bad.cfg", body + f"out = {tmp_path}/out\n")
@@ -120,6 +122,11 @@ class TestMainExitCodes:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["--config", path]) == 3
+        out = tmp_path / "out"
+        lines = (out / "invariants.txt").read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical_abort=fail # ")
+        assert not (out / "results.csv").exists()
+        assert not (out / "summary.json").exists()
 
 
 class TestDeterminism:

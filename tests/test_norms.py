@@ -11,7 +11,6 @@ from conewave.norms import (
     n_gamma,
     slice_x_norm,
     tau,
-    verify_lemma_integrals,
     weight_row,
 )
 from conewave.verify import bilinear_rhs, c1_constant
@@ -113,38 +112,6 @@ class TestDGamma:
     def test_domain(self):
         with pytest.raises(ValueError):
             d_gamma(0.0, 1.0, 1.0)
-
-
-class TestLemmaIntegrals:
-    def test_unit_ratio_points(self):
-        # kappa = 1, r = t = 1: both sides equal 2/3
-        from conewave.norms import _lhs_decay, _rhs_decay
-
-        assert _lhs_decay(1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert _rhs_decay(1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
-        # kappa = 0: both sides log 3
-        assert _lhs_decay(0.0, 1.0, 1.0) == pytest.approx(math.log(3.0), rel=1e-12)
-        assert _rhs_decay(0.0, 1.0, 1.0) == pytest.approx(math.log(3.0), rel=1e-12)
-        # r = 0: empty interval
-        assert _lhs_decay(0.7, 0.0, 2.0) == 0.0
-
-    def test_randomized_no_violations(self):
-        rep = verify_lemma_integrals(10_000, seed=3)
-        assert rep.violations == 0
-        assert rep.max_ratio <= 1.0 + 1e-12
-        assert rep.empirical_constant > 0.0
-
-    def test_report_serialization(self):
-        rep = verify_lemma_integrals(50, seed=4)
-        d = rep.to_dict()
-        assert d["name"] == "decay_integral_lemmas"
-        assert d["violations"] == 0
-        assert d["samples"] == 50
-        assert "max_ratio" in d
-
-    def test_requires_samples(self):
-        with pytest.raises(ValueError):
-            verify_lemma_integrals(0)
 
 
 class TestWeightParams:

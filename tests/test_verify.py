@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from conewave.verify import (
     saturating_profile,
     verify_bilinear,
     verify_free_decay,
+    verify_lemma_integrals,
     verify_trilinear,
 )
 
@@ -116,3 +119,35 @@ class TestFreeDecay:
         c100 = max(v for t, v in series if t <= 100.0)
         assert c100 / c50 <= 1.01
         assert rep.empirical_constant > 0.0
+
+
+class TestLemmaIntegrals:
+    def test_unit_ratio_points(self):
+        # kappa = 1, r = t = 1: both sides equal 2/3
+        from conewave.verify import _lhs_decay, _rhs_decay
+
+        assert _lhs_decay(1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert _rhs_decay(1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        # kappa = 0: both sides log 3
+        assert _lhs_decay(0.0, 1.0, 1.0) == pytest.approx(math.log(3.0), rel=1e-12)
+        assert _rhs_decay(0.0, 1.0, 1.0) == pytest.approx(math.log(3.0), rel=1e-12)
+        # r = 0: empty interval
+        assert _lhs_decay(0.7, 0.0, 2.0) == 0.0
+
+    def test_randomized_no_violations(self):
+        rep = verify_lemma_integrals(10_000, seed=3)
+        assert rep.violations == 0
+        assert rep.max_ratio <= 1.0 + 1e-12
+        assert rep.empirical_constant > 0.0
+
+    def test_report_serialization(self):
+        rep = verify_lemma_integrals(50, seed=4)
+        d = rep.to_dict()
+        assert d["name"] == "decay_integral_lemmas"
+        assert d["violations"] == 0
+        assert d["samples"] == 50
+        assert "max_ratio" in d
+
+    def test_requires_samples(self):
+        with pytest.raises(ValueError):
+            verify_lemma_integrals(0)
