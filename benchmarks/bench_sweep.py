@@ -1,6 +1,6 @@
 """Lockstep sweep benchmark: a parent commit against the working tree.
 
-Writes BENCH_batch.json with four parts:
+Prints a JSON record with up to four parts:
 
 * ``pairs``   -- alternating perfbench runs per workload (``perfbench/run.py
   --trace 0`` of each checkout): medians, quartiles and wins of run_ref_s,
@@ -20,7 +20,8 @@ Run:  python benchmarks/bench_sweep.py --parent REV [--seed 23] [--pairs 10]
           [--seconds 30] [--parts pairs,layers,configs,tier1]
 
 The parent is exported with ``git archive`` into a temporary directory.
-Parts not named keep their entries from an existing BENCH_batch.json.
+The record goes to stdout (redirect it into a ``BENCH_*.json`` file), and
+progress lines to stderr.  Only the parts named in ``--parts`` are run.
 """
 
 import argparse
@@ -38,7 +39,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUT = ROOT / "BENCH_batch.json"
 WORKLOADS = ("lifespan", "global", "verify")
 METRICS = ("run_ref_s", "setup_s", "peak_rss_mb")
 CONFIGS = tuple(sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")))
@@ -220,20 +220,19 @@ def main() -> None:
     ap.add_argument("--layer-reps", type=int, default=6)
     ap.add_argument("--parts", default="pairs,layers,configs,tier1")
     args = ap.parse_args()
-    record = json.loads(OUT.read_text()) if OUT.exists() else {}
     rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
                          capture_output=True, text=True, check=True).stdout.strip()
     import numpy
 
-    record.update({
-        "what": "Lockstep sweep marches (one row-batched march per refinement level): the "
-                "parent commit against the change",
+    record = {
+        "what": "The parent commit against the change: perfbench pairs, the lean lifespan "
+                "sweep by layer, shipped-config CPU and tier-1 time (the parts run)",
         "command": f"python benchmarks/bench_sweep.py --parent {rev} --seed {args.seed} "
-                   f"--pairs {args.pairs} --seconds {args.seconds}",
+                   f"--pairs {args.pairs} --seconds {args.seconds} --parts {args.parts}",
         "parent": rev,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "cpu": platform.machine()},
-    })
+    }
     with tempfile.TemporaryDirectory() as tmp:
         parent_dir = Path(tmp)
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
@@ -255,7 +254,7 @@ def main() -> None:
             record["configs"] = run_configs(parent_dir)
         if "tier1" in parts:
             record["tier1"] = run_tier1(parent_dir)
-    OUT.write_text(json.dumps(record, indent=1) + "\n")
+    print(json.dumps(record, indent=1))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Command-line front end: config parsing, run orchestration, artifact
 emission.
 
-Configs are plain ``key=value`` lines (one per line, ``#`` comments).  Each
-mode computes and returns its artifacts' contents; ``run`` alone writes
-them into the output directory:
+Configs are plain ``key=value`` lines (one per line, ``#`` comments).  One
+table, ``_KEYS``, gives each key its default (whose type is the key's type)
+and its rule; ``parse_config`` checks every key against it, then the rules
+that tie keys together, and a value that breaks one is a config error.
+Each mode computes and returns its artifacts' contents; ``run`` alone
+writes them into the output directory:
 
 * ``results.csv``    -- per-slice series (or per-point sweep results), with
   a versioned ``#`` header line;
@@ -56,32 +59,6 @@ CSV_HEADER = "# conewave results v1: t,x_norm,dissipation,mass,sup_u"
 SWEEP_HEADER = "# conewave sweep v1: epsilon,t_numeric,h,threshold,censored"
 BLOWUP_HEADER = "# conewave blowup v1: t,F,Fpp_identity,envelope,sup_u,x_norm"
 
-_DEFAULTS = {
-    "mode": "solve",
-    "gamma": 1.0,
-    "R": 1.0,
-    "epsilon": 1e-3,
-    "epsilon_list": "",
-    "h": 1.0 / 16.0,
-    "t_max": 20.0,
-    "family": "bump_v1_only",
-    "out": "out",
-    "seed": 0,
-    "blowup_threshold": 1e6,
-    "t_star": -1.0,
-    "run_dalembert": 0,
-    "refine": 1,
-    "delta": 0.5,
-    "verify_gammas": "-0.4,1,2,2.5",
-    "lemma_samples": 10000,
-    "verify_T": 50.0,
-    "trilinear_h": 1.0 / 32.0,
-}
-
-_FLOAT_KEYS = {"gamma", "R", "epsilon", "h", "t_max", "blowup_threshold", "t_star",
-               "verify_T", "trilinear_h", "delta"}
-_INT_KEYS = {"seed", "run_dalembert", "refine", "lemma_samples"}
-
 
 class ConfigError(ValueError):
     pass
@@ -95,95 +72,6 @@ class RunConfig(dict):
             return self[key]
         except KeyError as exc:
             raise AttributeError(key) from exc
-
-
-def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    cfg = dict(_DEFAULTS)
-    if path is not None:
-        text = Path(path).read_text()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = val
-    for key, val in (overrides or {}).items():
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown override {key!r}")
-        cfg[key] = val
-    for key in _FLOAT_KEYS:
-        try:
-            cfg[key] = float(cfg[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key {key}: not a number: {cfg[key]!r}") from exc
-    for key in _INT_KEYS:
-        try:
-            cfg[key] = int(cfg[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key {key}: not an integer: {cfg[key]!r}") from exc
-    if cfg["mode"] not in _RUNNERS:
-        raise ConfigError(f"mode must be one of {tuple(_RUNNERS)}, got {cfg['mode']!r}")
-    if not (-0.5 < cfg["gamma"] < 3.0):
-        raise ConfigError(f"gamma out of range: {cfg['gamma']}")
-    if not (1.0 <= cfg["R"] < math.inf):
-        raise ConfigError(f"R must be >= 1 and finite, got {cfg['R']}")
-    h = cfg["h"]
-    if not (0.0 < h < math.inf):
-        raise ConfigError(f"h must be positive and finite, got {h}")
-    if abs(cfg["R"] / h - round(cfg["R"] / h)) > 1e-9:
-        raise ConfigError(f"R must be an integer number of cells h, got R={cfg['R']}, h={h}")
-    if not (0.0 < cfg["t_max"] < math.inf):
-        raise ConfigError(f"t_max must be positive and finite, got {cfg['t_max']}")
-    bt = cfg["blowup_threshold"]
-    if not (0.0 < bt < math.inf):
-        raise ConfigError(f"blowup_threshold must be positive and finite, got {bt}")
-    for key in ("verify_T", "trilinear_h"):
-        if not (0.0 < cfg[key] < math.inf):
-            raise ConfigError(f"{key} must be positive and finite, got {cfg[key]}")
-    if cfg["lemma_samples"] < 1:
-        raise ConfigError(f"lemma_samples must be >= 1, got {cfg['lemma_samples']}")
-    if cfg["refine"] < 0:
-        raise ConfigError(f"refine must be >= 0, got {cfg['refine']}")
-    # kept as the raw string: the verify invariant names are built from its tokens
-    for tok in str(cfg["verify_gammas"]).split(","):
-        try:
-            g = float(tok)
-        except ValueError as exc:
-            raise ConfigError(f"key verify_gammas: not a number: {tok!r}") from exc
-        if not (-0.5 < g < 3.0):
-            raise ConfigError(f"verify_gammas: gamma out of range: {g}")
-    ts = cfg["t_star"]
-    if cfg["mode"] == "solve" and cfg["gamma"] > 0.0 and ts > 0.0:
-        # the scattering check starts at t_star and needs a slice after it
-        if not ts < cfg["t_max"] or abs(round(ts / h) * h - ts) > 1e-9 * max(1.0, ts):
-            raise ConfigError(f"t_star must be a multiple of h below t_max, got {ts}")
-    if cfg["family"] not in DATA_FAMILIES:
-        raise ConfigError(f"family must be one of {DATA_FAMILIES}, got {cfg['family']!r}")
-    eps_text = str(cfg["epsilon_list"])
-    try:
-        eps = [float(s) for s in eps_text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"key epsilon_list: not a list of numbers: {eps_text!r}") from exc
-    if any(b <= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError(f"epsilon_list must be strictly increasing, got {eps}")
-    if any(e < 0.0 for e in [cfg["epsilon"], *eps]):
-        raise ConfigError("epsilon and epsilon_list must be >= 0")
-    if cfg["mode"] == "blowup" and cfg["epsilon"] <= 0.0:
-        # the envelope constant C0 = mass(v1) / epsilon needs a positive amplitude
-        raise ConfigError(f"blowup mode needs epsilon > 0, got {cfg['epsilon']}")
-    if cfg["mode"] == "sweep" and len(eps) < MIN_FIT_POINTS:
-        raise ConfigError(
-            f"sweep mode fits a slope: epsilon_list needs at least {MIN_FIT_POINTS} "
-            f"values, got {len(eps)}"
-        )
-    if cfg["mode"] == "sweep" and cfg["gamma"] >= 0.0:
-        raise ConfigError(f"sweep mode measures blow-up times: need gamma < 0, got {cfg['gamma']}")
-    cfg["epsilon_list"] = eps
-    return RunConfig(cfg)
 
 
 def _fmt(x) -> str:
@@ -305,7 +193,7 @@ def _mode_verify(cfg: RunConfig):
     summary["lemma_integrals"] = rep.to_dict()
     invariants["lemma_decay_no_violations"] = rep.violations == 0
     reports = []
-    for gs in str(cfg.verify_gammas).split(","):
+    for gs in cfg.verify_gammas.split(","):
         g = float(gs)
         R = 2.0 if is_log_branch(g) else cfg.R
         rep = verify_bilinear(g, R, cfg.verify_T * R, R / 64.0, seed=cfg.seed)
@@ -354,6 +242,103 @@ _RUNNERS = {"solve": _mode_solve, "sweep": _mode_sweep, "verify": _mode_verify,
             "blowup": _mode_blowup}
 
 
+def _gammas_ok(text: str) -> bool:
+    try:
+        return all(map(_KEYS["gamma"][1], map(float, text.split(","))))
+    except ValueError:
+        return False
+
+
+def _reciprocal_ok(v: float) -> bool:
+    return 0.0 < v <= 1.0 and abs(1.0 / v - round(1.0 / v)) <= 1e-9
+
+
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+
+# key -> (default, rule, the rule in words); the default's type is the
+# key's type.  Keys without a rule: ``out`` is a path, and ``epsilon_list``
+# is checked with the rules that tie keys together, in ``parse_config``.
+_KEYS = {
+    "mode": ("solve", _RUNNERS.__contains__, f"one of {tuple(_RUNNERS)}"),
+    "gamma": (1.0, lambda g: -0.5 < g < 3.0, "in (-1/2, 3)"),
+    "R": (1.0, lambda v: 1.0 <= v < math.inf, ">= 1 and finite"),
+    "epsilon": (1e-3, lambda v: 0.0 <= v < math.inf, ">= 0 and finite"),
+    "epsilon_list": ("", None, None),
+    "h": (1.0 / 16.0, *_POSITIVE),
+    "t_max": (20.0, *_POSITIVE),
+    "family": ("bump_v1_only", DATA_FAMILIES.__contains__, f"one of {DATA_FAMILIES}"),
+    "out": ("out", None, None),
+    "seed": (0, lambda v: v >= 0, ">= 0"),
+    "blowup_threshold": (1e6, *_POSITIVE),
+    "t_star": (-1.0, math.isfinite, "finite"),
+    "run_dalembert": (0, (0, 1).__contains__, "0 or 1"),
+    "refine": (1, lambda v: v >= 0, ">= 0"),
+    "delta": (0.5, *_POSITIVE),
+    # kept as the raw string: the verify invariant names are built from its tokens
+    "verify_gammas": ("-0.4,1,2,2.5", _gammas_ok, "comma-separated numbers in (-1/2, 3)"),
+    "lemma_samples": (10000, lambda v: v >= 1, ">= 1"),
+    "verify_T": (50.0, *_POSITIVE),
+    # the trilinear step trilinear_h * R must divide R
+    "trilinear_h": (1.0 / 32.0, _reciprocal_ok, "1/m for an integer m"),
+}
+
+
+def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    given = {}
+    if path is not None:
+        text = Path(path).read_text()
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            key, val = (s.strip() for s in line.split("=", 1))
+            if key not in _KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            given[key] = val
+    for key, val in (overrides or {}).items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown override {key!r}")
+        given[key] = val
+    cfg = {}
+    for key, (default, rule, words) in _KEYS.items():
+        val = given.get(key, default)
+        try:
+            val = type(default)(val)
+        except (TypeError, ValueError) as exc:
+            kind = type(default).__name__
+            raise ConfigError(f"{key} must be of type {kind}, got {val!r}") from exc
+        if rule is not None and not rule(val):
+            raise ConfigError(f"{key} must be {words}, got {val!r}")
+        cfg[key] = val
+    # the rules that tie keys together
+    h, ts = cfg["h"], cfg["t_star"]
+    if abs(cfg["R"] / h - round(cfg["R"] / h)) > 1e-9:
+        raise ConfigError(f"R must be an integer number of cells h, got R={cfg['R']}, h={h}")
+    if cfg["mode"] == "solve" and cfg["gamma"] > 0.0 and ts > 0.0:
+        # the scattering check starts at t_star and needs a slice after it
+        if not ts < cfg["t_max"] or abs(round(ts / h) * h - ts) > 1e-9 * max(1.0, ts):
+            raise ConfigError(f"t_star must be a multiple of h below t_max, got {ts}")
+    eps_text = cfg["epsilon_list"]
+    try:
+        eps = [float(s) for s in eps_text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"key epsilon_list: not a list of numbers: {eps_text!r}") from exc
+    if not all(map(_KEYS["epsilon"][1], eps)) or any(b <= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError(f"epsilon_list must be finite, >= 0 and strictly increasing, got {eps}")
+    if cfg["mode"] == "blowup" and cfg["epsilon"] <= 0.0:
+        # the envelope constant C0 = mass(v1) / epsilon needs a positive amplitude
+        raise ConfigError(f"blowup mode needs epsilon > 0, got {cfg['epsilon']}")
+    if cfg["mode"] == "sweep" and len(eps) < MIN_FIT_POINTS:
+        raise ConfigError(f"sweep mode fits a slope: epsilon_list needs at least "
+                          f"{MIN_FIT_POINTS} values, got {len(eps)}")
+    if cfg["mode"] == "sweep" and cfg["gamma"] >= 0.0:
+        raise ConfigError(f"sweep mode measures blow-up times: need gamma < 0, got {cfg['gamma']}")
+    cfg["epsilon_list"] = eps
+    return RunConfig(cfg)
+
+
 def run(cfg: RunConfig) -> int:
     """Run the configured mode, write its three artifacts and return the
     process exit status."""
@@ -382,17 +367,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="output directory")
     ap.add_argument("--seed", type=int, help="seed for randomized verifiers")
     args = ap.parse_args(argv)
-    overrides = {
-        k: v
-        for k, v in (
-            ("mode", args.mode),
-            ("out", args.out),
-            ("seed", args.seed),
-        )
-        if v is not None
-    }
+    overrides = {k: v for k, v in vars(args).items() if v is not None}
     try:
-        cfg = parse_config(args.config, overrides)
+        cfg = parse_config(overrides.pop("config", None), overrides)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

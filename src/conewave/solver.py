@@ -162,8 +162,8 @@ def make_data(family: str, epsilon: float, R: float, grid: Grid):
     """
     if family not in DATA_FAMILIES:
         raise ValueError(f"unknown data family {family!r}")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     r = grid.radii()
     x = np.minimum(r / R, 1.0)
     bump = np.where(r <= R, (1.0 - x * x) ** 3, 0.0)

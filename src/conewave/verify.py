@@ -35,6 +35,7 @@ import numpy as np
 from .grid import Grid, RadialProfile
 from .norms import WeightParams, d_gamma, slice_x_norm, tau, weight_row
 from .potential import cached_kernel, convolve_profile, is_log_branch
+from .solver import Params
 from .waveops import ConeAccumulator, FreeField, derivative_profile
 
 __all__ = [
@@ -212,12 +213,14 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
 
     For gamma = 2 no explicit constant is available (a lemma constant is
     cited without value); the ratio is reported rather than asserted, and
-    ``empirical_constant`` carries the measured C2.
+    ``empirical_constant`` carries the measured C2.  The step ``h`` must
+    divide R, as for any ``Params``.
     """
-    grid = Grid.for_domain(h, T + R, T)
-    wp = WeightParams(gamma, R)
+    params = Params(gamma=gamma, R=R, grid=Grid.for_domain(h, T + R, T))
+    grid = params.grid
+    wp = params.weights()
     r = grid.radii()
-    jr = int(round(R / h))
+    jr = params.support_cells
     acc = ConeAccumulator(grid, jr)
     kern = cached_kernel(gamma, grid)
     explicit = not is_log_branch(gamma)

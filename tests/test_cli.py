@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conewave.cli import ConfigError, main, parse_config
+from conewave.cli import _KEYS, ConfigError, main, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
@@ -83,14 +83,18 @@ class TestMainExitCodes:
              "mode = sweep\ngamma = -0.4\nepsilon_list = 4,5\nrefine = -1\n",
              "t_star = 500\n", "t_star = 3.01\n",
              "mode = sweep\ngamma = -0.4\nepsilon_list = 4.6,5.1,5.4\n",
-             "mode = blowup\ngamma = -0.4\nepsilon = 0\nt_max = 3\n"))],
+             "mode = blowup\ngamma = -0.4\nepsilon = 0\nt_max = 3\n",
+             "mode = verify\nseed = -1\n", "epsilon = nan\n", "epsilon = inf\n",
+             "mode = sweep\ngamma = -0.4\nepsilon_list = 1,2,nan,4\n",
+             "mode = verify\ntrilinear_h = 0.3\n"))],
         ids=["h_not_dividing_R", "h_nan", "unknown_family", "negative_t_max",
              "decreasing_epsilon_list", "negative_epsilon", "sweep_without_blowup",
              "zero_blowup_threshold", "negative_blowup_threshold", "nan_blowup_threshold",
              "verify_gamma_not_a_number", "verify_gamma_out_of_range", "zero_lemma_samples",
              "zero_trilinear_h", "negative_verify_T", "negative_refine",
              "t_star_past_t_max", "t_star_off_grid", "sweep_with_three_points",
-             "blowup_zero_epsilon"],
+             "blowup_zero_epsilon", "negative_seed", "epsilon_nan", "epsilon_inf",
+             "epsilon_list_nan", "trilinear_h_not_reciprocal"],
     )
     def test_bad_value_is_2(self, tmp_path, capsys, body):
         path = write_cfg(tmp_path, "bad.cfg", body + f"out = {tmp_path}/out\n")
@@ -98,6 +102,29 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
+
+    # for every key with a rule, one value that the rule refuses
+    BAD = {
+        "mode": "dance", "gamma": "3.5", "R": "0.5", "epsilon": "-1", "h": "nan",
+        "t_max": "-5", "family": "foo", "seed": "-1", "blowup_threshold": "0",
+        "lemma_samples": "0", "refine": "-1", "verify_gammas": "1,abc", "verify_T": "inf",
+        "trilinear_h": "0.3", "delta": "nan", "t_star": "nan", "run_dalembert": "2",
+    }
+
+    def test_every_ruled_key_has_a_refused_value(self):
+        assert set(self.BAD) == {key for key, (_, rule, _) in _KEYS.items() if rule}
+
+    @pytest.mark.parametrize("key", sorted(BAD))
+    def test_key_rule_refuses(self, tmp_path, capsys, key):
+        body = f"h = 0.25\nt_max = 1\n{key} = {self.BAD[key]}\nout = {tmp_path}/out\n"
+        assert main(["--config", write_cfg(tmp_path, "bad.cfg", body)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be ")
+        assert err.count("\n") == 1
+
+    def test_negative_seed_flag_is_2(self, tmp_path, capsys):
+        assert main(["--mode", "verify", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed must be >= 0")
 
     def test_solve_zero_data(self, tmp_path):
         path = write_cfg(

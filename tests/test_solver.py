@@ -103,6 +103,12 @@ class TestMakeData:
         with pytest.raises(ValueError, match="epsilon"):
             make_data("bump_v1_only", -1.0, 1.0, grid)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon(self, epsilon):
+        grid = Grid.for_domain(1 / 8, 2.0, 1.0)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            make_data("bump_v1_only", epsilon, 1.0, grid)
+
 
 class TestMarch:
     def test_zero_data(self):

@@ -83,6 +83,11 @@ class TestTrilinear:
         assert rep.violations == 0
         assert rep.max_ratio < 1.0
 
+    def test_step_must_divide_R(self):
+        # a step of 0.3 would march round(1/0.3) = 3 cells, a support of 0.9
+        with pytest.raises(ValueError, match="integer number of grid cells"):
+            verify_trilinear(1.0, 1.0, 4.0, 0.3)
+
     @pytest.mark.xfail(
         strict=False,
         reason="preasymptotic at desk scale: the measured slope against the "
