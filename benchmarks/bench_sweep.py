@@ -11,8 +11,9 @@ Prints a JSON record with up to four parts:
   (``lifespan_measure`` per point) and its lockstep ``sweep``, interleaved
   in one process; CPU seconds in the free field, history plus closure
   evaluation, slice convolution, recorder and push;
-* ``configs`` -- CPU seconds of one CLI run of each shipped config, two
-  rounds alternating between the checkouts;
+* ``configs`` -- CPU seconds, wall seconds and peak RSS (``ru_maxrss``) of
+  one CLI run of each shipped config, two rounds alternating between the
+  checkouts;
 * ``tier1``   -- tier-1 wall time of each checkout and the setup time of the
   ``lifespan_sweep`` fixture (the setup of ``test_c7_blowup_regime``).
 
@@ -182,7 +183,7 @@ def cli_cpu(root: Path, cfg: str) -> dict:
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
     return {"cpu_s": usage.ru_utime + usage.ru_stime, "wall_s": wall,
-            "exit": os.waitstatus_to_exitcode(status)}
+            "peak_rss_mb": usage.ru_maxrss / 1024.0, "exit": os.waitstatus_to_exitcode(status)}
 
 
 def run_configs(parent_dir: Path, rounds: int = 2) -> dict:

@@ -46,8 +46,8 @@ def mass_series(hist: SolutionHistory):
     F'' reuses the stored source slices G = (V*u^2)u, so the identity check
     against the centered second difference of F is a genuine cross check of
     the solver's own nonlinearity."""
-    if hist.u is None or hist.g is None:
-        raise ValueError("run must store history")
+    if hist.u is None or hist.g is None or hist.g_from:
+        raise ValueError("run must store history, the sources from slice 0 on")
     grid = hist.grid
     h = grid.h
     t = np.arange(hist.n_used) * h

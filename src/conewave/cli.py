@@ -20,10 +20,14 @@ abort (``invariants.txt`` then holds the single line ``numerical_abort=fail``
 with the reason, and no other artifact is written).  With a fixed seed the
 outputs are byte-identical across repeated runs.
 
-Grids cover the full forward cone (r_max = t_max + R), so a stored run
-costs O(n_t * n_r) ~ (t_max/h)^2 doubles; desk-scale configs keep
-t_max/h within a few thousand.  Sweeps run lean (series only, O(n_r)
-memory per run).
+Grids cover the full forward cone (r_max = t_max + R).  Solve mode stores
+the march's u table, O(n_t * n_r) ~ (t_max/h)^2 doubles, and its source
+rows from t_star on (none without the scattering check); the d'Alembert
+check compares slice by slice against that u table and stores none of its
+own, and the v = u/(1+t) rows are formed one at a time.  Blow-up mode
+stores the full u and source tables.  Desk-scale configs keep t_max/h
+within a few thousand.  Sweeps run lean (series only, O(n_r) memory per
+run).
 """
 
 from __future__ import annotations
@@ -102,14 +106,15 @@ def _write_invariants(path: Path, invariants: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _march(cfg: RunConfig, family: str):
-    """March the configured problem with data of ``family``.  Returns the
+def _march(cfg: RunConfig, family: str, sources_from: int | None = 0):
+    """March the configured problem with data of ``family``, storing the
+    sources from slice ``sources_from`` on (None: none).  Returns the
     problem, the data and the history, with the summary fields that both
     march modes report."""
     grid = Grid.for_domain(cfg.h, cfg.t_max + cfg.R, cfg.t_max)
     params = Params(gamma=cfg.gamma, R=cfg.R, grid=grid, blowup_threshold=cfg.blowup_threshold)
     data = make_data(family, cfg.epsilon, cfg.R, grid)
-    hist = solve_march(params, data)
+    hist = solve_march(params, data, sources_from=sources_from)
     head = {
         "gamma": cfg.gamma,
         "epsilon": cfg.epsilon,
@@ -122,7 +127,10 @@ def _march(cfg: RunConfig, family: str):
 
 
 def _mode_solve(cfg: RunConfig):
-    params, data, hist, summary = _march(cfg, cfg.family)
+    # only the scattering check reads sources, and only from t_star on
+    scatter = cfg.gamma > 0.0 and cfg.t_star > 0.0
+    n_star = round(cfg.t_star / cfg.h) if scatter else None
+    params, data, hist, summary = _march(cfg, cfg.family, n_star)
     invariants = {}
     if cfg.family == "bump_v1_only":
         invariants["positivity"] = hist.min_value() >= -1e-12 * max(
@@ -134,16 +142,12 @@ def _mode_solve(cfg: RunConfig):
         sup_u_max=float(hist.series.sup_u.max()),
     )
     if cfg.run_dalembert:
-        alt = solve_dalembert(params, data)
-        n = min(hist.n_used, alt.n_used)
-        # row by row: two full-table temporaries would double the peak memory
-        diff = max(float(np.max(np.abs(a - b))) for a, b in zip(hist.u[:n], alt.u[:n]))
-        del alt  # frees its u table before the post-processing
+        diff = float(solve_dalembert(params, data, u_ref=hist.u).ref_diff.max())
         summary["backend_sup_diff"] = diff
         invariants["backend_agreement"] = diff <= 50.0 * cfg.h**2 * max(
             1.0, float(hist.series.sup_u.max())
         )
-    if not hist.blowup.blew_up and cfg.gamma > 0.0 and cfg.t_star > 0.0:
+    if scatter and not hist.blowup.blew_up:
         ts, vals, rem = scattering_check(hist, cfg.t_star)
         summary["scattering_final_over_initial"] = float(vals[-1] / vals[0]) if vals[0] else 0.0
         summary["scattering_tail_estimate"] = rem

@@ -29,12 +29,13 @@ hand each finished window to one recorder, which keeps the same per-slice
 series (weighted norm by ``norms.slice_x_norm``, dissipation weight, mass
 functional by ``grid.MassWeights``, sup) and threshold crossings for every
 row, so they can be cross-validated slice by slice; the march adds each
-slice's closure sweeps, last relative step and sources (a d'Alembert run
-keeps u only).  Both always march the
-cubic equation: the linear field is the ``waveops.FreeField`` table, not a
-solver option.  A stored run is post-processed by ``liouville`` (the table
-v = u/(1+t)), whose rows ``dissipation_monitor`` reads, and by
-``scattering_check`` (distance to the outgoing free wave).
+slice's closure sweeps, last relative step and sources (from a chosen
+slice on).  A d'Alembert run keeps its u table, or, given the march's u
+table as a reference, only its per-slice distance to it.  Both always march
+the cubic equation: the linear field is the ``waveops.FreeField`` table, not
+a solver option.  A stored run is post-processed by ``liouville`` (the rows
+v_n = u_n/(1+t_n), one at a time), which ``dissipation_monitor`` reads, and
+by ``scattering_check`` (distance to the outgoing free wave).
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class BlowupReport:
 @dataclass
 class SolutionHistory:
     """March output: solution table (optional), source table (optional,
-    march only), per-slice series, and blow-up bookkeeping."""
+    march only; its rows are the slices ``g_from`` .. ``n_used - 1``),
+    per-slice series, and blow-up bookkeeping."""
 
     params: Params
     n_used: int
@@ -139,6 +141,10 @@ class SolutionHistory:
     blowup: BlowupReport
     u: np.ndarray | None = None
     g: np.ndarray | None = None
+    g_from: int = 0
+    # a d'Alembert run given a reference u table: max|u - u_ref[n]| per
+    # slice n, for the slices of both runs
+    ref_diff: np.ndarray | None = None
     # per slice of a march: closure sweeps, and the last step max|g_new - g|
     # relative to 1 + max|g_new| (slice 0 needs no closure: 0 and 0.0)
     closure_sweeps: np.ndarray | None = None
@@ -180,9 +186,14 @@ class _Recorder:
     per-slice series and the threshold crossings, and reports the rows that
     stop: a row stops when it crosses the stop threshold, or with a
     ``NumericalAbort`` kept for it on a non-finite value.  ``outcome``
-    builds each row's result."""
+    builds each row's result.
 
-    def __init__(self, params: Params, n_rows: int, backend: str, store_history: bool = True):
+    A march stores its sources from slice ``sources_from`` on (None: none).
+    Given a reference table ``u_ref``, the record keeps each slice's
+    max|u - u_ref[n]| instead of storing u."""
+
+    def __init__(self, params: Params, n_rows: int, backend: str, store_history: bool = True,
+                 sources_from: int | None = 0, u_ref: np.ndarray | None = None):
         grid = params.grid
         self.params = params
         self.backend = backend
@@ -198,8 +209,15 @@ class _Recorder:
         # closure sweeps and the last relative step delta / scale per slice
         self.sweeps = np.zeros(shape, dtype=int) if backend == "march" else None
         self.step = np.zeros(shape) if backend == "march" else None
-        self.u = np.zeros(shape + (grid.n_r,)) if store_history else None
-        self.g = np.zeros(shape + (grid.n_r,)) if store_history and backend == "march" else None
+        self.u = np.zeros(shape + (grid.n_r,)) if store_history and u_ref is None else None
+        self.g, self.g_from = None, 0
+        if store_history and backend == "march" and sources_from is not None:
+            if not 0 <= sources_from < grid.n_t:
+                raise ValueError(f"sources_from must be a slice of the grid, got {sources_from}")
+            self.g_from = sources_from
+            self.g = np.zeros((n_rows, grid.n_t - sources_from, grid.n_r))
+        self.u_ref = u_ref
+        self.ref_diff = None if u_ref is None else np.zeros(shape)
         self.stop_threshold = params.blowup_threshold
         self.thresholds = (self.stop_threshold / _LOW_THRESHOLD_FACTOR, self.stop_threshold)
         self.crossings = [{} for _ in range(n_rows)]
@@ -224,8 +242,11 @@ class _Recorder:
             rows = slice(rows[0], rows[-1] + 1)  # a run of rows: views, no gathers
         if self.u is not None:
             self.u[rows, n, :k] = u
-        if self.g is not None:
-            self.g[rows, n, :k] = g
+        if self.g is not None and n >= self.g_from:
+            self.g[rows, n - self.g_from, :k] = g
+        if self.u_ref is not None and n < len(self.u_ref):
+            # both rows vanish past the window: the distance lies on it
+            self.ref_diff[rows, n] = np.abs(u - self.u_ref[n, :k]).max(axis=-1)
         if self.sweeps is not None:
             self.sweeps[rows, n] = sweeps
             self.step[rows, n] = step
@@ -274,7 +295,10 @@ class _Recorder:
             series=series,
             blowup=blowup,
             u=None if self.u is None else self.u[i, sl],
-            g=None if self.g is None else self.g[i, sl],
+            g=None if self.g is None else self.g[i, : max(n_used - self.g_from, 0)],
+            g_from=self.g_from,
+            ref_diff=None if self.u_ref is None
+            else self.ref_diff[i, : min(n_used, len(self.u_ref))].copy(),
             closure_sweeps=None if self.sweeps is None else self.sweeps[i, sl].copy(),
             closure_step=None if self.step is None else self.step[i, sl].copy(),
         )
@@ -322,14 +346,17 @@ def _close_slice(acc: ConeAccumulator, kern, base: np.ndarray, g: np.ndarray):
     return u, sweeps, step
 
 
-def march_batch(params: Params, data: list, store_history: bool = True) -> list:
+def march_batch(params: Params, data: list, store_history: bool = True,
+                sources_from: int | None = 0) -> list:
     """March the integral equation of one problem for several data rows in
     lockstep.
 
     ``data`` holds each row's (v0, v1).  Each slice runs one free-field
     slice, one closure (``_close_slice``), one record and one push for all
     rows that still march.  A row leaves the batch when it crosses the stop
-    threshold or hits a non-finite value.  Returns per row its
+    threshold or hits a non-finite value.  With ``store_history`` the
+    record keeps the u table and the sources from slice ``sources_from`` on
+    (None: no sources).  Returns per row its
     ``SolutionHistory`` (whose ``params`` is ``params``) or its
     ``NumericalAbort``, each equal to what a one-row march gives.
     """
@@ -339,7 +366,7 @@ def march_batch(params: Params, data: list, store_history: bool = True) -> list:
     kern = cached_kernel(params.gamma, grid)
     rows = np.arange(len(data))
     free = FreeField([d[0] for d in data], [d[1] for d in data], grid)
-    rec = _Recorder(params, len(data), "march", store_history)
+    rec = _Recorder(params, len(data), "march", store_history, sources_from)
 
     for n in range(grid.n_t):
         base = free.slice(n, grid.window(n, jr))
@@ -370,6 +397,7 @@ def solve_march(
     params: Params,
     data,
     store_history: bool = True,
+    sources_from: int | None = 0,
 ) -> SolutionHistory:
     """March the integral equation causally on the characteristic grid.
 
@@ -379,20 +407,24 @@ def solve_march(
     stops early once sup|u| exceeds ``params.blowup_threshold``.  This is
     the one-point batch of ``march_batch``.
     """
-    (out,) = march_batch(params, [data], store_history)
+    (out,) = march_batch(params, [data], store_history, sources_from)
     if isinstance(out, NumericalAbort):
         raise out
     return out
 
 
-def solve_dalembert(params: Params, data) -> SolutionHistory:
+def solve_dalembert(params: Params, data, u_ref: np.ndarray | None = None) -> SolutionHistory:
     """Independent backend: U = r u solves U_tt - U_rr = r G/(1+t)^2 with
-    odd reflection at the axis; exact characteristic stencil at dt = dr."""
+    odd reflection at the axis; exact characteristic stencil at dt = dr.
+
+    Given ``u_ref`` (rows of slices 0, 1, ..., such as a march's u table),
+    the history keeps max|u - u_ref[n]| per slice (``ref_diff``) and no u
+    table."""
     v0, v1 = data
     grid = params.grid
     jr = params.support_cells
     kern = cached_kernel(params.gamma, grid)
-    rec = _Recorder(params, 1, "dalembert")
+    rec = _Recorder(params, 1, "dalembert", u_ref=u_ref)
     row = np.zeros(1, dtype=int)
     n_r, n_t = grid.n_r, grid.n_t
     h = grid.h
@@ -445,23 +477,25 @@ def solve_dalembert(params: Params, data) -> SolutionHistory:
 # ---------------------------------------------------------------------------
 
 
-def liouville(hist: SolutionHistory) -> np.ndarray:
-    """The table v = u/(1+t): the damping substitution inverted slice by slice."""
+def liouville(hist: SolutionHistory):
+    """The rows v_n = u_n/(1+t_n), yielded one at a time: the damping
+    substitution inverted slice by slice, with no v table."""
     if hist.u is None:
         raise ValueError("run stored no history")
     t = np.arange(hist.n_used) * hist.grid.h
-    return hist.u / (1.0 + t)[:, None]
+    return (row / (1.0 + tn) for row, tn in zip(hist.u, t))
 
 
-def dissipation_monitor(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Series t -> (1+t) sup_r (1+t+r)|v| for the rows of a v table
-    (the output of ``liouville``)."""
+def dissipation_monitor(v, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Series t -> (1+t) sup_r (1+t+r)|v| over the rows v_0, v_1, ... of
+    ``v`` (such as ``liouville``'s)."""
     r = grid.radii()
-    t = np.arange(len(v)) * grid.h
-    vals = np.empty(len(v))
-    for n in range(len(v)):
-        vals[n] = (1.0 + t[n]) * float(np.max((1.0 + t[n] + r) * np.abs(v[n])))
-    return t, vals
+    h = grid.h
+    vals = []
+    for n, row in enumerate(v):
+        tn = n * h
+        vals.append((1.0 + tn) * float(np.max((1.0 + tn + r) * np.abs(row))))
+    return np.arange(len(vals)) * h, np.array(vals)
 
 
 def scattering_check(hist: SolutionHistory, t_star: float):
@@ -487,7 +521,7 @@ def scattering_check(hist: SolutionHistory, t_star: float):
     r = grid.radii()
     out_t = []
     out_val = []
-    for n, tail in duhamel_tails(hist.g[: M + 1], grid, hist.params.support_cells, n_star):
+    for n, tail in duhamel_tails(hist.g, grid, hist.params.support_cells, n_star, hist.g_from):
         t = n * h
         out_t.append(t)
         out_val.append(float(np.max((1.0 + t + r) * np.abs(tail))))
@@ -495,7 +529,7 @@ def scattering_check(hist: SolutionHistory, t_star: float):
     out_val.reverse()
     # crude estimate of the neglected tail beyond the run, assuming the
     # source keeps its (1+s)^-(gamma+1) envelope
-    supg = float(np.max(np.abs(hist.g[M])))
+    supg = float(np.max(np.abs(hist.g[-1])))
     q = 3.0 + hist.params.gamma
     U = 1.0 + M * h
     rem = supg * U ** (hist.params.gamma + 1.0) * (

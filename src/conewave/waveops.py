@@ -459,15 +459,17 @@ class ConeAccumulator:
         return tail
 
 
-def duhamel_tails(g: np.ndarray, grid: Grid, support_cells: int, n_stop: int):
-    """Backward Duhamel tails of a finished run with source slices ``g``
-    (rows 0..M): yields (n, tail) for n = M-1 down to ``n_stop``, where
-    ``tail`` is the part of L over the times after t_n, up to t_M, at every
-    node of slice n.  The top slice carries only the right-endpoint weight
-    of its cell."""
+def duhamel_tails(g: np.ndarray, grid: Grid, support_cells: int, n_stop: int, g_from: int = 0):
+    """Backward Duhamel tails of a finished run whose source slices
+    g_from..M are the rows of ``g``: yields (n, tail) for n = M-1 down to
+    ``n_stop`` (>= ``g_from``), where ``tail`` is the part of L over the
+    times after t_n, up to t_M, at every node of slice n.  The top slice
+    carries only the right-endpoint weight of its cell."""
+    if n_stop < g_from:
+        raise ValueError(f"n_stop = {n_stop} lies before the first source row {g_from}")
     acc = ConeAccumulator(grid, support_cells)
     tw = acc.tw
-    M = len(g) - 1
+    M = g_from + len(g) - 1
     for m in range(M, n_stop, -1):
-        acc._add(m, tw.wr[m - 1] if m == M else tw.w_slice[m], g[m])
-        yield m - 1, acc._eval_tail(m - 1, g[m - 1])
+        acc._add(m, tw.wr[m - 1] if m == M else tw.w_slice[m], g[m - g_from])
+        yield m - 1, acc._eval_tail(m - 1, g[m - 1 - g_from])

@@ -293,7 +293,7 @@ class TestPostprocessing:
         p = build(1.0, 1.0, 1 / 16, 2.0)
         d = make_data("bump_v1_only", 0.5, 1.0, p.grid)
         hist = solve_march(p, d)
-        v = liouville(hist)
+        v = np.stack(list(liouville(hist)))
         t = np.arange(hist.n_used) * p.grid.h
         assert np.array_equal(v, hist.u / (1.0 + t)[:, None])
         # multiplying back restores u to within one ulp
@@ -351,6 +351,65 @@ class TestPostprocessing:
         assert hist.blowup.blew_up
         with pytest.raises(ValueError):
             scattering_check(hist, 5.0)
+
+
+class TestLeanRecord:
+    """Solve mode's lean record (sources from t_star on, a d'Alembert run
+    against the march's u table, v rows one at a time) against the same
+    diagnostics computed from full tables."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        p = build(1.0, 1.0, 1 / 16, 8.0)
+        d = make_data("bump_v1_only", 0.8, 1.0, p.grid)
+        n_star = p.grid.index_of_time(4.0)
+        full = solve_march(p, d)
+        lean = solve_march(p, d, sources_from=n_star)
+        return p, d, n_star, full, lean
+
+    def test_sources_from_t_star(self, runs):
+        p, _, n_star, full, lean = runs
+        assert lean.g_from == n_star and len(lean.g) == lean.n_used - n_star
+        assert lean.g.tobytes() == full.g[n_star:].tobytes()
+        assert lean.u.tobytes() == full.u.tobytes()
+        assert solve_march(p, runs[1], sources_from=None).g is None
+
+    def test_scattering_check_bitwise(self, runs):
+        _, _, _, full, lean = runs
+        for a, b in zip(scattering_check(full, 4.0), scattering_check(lean, 4.0)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        # the tails before the first stored source row are not there
+        with pytest.raises(ValueError):
+            scattering_check(lean, 3.0)
+
+    def test_backend_sup_diff_bitwise(self, runs):
+        p, d, _, full, _ = runs
+        alt = solve_dalembert(p, d)
+        n = min(full.n_used, alt.n_used)
+        want = max(float(np.max(np.abs(a - b))) for a, b in zip(full.u[:n], alt.u[:n]))
+        ref = solve_dalembert(p, d, u_ref=full.u)
+        assert ref.u is None and ref.g is None and len(ref.ref_diff) == n
+        assert float(ref.ref_diff.max()) == want
+        for a, b in zip(ref.series.rows(), alt.series.rows()):
+            assert repr(a) == repr(b)
+
+    def test_dissipation_monitor_bitwise(self, runs):
+        p, _, _, _, lean = runs
+        grid = p.grid
+        r = grid.radii()
+        t = np.arange(lean.n_used) * grid.h
+        v = lean.u / (1.0 + t)[:, None]
+        want = [(1.0 + t[n]) * float(np.max((1.0 + t[n] + r) * np.abs(v[n])))
+                for n in range(len(v))]
+        td, dis = dissipation_monitor(liouville(lean), grid)
+        assert td.tobytes() == t.tobytes()
+        assert dis.tobytes() == np.array(want).tobytes()
+
+    def test_mass_series_needs_every_source(self, runs):
+        from conewave.blowup import mass_series
+
+        with pytest.raises(ValueError):
+            mass_series(runs[4])
 
 
 class TestScaleSymmetry:
