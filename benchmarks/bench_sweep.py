@@ -6,11 +6,12 @@ Prints a JSON record with up to four parts:
   --trace 0`` of each checkout): medians, quartiles and wins of run_ref_s,
   setup_s and peak_rss_mb;
 * ``layers``  -- the lean lifespan sweep of perfbench's lifespan workload
-  (h = 1/8, t_max = 170, refine = 0) split by layer: the parent's sweep
-  (one march per point), the working tree's one-point path
-  (``lifespan_measure`` per point) and its lockstep ``sweep``, interleaved
-  in one process; CPU seconds in the free field, history plus closure
-  evaluation, slice convolution, recorder and push;
+  (h = 1/8, t_max = 170, refine = 0) split by layer, in three variants
+  interleaved in one process: ``parent_sweep`` (the parent's ``sweep``),
+  ``change_one_point`` (the working tree's ``lifespan_measure`` per point)
+  and ``change_sweep`` (its lockstep ``sweep``); CPU seconds in the free
+  field, history plus closure evaluation, slice convolution, recorder and
+  push;
 * ``configs`` -- CPU seconds, wall seconds and peak RSS (``ru_maxrss``) of
   one CLI run of each shipped config, two rounds alternating between the
   checkouts;
@@ -133,10 +134,10 @@ def _layer_worker(parent_src: str, seed: int, reps: int) -> dict:
     eps = [float(e) for e in cfg["epsilon_list"].split(",")]
     args = dict(h=cfg["h"], t_max=cfg["t_max"], refine=cfg["refine"])
     variants = {
-        "parent_serial": lambda: mods["conewave_parent"].sweep(cfg["gamma"], cfg["R"], eps, **args),
-        "change_serial": lambda: [mods["conewave"].lifespan_measure(cfg["gamma"], cfg["R"], e, **args)
-                                  for e in eps],
-        "change_batched": lambda: mods["conewave"].sweep(cfg["gamma"], cfg["R"], eps, **args),
+        "parent_sweep": lambda: mods["conewave_parent"].sweep(cfg["gamma"], cfg["R"], eps, **args),
+        "change_one_point": lambda: [mods["conewave"].lifespan_measure(cfg["gamma"], cfg["R"], e,
+                                                                       **args) for e in eps],
+        "change_sweep": lambda: mods["conewave"].sweep(cfg["gamma"], cfg["R"], eps, **args),
     }
     for run in variants.values():  # kernels and spectra, once per package
         run()

@@ -48,11 +48,9 @@ def mass_series(hist: SolutionHistory):
     the solver's own nonlinearity."""
     if hist.u is None or hist.g is None or hist.g_from:
         raise ValueError("run must store history, the sources from slice 0 on")
-    grid = hist.grid
-    h = grid.h
-    t = np.arange(hist.n_used) * h
-    F = hist.series.mass[: hist.n_used].copy()
-    mw = MassWeights(grid)
+    t = hist.t
+    F = hist.mass.copy()
+    mw = MassWeights(hist.grid)
     rhs = np.empty(hist.n_used)
     for n in range(hist.n_used):
         rhs[n] = mw.mass(hist.g[n]) / (1.0 + t[n]) ** 2
@@ -201,16 +199,16 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile, epsilon: float) -
     t, F, rhs = mass_series(hist)
     mw = MassWeights(grid)
     window = max_rel = None
-    if n_used >= 5 and hist.blowup.t_numeric is not None:
+    if n_used >= 5 and hist.t_numeric is not None:
         d2F = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / h**2
         tm = t[1:-1]
-        in_window = (tm >= 2.0 * R) & (tm <= hist.blowup.t_numeric - R)
+        in_window = (tm >= 2.0 * R) & (tm <= hist.t_numeric - R)
         rel = np.abs(d2F - rhs[1:-1]) / np.maximum(np.abs(rhs[1:-1]), 1e-300)
         if np.any(in_window):
             window, max_rel = in_window, float(np.max(rel[in_window]))
     worst_pair = worst_cubic = math.inf
     for n in range(1, n_used - 5, max(1, n_used // 200)):
-        if hist.series.sup_u[n] > 1e2:
+        if hist.sup_u[n] > 1e2:
             break
         # the pair bound's lhs is F'' by the identity, which rhs[n] holds
         rr = _pair_rhs(hist.u[n], mw, F[n], gamma, t[n])

@@ -17,8 +17,15 @@ writes them into the output directory:
 Exit status: 0 all invariants pass, 1 an invariant failed (or none was
 checked: ``no_invariant_checked=fail``), 2 config error, 3 numerical
 abort (``invariants.txt`` then holds the single line ``numerical_abort=fail``
-with the reason, and no other artifact is written).  With a fixed seed the
-outputs are byte-identical across repeated runs.
+with the reason; ``results.csv`` and ``summary.json`` of an earlier run in
+the same directory are removed).  An output directory that cannot be made
+is a config error.  With a fixed seed the outputs are byte-identical across
+repeated runs.
+
+Solve and blow-up mode march one run, a ``solver.SolutionHistory``.  Solve
+mode writes its per-slice series (``rows``) as ``results.csv``; both modes
+put its blow-up facts (``blew_up``, ``t_numeric``, ``threshold_crossings``,
+read off its sup series) into ``summary.json``.
 
 Grids cover the full forward cone (r_max = t_max + R).  Solve mode stores
 the march's u table, O(n_t * n_r) ~ (t_max/h)^2 doubles, and its source
@@ -119,9 +126,9 @@ def _march(cfg: RunConfig, family: str, sources_from: int | None = 0):
         "gamma": cfg.gamma,
         "epsilon": cfg.epsilon,
         "h": cfg.h,
-        "blew_up": hist.blowup.blew_up,
-        "t_numeric": hist.blowup.t_numeric,
-        "threshold_crossings": {str(k): v for k, v in hist.blowup.crossings.items()},
+        "blew_up": hist.blew_up,
+        "t_numeric": hist.t_numeric,
+        "threshold_crossings": {str(k): v for k, v in hist.crossings.items()},
     }
     return params, data, hist, head
 
@@ -134,20 +141,20 @@ def _mode_solve(cfg: RunConfig):
     invariants = {}
     if cfg.family == "bump_v1_only":
         invariants["positivity"] = hist.min_value() >= -1e-12 * max(
-            1.0, float(hist.series.sup_u.max())
+            1.0, float(hist.sup_u.max())
         )
     summary.update(
         R=cfg.R, t_max=cfg.t_max, family=cfg.family,
-        x_norm_final=float(hist.series.x_norm_running[-1]),
-        sup_u_max=float(hist.series.sup_u.max()),
+        x_norm_final=float(hist.x_norm_running[-1]),
+        sup_u_max=float(hist.sup_u.max()),
     )
     if cfg.run_dalembert:
         diff = float(solve_dalembert(params, data, u_ref=hist.u).ref_diff.max())
         summary["backend_sup_diff"] = diff
         invariants["backend_agreement"] = diff <= 50.0 * cfg.h**2 * max(
-            1.0, float(hist.series.sup_u.max())
+            1.0, float(hist.sup_u.max())
         )
-    if scatter and not hist.blowup.blew_up:
+    if scatter and not hist.blew_up:
         ts, vals, rem = scattering_check(hist, cfg.t_star)
         summary["scattering_final_over_initial"] = float(vals[-1] / vals[0]) if vals[0] else 0.0
         summary["scattering_tail_estimate"] = rem
@@ -155,11 +162,11 @@ def _mode_solve(cfg: RunConfig):
             np.all(np.diff(vals) <= 1e-12 * max(1.0, float(vals[0])))
         )
         _, dis = dissipation_monitor(liouville(hist), hist.grid)
-        w = hist.series.t >= 10.0
+        w = hist.t >= 10.0
         if np.count_nonzero(w) >= 2:
             dw = dis[w]
             summary["dissipation_max_over_min"] = float(dw.max() / dw.min())
-    return CSV_HEADER, hist.series.rows(), summary, invariants
+    return CSV_HEADER, hist.rows(), summary, invariants
 
 
 def _mode_sweep(cfg: RunConfig):
@@ -236,8 +243,7 @@ def _mode_blowup(cfg: RunConfig):
         summary["envelope_t2"] = env.t2
         summary["envelope_C2"] = env.C2
     env_col = env.envelope if env is not None else np.zeros(hist.n_used)
-    ser = hist.series
-    rows = zip(diag.t, diag.F, diag.rhs, env_col, ser.sup_u, ser.x_norm_running)
+    rows = zip(diag.t, diag.F, diag.rhs, env_col, hist.sup_u, hist.x_norm_running)
     return BLOWUP_HEADER, rows, summary, invariants
 
 
@@ -347,10 +353,17 @@ def run(cfg: RunConfig) -> int:
     """Run the configured mode, write its three artifacts and return the
     process exit status."""
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        print(f"config error: out: {exc}", file=sys.stderr)
+        return 2
     try:
         header, rows, summary, invariants = _RUNNERS[cfg.mode](cfg)
     except NumericalAbort as exc:
+        # no artifact of an earlier run in ``out`` may outlive the abort
+        for name in ("results.csv", "summary.json"):
+            (out / name).unlink(missing_ok=True)
         (out / "invariants.txt").write_text(f"numerical_abort=fail # {exc}\n")
         return 3
     _write_csv(out / "results.csv", header, rows)

@@ -29,7 +29,7 @@ class LifespanPoint:
     t_numeric: float | None  # Richardson-extrapolated; None when censored
     censored: bool
     levels: list = field(default_factory=list)  # (h, t_at_stop_threshold)
-    threshold_gap: float = math.nan  # BlowupReport.threshold_gap at the finest grid
+    threshold_gap: float = math.nan  # the finest level's SolutionHistory.threshold_gap
     richardson_increment: float = math.nan
 
 
@@ -84,7 +84,7 @@ def _level_runs(gamma, R, epsilons, h, t_max, family, blowup_threshold):
 def _point(epsilon: float, levels: list, hist) -> LifespanPoint:
     """The point of one epsilon from its (h, t) levels, coarse to fine, and
     the finest level's history: Richardson on the two finest levels."""
-    if hist.blowup.t_numeric is None:
+    if hist.t_numeric is None:
         return LifespanPoint(epsilon=epsilon, t_numeric=None, censored=True, levels=levels)
     if len(levels) >= 2 and levels[-2][1] is not None:
         t_f = levels[-1][1]
@@ -99,7 +99,7 @@ def _point(epsilon: float, levels: list, hist) -> LifespanPoint:
         t_numeric=extrap,
         censored=False,
         levels=levels,
-        threshold_gap=hist.blowup.threshold_gap,
+        threshold_gap=hist.threshold_gap,
         richardson_increment=inc,
     )
 
@@ -130,7 +130,7 @@ def lifespan_measure(
         hh = h / 2**lev
         params, (data,) = _level_runs(gamma, R, [epsilon], hh, t_max, family, blowup_threshold)
         hist = solve_march(params, data, store_history=False)
-        levels.append((hh, hist.blowup.t_numeric))
+        levels.append((hh, hist.t_numeric))
     return _point(epsilon, levels, hist)
 
 
@@ -205,7 +205,7 @@ def sweep(
             if isinstance(out, NumericalAbort):
                 abort, n_run = out, i
                 break
-            levels[i].append((hh, out.blowup.t_numeric))
+            levels[i].append((hh, out.t_numeric))
             hists[i] = out
     if abort is not None:
         raise abort

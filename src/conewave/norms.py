@@ -10,13 +10,12 @@ over the forward cone r <= t + R, with
 
 ``slice_x_norm`` takes that supremum over the nodes of one time slice, for
 one row or a stack of rows; a run's norm is the running maximum over its
-slices, which the solver's recorder keeps from it.  Suprema are taken over
+slices (``solver.SolutionHistory.x_norm_running``).  Suprema are taken over
 grid nodes, which is a lower bound for the true sup; verifiers that assert
 inequalities re-run on refined grids to bound the gap.
 
-The module also holds the Duhamel growth factor ``d_gamma`` and
-``NormSeries``, the per-slice diagnostics of a run.  The estimates these
-weights enter are certified in ``verify``.
+The module also holds the Duhamel growth factor ``d_gamma``.  The
+estimates these weights enter are certified in ``verify``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "weight_row",
     "slice_x_norm",
     "d_gamma",
-    "NormSeries",
 ]
 
 @dataclass(frozen=True)
@@ -95,25 +93,3 @@ def d_gamma(T: float, gamma: float, R: float) -> float:
     if gamma == 0.0:
         return math.log((T + 2.0 * R) / R)
     return (1.0 / -gamma) * ((T + R) / R) ** (-gamma)
-
-
-@dataclass
-class NormSeries:
-    """Per-slice diagnostics of a run: running weighted norm, dissipation
-    weight of v = u/(1+t), and the mass functional."""
-
-    t: np.ndarray
-    x_norm_running: np.ndarray
-    dissipation: np.ndarray
-    mass: np.ndarray
-    sup_u: np.ndarray
-
-    def rows(self):
-        for i in range(len(self.t)):
-            yield (
-                self.t[i],
-                self.x_norm_running[i],
-                self.dissipation[i],
-                self.mass[i],
-                self.sup_u[i],
-            )

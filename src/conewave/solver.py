@@ -26,12 +26,14 @@ one-point march bit for bit; ``solve_march`` is the batch of one.
 Both backends compute u of slice n on its window (``Grid.window``), so they
 write zeros past node n + jr by construction (finite propagation speed).  Both
 hand each finished window to one recorder, which keeps the same per-slice
-series (weighted norm by ``norms.slice_x_norm``, dissipation weight, mass
-functional by ``grid.MassWeights``, sup) and threshold crossings for every
-row, so they can be cross-validated slice by slice; the march adds each
-slice's closure sweeps, last relative step and sources (from a chosen
-slice on).  A d'Alembert run keeps its u table, or, given the march's u
-table as a reference, only its per-slice distance to it.  Both always march
+values for every row (weighted norm by ``norms.slice_x_norm``, dissipation
+weight, mass functional by ``grid.MassWeights``, sup), so they can be
+cross-validated slice by slice; the march adds each slice's closure sweeps,
+last relative step and sources (from a chosen slice on).  A d'Alembert run
+keeps its u table, or, given the march's u table as a reference, only its
+per-slice distance to it.  Each row's result is one ``SolutionHistory``:
+it holds the per-slice series and reads the blow-up facts (threshold
+crossings, lifespan) off its sup series.  Both always march
 the cubic equation: the linear field is the ``waveops.FreeField`` table, not
 a solver option.  A stored run is post-processed by ``liouville`` (the rows
 v_n = u_n/(1+t_n), one at a time), which ``dissipation_monitor`` reads, and
@@ -41,19 +43,18 @@ by ``scattering_check`` (distance to the outgoing free wave).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, MassWeights, RadialProfile
-from .norms import NormSeries, WeightParams, slice_x_norm
+from .norms import WeightParams, slice_x_norm
 from .potential import cached_kernel
 from .waveops import ConeAccumulator, FreeField, duhamel_tails, lam_prefix
 
 __all__ = [
     "NumericalAbort",
     "Params",
-    "BlowupReport",
     "SolutionHistory",
     "DATA_FAMILIES",
     "make_data",
@@ -109,36 +110,27 @@ class Params:
         return WeightParams(self.gamma, self.R)
 
 
-# a run records the first crossing of the stop threshold and of this many
+# a run reports the first crossing of the stop threshold and of this many
 # times less, so a lifespan comes with its agreement across two decades
 _LOW_THRESHOLD_FACTOR = 100.0
 
 
 @dataclass
-class BlowupReport:
-    blew_up: bool
-    t_numeric: float | None
-    threshold: float
-    crossings: dict = field(default_factory=dict)  # threshold -> first crossing time
-
-    @property
-    def threshold_gap(self) -> float:
-        """|t(threshold) - t(threshold / 100)|; nan unless both were crossed."""
-        c = self.crossings
-        low = self.threshold / _LOW_THRESHOLD_FACTOR
-        return abs(c.get(self.threshold, math.nan) - c.get(low, math.nan))
-
-
-@dataclass
 class SolutionHistory:
-    """March output: solution table (optional), source table (optional,
-    march only; its rows are the slices ``g_from`` .. ``n_used - 1``),
-    per-slice series, and blow-up bookkeeping."""
+    """The one record of a run: per-slice series of the slices 0 ..
+    ``n_used - 1``, solution table (optional), source table (optional,
+    march only; its rows are the slices ``g_from`` .. ``n_used - 1``) and
+    closure record.  The blow-up facts are read off ``sup_u``: a run stops
+    at the first slice whose sup|u| exceeds ``params.blowup_threshold``."""
 
     params: Params
     n_used: int
-    series: NormSeries
-    blowup: BlowupReport
+    # per slice: running max of the weighted norm, dissipation weight of
+    # v = u/(1+t), mass functional, sup|u|
+    x_norm_running: np.ndarray
+    dissipation: np.ndarray
+    mass: np.ndarray
+    sup_u: np.ndarray
     u: np.ndarray | None = None
     g: np.ndarray | None = None
     g_from: int = 0
@@ -153,6 +145,42 @@ class SolutionHistory:
     @property
     def grid(self) -> Grid:
         return self.params.grid
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(self.n_used) * self.grid.h
+
+    @property
+    def crossings(self) -> dict:
+        """threshold -> time of the first slice whose sup|u| exceeds it, for
+        the stop threshold and 100 times less, where crossed."""
+        stop = self.params.blowup_threshold
+        out = {}
+        for c in (stop / _LOW_THRESHOLD_FACTOR, stop):
+            above = np.flatnonzero(self.sup_u > c)
+            if above.size:
+                out[c] = int(above[0]) * self.grid.h
+        return out
+
+    @property
+    def t_numeric(self) -> float | None:
+        """Time of the stop-threshold crossing; None if the run did not blow up."""
+        return self.crossings.get(self.params.blowup_threshold)
+
+    @property
+    def blew_up(self) -> bool:
+        return self.t_numeric is not None
+
+    @property
+    def threshold_gap(self) -> float:
+        """|t(threshold) - t(threshold / 100)|; nan unless both were crossed."""
+        c = self.crossings
+        stop = self.params.blowup_threshold
+        return abs(c.get(stop, math.nan) - c.get(stop / _LOW_THRESHOLD_FACTOR, math.nan))
+
+    def rows(self):
+        """Per slice the tuple (t, x_norm, dissipation, mass, sup_u)."""
+        return zip(self.t, self.x_norm_running, self.dissipation, self.mass, self.sup_u)
 
     def min_value(self) -> float:
         if self.u is None:
@@ -180,13 +208,13 @@ def make_data(family: str, epsilon: float, R: float, grid: Grid):
 
 
 class _Recorder:
-    """The one record of a run of ``params``, one row per data row of a
+    """The recorder of a run of ``params``, one row per data row of a
     batch.  Each finished slice goes through ``record`` with the rows still
-    marching, which stores the rows (with ``store_history``), updates the
-    per-slice series and the threshold crossings, and reports the rows that
-    stop: a row stops when it crosses the stop threshold, or with a
-    ``NumericalAbort`` kept for it on a non-finite value.  ``outcome``
-    builds each row's result.
+    marching, which stores the rows (with ``store_history``) and that
+    slice's own values, and reports the rows that stop: a row stops when
+    its sup|u| exceeds the stop threshold, or with a ``NumericalAbort``
+    kept for it on a non-finite value.  ``outcome`` builds each row's
+    result, with the running max of the weighted norm.
 
     A march stores its sources from slice ``sources_from`` on (None: none).
     Given a reference table ``u_ref``, the record keeps each slice's
@@ -202,7 +230,7 @@ class _Recorder:
         self.h = grid.h
         self.mw = MassWeights(grid)
         shape = (n_rows, grid.n_t)
-        self.x_run = np.zeros(shape)
+        self.x_norm = np.zeros(shape)
         self.dissip = np.zeros(shape)
         self.mass = np.zeros(shape)
         self.sup_u = np.zeros(shape)
@@ -218,9 +246,6 @@ class _Recorder:
             self.g = np.zeros((n_rows, grid.n_t - sources_from, grid.n_r))
         self.u_ref = u_ref
         self.ref_diff = None if u_ref is None else np.zeros(shape)
-        self.stop_threshold = params.blowup_threshold
-        self.thresholds = (self.stop_threshold / _LOW_THRESHOLD_FACTOR, self.stop_threshold)
-        self.crossings = [{} for _ in range(n_rows)]
         self.n_used = np.zeros(n_rows, dtype=int)
         self.aborts: list = [None] * n_rows
 
@@ -237,7 +262,6 @@ class _Recorder:
             if sweeps is not None:
                 g, sweeps, step = g[finite], sweeps[finite], step[finite]
         k = u.shape[-1]
-        ids = rows
         if rows.size and rows[-1] - rows[0] + 1 == rows.size:
             rows = slice(rows[0], rows[-1] + 1)  # a run of rows: views, no gathers
         if self.u is not None:
@@ -255,17 +279,12 @@ class _Recorder:
         au = np.abs(u)
         sup = au.max(axis=-1)
         self.sup_u[rows, n] = sup
-        xs = slice_x_norm(self.wp, r, t, u)
-        self.x_run[rows, n] = np.maximum(xs, self.x_run[rows, n - 1]) if n else xs
+        self.x_norm[rows, n] = slice_x_norm(self.wp, r, t, u)
         self.dissip[rows, n] = ((1.0 + t + r) * au).max(axis=-1) / (1.0 + t)
         self.mass[rows, n] = self.mw.mass(u)
-        for i, s in zip(ids, sup):
-            for thr in self.thresholds:
-                if thr not in self.crossings[i] and s > thr:
-                    self.crossings[i][thr] = t
         self.n_used[rows] = n + 1
         stop = ~finite
-        stop[finite] = sup > self.stop_threshold
+        stop[finite] = sup > self.params.blowup_threshold
         return stop
 
     def outcome(self, i: int):
@@ -274,26 +293,13 @@ class _Recorder:
             return self.aborts[i]
         n_used = int(self.n_used[i])
         sl = slice(0, n_used)
-        series = NormSeries(
-            t=np.arange(n_used) * self.h,
-            x_norm_running=self.x_run[i, sl].copy(),
-            dissipation=self.dissip[i, sl].copy(),
-            mass=self.mass[i, sl].copy(),
-            sup_u=self.sup_u[i, sl].copy(),
-        )
-        # a row stops on the test that records its stop-threshold crossing
-        t_numeric = self.crossings[i].get(self.stop_threshold)
-        blowup = BlowupReport(
-            blew_up=t_numeric is not None,
-            t_numeric=t_numeric,
-            threshold=self.stop_threshold,
-            crossings=self.crossings[i],
-        )
         return SolutionHistory(
             params=self.params,
             n_used=n_used,
-            series=series,
-            blowup=blowup,
+            x_norm_running=np.maximum.accumulate(self.x_norm[i, sl]),
+            dissipation=self.dissip[i, sl].copy(),
+            mass=self.mass[i, sl].copy(),
+            sup_u=self.sup_u[i, sl].copy(),
             u=None if self.u is None else self.u[i, sl],
             g=None if self.g is None else self.g[i, : max(n_used - self.g_from, 0)],
             g_from=self.g_from,
@@ -482,8 +488,7 @@ def liouville(hist: SolutionHistory):
     substitution inverted slice by slice, with no v table."""
     if hist.u is None:
         raise ValueError("run stored no history")
-    t = np.arange(hist.n_used) * hist.grid.h
-    return (row / (1.0 + tn) for row, tn in zip(hist.u, t))
+    return (row / (1.0 + tn) for row, tn in zip(hist.u, hist.t))
 
 
 def dissipation_monitor(v, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -506,7 +511,7 @@ def scattering_check(hist: SolutionHistory, t_star: float):
     (t, sup_r (1+t+r)|u - u_plus|) for t >= t_star, plus an estimate of the
     neglected tail.  Refuses blown-up runs.
     """
-    if hist.blowup.blew_up:
+    if hist.blew_up:
         raise ValueError("scattering_check refuses runs that blew up")
     if hist.g is None:
         raise ValueError("run must store source history")

@@ -43,7 +43,7 @@ class TestMass:
         p = Params(gamma=-0.4, R=1.0, grid=grid)
         d = make_data("bump_v1_only", 2.0, 1.0, grid)
         hist = solve_march(p, d)
-        assert hist.series.mass[0] == 0.0
+        assert hist.mass[0] == 0.0
 
 
 class TestMassRhs:
@@ -74,7 +74,7 @@ class TestIdentityOnRun:
     def test_mass_nondecreasing_for_positive_data(self, blowup_run):
         # v0 = 0, v1 >= 0: F' starts positive and F'' >= 0, so F never falls
         _, _, hist = blowup_run
-        F = hist.series.mass
+        F = hist.mass
         assert F[0] == 0.0
         assert np.all(np.diff(F) >= -1e-12 * np.maximum(1.0, F[1:]))
 
@@ -111,7 +111,7 @@ class TestIdentityOnRun:
         params, _, hist = blowup_run
         t, F, rhs = mass_series(hist)
         for n in range(0, hist.n_used - 5, max(1, hist.n_used // 200)):
-            if hist.series.sup_u[n] > 1e2:
+            if hist.sup_u[n] > 1e2:
                 break
             lhs2, rr2 = frame_cubic_check(F[n], rhs[n], params.gamma, t[n])
             assert lhs2 >= rr2 - 1e-12 * max(1.0, abs(rr2))
@@ -168,8 +168,8 @@ class TestEnvelope:
         eps = 4.1  # the amplitude of the fixture's data
         import conewave.grid as cg
 
-        t = hist.series.t
-        F = hist.series.mass
+        t = hist.t
+        F = hist.mass
         v0, v1 = data
         C0 = (
             4.0

@@ -155,6 +155,28 @@ class TestMainExitCodes:
         assert not (out / "results.csv").exists()
         assert not (out / "summary.json").exists()
 
+    def test_abort_removes_earlier_artifacts(self, tmp_path):
+        # a finished run, then an aborted one into the same directory: only
+        # the abort line is left
+        out = tmp_path / "out"
+        body = f"mode = solve\nh = 0.25\nt_max = 2\nout = {out}\n"
+        assert main(["--config", write_cfg(tmp_path, "ok.cfg", body + "epsilon = 0.5\n")]) == 0
+        assert (out / "results.csv").exists() and (out / "summary.json").exists()
+        bad = body + "epsilon = 1e150\nblowup_threshold = 1e307\n"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["--config", write_cfg(tmp_path, "abort.cfg", bad)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["invariants.txt"]
+        assert (out / "invariants.txt").read_text().startswith("numerical_abort=fail # ")
+
+    def test_out_naming_a_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("not a directory\n")
+        assert main(["--mode", "verify", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ")
+        assert err.count("\n") == 1
+        assert path.read_text() == "not a directory\n"
+
 
 class TestDeterminism:
     def _run_twice(self, tmp_path, body):

@@ -5,7 +5,6 @@ import pytest
 
 from conewave.grid import Grid
 from conewave.norms import (
-    NormSeries,
     WeightParams,
     d_gamma,
     n_gamma,
@@ -13,6 +12,7 @@ from conewave.norms import (
     tau,
     weight_row,
 )
+from conewave.solver import Params, SolutionHistory
 from conewave.verify import bilinear_rhs, c1_constant
 
 from oracles import w_weight
@@ -122,18 +122,23 @@ class TestWeightParams:
             WeightParams(1.0, 0.5)
 
 
-class TestNormSeries:
+class TestRunSeries:
+    """The per-slice series a run's ``SolutionHistory`` holds."""
+
     def test_running_sup_nondecreasing(self, global_run):
         _, _, hist = global_run
-        assert np.all(np.diff(hist.series.x_norm_running) >= -1e-15)
+        assert np.all(np.diff(hist.x_norm_running) >= -1e-15)
 
-    def test_rows_iteration(self):
-        s = NormSeries(
-            t=np.array([0.0, 1.0]),
+    def test_rows_column_order(self):
+        grid = Grid.for_domain(0.5, 2.0, 1.0)
+        hist = SolutionHistory(
+            params=Params(gamma=1.0, R=1.0, grid=grid),
+            n_used=2,
             x_norm_running=np.array([0.0, 1.0]),
             dissipation=np.array([0.0, 2.0]),
             mass=np.array([0.0, 3.0]),
             sup_u=np.array([0.0, 4.0]),
         )
-        rows = list(s.rows())
-        assert rows[1] == (1.0, 1.0, 2.0, 3.0, 4.0)
+        rows = list(hist.rows())
+        assert len(rows) == 2
+        assert rows[1] == (0.5, 1.0, 2.0, 3.0, 4.0)  # t, x_norm, dissipation, mass, sup_u

@@ -116,7 +116,7 @@ class TestMarch:
         d = make_data("bump_v1_only", 0.0, 1.0, p.grid)
         hist = solve_march(p, d)
         assert np.all(hist.u == 0.0)
-        assert not hist.blowup.blew_up
+        assert not hist.blew_up
 
     @pytest.mark.parametrize(
         "grid",
@@ -153,7 +153,7 @@ class TestMarch:
         run = solve_march(p, d)
         free = FreeField(d[0], d[1], p.grid)
         r = p.grid.radii()
-        xa = run.series.x_norm_running[-1]
+        xa = run.x_norm_running[-1]
         xb = max(
             slice_x_norm(p.weights(), r, n * p.grid.h, free.slice(n)) for n in range(p.grid.n_t)
         )
@@ -174,7 +174,7 @@ class TestMarch:
         full = solve_march(p, d, store_history=True)
         lean = solve_march(p, d, store_history=False)
         assert lean.u is None
-        assert np.array_equal(full.series.sup_u, lean.series.sup_u)
+        assert np.array_equal(full.sup_u, lean.sup_u)
 
 
 class TestMarchBatch:
@@ -192,15 +192,34 @@ class TestMarchBatch:
         for d, got in zip(data, batch):
             want = solve_march(params, d, store_history=store)
             assert got.n_used == want.n_used and got.params is params
-            assert repr(got.blowup) == repr(want.blowup)
-            for a, b in zip(got.series.rows(), want.series.rows()):
+            assert repr(got.crossings) == repr(want.crossings)
+            for a, b in zip(got.rows(), want.rows()):
                 assert repr(a) == repr(b)
             assert got.closure_sweeps.tobytes() == want.closure_sweeps.tobytes()
             assert got.closure_step.tobytes() == want.closure_step.tobytes()
             if store:
                 assert got.u.tobytes() == want.u.tobytes()
                 assert got.g.tobytes() == want.g.tobytes()
-        assert batch[1].blowup.blew_up and batch[1].n_used < batch[0].n_used
+        assert batch[1].blew_up and batch[1].n_used < batch[0].n_used
+
+    def test_blowup_facts_read_off_sup_series(self):
+        # each fact follows from the sup series and the stop threshold
+        params, data = self._points([0.5, 8.0, 5.0])
+        h, stop = params.grid.h, params.blowup_threshold
+        batch = march_batch(params, data, store_history=False)
+        for hist in batch:
+            assert np.array_equal(hist.t, np.arange(hist.n_used) * h)
+            for c, t in hist.crossings.items():
+                assert t == int(np.flatnonzero(hist.sup_u > c)[0]) * h
+            assert hist.blew_up == bool(hist.sup_u[-1] > stop)
+        low, high, mid = batch
+        assert not low.blew_up and not mid.blew_up and high.blew_up
+        for quiet in (low, mid):
+            assert quiet.crossings == {} and quiet.t_numeric is None
+            assert math.isnan(quiet.threshold_gap)
+        assert set(high.crossings) == {stop / 100.0, stop}
+        assert high.t_numeric == high.crossings[stop] == (high.n_used - 1) * h
+        assert high.threshold_gap == high.t_numeric - high.crossings[stop / 100.0] >= 0.0
 
     def test_closure_record(self):
         # slice 0 needs no closure; every later slice records 1 to
@@ -348,7 +367,7 @@ class TestPostprocessing:
         p = build(-0.4, 1.0, 1 / 16, 20.0)
         d = make_data("bump_v1_only", 5.4, 1.0, p.grid)
         hist = solve_march(p, d)
-        assert hist.blowup.blew_up
+        assert hist.blew_up
         with pytest.raises(ValueError):
             scattering_check(hist, 5.0)
 
@@ -390,7 +409,7 @@ class TestLeanRecord:
         ref = solve_dalembert(p, d, u_ref=full.u)
         assert ref.u is None and ref.g is None and len(ref.ref_diff) == n
         assert float(ref.ref_diff.max()) == want
-        for a, b in zip(ref.series.rows(), alt.series.rows()):
+        for a, b in zip(ref.rows(), alt.rows()):
             assert repr(a) == repr(b)
 
     def test_dissipation_monitor_bitwise(self, runs):
