@@ -1,7 +1,8 @@
 """Scaling benchmark for the two hot kernels.
 
 * slice convolution: FFT moment path vs the O(n^2) per-point path, with
-  the FFT length L that ``apply`` takes for each n_r;
+  the FFT length L that ``apply`` takes for each n_r and the agreement
+  max |apply - direct| / max |direct| of the two;
 * causal Duhamel march: per-diagonal accumulator (O(1) per node) vs the
   direct nested quadrature (O(n_t) per node).
 
@@ -19,7 +20,7 @@ from conewave.waveops import ConeAccumulator, duhamel_direct
 
 def bench_convolution(gamma=1.0):
     print(f"slice convolution, gamma={gamma}")
-    print(f"{'n_r':>7} {'fft_L':>7} {'fft_ms':>9} {'direct_ms':>10} {'speedup':>8}")
+    print(f"{'n_r':>7} {'fft_L':>7} {'fft_ms':>9} {'direct_ms':>10} {'speedup':>8} {'max_rel':>9}")
     for n in (129, 257, 513, 1025, 2049):
         grid = Grid(h=4.0 / (n - 1), n_r=n, n_t=1)
         rng = np.random.default_rng(n)
@@ -28,17 +29,21 @@ def bench_convolution(gamma=1.0):
         cells = n - n // 8 - 1
         w = RadialProfile(grid, s, support_radius=cells * grid.h)
         kern = ConvolutionKernel(gamma, grid)
-        kern.apply(w)  # build the kernel spectrum of this FFT length
+        fast = kern.apply(w)  # also builds the kernel spectrum of this FFT length
         t0 = time.perf_counter()
         reps = 20
         for _ in range(reps):
             kern.apply(w)
         fft_ms = (time.perf_counter() - t0) / reps * 1e3
         t0 = time.perf_counter()
-        convolve_profile_direct(w, gamma)
+        direct = convolve_profile_direct(w, gamma)
         direct_ms = (time.perf_counter() - t0) * 1e3
         L = _fft_length(n, cells)
-        print(f"{n:>7} {L:>7} {fft_ms:>9.2f} {direct_ms:>10.1f} {direct_ms/fft_ms:>8.1f}x")
+        max_rel = np.max(np.abs(fast - direct)) / np.max(np.abs(direct))
+        print(
+            f"{n:>7} {L:>7} {fft_ms:>9.2f} {direct_ms:>10.1f} {direct_ms/fft_ms:>8.1f}x"
+            f" {max_rel:>9.1e}"
+        )
 
 
 def bench_march():

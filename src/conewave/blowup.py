@@ -95,23 +95,23 @@ def ode_envelope(
     t_grid: np.ndarray,
     F_seed: float,
     Fp_seed: float,
-    seed_t: float | None = None,
+    seed_t: float,
 ) -> EnvelopeResult:
     """Integrate the comparison ODE F'' = eps^2 C0^2 2^-(gamma+1)
-    t^2 F / (1+t)^(gamma+4) from t_gamma with run-supplied seed values, and
-    evaluate the closed-form exponential lower bound on its validity range.
+    t^2 F / (1+t)^(gamma+4) from ``seed_t`` with run-supplied seed values,
+    and evaluate the closed-form exponential lower bound on its validity
+    range.
 
-    ``seed_t`` lets callers seed at the grid node nearest t_gamma (the seed
-    values are read off a discrete run); comparison keeps the lower-bound
-    property for t >= seed_t.  Only meaningful in the blow-up regime
-    gamma in (-1/2, 0).
+    A run seeds at the grid node nearest t_gamma (the seed values are read
+    off a discrete run); comparison keeps the lower-bound property for
+    t >= seed_t, and the envelope continues linearly below it.  ``t_grid``
+    is ascending.  Only meaningful in the blow-up regime gamma in (-1/2, 0).
     """
     if not (-0.5 < gamma < 0.0):
         raise ValueError("ode_envelope requires gamma in (-1/2, 0)")
     if C0 <= 0.0:
         raise ValueError("C0 must be positive")
     t_gamma = 2.0 / (2.0 + gamma)
-    t_seed = t_gamma if seed_t is None else seed_t
     t0 = max(1.0, t_gamma)
     t1 = (2.0 * t0 ** (-gamma / 2.0)) ** (-2.0 / gamma)
     t2 = max(t0, t1)
@@ -119,13 +119,13 @@ def ode_envelope(
 
     t_grid = np.asarray(t_grid, dtype=float)
     env = np.zeros_like(t_grid)
-    i0 = int(np.searchsorted(t_grid, t_seed))
+    i0 = int(np.searchsorted(t_grid, seed_t))
     # linear continuation below the seed point (degenerate bound)
-    env[: i0 + 1] = np.maximum(0.0, F_seed + Fp_seed * (t_grid[: i0 + 1] - t_seed))
-    # RK4 on [t_seed, ...] for y'' = c(t) y
+    env[: i0 + 1] = np.maximum(0.0, F_seed + Fp_seed * (t_grid[: i0 + 1] - seed_t))
+    # RK4 on [seed_t, ...] for y'' = c(t) y
     y = F_seed
     yp = Fp_seed
-    tprev = t_seed
+    tprev = seed_t
 
     def c_of(tv):
         return (
@@ -134,8 +134,6 @@ def ode_envelope(
 
     for i in range(i0, len(t_grid)):
         tv = t_grid[i]
-        if tv < t_seed:
-            continue
         step = tv - tprev
         if step > 0.0:
             # substep for stability on coarse output grids

@@ -25,12 +25,14 @@ Two evaluation paths share that quadrature:
   window.  It takes a stack of rows at once (one transform call; each row
   bitwise equal to a one-row call).
 
-The slice tables and the near bases of the truncated last cell of
-``apply`` take their moments from one routine, ``_xi_moments``, in long
-double; the far bases of the truncated cell take the series
-``_xi_series``, whose terms cancel nothing.  ``convolve_power`` keeps its
-own rho-polynomial form as the independent reference the fast path is
-tested against.
+Both paths take the z-moments of the kernel factor z**(2-g) (log z at
+g = 2) from one routine, ``_zmom``, in long double.  The slice tables and
+the near bases of the truncated last cell of ``apply`` turn them into
+unit-cell moments with ``_xi_moments``; the far bases of the truncated
+cell take the series ``_xi_series``, whose terms cancel nothing.
+``convolve_power`` shares only ``_zmom``: it integrates each cell at the
+target in its own rho-polynomial form, split at rho = r, and so stays the
+independent reference the fast path is tested against.
 """
 
 from __future__ import annotations
@@ -89,18 +91,9 @@ def kernel_value(gamma: float, r: float, rho: float) -> float:
     return (2.0 * math.pi * rho / r) * val
 
 
-def _zmom_pow(d: float, z0: np.ndarray, z1: np.ndarray):
-    """(M_d, M_{d+1}, M_{d+2}) with M_e = int_{z0}^{z1} z**e dz, elementwise."""
-    return (
-        cell_moments(d, z0, z1),
-        cell_moments(d + 1.0, z0, z1),
-        cell_moments(d + 2.0, z0, z1),
-    )
-
-
 def _zmom_log(z0: np.ndarray, z1: np.ndarray):
     """(L_0, L_1, L_2) with L_k = int_{z0}^{z1} z**k log z dz, elementwise,
-    in the float type of the arguments (long double for the slice tables)."""
+    in the float type of the arguments (long double in both paths)."""
 
     def anti(k, z):
         out = np.zeros_like(z)
@@ -114,8 +107,18 @@ def _zmom_log(z0: np.ndarray, z1: np.ndarray):
 
 
 def _zmom(gamma: float):
-    """z-moments of the kernel factor K(z) = z**(2-gamma) (log z at gamma = 2)."""
-    return _zmom_log if is_log_branch(gamma) else functools.partial(_zmom_pow, 2.0 - gamma)
+    """z-moments (M_0, M_1, M_2), M_k = int_{z0}^{z1} z**k K(z) dz, of the
+    kernel factor K(z) = z**(2-gamma) (log z at gamma = 2) for long-double
+    arguments: the power branch as differences of powers, which long double
+    carries through the cancellation of the combinations built on them."""
+    if is_log_branch(gamma):
+        return _zmom_log
+    d = np.longdouble(2.0 - gamma)
+
+    def zmom(z0, z1):
+        return tuple((z1**p - z0**p) / p for p in [d + k + 1 for k in range(3)])
+
+    return zmom
 
 
 def _xi_moments(zmom, base, sign: int, xi: float = 1.0):
@@ -208,7 +211,9 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
     """(V_gamma * w)(r) for the truncated piecewise-linear profile ``w``.
 
     The target radius need not be a grid node; radii below h/2 use the axis
-    limit kernel.
+    limit kernel.  Each cell is integrated at the target in its own
+    rho-polynomial form, split at rho = r, in long double against the
+    z-moments of ``_zmom``: the form cancels ~(r/rho)^2 at far targets.
     """
     _check_gamma(gamma)
     if r < 0.0:
@@ -220,64 +225,42 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
     b = w.support_radius
     if b <= 0.0:
         return 0.0
-    s = w.samples
+    ld = np.longdouble
+    s = w.samples.astype(ld)
     n_cells = min(int(np.ceil(b / h - 1e-12)), w.grid.n_r - 1)
     j = np.arange(n_cells)
-    x0 = j * h
-    x1 = np.minimum(x0 + h, b)
+    x0 = (j * h).astype(ld)
+    x1 = np.minimum(j * h + h, b).astype(ld)
+    rl = ld(r)
     c1 = (s[j + 1] - s[j]) / h
     c0 = s[j] - c1 * x0
-
-    logb = is_log_branch(gamma)
-    d = 2.0 - gamma
     moms = _zmom(gamma)
 
     # (r + rho) part: z = r + rho, rho = -r + z
-    plus = _poly_against_power(c0, c1, -r, +1, moms(r + x0, r + x1))
+    plus = _poly_against_power(c0, c1, -rl, +1, moms(rl + x0, rl + x1))
 
     # |r - rho| part: split each cell at rho = r
-    xl0 = x0
-    xl1 = np.minimum(x1, r)
-    left_live = xl1 > xl0
-    minus_left = np.zeros(n_cells)
-    if np.any(left_live):
-        z0 = r - xl1[left_live]  # z = r - rho, rho = r - z
-        z1 = r - xl0[left_live]
-        minus_left[left_live] = _poly_against_power(
-            c0[left_live], c1[left_live], r, -1, moms(z0, z1)
+    xl1 = np.minimum(x1, rl)
+    left = xl1 > x0
+    minus_left = np.zeros(n_cells, dtype=ld)
+    if np.any(left):
+        # z = r - rho, rho = r - z
+        minus_left[left] = _poly_against_power(
+            c0[left], c1[left], rl, -1, moms(rl - xl1[left], rl - x0[left])
         )
-    xr0 = np.maximum(x0, r)
-    xr1 = x1
-    right_live = xr1 > xr0
-    minus_right = np.zeros(n_cells)
-    if np.any(right_live):
-        z0 = xr0[right_live] - r  # z = rho - r, rho = r + z
-        z1 = xr1[right_live] - r
-        minus_right[right_live] = _poly_against_power(
-            c0[right_live], c1[right_live], r, +1, moms(z0, z1)
+    xr0 = np.maximum(x0, rl)
+    right = x1 > xr0
+    minus_right = np.zeros(n_cells, dtype=ld)
+    if np.any(right):
+        # z = rho - r, rho = r + z
+        minus_right[right] = _poly_against_power(
+            c0[right], c1[right], rl, +1, moms(xr0[right] - rl, x1[right] - rl)
         )
 
-    total = 0.0
-    contrib = plus - minus_left - minus_right
-    for v in contrib:
-        total += v
-    if logb:
-        return 2.0 * math.pi / r * total
-    return 2.0 * math.pi / (r * d) * total
-
-
-def _zmom_ld(gamma: float):
-    """z-moments of the kernel factor for long-double arguments: the power
-    branch as differences of powers, which long double carries through the
-    cancellation of the m = 2 combination."""
+    total = float((plus - minus_left - minus_right).sum())
     if is_log_branch(gamma):
-        return _zmom_log
-    d = np.longdouble(2.0 - gamma)
-
-    def zmom(z0, z1):
-        return tuple((z1**p - z0**p) / p for p in [d + k + 1 for k in range(3)])
-
-    return zmom
+        return 2.0 * math.pi / r * total
+    return 2.0 * math.pi / (r * (2.0 - gamma)) * total
 
 
 def _moment_tables(gamma: float, n: int):
@@ -290,7 +273,7 @@ def _moment_tables(gamma: float, n: int):
     precision: the m = 2 combinations cancel ~s^2 of significance.
     """
     ld = np.longdouble
-    zmom = _zmom_ld(gamma)
+    zmom = _zmom(gamma)
     P = np.stack(_xi_moments(zmom, np.arange(2 * n - 1, dtype=ld), +1)).astype(float)
     Q = np.stack(_xi_moments(zmom, np.arange(1, n, dtype=ld), -1)).astype(float)
     return P, np.concatenate([np.zeros((3, 1)), Q], axis=1)
@@ -436,7 +419,7 @@ class ConvolutionKernel:
         combination would cancel more than long double carries, the
         series ``_xi_series``."""
         a = _cell_coeffs(s, J, J + 1)[..., 0, None]
-        zmom = _zmom_ld(self.gamma)
+        zmom = _zmom(self.gamma)
         i = np.arange(m, dtype=np.longdouble)
         xi = np.longdouble(xi_star)
 

@@ -51,6 +51,10 @@ __all__ = [
 
 _SLACK = 1e-12
 
+# the gamma = 2 branch's constant, before its log(1 + R) factors (a prefix
+# of the products below, so each keeps its left-to-right evaluation)
+_C1_LOG = 2.0 * math.pi * 16.0 * 216.0 / 25.0
+
 
 @dataclass
 class EstimateReport:
@@ -86,7 +90,7 @@ def c1_constant(gamma: float, R: float = 1.0) -> float:
     if is_log_branch(gamma):
         if R <= 1.0:
             raise ValueError("the gamma = 2 branch requires R > 1")
-        return 2.0 * math.pi * 16.0 * 216.0 / 25.0 * math.log1p(R) ** 2
+        return _C1_LOG * math.log1p(R) ** 2
     if gamma < 2.0:
         return (
             16.0
@@ -114,9 +118,7 @@ def bilinear_rhs(gamma: float, R: float, r, t) -> np.ndarray:
     if is_log_branch(gamma):
         if R <= 1.0:
             raise ValueError("the gamma = 2 branch requires R > 1")
-        return (
-            2.0 * math.pi * 16.0 * 216.0 / 25.0 * math.log1p(R) * R * tp**-2 * np.log1p(tp)
-        )
+        return _C1_LOG * math.log1p(R) * R * tp**-2 * np.log1p(tp)
     expo = gamma if gamma < 2.0 else 2.0
     return c1_constant(gamma, R) * R ** (3.0 - gamma) * tp ** (-expo)
 

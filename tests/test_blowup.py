@@ -15,6 +15,9 @@ from conewave.grid import Grid, RadialProfile
 
 from oracles import frame_check, kato_exponent_scan, mass, mass_rhs
 
+# the envelope seed time t_gamma = 2 / (2 + gamma) at gamma = -0.4
+T_GAMMA = 1.25
+
 
 @pytest.fixture
 def grid():
@@ -126,27 +129,27 @@ class TestIdentityOnRun:
 class TestEnvelope:
     def test_zero_epsilon_degenerates_to_line(self):
         t = np.linspace(0.0, 10.0, 101)
-        env = ode_envelope(0.0, 1.0, -0.4, t, F_seed=2.0, Fp_seed=0.5)
+        env = ode_envelope(0.0, 1.0, -0.4, t, F_seed=2.0, Fp_seed=0.5, seed_t=T_GAMMA)
         want = np.maximum(0.0, 2.0 + 0.5 * (t - env.t_gamma))
         assert np.allclose(env.envelope, want, rtol=1e-12, atol=1e-12)
 
     def test_t_gamma_arithmetic(self):
-        env = ode_envelope(0.1, 1.0, -0.4, np.linspace(0, 5, 11), 1.0, 0.1)
+        env = ode_envelope(0.1, 1.0, -0.4, np.linspace(0, 5, 11), 1.0, 0.1, T_GAMMA)
         assert env.t_gamma == pytest.approx(1.25)
         assert env.t0 == pytest.approx(1.25)
         assert env.t2 >= env.t0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            ode_envelope(0.1, 1.0, 0.5, np.linspace(0, 1, 5), 1.0, 0.1)
+            ode_envelope(0.1, 1.0, 0.5, np.linspace(0, 1, 5), 1.0, 0.1, T_GAMMA)
         with pytest.raises(ValueError):
-            ode_envelope(0.1, -1.0, -0.4, np.linspace(0, 1, 5), 1.0, 0.1)
+            ode_envelope(0.1, -1.0, -0.4, np.linspace(0, 1, 5), 1.0, 0.1, T_GAMMA)
 
     def test_growth_against_closed_form_seed(self):
         # the numeric envelope dominates the pure-linear continuation once
         # the source term kicks in
         t = np.linspace(0.0, 40.0, 2001)
-        env = ode_envelope(1.0, 0.64, -0.4, t, F_seed=1.0, Fp_seed=0.3)
+        env = ode_envelope(1.0, 0.64, -0.4, t, F_seed=1.0, Fp_seed=0.3, seed_t=T_GAMMA)
         lin = 1.0 + 0.3 * (t - env.t_gamma)
         late = t > 10.0
         assert np.all(env.envelope[late] > lin[late])

@@ -145,13 +145,41 @@ class TestPaths:
         # ROADMAP item 3's probe: 5.5 cells at h = 1/256, node 1000; the
         # long-double moment form was off by 4.7e-9 there, the series by
         # 1.3e-10 (the 5.0-cell support, with no truncated cell: 1.6e-10)
-        grid = Grid(h=1 / 256, n_r=1025, n_t=1)
-        r = grid.radii()
-        b = 5.5 * grid.h
-        w = RadialProfile(grid, np.where(r <= b, 1.0 + 0.5 * np.cos(40.0 * r), 0.0), b)
-        got = ConvolutionKernel(2.0, grid).apply(w, n_out=1001)[1000]
-        want = float(mp_convolution(w, 2.0, r[1000]))
+        w = log_branch_probe(5.5)
+        got = ConvolutionKernel(2.0, w.grid).apply(w, n_out=1001)[1000]
+        want = float(mp_convolution(w, 2.0, 1000 * w.h))
         assert abs(got - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0])
+    def test_reference_far_nodes_against_mpmath(self, gamma):
+        # the reference's rho-polynomial form cancels ~(r/rho)^2 of
+        # significance at far targets: with float64 z-moments it was off by
+        # 9.4e-12 to 2.4e-9 here, with long double by 1.7e-14 to 6.1e-13
+        grid = Grid(h=1 / 16, n_r=2049, n_t=1)
+        w = positive_profile(grid, 64)
+        for i in np.linspace(1024, 2048, 4).astype(int):
+            r = float(i * grid.h)
+            want = mp_convolution(w, gamma, r, dps=40)
+            assert abs(convolve_power(w, gamma, r) - want) <= 2e-12 * abs(want)
+
+    @pytest.mark.parametrize("cells, bound", [(5.0, 1e-11), (5.5, 1e-9)])
+    def test_reference_log_branch_against_mpmath(self, cells, bound):
+        # ROADMAP item 3's probe on the reference: float64 log moments were
+        # off by 4.3e-8 (5.0 cells) and 2.0e-6 (5.5 cells), long double by
+        # 6.3e-13 and 1.5e-10
+        w = log_branch_probe(cells)
+        r = 1000 * w.h
+        want = mp_convolution(w, 2.0, r, dps=40)
+        assert abs(convolve_power(w, 2.0, r) - want) <= bound * abs(want)
+
+
+def log_branch_probe(cells: float) -> RadialProfile:
+    """1 + 0.5 cos 40r on ``cells`` cells of a 1025-node grid, h = 1/256:
+    node 1000 is a far target of a narrow support."""
+    grid = Grid(h=1 / 256, n_r=1025, n_t=1)
+    r = grid.radii()
+    b = cells * grid.h
+    return RadialProfile(grid, np.where(r <= b, 1.0 + 0.5 * np.cos(40.0 * r), 0.0), b)
 
 
 def positive_profile(grid, cells: float) -> RadialProfile:
@@ -278,8 +306,8 @@ class TestWindow:
         # Hankel and Toeplitz parts cancel, so aliasing between the P and
         # reflected Q halves of the spectrum would show; the bound is ten
         # times the difference the two-correlation path showed (6.9e-13 at
-        # n_r = 513, 3.3e-11 at 2049), part of which is convolve_power's own
-        # roundoff
+        # n_r = 513, 3.3e-11 at 2049), measured against the float64
+        # reference, which was off by up to 1e-11 itself at n_r = 2049
         grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
         w = positive_profile(grid, 64)
         nodes = np.linspace(n_r // 2, n_r - 1, 32).astype(int)
