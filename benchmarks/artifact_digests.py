@@ -2,14 +2,17 @@
 
 Runs each ``configs/*.cfg`` through ``python -m conewave.cli`` in a
 subprocess, with a temporary output directory, and prints sorted JSON:
-config name -> exit status and the sha256 of ``results.csv``,
-``summary.json`` and ``invariants.txt``.  Takes about 50 s of CPU per tree.
+config name -> exit status, the sha256 of ``results.csv``,
+``summary.json`` and ``invariants.txt``, and the child's peak resident
+memory in MB (``ru_maxrss`` from ``os.wait4``).  Takes about 50 s of CPU
+per tree.
 
 With ``--parent REV`` it exports REV with ``git archive`` into a temporary
 directory, runs both trees (each on its own configs), and prints instead
 the ``config/artifact`` pairs whose digests or exit statuses differ, one a
-line; it exits 1 if any do.  A refactor that must leave the artifacts
-byte-identical is checked this way.
+line; it exits 1 if any do.  Peak memory varies from run to run and is
+not compared.  A refactor that must leave the artifacts byte-identical is
+checked this way.
 
 Run:  python benchmarks/artifact_digests.py [--parent REV]
 """
@@ -32,7 +35,8 @@ def digest(path: Path) -> str | None:
 
 
 def digests(root: Path) -> dict:
-    """config name -> exit status and artifact digests, for the tree at ``root``."""
+    """config name -> exit status, artifact digests and peak RSS, for the
+    tree at ``root``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
@@ -40,14 +44,18 @@ def digests(root: Path) -> dict:
     report = {}
     for cfg in sorted((root / "configs").glob("*.cfg")):
         with tempfile.TemporaryDirectory() as tmp:
-            proc = subprocess.run(
+            proc = subprocess.Popen(
                 [sys.executable, "-m", "conewave.cli", "--config", str(cfg), "--out", tmp],
                 env=env,
-                capture_output=True,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
             )
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
             report[cfg.stem] = {
                 "exit": proc.returncode,
                 **{name: digest(Path(tmp) / name) for name in ARTIFACTS},
+                "peak_rss_mb": usage.ru_maxrss / 1024.0,
             }
     return report
 

@@ -10,10 +10,11 @@ radial data with v0 = 0, v1 >= 0) into
 
 all of which this module evaluates slice by slice against a run.  Each
 mass integral here (F, F'' and int u^2 dx, and the data mass C0) is
-``grid.MassWeights.mass`` of a row of samples.  The scalar comparison ODE
-built from the linear seed provides a lower envelope for F, and the seeded
-power series feeds the Kato-type parameter calculus that certifies the
-epsilon-exponent of the blow-up time upper bound.
+``grid.MassWeights.mass`` of a row of samples, and a lean run records the
+first three per slice, so the chain reads scalar series.  The scalar
+comparison ODE built from the linear seed provides a lower envelope for F,
+and the seeded power series feeds the Kato-type parameter calculus that
+certifies the epsilon-exponent of the blow-up time upper bound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .grid import MassWeights, RadialProfile
 from .solver import SolutionHistory
 
 __all__ = [
-    "mass_series",
     "frame_cubic_check",
     "EnvelopeResult",
     "ode_envelope",
@@ -40,27 +40,10 @@ __all__ = [
 ]
 
 
-def mass_series(hist: SolutionHistory):
-    """(t, F, F'' by the identity) along a stored run.
-
-    F'' reuses the stored source slices G = (V*u^2)u, so the identity check
-    against the centered second difference of F is a genuine cross check of
-    the solver's own nonlinearity."""
-    if hist.u is None or hist.g is None or hist.g_from:
-        raise ValueError("run must store history, the sources from slice 0 on")
-    t = hist.t
-    F = hist.mass.copy()
-    mw = MassWeights(hist.grid)
-    rhs = np.empty(hist.n_used)
-    for n in range(hist.n_used):
-        rhs[n] = mw.mass(hist.g[n]) / (1.0 + t[n]) ** 2
-    return t, F, rhs
-
-
-def _pair_rhs(row: np.ndarray, mw: MassWeights, F_val: float, gamma: float, t: float) -> float:
+def _pair_rhs(square_mass: float, F_val: float, gamma: float, t: float) -> float:
     """2^-gamma F (1+t)^-(gamma+2) int u^2 dx: the right side of the pair
-    bound, for the samples ``row`` of u."""
-    return 2.0 ** (-gamma) * F_val * (1.0 + t) ** (-(gamma + 2.0)) * mw.mass(row**2)
+    bound, given ``square_mass`` = int u^2 dx."""
+    return 2.0 ** (-gamma) * F_val * (1.0 + t) ** (-(gamma + 2.0)) * square_mass
 
 
 def frame_cubic_check(F_val: float, Fpp_val: float, gamma: float, t: float):
@@ -167,11 +150,9 @@ def ode_envelope(
 
 @dataclass
 class MassDiagnostics:
-    """The mass-functional chain checked along one stored run; each group of
+    """The mass-functional chain checked along one run; each group of
     fields is None where the run cannot support it (see mass_diagnostics)."""
 
-    t: np.ndarray
-    F: np.ndarray
     rhs: np.ndarray  # F'' by the identity
     identity_window: np.ndarray | None  # slices of t[1:-1] in [2R, t_numeric - R]
     identity_max_rel: float | None  # worst |d2F - rhs| / |rhs| on the window
@@ -183,8 +164,10 @@ class MassDiagnostics:
 
 
 def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile, epsilon: float) -> MassDiagnostics:
-    """Mass identity, pair/cubic ratios and envelope checks of a stored run
-    with data (0, v1) of amplitude ``epsilon``.
+    """Mass identity, pair/cubic ratios and envelope checks of a lean run
+    from slice 0 on (F is its ``mass``, F'' by the identity its
+    ``source_mass`` / (1+t)^2, int u^2 dx its ``square_mass``) with data
+    (0, v1) of amplitude ``epsilon``.
 
     The identity check needs a blown-up run of at least 5 slices; its window
     [2R, t_numeric - R] is past the data transient and clear of the singular
@@ -192,10 +175,13 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile, epsilon: float) -
     The envelope, seeded at the slice of t_gamma = 2/(2+gamma), needs
     gamma < 0 and a run that reaches past that slice.
     """
+    if hist.source_mass is None or hist.g_from:
+        raise ValueError("mass_diagnostics needs the source_mass and square_mass series "
+                         "from slice 0 on: a lean march with sources_from=0")
     params, grid = hist.params, hist.grid
     h, R, gamma, n_used = grid.h, params.R, params.gamma, hist.n_used
-    t, F, rhs = mass_series(hist)
-    mw = MassWeights(grid)
+    t, F = hist.t, hist.mass
+    rhs = hist.source_mass / (1.0 + t) ** 2
     window = max_rel = None
     if n_used >= 5 and hist.t_numeric is not None:
         d2F = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / h**2
@@ -209,7 +195,7 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile, epsilon: float) -
         if hist.sup_u[n] > 1e2:
             break
         # the pair bound's lhs is F'' by the identity, which rhs[n] holds
-        rr = _pair_rhs(hist.u[n], mw, F[n], gamma, t[n])
+        rr = _pair_rhs(hist.square_mass[n], F[n], gamma, t[n])
         if rr > 0.0:
             worst_pair = min(worst_pair, rhs[n] / rr)
         lhs2, rr2 = frame_cubic_check(F[n], rhs[n], gamma, t[n])
@@ -218,7 +204,7 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile, epsilon: float) -
     ig = int(round(2.0 / (2.0 + gamma) / h))  # slice of t_gamma
     env = closed_ok = env_ok = None
     if gamma < 0.0 and 1 <= ig < n_used - 1:
-        C0 = mw.mass(v1.samples) / epsilon
+        C0 = MassWeights(grid).mass(v1.samples) / epsilon
         Fp = (F[ig + 1] - F[ig - 1]) / (2.0 * h)
         env = ode_envelope(epsilon, C0, gamma, t, F[ig], Fp, seed_t=ig * h)
         cf = env.closed_form_valid
@@ -226,7 +212,7 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile, epsilon: float) -
         dom = t >= ig * h
         env_ok = bool(np.all(F[dom] >= env.envelope[dom] * (1.0 - 1e-6) - 1e-12))
     return MassDiagnostics(
-        t=t, F=F, rhs=rhs, identity_window=window, identity_max_rel=max_rel,
+        rhs=rhs, identity_window=window, identity_max_rel=max_rel,
         pair_min_ratio=worst_pair, cubic_min_ratio=worst_cubic, envelope=env,
         closed_form_dominated=closed_ok, envelope_dominated=env_ok,
     )

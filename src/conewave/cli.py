@@ -27,14 +27,14 @@ mode writes its per-slice series (``rows``) as ``results.csv``; both modes
 put its blow-up facts (``blew_up``, ``t_numeric``, ``threshold_crossings``,
 read off its sup series) into ``summary.json``.
 
-Grids cover the full forward cone (r_max = t_max + R).  Solve mode stores
-the march's u table, O(n_t * n_r) ~ (t_max/h)^2 doubles, and its source
-rows from t_star on (none without the scattering check); the d'Alembert
-check compares slice by slice against that u table and stores none of its
-own, and the v = u/(1+t) rows are formed one at a time.  Blow-up mode
-stores the full u and source tables.  Desk-scale configs keep t_max/h
-within a few thousand.  Sweeps run lean (series only, O(n_r) memory per
-run).
+Grids cover the full forward cone (r_max = t_max + R).  Sweeps run lean
+marches (series only, O(n_r) memory per run); blow-up mode runs one that
+also keeps the masses of the source and of u^2 per slice.  Solve mode
+stores the march's u table, O(n_t * n_r) ~ (t_max/h)^2 doubles, and its
+source rows from t_star on (none without the scattering check); the
+d'Alembert check compares slice by slice against that u table and stores
+none of its own, and the v = u/(1+t) rows are formed one at a time.
+Desk-scale solve configs keep t_max/h within a few thousand.
 """
 
 from __future__ import annotations
@@ -114,14 +114,14 @@ def _write_invariants(path: Path, invariants: dict) -> None:
 
 
 def _march(cfg: RunConfig, family: str, sources_from: int | None = 0):
-    """March the configured problem with data of ``family``, storing the
-    sources from slice ``sources_from`` on (None: none).  Returns the
-    problem, the data and the history, with the summary fields that both
-    march modes report."""
+    """March the configured problem with data of ``family``, keeping the
+    sources from slice ``sources_from`` on (None: none); solve mode stores
+    the tables, blow-up mode marches lean.  Returns the problem, the data
+    and the history, with the summary fields that both march modes report."""
     grid = Grid.for_domain(cfg.h, cfg.t_max + cfg.R, cfg.t_max)
     params = Params(gamma=cfg.gamma, R=cfg.R, grid=grid, blowup_threshold=cfg.blowup_threshold)
     data = make_data(family, cfg.epsilon, cfg.R, grid)
-    hist = solve_march(params, data, sources_from=sources_from)
+    hist = solve_march(params, data, store_history=cfg.mode == "solve", sources_from=sources_from)
     head = {
         "gamma": cfg.gamma,
         "epsilon": cfg.epsilon,
@@ -243,7 +243,7 @@ def _mode_blowup(cfg: RunConfig):
         summary["envelope_t2"] = env.t2
         summary["envelope_C2"] = env.C2
     env_col = env.envelope if env is not None else np.zeros(hist.n_used)
-    rows = zip(diag.t, diag.F, diag.rhs, env_col, hist.sup_u, hist.x_norm_running)
+    rows = zip(hist.t, hist.mass, diag.rhs, env_col, hist.sup_u, hist.x_norm_running)
     return BLOWUP_HEADER, rows, summary, invariants
 
 

@@ -129,7 +129,7 @@ def lifespan_measure(
     for lev in range(refine + 1):
         hh = h / 2**lev
         params, (data,) = _level_runs(gamma, R, [epsilon], hh, t_max, family, blowup_threshold)
-        hist = solve_march(params, data, store_history=False)
+        hist = solve_march(params, data, store_history=False, sources_from=None)
         levels.append((hh, hist.t_numeric))
     return _point(epsilon, levels, hist)
 
@@ -201,7 +201,7 @@ def sweep(
             break
         hh = h / 2**lev
         params, data = _level_runs(gamma, R, eps[:n_run], hh, t_max, family, blowup_threshold)
-        for i, out in enumerate(march_batch(params, data, store_history=False)):
+        for i, out in enumerate(march_batch(params, data, store_history=False, sources_from=None)):
             if isinstance(out, NumericalAbort):
                 abort, n_run = out, i
                 break

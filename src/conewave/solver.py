@@ -29,15 +29,16 @@ hand each finished window to one recorder, which keeps the same per-slice
 values for every row (weighted norm by ``norms.slice_x_norm``, dissipation
 weight, mass functional by ``grid.MassWeights``, sup), so they can be
 cross-validated slice by slice; the march adds each slice's closure sweeps,
-last relative step and sources (from a chosen slice on).  A d'Alembert run
-keeps its u table, or, given the march's u table as a reference, only its
-per-slice distance to it.  Each row's result is one ``SolutionHistory``:
-it holds the per-slice series and reads the blow-up facts (threshold
-crossings, lifespan) off its sup series.  Both always march
-the cubic equation: the linear field is the ``waveops.FreeField`` table, not
-a solver option.  A stored run is post-processed by ``liouville`` (the rows
-v_n = u_n/(1+t_n), one at a time), which ``dissipation_monitor`` reads, and
-by ``scattering_check`` (distance to the outgoing free wave).
+last relative step and sources from a chosen slice on (a stored run their
+table, a lean run the masses of G and of u^2).  A d'Alembert run keeps its
+u table, or, given the march's u table as a reference, only its per-slice
+distance to it.  Each row's result is one ``SolutionHistory``: it holds the
+per-slice series and reads the blow-up facts (threshold crossings,
+lifespan) off its sup series.  Both always march the cubic equation: the
+linear field is the ``waveops.FreeField`` table, not a solver option.  A
+stored run is post-processed by ``liouville`` (the rows v_n = u_n/(1+t_n),
+one at a time), which ``dissipation_monitor`` reads, and by
+``scattering_check`` (distance to the outgoing free wave).
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ _LOW_THRESHOLD_FACTOR = 100.0
 @dataclass
 class SolutionHistory:
     """The one record of a run: per-slice series of the slices 0 ..
-    ``n_used - 1``, solution table (optional), source table (optional,
-    march only; its rows are the slices ``g_from`` .. ``n_used - 1``) and
-    closure record.  The blow-up facts are read off ``sup_u``: a run stops
+    ``n_used - 1``, u table (None unless stored), the march's sources from
+    slice ``g_from`` on (table ``g`` or lean masses, or None) and closure
+    record.  The blow-up facts are read off ``sup_u``: a run stops
     at the first slice whose sup|u| exceeds ``params.blowup_threshold``."""
 
     params: Params
@@ -137,6 +138,9 @@ class SolutionHistory:
     # a d'Alembert run given a reference u table: max|u - u_ref[n]| per
     # slice n, for the slices of both runs
     ref_diff: np.ndarray | None = None
+    # a lean march, per slice from g_from on: the masses of G and of u^2
+    source_mass: np.ndarray | None = None
+    square_mass: np.ndarray | None = None
     # per slice of a march: closure sweeps, and the last step max|g_new - g|
     # relative to 1 + max|g_new| (slice 0 needs no closure: 0 and 0.0)
     closure_sweeps: np.ndarray | None = None
@@ -216,7 +220,8 @@ class _Recorder:
     kept for it on a non-finite value.  ``outcome`` builds each row's
     result, with the running max of the weighted norm.
 
-    A march stores its sources from slice ``sources_from`` on (None: none).
+    A march keeps its sources from slice ``sources_from`` on (None: none),
+    with ``store_history`` as a table, else as the masses of G and of u^2.
     Given a reference table ``u_ref``, the record keeps each slice's
     max|u - u_ref[n]| instead of storing u."""
 
@@ -238,12 +243,16 @@ class _Recorder:
         self.sweeps = np.zeros(shape, dtype=int) if backend == "march" else None
         self.step = np.zeros(shape) if backend == "march" else None
         self.u = np.zeros(shape + (grid.n_r,)) if store_history and u_ref is None else None
-        self.g, self.g_from = None, 0
-        if store_history and backend == "march" and sources_from is not None:
+        self.g = self.source_mass = self.square_mass = None
+        self.g_from = sources_from or 0
+        if backend == "march" and sources_from is not None:
             if not 0 <= sources_from < grid.n_t:
                 raise ValueError(f"sources_from must be a slice of the grid, got {sources_from}")
-            self.g_from = sources_from
-            self.g = np.zeros((n_rows, grid.n_t - sources_from, grid.n_r))
+            kept = (n_rows, grid.n_t - sources_from)
+            if store_history:
+                self.g = np.zeros(kept + (grid.n_r,))
+            else:
+                self.source_mass, self.square_mass = np.zeros(kept), np.zeros(kept)
         self.u_ref = u_ref
         self.ref_diff = None if u_ref is None else np.zeros(shape)
         self.n_used = np.zeros(n_rows, dtype=int)
@@ -268,6 +277,9 @@ class _Recorder:
             self.u[rows, n, :k] = u
         if self.g is not None and n >= self.g_from:
             self.g[rows, n - self.g_from, :k] = g
+        if self.source_mass is not None and n >= self.g_from:
+            self.source_mass[rows, n - self.g_from] = self.mw.mass(g)
+            self.square_mass[rows, n - self.g_from] = self.mw.mass(u**2)
         if self.u_ref is not None and n < len(self.u_ref):
             # both rows vanish past the window: the distance lies on it
             self.ref_diff[rows, n] = np.abs(u - self.u_ref[n, :k]).max(axis=-1)
@@ -292,7 +304,7 @@ class _Recorder:
         if self.aborts[i] is not None:
             return self.aborts[i]
         n_used = int(self.n_used[i])
-        sl = slice(0, n_used)
+        sl, kept = slice(0, n_used), slice(0, max(n_used - self.g_from, 0))
         return SolutionHistory(
             params=self.params,
             n_used=n_used,
@@ -301,10 +313,12 @@ class _Recorder:
             mass=self.mass[i, sl].copy(),
             sup_u=self.sup_u[i, sl].copy(),
             u=None if self.u is None else self.u[i, sl],
-            g=None if self.g is None else self.g[i, : max(n_used - self.g_from, 0)],
+            g=None if self.g is None else self.g[i, kept],
             g_from=self.g_from,
             ref_diff=None if self.u_ref is None
             else self.ref_diff[i, : min(n_used, len(self.u_ref))].copy(),
+            source_mass=None if self.source_mass is None else self.source_mass[i, kept].copy(),
+            square_mass=None if self.square_mass is None else self.square_mass[i, kept].copy(),
             closure_sweeps=None if self.sweeps is None else self.sweeps[i, sl].copy(),
             closure_step=None if self.step is None else self.step[i, sl].copy(),
         )
@@ -362,9 +376,9 @@ def march_batch(params: Params, data: list, store_history: bool = True,
     rows that still march.  A row leaves the batch when it crosses the stop
     threshold or hits a non-finite value.  With ``store_history`` the
     record keeps the u table and the sources from slice ``sources_from`` on
-    (None: no sources).  Returns per row its
-    ``SolutionHistory`` (whose ``params`` is ``params``) or its
-    ``NumericalAbort``, each equal to what a one-row march gives.
+    (None: none); a lean record keeps those sources' masses and those of
+    u^2.  Returns per row its ``SolutionHistory`` (whose ``params`` is
+    ``params``) or its ``NumericalAbort``, each equal to a one-row march.
     """
     grid = params.grid
     jr = params.support_cells

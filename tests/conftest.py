@@ -31,9 +31,17 @@ def blowup_run():
 
 
 @pytest.fixture(scope="session")
-def blowup_diag(blowup_run):
-    """Mass-functional diagnostics of the blow-up run."""
-    _, data, hist = blowup_run
+def blowup_lean(blowup_run):
+    """The blow-up run marched as blow-up mode marches it: no tables, the
+    mass chain's series from slice 0 on."""
+    params, data, _ = blowup_run
+    return params, data, solve_march(params, data, store_history=False)
+
+
+@pytest.fixture(scope="session")
+def blowup_diag(blowup_lean):
+    """Mass-functional diagnostics of the lean blow-up run."""
+    _, data, hist = blowup_lean
     return mass_diagnostics(hist, data[1], 4.1)
 
 

@@ -9,7 +9,8 @@ at 30 digits, the exact convolution at gamma = 0 and 1 sums closed-form
 cell moments with ``math.fsum``, the brute-force exponent scan re-derives
 the Kato parameter inequality, the slow cone integral nests Gauss
 quadratures, and ``w_weight`` is the paper's bilinear-estimate weight.
-``free_table`` stacks free-field slices.  The two drivers run the
+``free_table`` stacks free-field slices, and ``mass_series`` reads the
+mass chain off a stored run's tables.  The two drivers run the
 package's march and cone accumulator on questions no CLI mode asks:
 Picard iteration on a short window, and equivariance under the scaling
 symmetry.
@@ -22,7 +23,7 @@ import math
 import mpmath
 import numpy as np
 
-from conewave.grid import RadialProfile, trapezoid_weighted
+from conewave.grid import MassWeights, RadialProfile, trapezoid_weighted
 from conewave.norms import WeightParams, slice_x_norm, tau
 from conewave.potential import ConvolutionKernel, cached_kernel, is_log_branch
 from conewave.solver import solve_march
@@ -227,6 +228,23 @@ def w_weight(r: float, t: float, params: WeightParams) -> float:
     if g > 2.0:
         return R ** (g - 3.0) * tp**2
     return R ** (g - 3.0) * tp**g
+
+
+def mass_series(hist):
+    """(t, F, F'' by the identity) along a stored run.
+
+    F'' reuses the stored source slices G = (V*u^2)u, so the identity check
+    against the centered second difference of F is a genuine cross check of
+    the solver's own nonlinearity."""
+    if hist.u is None or hist.g is None or hist.g_from:
+        raise ValueError("run must store history, the sources from slice 0 on")
+    t = hist.t
+    F = hist.mass.copy()
+    mw = MassWeights(hist.grid)
+    rhs = np.empty(hist.n_used)
+    for n in range(hist.n_used):
+        rhs[n] = mw.mass(hist.g[n]) / (1.0 + t[n]) ** 2
+    return t, F, rhs
 
 
 def free_table(free: FreeField, n_slices: int) -> np.ndarray:

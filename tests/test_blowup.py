@@ -7,13 +7,12 @@ from conewave.blowup import (
     frame_cubic_check,
     j1_for_delta,
     kato_bound,
-    mass_series,
     min_kato_j,
     ode_envelope,
 )
-from conewave.grid import Grid, RadialProfile
+from conewave.grid import Grid, MassWeights, RadialProfile
 
-from oracles import frame_check, kato_exponent_scan, mass, mass_rhs
+from oracles import frame_check, kato_exponent_scan, mass, mass_rhs, mass_series
 
 # the envelope seed time t_gamma = 2 / (2 + gamma) at gamma = -0.4
 T_GAMMA = 1.25
@@ -80,6 +79,19 @@ class TestIdentityOnRun:
         F = hist.mass
         assert F[0] == 0.0
         assert np.all(np.diff(F) >= -1e-12 * np.maximum(1.0, F[1:]))
+
+    def test_lean_series_equal_table_values(self, blowup_run, blowup_lean):
+        # the lean run's mass chain, bit for bit the stored run's tables
+        _, _, stored = blowup_run
+        _, _, lean = blowup_lean
+        assert lean.u is None and lean.g is None and stored.source_mass is None
+        t, F, rhs = mass_series(stored)
+        assert lean.n_used == stored.n_used
+        assert lean.mass.tobytes() == F.tobytes()
+        assert (lean.source_mass / (1.0 + t) ** 2).tobytes() == rhs.tobytes()
+        mw = MassWeights(stored.grid)
+        sq = np.array([mw.mass(row**2) for row in stored.u])
+        assert lean.square_mass.tobytes() == sq.tobytes()
 
     def test_second_difference_matches_rhs(self, blowup_diag):
         # resolved window: 2R past the data transient, R before the

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conewave import harness
 from conewave.harness import fit_slope, lifespan_measure, sweep
 from conewave.solver import NumericalAbort
 
@@ -73,6 +74,27 @@ class TestLockstepSweep:
         # repr prints every float exactly, nan and the sign of zero included
         assert [repr(p) for p in fit.points] == [repr(p) for p in solo]
         assert math.isnan(fit.slope)
+
+    def test_histories_keep_series_only(self, monkeypatch):
+        # a sweep's marches keep no table and no mass chain: they ask for
+        # no sources
+        marched = []
+
+        def spy(march):
+            def wrapped(*args, **kw):
+                out = march(*args, **kw)
+                marched.extend(out if isinstance(out, list) else [out])
+                return out
+            return wrapped
+
+        monkeypatch.setattr(harness, "march_batch", spy(harness.march_batch))
+        monkeypatch.setattr(harness, "solve_march", spy(harness.solve_march))
+        sweep(-0.4, 1.0, [6.0, 8.0], 1 / 8, 8.0, refine=0)
+        lifespan_measure(-0.4, 1.0, 8.0, 1 / 8, 8.0, refine=0)
+        assert len(marched) == 3
+        for hist in marched:
+            assert hist.u is None and hist.g is None
+            assert hist.source_mass is None and hist.square_mass is None
 
     def test_abort_order_matches_serial_sweep(self):
         # with no stop threshold the march runs into overflow: 8.0 aborts at

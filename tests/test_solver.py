@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conewave.blowup import mass_diagnostics
 from conewave.grid import Grid, trapezoid_weighted
 from conewave.norms import slice_x_norm
 from conewave.solver import (
@@ -200,6 +201,9 @@ class TestMarchBatch:
             if store:
                 assert got.u.tobytes() == want.u.tobytes()
                 assert got.g.tobytes() == want.g.tobytes()
+            else:
+                assert got.source_mass.tobytes() == want.source_mass.tobytes()
+                assert got.square_mass.tobytes() == want.square_mass.tobytes()
         assert batch[1].blew_up and batch[1].n_used < batch[0].n_used
 
     def test_blowup_facts_read_off_sup_series(self):
@@ -424,11 +428,26 @@ class TestLeanRecord:
         assert td.tobytes() == t.tobytes()
         assert dis.tobytes() == np.array(want).tobytes()
 
-    def test_mass_series_needs_every_source(self, runs):
-        from conewave.blowup import mass_series
+    @pytest.mark.parametrize("store", [True, False])
+    def test_sources_from_is_a_slice(self, runs, store):
+        p, d = runs[:2]
+        for bad in (-1, p.grid.n_t):
+            with pytest.raises(ValueError, match="sources_from"):
+                solve_march(p, d, store_history=store, sources_from=bad)
 
-        with pytest.raises(ValueError):
-            mass_series(runs[4])
+    def test_mass_diagnostics_needs_the_series(self, runs):
+        # a stored run keeps tables; a lean run from t_star on keeps the
+        # series of the later slices only
+        p, d, n_star, full, lean = runs
+        late = solve_march(p, d, store_history=False, sources_from=n_star)
+        every = solve_march(p, d, store_history=False)
+        assert late.g_from == n_star and late.u is None and late.g is None
+        for name in ("source_mass", "square_mass"):
+            want = getattr(every, name)[n_star:]
+            assert getattr(late, name).tobytes() == want.tobytes()
+        for hist in (full, lean, late):
+            with pytest.raises(ValueError, match="source_mass and square_mass"):
+                mass_diagnostics(hist, d[1], 0.8)
 
 
 class TestScaleSymmetry:
