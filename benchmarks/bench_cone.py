@@ -1,15 +1,19 @@
 """Scaling benchmark for the two hot kernels.
 
-* slice convolution: FFT moment path vs the O(n^2) per-point path, with
-  the FFT length L that ``apply`` takes for each n_r and the agreement
-  max |apply - direct| / max |direct| of the two;
+* slice convolution: FFT moment path vs the O(n^2) per-point path at a
+  gamma that takes the FFT path, with the FFT length L that ``apply``
+  takes for each n_r and the agreement max |apply - direct| / max |direct|
+  of the two; then the closed form that ``apply`` takes at gamma = 0 and
+  1, against the exact cell-moment sums of ``tests/oracles.py``;
 * causal Duhamel march: per-diagonal accumulator (O(1) per node) vs the
   direct nested quadrature (O(n_t) per node).
 
 Run:  PYTHONPATH=src python benchmarks/bench_cone.py
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -17,33 +21,60 @@ from conewave.grid import Grid, RadialProfile
 from conewave.potential import ConvolutionKernel, _fft_length, convolve_profile_direct
 from conewave.waveops import ConeAccumulator, duhamel_direct
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import exact_convolution  # noqa: E402
 
-def bench_convolution(gamma=1.0):
+SIZES = (129, 257, 513, 1025, 2049)
+
+
+def profile(n: int) -> RadialProfile:
+    """A smoothed random signed profile on the lower 7/8 of an n-node grid
+    of [0, 4]."""
+    grid = Grid(h=4.0 / (n - 1), n_r=n, n_t=1)
+    rng = np.random.default_rng(n)
+    s = np.convolve(rng.normal(size=n), np.ones(5) / 5, "same")
+    s[-n // 8 :] = 0.0
+    return RadialProfile(grid, s, support_radius=(n - n // 8 - 1) * grid.h)
+
+
+def ms_per_call(kern: ConvolutionKernel, w: RadialProfile, reps: int = 20) -> float:
+    kern.apply(w)  # builds what the kernel caches (the FFT path's spectrum)
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        kern.apply(w)
+    return (time.perf_counter() - t0) / reps * 1e3
+
+
+def bench_convolution(gamma=-0.4):
     print(f"slice convolution, gamma={gamma}")
     print(f"{'n_r':>7} {'fft_L':>7} {'fft_ms':>9} {'direct_ms':>10} {'speedup':>8} {'max_rel':>9}")
-    for n in (129, 257, 513, 1025, 2049):
-        grid = Grid(h=4.0 / (n - 1), n_r=n, n_t=1)
-        rng = np.random.default_rng(n)
-        s = np.convolve(rng.normal(size=n), np.ones(5) / 5, "same")
-        s[-n // 8 :] = 0.0
-        cells = n - n // 8 - 1
-        w = RadialProfile(grid, s, support_radius=cells * grid.h)
-        kern = ConvolutionKernel(gamma, grid)
-        fast = kern.apply(w)  # also builds the kernel spectrum of this FFT length
-        t0 = time.perf_counter()
-        reps = 20
-        for _ in range(reps):
-            kern.apply(w)
-        fft_ms = (time.perf_counter() - t0) / reps * 1e3
+    for n in SIZES:
+        w = profile(n)
+        kern = ConvolutionKernel(gamma, w.grid)
+        fft_ms = ms_per_call(kern, w)
         t0 = time.perf_counter()
         direct = convolve_profile_direct(w, gamma)
         direct_ms = (time.perf_counter() - t0) * 1e3
-        L = _fft_length(n, cells)
-        max_rel = np.max(np.abs(fast - direct)) / np.max(np.abs(direct))
+        L = _fft_length(n, round(w.support_radius / w.h))
+        max_rel = np.max(np.abs(kern.apply(w) - direct)) / np.max(np.abs(direct))
         print(
             f"{n:>7} {L:>7} {fft_ms:>9.2f} {direct_ms:>10.1f} {direct_ms/fft_ms:>8.1f}x"
             f" {max_rel:>9.1e}"
         )
+
+
+def bench_closed_form():
+    print("\nslice convolution, closed form (max_rel against the exact sums)")
+    print(f"{'n_r':>7} {'ms_g0':>9} {'max_rel_g0':>11} {'ms_g1':>9} {'max_rel_g1':>11}")
+    for n in SIZES:
+        w = profile(n)
+        cols = []
+        for gamma in (0.0, 1.0):
+            kern = ConvolutionKernel(gamma, w.grid)
+            exact = exact_convolution(w, gamma)
+            max_rel = np.max(np.abs(kern.apply(w) - exact)) / np.max(np.abs(exact))
+            cols.append(f"{ms_per_call(kern, w):>9.3f} {max_rel:>11.1e}")
+        print(f"{n:>7} " + " ".join(cols))
 
 
 def bench_march():
@@ -86,4 +117,5 @@ def bench_march():
 
 if __name__ == "__main__":
     bench_convolution()
+    bench_closed_form()
     bench_march()

@@ -19,7 +19,15 @@ Two evaluation paths share that quadrature:
   (``numpy.fft``'s real transforms) instead of an O(n^2) double loop.  Its
   length L is taken from the ladder {2^a, 3 * 2^a}, about 3 n_out in a
   march, with P on the lower two thirds of the buffer and Q reflected onto
-  the top third; one kernel spectrum is cached per length.
+  the top third; one kernel spectrum is cached per length.  At gamma = 0
+  and 1 exactly, where d = 2 - gamma is a positive integer and the shell
+  kernel a polynomial on each side of rho = r, ``apply`` takes the closed
+  form instead, in O(n_out) and with no FFT tables:
+
+      gamma = 0:  (V*w)(r) = 4 pi int rho^2 w,
+      gamma = 1:  (V*w)(r) = (4 pi / r) int_0^r rho^2 w + 4 pi int_r^b rho w,
+
+  two running sums of the cells' exact integrals of rho^e PL(w).
   ``ConvolutionKernel.cubic`` gives the source term (V*u^2) u on a window
   of the first k nodes, which is the support of u: a march slice's live
   window.  It takes a stack of rows at once (one transform call; each row
@@ -306,8 +314,15 @@ class ConvolutionKernel:
     (``_fft_length``): from 3 n_out to below 4.5 n_out in a march, where
     J = n_out - 1.  One spectrum is kept per L; the ladder has two lengths
     per octave and every L lies below 4.5 n, so a kernel holds fewer than
-    2 log2(4 n) of them.  The axis value is a dot product with node weights
+    2 log2(4 n) of them.  The moment tables and spectra are built on the
+    first FFT call.  The axis value is a dot product with node weights
     taken once from ``cell_moments``.
+
+    At gamma = 0 and 1 (exact equality) ``apply`` takes the closed form
+    (``_convolve_closed``) and builds no tables or spectra: each cell's
+    integrals of rho^e PL(w), e = 1 and 2, from node weights taken once
+    per grid, summed from the axis (e = 2, divided by r) and from the
+    support edge (e = 1); at gamma = 0 every node takes the axis value.
 
     ``cubic`` gives the source term (V_gamma * u^2) u on a window of the
     first k nodes, with the window as the support of u.
@@ -321,28 +336,37 @@ class ConvolutionKernel:
         self.h = grid.h
         self.log_branch = is_log_branch(gamma)
         self.d = 2.0 - gamma
-        self.P, self.Q = _moment_tables(gamma, self.n)
+        self._closed = gamma in (0.0, 1.0)
         self._spectra: dict[int, np.ndarray] = {}
+        h, d = self.h, self.d
+        x0 = np.arange(self.n - 1) * h
+        self._axis_w = _hat_weights(d, x0, x0 + h, h)
+        if gamma == 1.0:  # the e = 2 node weights of the inner sum
+            self._w2 = _hat_weights(2.0, x0, x0 + h, h)
+
+    @functools.cached_property
+    def _tables(self):
+        """(P, Q, scale) of the FFT path, built on its first call."""
         h, d = self.h, self.d
         i = np.arange(1, self.n)
         if self.log_branch:
-            self._scale = 2.0 * math.pi * h / i
+            scale = 2.0 * math.pi * h / i
         else:
-            self._scale = 2.0 * math.pi * h ** (1.0 + d) / (i * d)
-        x0 = np.arange(self.n - 1) * h
-        self._axis_w = _hat_weights(d, x0, x0 + h, h)
+            scale = 2.0 * math.pi * h ** (1.0 + d) / (i * d)
+        return (*_moment_tables(self.gamma, self.n), scale)
 
     def _spectrum(self, L: int) -> np.ndarray:
         """rfft of the 3 x L buffer with P on [0, L - floor(L/3)) and Q(s)
         at L - s for 1 <= s <= min(floor(L/3), n - 1)."""
         got = self._spectra.get(L)
         if got is None:
+            P, Q, _ = self._tables
             third = L // 3
             K = np.zeros((3, L))
-            p = min(L - third, self.P.shape[1])
-            K[:, :p] = self.P[:, :p]
+            p = min(L - third, P.shape[1])
+            K[:, :p] = P[:, :p]
             q = min(third, self.n - 1)
-            K[:, L - q :] = self.Q[:, q:0:-1]
+            K[:, L - q :] = Q[:, q:0:-1]
             got = self._spectra[L] = np.fft.rfft(K, axis=1)
         return got
 
@@ -359,21 +383,76 @@ class ConvolutionKernel:
     def _convolve(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
         """(V_gamma * w) at the first ``m`` nodes for each row of ``s``: the
         samples (..., k) of profiles supported on [0, b], with k at least
-        the nodes of the cells that reach b.  Rows share one transform
-        call, and each row's values are those of a one-row call, bit for
-        bit."""
-        h = self.h
-        lead = s.shape[:-1]
-        out = np.zeros(lead + (m,))
+        the nodes of the cells that reach b.  The closed form at gamma = 0
+        and 1, the FFT correlation elsewhere.  Each row's values are those
+        of a one-row call, bit for bit."""
         if b <= 0.0:
-            return out
+            return np.zeros(s.shape[:-1] + (m,))
+        if self._closed:
+            return self._convolve_closed(s, b, m)
+        return self._convolve_fft(s, b, m)
+
+    def _axis(self, s: np.ndarray, b: float, m: int):
+        """(out, J, xi*): zeros of shape (..., m) with the axis value at
+        node 0, and the support [0, b] split into J full cells and a
+        truncated cell of xi* h (0 when b is a node)."""
+        h = self.h
         k_edge = b / h
-        J_full = int(np.floor(k_edge + 1e-12))
-        xi_star = k_edge - J_full
+        J = int(np.floor(k_edge + 1e-12))
+        xi_star = k_edge - J
         if xi_star < 1e-12:
             xi_star = 0.0
+        out = np.zeros(s.shape[:-1] + (m,))
+        # one dot product per row: a stacked product would sum in another order
+        wl, wr = self._axis_w
+        rows = s.reshape(-1, s.shape[-1])
+        axis = np.array(
+            [np.dot(wl[:J], r[:J]) + np.dot(wr[:J], r[1 : J + 1]) for r in rows]
+        ).reshape(s.shape[:-1])
+        if xi_star > 0.0:
+            pl, pr = _hat_weights(self.d, np.array([J * h]), np.array([b]), h)
+            axis = axis + (pl[0] * s[..., J] + pr[0] * s[..., J + 1])
+        out[..., 0] = 4.0 * math.pi * axis
+        return out, J, xi_star
 
-        acc = np.zeros(lead + (m,))
+    def _convolve_closed(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
+        """``_convolve`` at gamma = 0 and 1, where the shell kernel is a
+        polynomial on each side of rho = r:
+
+            gamma = 0:  (V*w)(r) = 4 pi int rho^2 w,  the axis value at every node;
+            gamma = 1:  (V*w)(r) = (4 pi / r) int_0^r rho^2 w + 4 pi int_r^b rho w,
+
+        from the cell integrals T_e = int rho^e PL(w) over each cell (the
+        truncated one included): at node i a running sum of T_2 over the
+        cells left of r_i and a running sum from the right of T_1."""
+        out, J, xi_star = self._axis(s, b, m)
+        if self.gamma == 0.0:
+            out[..., 1:] = out[..., :1]
+            return out
+        n_c = J + (xi_star > 0.0)
+        if n_c == 0:  # a support below roundoff of the axis
+            return out
+
+        def terms(e, weights):
+            wl, wr = weights
+            t = wl[:J] * s[..., :J] + wr[:J] * s[..., 1 : J + 1]
+            if xi_star > 0.0:
+                pl, pr = _hat_weights(e, np.array([J * self.h]), np.array([b]), self.h)
+                t = np.concatenate([t, pl * s[..., J : J + 1] + pr * s[..., J + 1 : J + 2]], -1)
+            return t
+
+        i = np.minimum(np.arange(1, m), n_c)
+        inner = np.cumsum(terms(2.0, self._w2), axis=-1)[..., i - 1]
+        outer = np.zeros(s.shape[:-1] + (n_c + 1,))
+        outer[..., :n_c] = np.cumsum(terms(1.0, self._axis_w)[..., ::-1], axis=-1)[..., ::-1]
+        out[..., 1:] = 4.0 * math.pi * (inner / (np.arange(1, m) * self.h) + outer[..., i])
+        return out
+
+    def _convolve_fft(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
+        """``_convolve`` by one circular correlation of the cell-coefficient
+        rows against a kernel spectrum; the rows share one transform call."""
+        out, J_full, xi_star = self._axis(s, b, m)
+        acc = np.zeros(out.shape)
         if J_full > 0:
             L = _fft_length(m, J_full)
             af = np.fft.rfft(_cell_coeffs(s, 0, J_full), L, axis=-1)
@@ -388,18 +467,7 @@ class ConvolutionKernel:
         if xi_star > 0.0:
             acc += self._partial_cell(s, J_full, xi_star, m)
 
-        out[..., 1:] = self._scale[: m - 1] * acc[..., 1:]
-        # one dot product per row: a stacked product would sum in another order
-        wl, wr = self._axis_w
-        rows = s.reshape(-1, s.shape[-1])
-        axis = np.array(
-            [np.dot(wl[:J_full], r[:J_full]) + np.dot(wr[:J_full], r[1 : J_full + 1]) for r in rows]
-        ).reshape(lead)
-        if xi_star > 0.0:
-            x0 = np.array([J_full * h])
-            pl, pr = _hat_weights(self.d, x0, np.array([b]), h)
-            axis = axis + (pl[0] * s[..., J_full] + pr[0] * s[..., J_full + 1])
-        out[..., 0] = 4.0 * math.pi * axis
+        out[..., 1:] = self._tables[2][: m - 1] * acc[..., 1:]
         return out
 
     def cubic(self, u: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ profile through ``trapezoid_weighted``, the reference for
 ``grid.MassWeights``; the Monte Carlo convolution samples the 3D integral
 directly, the mpmath convolution integrates the shell kernel cell by cell
 at 30 digits, the exact convolution at gamma = 0 and 1 sums closed-form
-cell moments with ``math.fsum``, the brute-force exponent scan re-derives
+cell moments exactly and rounds once, the brute-force exponent scan re-derives
 the Kato parameter inequality, the slow cone integral nests Gauss
 quadratures, and ``w_weight`` is the paper's bilinear-estimate weight.
 ``free_table`` stacks free-field slices, and ``mass_series`` reads the
@@ -18,7 +18,9 @@ symmetry.
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -197,7 +199,8 @@ def _cell_moment_terms(w: RadialProfile, e: int) -> list[list[float]]:
 
 def exact_convolution(w: RadialProfile, gamma: float) -> np.ndarray:
     """(V_gamma * w) at every grid node where the shell kernel is a
-    polynomial, summed with ``math.fsum`` over exact cell moments:
+    polynomial, from exact cell moments whose sums are exact and rounded
+    once (``math.fsum``, or running sums of ``Fraction``s):
 
         gamma = 0:  4 pi int rho^2 w                      (every node),
         gamma = 1:  (4 pi / r) int_0^r rho^2 w + 4 pi int_r^b rho w.
@@ -210,12 +213,16 @@ def exact_convolution(w: RadialProfile, gamma: float) -> np.ndarray:
         return np.full(n_r, 4.0 * math.pi * math.fsum(t for c in m2 for t in c))
     if gamma != 1.0:
         raise ValueError("closed forms exist here only at gamma = 0 and 1")
-    m1 = _cell_moment_terms(w, 1)
+    # exact running sums (floats are dyadic rationals), each rounded once
+    # as fsum rounds: inner[i] over the cells left of node i, outer[i] right
+    cell_sums = [sum(map(Fraction, c)) for c in m2]
+    inner = list(itertools.accumulate(cell_sums, initial=Fraction(0)))
+    cell_sums = [sum(map(Fraction, c)) for c in _cell_moment_terms(w, 1)]
+    outer = list(itertools.accumulate(reversed(cell_sums), initial=Fraction(0)))[::-1]
     out = np.empty(n_r)
     for i in range(n_r):
-        inner = math.fsum(t for c in m2[:i] for t in c)
-        outer = math.fsum(t for c in m1[i:] for t in c)
-        out[i] = 4.0 * math.pi * ((inner / (i * w.h) if i else 0.0) + outer)
+        c = min(i, len(cell_sums))
+        out[i] = 4.0 * math.pi * ((float(inner[c]) / (i * w.h) if i else 0.0) + float(outer[c]))
     return out
 
 

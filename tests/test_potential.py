@@ -196,7 +196,7 @@ def positive_profile(grid, cells: float) -> RadialProfile:
 class TestWindow:
     """The windowed slice path against the all-node path and the references."""
 
-    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("gamma", [-0.4, 0.0, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("cells", [1, 64, 200, 256])
     def test_cubic_matches_full_path(self, gamma, cells, grid):
         # the window of k = cells + 1 nodes is the support of u: cubic is
@@ -213,7 +213,7 @@ class TestWindow:
         want = np.array([convolve_power(sq, gamma, r) for r in grid.radii()[:k]]) * u.samples[:k]
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
-    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("gamma", [-0.4, 0.0, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("cells", [64, 64.4, 200.7])
     def test_cubic_prefix_bitwise(self, gamma, cells, grid):
         # a zero tail past the nodes of the cells that reach the support
@@ -232,7 +232,7 @@ class TestWindow:
             full = kern._convolve(sq, b, k) * u.samples[:k]
             assert kern.cubic(u.samples[:k]).tobytes() == full.tobytes()
 
-    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("gamma", [-0.4, 0.0, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("cells", [64, 64.4])
     def test_window_prefix(self, gamma, cells, grid):
         kern = ConvolutionKernel(gamma, grid)
@@ -243,7 +243,7 @@ class TestWindow:
             assert win.shape == (m,)
             assert np.max(np.abs(win - full[:m]) / np.abs(full[:m])) <= 1e-12
 
-    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("gamma", [-0.4, 0.0, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("cells", [64, 256])
     def test_cubic_row_stack_bitwise(self, gamma, cells, grid):
         # a stack of rows (the points of a lockstep march) gives each row's
@@ -278,14 +278,20 @@ class TestWindow:
         cached_kernel.cache_clear()
         grid = Grid.for_domain(1 / 16, 64.0, 40.0)
         assert grid.n_r >= 1000 and grid.n_t >= 600
-        params = Params(gamma=1.0, R=1.0, grid=grid)
-        hist = solve_march(params, make_data("bump_v1_only", 1e-3, 1.0, grid), store_history=False)
+        data = make_data("bump_v1_only", 1e-3, 1.0, grid)
+        params = Params(gamma=0.5, R=1.0, grid=grid)
+        hist = solve_march(params, data, store_history=False)
         assert hist.n_used == grid.n_t
-        kern = cached_kernel(1.0, grid)
+        kern = cached_kernel(0.5, grid)
         assert 1 <= len(kern._spectra) <= math.ceil(math.log2(4 * grid.n_r))
         # the march convolves u^2 on its window: m nodes over J = m - 1 cells
         ladder = {_fft_length(m, m - 1) for m in range(1, grid.n_r + 1)}
         assert set(kern._spectra) <= ladder
+        # the polynomial kernel of gamma = 1 marches on its closed form
+        hist = solve_march(Params(gamma=1.0, R=1.0, grid=grid), data, store_history=False)
+        assert hist.n_used == grid.n_t
+        kern = cached_kernel(1.0, grid)
+        assert kern._spectra == {} and "_tables" not in vars(kern)
 
     def test_fft_length_separates_p_and_q(self):
         # every (n_out, full cells) pair of a 130-node grid: the reflected Q
@@ -327,12 +333,14 @@ class TestWindow:
     )
     def test_exact_polynomial_kernels_at_scale(self, n_r, gamma, cells, bound):
         # at gamma = 0 and 1 the shell kernel is a polynomial, so the
-        # convolution has an exact closed form at every node; each bound is
-        # ten times the error of the power-of-two layout (P on [0, L/2))
+        # convolution has an exact closed form at every node: an oracle for
+        # the FFT path, which ``apply`` takes at every other gamma; each
+        # bound is ten times the error of the power-of-two layout (P on
+        # [0, L/2))
         grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
         w = positive_profile(grid, cells)
         want = exact_convolution(w, gamma)
-        got = ConvolutionKernel(gamma, grid).apply(w)
+        got = ConvolutionKernel(gamma, grid)._convolve_fft(w.samples, w.support_radius, n_r)
         assert np.max(np.abs(got - want) / np.abs(want)) <= bound
 
     @pytest.mark.parametrize("n_r, bound", [(2049, 1e-12), (8193, 1e-11)])
@@ -345,8 +353,34 @@ class TestWindow:
         grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
         w = positive_profile(grid, 64.4)
         want = exact_convolution(w, 1.0)
-        got = ConvolutionKernel(1.0, grid).apply(w)
+        got = ConvolutionKernel(1.0, grid)._convolve_fft(w.samples, w.support_radius, n_r)
         assert np.max(np.abs(got - want) / np.abs(want)) <= bound
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("n_r", [513, 2049, 8193])
+    def test_closed_form_at_scale(self, n_r, gamma):
+        # at gamma = 0 and 1 ``apply`` sums cell integrals, so it stays at
+        # a few ulps up to the largest grid, where the FFT path was off by
+        # up to 1.3e-4 (one cell at n_r = 8193), and builds no FFT tables
+        grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
+        kern = ConvolutionKernel(gamma, grid)
+        for cells in (1, 64, 64.4, n_r - 1):
+            w = positive_profile(grid, cells)
+            want = exact_convolution(w, gamma)
+            got = kern.apply(w)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+        assert kern._spectra == {} and "_tables" not in vars(kern)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_closed_form_signed_profile(self, gamma):
+        # a signed profile on most of a 2049-node grid, at 33 nodes from the
+        # axis to the edge, against the long-double reference
+        grid = Grid(h=1 / 16, n_r=2049, n_t=1)
+        w = random_profile(grid, np.random.default_rng(3))
+        nodes = np.linspace(0, grid.n_r - 1, 33).astype(int)
+        got = ConvolutionKernel(gamma, grid).apply(w)[nodes]
+        want = np.array([convolve_power(w, gamma, float(i * grid.h)) for i in nodes])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestProperties:
