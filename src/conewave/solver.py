@@ -472,7 +472,7 @@ def solve_dalembert(params: Params, data, u_ref: np.ndarray | None = None) -> So
         return rec.history()
 
     U_prev = r * v0.samples
-    psi = lam_prefix((v0 + v1).samples, h)
+    psi = lam_prefix((v0 + v1).samples, grid)
     S = source(0, u)
     U_cur = np.zeros(n_r)
     U_cur[1:-1] = (

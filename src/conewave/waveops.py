@@ -31,6 +31,7 @@ first k nodes, and give each row what a one-row call gives, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -109,6 +110,10 @@ class FreeField:
     exactly zero outside the shell t - R <= r <= t + R because both prefix
     lookups saturate at the same total.
 
+    The gather indices of slice n at nodes i >= 1 are the clamped
+    min(i + n, n_r - 1) and the reflected |i - n|; both are runs of two
+    tables built once per field, as are r and 2r.
+
     ``v0`` and ``v1`` are profiles, or equal-length sequences of profiles
     for a stack of fields; a slice then has one row per pair.
     """
@@ -123,27 +128,35 @@ class FreeField:
         for a, b in pairs:
             psum = a + b
             tables.append(
-                (lam_prefix(psum.samples, grid.h), a.samples, derivative_profile(a).samples,
+                (lam_prefix(psum.samples, grid), a.samples, derivative_profile(a).samples,
                  psum.samples)
             )
         cols = [np.stack(col) for col in zip(*tables)]
         self._psi, self._v0s, self._dv0, self._sum_s = (c[0] for c in cols) if single else cols
+        n_t, n_r = grid.n_t, grid.n_r
+        self._clamp = np.minimum(np.arange(n_t + n_r), n_r - 1)  # at i + n
+        self._reflect = np.abs(np.arange(-n_t, n_r))  # at i - n + n_t
+        self._r = grid.radii()
+        self._2r = 2.0 * self._r
 
     def slice(self, n: int, k: int | None = None) -> np.ndarray:
-        """Slice n at the first ``k`` nodes (all of them by default)."""
+        """Slice n (0 <= n < n_t) at the first ``k`` nodes (all of them by
+        default)."""
         grid = self.grid
-        n_r = grid.n_r
-        h = grid.h
-        t = n * h
-        idx = np.arange(1, n_r if k is None else k)
-        hi = np.minimum(idx + n, n_r - 1)
-        lo = np.abs(idx - n)
-        out = np.empty(self._psi.shape[:-1] + (idx.size + 1,))
-        r = idx * h
-        w_part = (self._psi.take(hi, axis=-1) - self._psi.take(lo, axis=-1)) / (2.0 * r)
+        n_r, n_t = grid.n_r, grid.n_t
+        if not 0 <= n < n_t:
+            raise ValueError(f"slice {n} lies outside 0..{n_t - 1}")
+        k = n_r if k is None else k
+        t = n * grid.h
+        hi = self._clamp[n + 1 : n + k]
+        lo = self._reflect[n_t - n + 1 : n_t - n + k]
+        r = self._r[1:k]
+        r2 = self._2r[1:k]
+        out = np.empty(self._psi.shape[:-1] + (k,))
+        w_part = (self._psi.take(hi, axis=-1) - self._psi.take(lo, axis=-1)) / r2
         s0_hi = self._v0s.take(hi, axis=-1)
         s0_lo = self._v0s.take(lo, axis=-1)
-        dt_part = ((r + t) * s0_hi + (r - t) * s0_lo) / (2.0 * r)
+        dt_part = ((r + t) * s0_hi + (r - t) * s0_lo) / r2
         out[..., 1:] = dt_part + w_part
         # axis: phi(t) + t phi'(t) + t (v0+v1)(t)
         j = min(n, n_r - 1)
@@ -156,17 +169,28 @@ class FreeField:
 # ---------------------------------------------------------------------------
 
 
-def lam_prefix(g_row: np.ndarray, h: float) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _lam_cells(grid: Grid):
+    """(x0, x1^2 - x0^2, x1^3 - x0^3) of the cells [x0, x1 = x0 + h] of
+    ``grid``, read-only: a row of k nodes takes the first k - 1 of each."""
+    x0 = np.arange(grid.n_r - 1) * grid.h
+    x1 = x0 + grid.h
+    out = (x0, x1**2 - x0**2, x1**3 - x0**3)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def lam_prefix(g_row: np.ndarray, grid: Grid) -> np.ndarray:
     """Prefix integrals Phi(j) = int_0^{j h} lam * PL(g_row)(lam) dlam,
-    along the last axis."""
+    along the last axis, for the samples of the first nodes of ``grid``."""
     g_row = np.asarray(g_row, dtype=float)
     n = g_row.shape[-1]
-    j = np.arange(n - 1)
-    x0 = j * h
-    x1 = x0 + h
+    x0, d2, d3 = (a[: n - 1] for a in _lam_cells(grid))
+    h = grid.h
     c1 = (g_row[..., 1:] - g_row[..., :-1]) / h
     c0 = g_row[..., :-1] - c1 * x0
-    cell = c0 * (x1**2 - x0**2) / 2.0 + c1 * (x1**3 - x0**3) / 3.0
+    cell = c0 * d2 / 2.0 + c1 * d3 / 3.0
     out = np.empty(g_row.shape)
     out[..., 0] = 0.0
     np.cumsum(cell, axis=-1, out=out[..., 1:])
@@ -289,7 +313,17 @@ class ConeAccumulator:
     single vector add; entries that would fall beyond a slice's support are
     folded into a running sum of slice totals (Phi saturates there).
     ``support_cells`` is the source support radius in cells (R/h for the
-    nonlinear march).
+    nonlinear march).  The axis value needs one more sum, the lambda-moment
+    of the slices: by antidiagonal (``Ax``) for the march, by diagonal
+    (``Bx``) for the tails; the caller of :meth:`_add` names the one it reads.
+
+    Everything that depends only on (grid, support_cells, n) is read off
+    three tables built once: the fold staircase max(0, (x - jr) // 2), the
+    number of slices whose support edge lies behind antidiagonal x (read as
+    a run at x = n + k, reversed at x = n - k); the lambda row k h; and the
+    denominators 2 k h.  In a march the window ends at kmax <= n + jr, so no
+    fold index passes n, and the previous slice's prefix Phi ends at node
+    kmax, where it saturates: only its last node clamps.
 
     Source slices may be stacks (..., k) of rows on one grid: the sums then
     carry the same leading shape, each row summed as a one-row accumulator
@@ -314,23 +348,26 @@ class ConeAccumulator:
         self._g_prev: np.ndarray | None = None
         # _history(n, kmax) of the slice n = n_pushed being closed
         self._memo: tuple | None = None
+        self._stair = np.maximum(0, (np.arange(grid.n_t + grid.n_r) - self.jr) // 2)
+        self._lam = grid.radii()
+        self._den = 2.0 * np.arange(1, grid.n_r) * grid.h
 
-    def _sums(self, lead: tuple) -> None:
-        """Allocate the diagonal sums for source rows of leading shape ``lead``."""
-        n_t, n_r = self.grid.n_t, self.grid.n_r
-        self.A = np.zeros(lead + (n_t + n_r,))
-        self.B = np.zeros(lead + (n_t + n_r,))
-        self.Ax = np.zeros(lead + (n_t + n_r,))  # lambda-moment of the slices, by antidiagonal
-        self.Bx = np.zeros(lead + (n_t + n_r,))  # the same, by diagonal
-        self.totals = np.zeros(lead + (n_t + 1,))  # totals[p] = sum of w_m T_m, first p pushes
+    def _sums(self, lead: tuple, moment: str) -> None:
+        """Allocate the diagonal sums and the named moment sum for source
+        rows of leading shape ``lead``."""
+        size = lead + (self.grid.n_t + self.grid.n_r,)
+        self.A = np.zeros(size)
+        self.B = np.zeros(size)
+        setattr(self, moment, np.zeros(size))
+        self.totals = np.zeros(lead + (self.grid.n_t + 1,))  # totals[p] = sum of w_m T_m, first p pushes
 
-    def _add(self, m: int, w: float, g_row: np.ndarray) -> None:
-        """Fold source slice m with time weight w into the diagonal sums;
-        ``g_row`` may stop at any node past the support (zeros follow)."""
-        h = self.grid.h
+    def _add(self, m: int, w: float, g_row: np.ndarray, moment: str) -> None:
+        """Fold source slice m with time weight w into the diagonal sums
+        and into the moment sum ``moment`` ("Ax" or "Bx"); ``g_row`` may
+        stop at any node past the support (zeros follow)."""
         g_row = np.asarray(g_row, dtype=float)
         if self.A is None:
-            self._sums(g_row.shape[:-1])
+            self._sums(g_row.shape[:-1], moment)
         # samples must vanish strictly beyond index m + jr; the linear ramp
         # of an edge sample still carries mass into the next cell, so the
         # prefix saturates one index later
@@ -338,14 +375,13 @@ class ConeAccumulator:
         g = g_row[..., : L + 1]
         if g.shape[-1] < L + 1:
             g = np.concatenate([g, np.zeros(g.shape[:-1] + (L + 1 - g.shape[-1],))], axis=-1)
-        phi = lam_prefix(g, h)
+        phi = lam_prefix(g, self.grid)
         wphi = w * phi
-        wlam_g = w * (np.arange(L + 1) * h) * g
         b0 = self.boff - m
         self.A[..., m : m + L + 1] += wphi
         self.B[..., b0 : b0 + L + 1] += wphi
-        self.Ax[..., m : m + L + 1] += wlam_g
-        self.Bx[..., b0 : b0 + L + 1] += wlam_g
+        x0 = m if moment == "Ax" else b0
+        getattr(self, moment)[..., x0 : x0 + L + 1] += w * self._lam[: L + 1] * g
         p = self.n_pushed
         self.totals[..., p + 1] = self.totals[..., p] + wphi[..., L]
         self.n_pushed = p + 1
@@ -356,15 +392,15 @@ class ConeAccumulator:
     def keep_rows(self, keep: np.ndarray) -> None:
         """Keep only the source rows selected by ``keep`` (an index or mask
         over the leading axis), between a push and the next evaluation."""
-        if self.A is None:  # nothing pushed yet
-            return
         for name in ("A", "B", "Ax", "Bx", "totals", "_phi_prev", "_g_prev"):
-            setattr(self, name, getattr(self, name)[keep])
+            sums = getattr(self, name)
+            if sums is not None:  # nothing pushed yet, or the other moment
+                setattr(self, name, sums[keep])
         self._memo = None
 
     def push_slice(self, g_row: np.ndarray) -> None:
         m = self.n_pushed
-        self._add(m, self.tw.w_slice[m], g_row)
+        self._add(m, self.tw.w_slice[m], g_row, "Ax")
 
     def eval_slice(self, g_cur: np.ndarray) -> np.ndarray:
         """Duhamel values of slice n = ``n_pushed`` on its live window
@@ -388,73 +424,67 @@ class ConeAccumulator:
         """The part of :meth:`eval_slice` that does not depend on the
         current source: the history term at nodes 1..kmax, the J1 closure
         term of slice n-1 there, the axis value with its J1 term, and J2."""
-        h = self.grid.h
-        jr = self.jr
-        k = np.arange(1, kmax + 1)
-
-        # A at n + k and B at boff + k - n are contiguous runs; gathers go
-        # through take, which is the fast one on row stacks
-        first = self.A[..., n + 1 : n + kmax + 1]
-        fold1 = np.maximum(0, (k + n - jr) // 2)  # slices with d - m > m + jr + 1
-        first = first + self.totals.take(np.minimum(fold1, n), axis=-1)
+        # A at n + k, B at boff + k - n and the folds are contiguous runs;
+        # the totals are gathered through take, the fast one on row stacks
+        fold = self._stair[n + 1 : n + kmax + 1]  # slices with d - m > m + jr + 1
+        first = self.A[..., n + 1 : n + kmax + 1] + self.totals.take(fold, axis=-1)
         b0 = self.boff - n
         second = self.B[..., b0 + 1 : b0 + kmax + 1].copy()
         n_low = min(n - 1, kmax)  # the nodes k < n
         if n_low > 0:
-            kl = k[:n_low]
-            fold2 = np.maximum(0, (n - kl - jr) // 2)
-            a_low = self.A[..., n - n_low : n][..., ::-1]  # A at n - kl
-            second[..., :n_low] += a_low + self.totals.take(np.minimum(fold2, n), axis=-1)
+            a_low = self.A[..., n - n_low : n][..., ::-1]  # A at n - k
+            fold = self._stair[n - n_low : n][::-1]
+            second[..., :n_low] += a_low + self.totals.take(fold, axis=-1)
 
+        # Phi of slice n-1 on nodes 0..kmax, saturated past kmax
         phi_prev = self._phi_prev
-        Lp = phi_prev.shape[-1] - 1
-        hi_idx = np.minimum(k + 1, Lp)
-        lo_idx = np.minimum(k - 1, Lp)
-        i_prev = phi_prev.take(hi_idx, axis=-1) - phi_prev.take(lo_idx, axis=-1)
+        i_prev = np.empty(phi_prev.shape[:-1] + (kmax,))
+        np.subtract(phi_prev[..., 2:], phi_prev[..., :-2], out=i_prev[..., :-1])
+        i_prev[..., -1] = phi_prev[..., -1] - phi_prev[..., -2]
         wl_top = self.tw.wl[n - 1]
 
         J1, J2 = self.tw.closure(n)
         g_prev = self._g_prev
         gp = np.zeros(g_prev.shape[:-1] + (kmax + 1,))
         gp[..., : min(g_prev.shape[-1], kmax + 1)] = g_prev[..., : kmax + 1]
-        hist = (first - second - wl_top * i_prev) / (2.0 * k * h)
-        ax = self.Ax[..., n] - wl_top * h * gp[..., 1]
+        hist = (first - second - wl_top * i_prev) / self._den[:kmax]
+        ax = self.Ax[..., n] - wl_top * self.grid.h * gp[..., 1]
         return hist, J1 * gp[..., 1:], ax + J1 * gp[..., 0], J2
 
     def _eval_tail(self, n: int, g_n: np.ndarray) -> np.ndarray:
         """Backward Duhamel tail at every node of slice n, with slices
         M, M-1, ..., n+1 folded in as :func:`duhamel_tails` does; ``g_n`` is
         source slice n."""
-        grid = self.grid
-        h = grid.h
-        jr = self.jr
+        n_r = self.grid.n_r
         boff = self.boff
         p = self.n_pushed  # slices n+1 .. n+p are in
         tot = self.totals
-        k = np.arange(1, grid.n_r)
 
-        first = self.B[boff + k - n]
-        first[k - n > jr + 1] = tot[p]
+        # B at boff + k - n for k = 1..n_r-1; past k = n + jr + 1 every
+        # slice's support lies behind the diagonal, and Phi saturates
+        first = self.B[boff - n + 1 : boff - n + n_r].copy()
+        first[n + self.jr + 1 :] = tot[p]
         # antidiagonal part (slices n+1..k+n); those with the cone edge past
         # their support fold into the running total sum
-        second = self.A[n + k]
-        mceil = np.maximum((k + n - jr) // 2, n + 1)
-        second += tot[p] - tot[np.maximum(p + n + 1 - mceil, 0)]
+        mceil = np.maximum(self._stair[n + 1 : n + n_r], n + 1)
+        second = self.A[n + 1 : n + n_r] + (tot[p] - tot[np.maximum(p + n + 1 - mceil, 0)])
         # slices m > k+n contribute Phi_m(m-(k+n)) via the negative diagonal
-        later = k <= p
-        second += np.where(later, self.B[np.where(later, boff - n - k, 0)], 0.0)
+        later = min(p, n_r - 1)
+        second[:later] += self.B[boff - n - later : boff - n][::-1]
 
+        # Phi of slice n+1, saturated past its last node
         phi_next = self._phi_prev
-        Lp = phi_next.shape[0] - 1
-        i_next = phi_next[np.minimum(k + 1, Lp)] - phi_next[np.minimum(k - 1, Lp)]
+        ext = np.full(n_r + 1, phi_next[-1])
+        ext[: phi_next.size] = phi_next
+        i_next = ext[2:] - ext[:-2]
         wr_bot = self.tw.wr[n]
         # bottom cell [t_n, t_{n+1}] replaced by the closure
         J1, J2 = self.tw.tail_closure(n)
         g_next = self._g_prev
-        tail = np.zeros(grid.n_r)
-        tail[1:] = (first - second - wr_bot * i_next) / (2.0 * k * h)
+        tail = np.zeros(n_r)
+        tail[1:] = (first - second - wr_bot * i_next) / self._den
         tail[1:] += J1 * g_next[1:] + J2 * g_n[1:]
-        ax = self.Bx[boff - n] - wr_bot * h * g_next[1]
+        ax = self.Bx[boff - n] - wr_bot * self.grid.h * g_next[1]
         tail[0] = ax + J1 * g_next[0] + J2 * g_n[0]
         return tail
 
@@ -471,5 +501,5 @@ def duhamel_tails(g: np.ndarray, grid: Grid, support_cells: int, n_stop: int, g_
     tw = acc.tw
     M = g_from + len(g) - 1
     for m in range(M, n_stop, -1):
-        acc._add(m, tw.wr[m - 1] if m == M else tw.w_slice[m], g[m - g_from])
+        acc._add(m, tw.wr[m - 1] if m == M else tw.w_slice[m], g[m - g_from], "Bx")
         yield m - 1, acc._eval_tail(m - 1, g[m - 1 - g_from])
