@@ -511,9 +511,10 @@ def cached_kernel(gamma: float, grid) -> ConvolutionKernel:
     return ConvolutionKernel(gamma, grid)
 
 
-def convolve_profile(w: RadialProfile, gamma: float) -> np.ndarray:
-    """Slice-path convolution at every grid node, with kernel-table reuse."""
-    return cached_kernel(gamma, w.grid).apply(w)
+def convolve_profile(w: RadialProfile, gamma: float, n_out: int | None = None) -> np.ndarray:
+    """Slice-path convolution at the first ``n_out`` grid nodes (every node
+    by default), with kernel-table reuse."""
+    return cached_kernel(gamma, w.grid).apply(w, n_out)
 
 
 def convolve_profile_direct(w: RadialProfile, gamma: float) -> np.ndarray:
