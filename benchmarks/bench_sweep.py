@@ -5,13 +5,11 @@ Prints a JSON record with up to four parts:
 * ``pairs``   -- alternating perfbench runs per workload (``perfbench/run.py
   --trace 0`` of each checkout): medians, quartiles and wins of run_ref_s,
   setup_s and peak_rss_mb;
-* ``layers``  -- the lean lifespan sweep of perfbench's lifespan workload
-  (h = 1/8, t_max = 170, refine = 0) split by layer, in three variants
-  interleaved in one process: ``parent_sweep`` (the parent's ``sweep``),
-  ``change_one_point`` (the working tree's ``lifespan_measure`` per point)
-  and ``change_sweep`` (its lockstep ``sweep``); CPU seconds in the free
-  field, history plus closure evaluation, slice convolution, recorder and
-  push;
+* ``layers``  -- one CLI run (``cli.run`` in process) of each perfbench
+  workload, lifespan, global and verify, at this seed, parent against
+  change, interleaved in one process and split by layer: CPU seconds in the
+  free field, history plus closure evaluation, slice convolution (``cubic``
+  in the marches, ``apply`` in ``verify_bilinear``), recorder and push;
 * ``configs`` -- CPU seconds, wall seconds and peak RSS (``ru_maxrss``) of
   one CLI run of each shipped config, two rounds alternating between the
   checkouts;
@@ -44,12 +42,13 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("lifespan", "global", "verify")
 METRICS = ("run_ref_s", "setup_s", "peak_rss_mb")
 CONFIGS = tuple(sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")))
-LAYERS = {  # layer -> (module, class, method) wrapped in each package
-    "free_field": ("waveops", "FreeField", "slice"),
-    "history_and_closure_eval": ("waveops", "ConeAccumulator", "eval_slice"),
-    "slice_convolution": ("potential", "ConvolutionKernel", "cubic"),
-    "recorder": ("solver", "_Recorder", "record"),
-    "push": ("waveops", "ConeAccumulator", "push_slice"),
+LAYERS = {  # layer -> the (module, class, method) wrapped in each package
+    "free_field": [("waveops", "FreeField", "slice")],
+    "history_and_closure_eval": [("waveops", "ConeAccumulator", "eval_slice")],
+    "slice_convolution": [("potential", "ConvolutionKernel", "cubic"),
+                          ("potential", "ConvolutionKernel", "apply")],
+    "recorder": [("solver", "_Recorder", "record")],
+    "push": [("waveops", "ConeAccumulator", "push_slice")],
 }
 
 
@@ -101,8 +100,8 @@ def run_pairs(parent_dir: Path, seed: int, pairs: int, seconds: int) -> dict:
 
 
 def _layer_worker(parent_src: str, seed: int, reps: int) -> dict:
-    """Child process: wrap each layer of both packages, then time the three
-    sweep variants interleaved."""
+    """Child process: wrap each layer of both packages, then time one CLI
+    run of each workload per side, the sides interleaved."""
     pkgs = Path(tempfile.mkdtemp())
     shutil.copytree(Path(parent_src) / "conewave", pkgs / "conewave_parent")
     sys.path[:0] = [str(pkgs), str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -125,41 +124,39 @@ def _layer_worker(parent_src: str, seed: int, reps: int) -> dict:
 
         setattr(owner, name, timed)
 
-    mods = {}
-    for pkg in ("conewave_parent", "conewave"):
-        for label, (mod, cls, meth) in LAYERS.items():
-            wrap(getattr(importlib.import_module(f"{pkg}.{mod}"), cls), meth, label)
-        mods[pkg] = importlib.import_module(f"{pkg}.harness")
-    cfg = make_config("lifespan", seed)
-    eps = [float(e) for e in cfg["epsilon_list"].split(",")]
-    args = dict(h=cfg["h"], t_max=cfg["t_max"], refine=cfg["refine"])
-    variants = {
-        "parent_sweep": lambda: mods["conewave_parent"].sweep(cfg["gamma"], cfg["R"], eps, **args),
-        "change_one_point": lambda: [mods["conewave"].lifespan_measure(cfg["gamma"], cfg["R"], e,
-                                                                       **args) for e in eps],
-        "change_sweep": lambda: mods["conewave"].sweep(cfg["gamma"], cfg["R"], eps, **args),
-    }
-    for run in variants.values():  # kernels and spectra, once per package
-        run()
-    got = {k: [] for k in variants}
-    for i in range(reps):
-        names = list(variants) if i % 2 == 0 else list(reversed(variants))
-        for name in names:
-            spent.clear()
-            t0 = time.process_time()
-            variants[name]()
-            total = time.process_time() - t0
-            row = {label: spent.get(label, 0.0) for label in LAYERS}
-            row["other"] = total - sum(row.values())
-            row["total"] = total
-            got[name].append(row)
+    clis = {}
+    for side, pkg in (("parent", "conewave_parent"), ("change", "conewave")):
+        for label, methods in LAYERS.items():
+            for mod, cls, meth in methods:
+                wrap(getattr(importlib.import_module(f"{pkg}.{mod}"), cls), meth, label)
+        clis[side] = importlib.import_module(f"{pkg}.cli")
+
+    def run(side, workload):
+        cli = clis[side]
+        cfg = cli.parse_config(None, dict(make_config(workload, seed), out=str(pkgs / "out")))
+        if cli.run(cfg) != 0:
+            raise RuntimeError(f"{side} {workload} run failed")
+
+    res = {}
+    # one workload at a time, so each package's kernel cache holds its kernels
+    for workload in WORKLOADS:
+        for side in clis:  # kernels and spectra, once per package
+            run(side, workload)
+        got = {side: [] for side in clis}
+        for i in range(reps):
+            for side in in_order(i):
+                spent.clear()
+                t0 = time.process_time()
+                run(side, workload)
+                total = time.process_time() - t0
+                row = {label: spent.get(label, 0.0) for label in LAYERS}
+                row["other"] = total - sum(row.values())
+                row["total"] = total
+                got[side].append(row)
+        res[workload] = {side: {k: statistics.median(r[k] for r in rows) for k in rows[0]}
+                         for side, rows in got.items()}
     shutil.rmtree(pkgs)
-    return {
-        "epsilons": eps,
-        "reps": reps,
-        "cpu_s_median": {name: {k: statistics.median(r[k] for r in rows) for k in rows[0]}
-                         for name, rows in got.items()},
-    }
+    return {"reps": reps, "cpu_s_median": res}
 
 
 def run_layers(parent_dir: Path, seed: int, reps: int) -> dict:
@@ -168,9 +165,10 @@ def run_layers(parent_dir: Path, seed: int, reps: int) -> dict:
             f"{str(parent_dir / 'src')!r}, {seed}, {reps})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     res = json.loads(out.stdout.strip().splitlines()[-1])
-    res["what"] = ("CPU seconds per lean lifespan sweep (perfbench lifespan workload at this "
-                   "seed), medians over interleaved repetitions in one process; each layer is "
-                   "the time inside the wrapped method, 'other' the rest of the sweep")
+    res["what"] = ("CPU seconds per CLI run of each perfbench workload at this seed, medians "
+                   "over repetitions in one process that alternate parent and change, after "
+                   "one warm-up run per side (kernels and spectra cached); each layer is the "
+                   "time inside the wrapped methods, 'other' the rest of the run")
     return res
 
 
@@ -227,8 +225,8 @@ def main() -> None:
     import numpy
 
     record = {
-        "what": "The parent commit against the change: perfbench pairs, the lean lifespan "
-                "sweep by layer, shipped-config CPU and tier-1 time (the parts run)",
+        "what": "The parent commit against the change: perfbench pairs, the workload runs "
+                "by layer, shipped-config CPU and tier-1 time (the parts run)",
         "command": f"python benchmarks/bench_sweep.py --parent {rev} --seed {args.seed} "
                    f"--pairs {args.pairs} --seconds {args.seconds} --parts {args.parts}",
         "parent": rev,

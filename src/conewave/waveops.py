@@ -27,6 +27,16 @@ the Duhamel term that ``duhamel_direct`` sums directly; ``duhamel_tails``
 runs the same bookkeeping backward over a finished run.  Both fast paths
 take stacks of rows, one per point of a lockstep march, on a window of the
 first k nodes, and give each row what a one-row call gives, bit for bit.
+
+What depends only on the grid is tabulated once and read per slice as
+contiguous runs: ``lam_prefix`` reads the cell powers x0, x1^2 - x0^2 and
+x1^3 - x0^3 of a per-grid cached table; ``FreeField`` its clamped
+(min(i + n, n_r - 1)) and reflected (|i - n|) gather indices, r and 2r;
+``ConeAccumulator`` its fold staircase, lambda row and 2 k h denominators.
+The accumulator's runs need no clamps because a march window ends at
+kmax <= n + support_cells (see its docstring).  Each table entry is the
+value the per-call arithmetic gave, so the results are unchanged bit for
+bit.
 """
 
 from __future__ import annotations
@@ -319,11 +329,12 @@ class ConeAccumulator:
 
     Everything that depends only on (grid, support_cells, n) is read off
     three tables built once: the fold staircase max(0, (x - jr) // 2), the
-    number of slices whose support edge lies behind antidiagonal x (read as
-    a run at x = n + k, reversed at x = n - k); the lambda row k h; and the
-    denominators 2 k h.  In a march the window ends at kmax <= n + jr, so no
-    fold index passes n, and the previous slice's prefix Phi ends at node
-    kmax, where it saturates: only its last node clamps.
+    number of slices m with x - m > m + jr + 1, whose Phi_m has saturated
+    at node x - m (read as a run at x = n + k, reversed at x = n - k); the
+    lambda row k h; and the denominators 2 k h.  In a march the window
+    ends at kmax <= n + jr, so no fold index passes n, and the previous
+    slice's prefix Phi ends at node kmax, where it saturates: only its last
+    node clamps.
 
     Source slices may be stacks (..., k) of rows on one grid: the sums then
     carry the same leading shape, each row summed as a one-row accumulator
@@ -359,7 +370,8 @@ class ConeAccumulator:
         self.A = np.zeros(size)
         self.B = np.zeros(size)
         setattr(self, moment, np.zeros(size))
-        self.totals = np.zeros(lead + (self.grid.n_t + 1,))  # totals[p] = sum of w_m T_m, first p pushes
+        # totals[p] = sum of w_m T_m over the first p pushes
+        self.totals = np.zeros(lead + (self.grid.n_t + 1,))
 
     def _add(self, m: int, w: float, g_row: np.ndarray, moment: str) -> None:
         """Fold source slice m with time weight w into the diagonal sums
