@@ -13,11 +13,12 @@ the ``config/artifact`` pairs whose digests or exit statuses differ, one a
 line; it exits 1 if any do.  A differing ``summary.json`` or
 ``results.csv`` line also gives ``max_rel``, the largest relative change
 |a - b| / max(|a|, |b|) over the artifact's numbers (JSON leaves, CSV
-fields); it reads inf when the two differ in anything but the values of
-numbers.  Peak memory varies from run to run and is not compared.  A
-refactor that must leave the artifacts byte-identical is checked this
-way, and a change that moves results at roundoff level states the shift
-this way.
+fields), and the number it was taken at: the JSON key path, or the CSV
+row (the header is row 0) and column name.  It reads inf, with no place,
+when the two differ in anything but the values of numbers.  Peak memory
+varies from run to run and is not compared.  A refactor that must leave
+the artifacts byte-identical is checked this way, and a change that moves
+results at roundoff level states the shift this way.
 
 Run:  python benchmarks/artifact_digests.py [--parent REV]
 """
@@ -56,7 +57,12 @@ def _leaves(path: Path) -> list:
     if path.suffix == ".csv":
         with path.open(newline="") as f:
             rows = list(csv.reader(f))
-        return [((i, j), value(x)) for i, row in enumerate(rows) for j, x in enumerate(row)]
+        header = rows[0] if rows else []
+        return [
+            ((f"row {i}", header[j] if j < len(header) else f"col {j}"), value(x))
+            for i, row in enumerate(rows)
+            for j, x in enumerate(row)
+        ]
     out = []
 
     def walk(node, key):
@@ -73,24 +79,25 @@ def _leaves(path: Path) -> list:
     return out
 
 
-def max_rel_change(a: Path, b: Path) -> float:
-    """Largest |x - y| / max(|x|, |y|) over the numbers of two artifacts of
-    the same layout; inf when anything but the values of finite numbers
-    differs."""
+def max_rel_change(a: Path, b: Path) -> tuple:
+    """(largest |x - y| / max(|x|, |y|) over the numbers of two artifacts
+    of the same layout, the key of the number it was taken at); (inf, None)
+    when anything but the values of finite numbers differs."""
     la, lb = _leaves(a), _leaves(b)
     if [k for k, _ in la] != [k for k, _ in lb]:
-        return math.inf
-    worst = 0.0
-    for (_, x), (_, y) in zip(la, lb):
+        return math.inf, None
+    worst, where = 0.0, None
+    for (key, x), (_, y) in zip(la, lb):
         if x == y or (x != x and y != y):  # equal, or both nan
             continue
         if not (isinstance(x, float) and isinstance(y, float)):
-            return math.inf
+            return math.inf, None
         rel = abs(x - y) / max(abs(x), abs(y))
         if math.isnan(rel):  # inf against a finite number, or nan against one
-            return math.inf
-        worst = max(worst, rel)
-    return worst
+            return math.inf, None
+        if rel > worst:
+            worst, where = rel, key
+    return worst, where
 
 
 def digests(root: Path, out_base: Path) -> dict:
@@ -142,7 +149,10 @@ def main() -> None:
                 a, b = tmp / "change" / cfg / name, tmp / "parent" / cfg / name
                 shift = ""
                 if name in ("summary.json", "results.csv") and a.exists() and b.exists():
-                    shift = f" max_rel={max_rel_change(a, b):.2e}"
+                    rel, where = max_rel_change(a, b)
+                    shift = f" max_rel={rel:.2e}"
+                    if where is not None:
+                        shift += " at " + "/".join(map(str, where))
                 print(f"{cfg}/{name}{shift}")
     sys.exit(1 if differ else 0)
 

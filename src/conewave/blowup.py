@@ -10,8 +10,10 @@ radial data with v0 = 0, v1 >= 0) into
 
 all of which this module evaluates slice by slice against a run.  Each
 mass integral here (F, F'' and int u^2 dx, and the data mass C0) is
-``grid.MassWeights.mass`` of a row of samples, and a lean run records the
-first three per slice, so the chain reads scalar series.  The scalar
+``grid.mass`` of a row of samples (the slice's live window in a run),
+which sums the exact cell integrals of r^2 PL over that row's cells with
+the node weights of ``grid.cell_weights``; a lean run records the first
+three per slice, so the chain reads scalar series.  The scalar
 comparison ODE built from the linear seed provides a lower envelope for F,
 and the seeded power series feeds the Kato-type parameter calculus that
 certifies the epsilon-exponent of the blow-up time upper bound.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MassWeights, RadialProfile
+from .grid import RadialProfile, mass
 from .solver import SolutionHistory
 
 __all__ = [
@@ -204,7 +206,7 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile, epsilon: float) -
     ig = int(round(2.0 / (2.0 + gamma) / h))  # slice of t_gamma
     env = closed_ok = env_ok = None
     if gamma < 0.0 and 1 <= ig < n_used - 1:
-        C0 = MassWeights(grid).mass(v1.samples) / epsilon
+        C0 = mass(v1.samples, grid) / epsilon
         Fp = (F[ig + 1] - F[ig - 1]) / (2.0 * h)
         env = ode_envelope(epsilon, C0, gamma, t, F[ig], Fp, seed_t=ig * h)
         cf = env.closed_form_valid

@@ -7,16 +7,22 @@ piecewise-linear in between nodes, and all quadrature integrates weight
 factors ``lambda**e`` analytically against that interpolant, cell by cell,
 left to right.  Pure power-law integrands are therefore exact and results
 are bitwise reproducible.
+
+``trapezoid_weighted`` (any e, any interval) is the reference; the whole-cell
+integrals at e = 1, 2 of ``waveops.lam_prefix``, ``mass`` and the gamma = 0, 1
+closed-form convolution read one cached table of exact node weights, ``cell_weights``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Grid", "RadialProfile", "cell_moments", "trapezoid_weighted", "MassWeights", "interp"]
+__all__ = ["Grid", "RadialProfile", "cell_moments", "trapezoid_weighted", "cell_weights", "mass",
+           "interp"]
 
 
 @dataclass(frozen=True)
@@ -180,36 +186,36 @@ def trapezoid_weighted(p: RadialProfile, weight_exponent: float, a: float, b: fl
     return total
 
 
-class MassWeights:
-    """Vectorized exact integral of r^2 * PL(row) over all cells of a grid,
-    for many rows on the same grid."""
+@functools.lru_cache(maxsize=8)
+def cell_weights(grid: Grid) -> dict:
+    """Exact node weights of the cells [j h, (j + 1) h] of ``grid``, by
+    exponent e = 1, 2: (left, right), n_r - 1 entries each, read-only, with
+    int_cell lambda**e PL(s) = left[j] s_j + right[j] s_{j+1}.  They are
+    h^2 (3j + 1, 3j + 2) / 6 and h^3 (6j^2 + 4j + 1, 6j^2 + 8j + 3) / 12,
+    one rounding each where h is a power of two."""
+    j = np.arange(grid.n_r - 1, dtype=float)
+    h2, h3 = grid.h**2, grid.h**3
+    out = {
+        1: ((3.0 * j + 1.0) * h2 / 6.0, (3.0 * j + 2.0) * h2 / 6.0),
+        2: (((6.0 * j + 4.0) * j + 1.0) * h3 / 12.0, ((6.0 * j + 8.0) * j + 3.0) * h3 / 12.0),
+    }
+    for a in (*out[1], *out[2]):
+        a.setflags(write=False)
+    return out
 
-    def __init__(self, grid: Grid):
-        h = grid.h
-        x0 = np.arange(grid.n_r - 1) * h
-        x1 = x0 + h
-        self.m2 = (x1**3 - x0**3) / 3.0
-        self.m3 = (x1**4 - x0**4) / 4.0
-        self.x0 = x0
-        self.h = h
 
-    def mass(self, row: np.ndarray):
-        """4 pi int r^2 PL(row)(r) dr over the whole grid, for the samples
-        (..., k) of the first k nodes (zero past them); a stack gives one
-        mass per row.  The cell terms are summed over every cell of the
-        grid, so a window sums as its zero-padded row does, bit for bit."""
-        k = row.shape[-1]
-        n_c = self.x0.size
-        c = min(k, n_c)  # the cells that touch a node of the window
-        right = row[..., 1 : c + 1]
-        if k == c:  # the right node of the last cell lies past the window
-            right = np.concatenate([right, np.zeros(row.shape[:-1] + (1,))], axis=-1)
-        c1 = (right - row[..., :c]) / self.h
-        c0 = row[..., :c] - c1 * self.x0[:c]
-        cells = np.zeros(row.shape[:-1] + (n_c,))
-        cells[..., :c] = c0 * self.m2[:c] + c1 * self.m3[:c]
-        total = 4.0 * math.pi * cells.sum(axis=-1)
-        return float(total) if row.ndim == 1 else total
+def mass(row: np.ndarray, grid: Grid):
+    """4 pi int r^2 PL(row)(r) dr for the samples (..., k) of the first k
+    nodes of ``grid``, zero past them; a stack gives one mass per row, each
+    the value of its one-row call.  Only the cells that touch a node of the
+    window are summed."""
+    k = row.shape[-1]
+    c = min(k, grid.n_r - 1)
+    right = np.zeros(row.shape[:-1] + (c,))  # the last cell's right node may lie past k
+    right[..., : k - 1] = row[..., 1:k]
+    wl, wr = cell_weights(grid)[2]
+    total = 4.0 * math.pi * (wl[:c] * row[..., :c] + wr[:c] * right).sum(axis=-1)
+    return float(total) if row.ndim == 1 else total
 
 
 def interp(p: RadialProfile, r: float) -> float:

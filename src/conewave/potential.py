@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .grid import RadialProfile, cell_moments, trapezoid_weighted
+from .grid import RadialProfile, cell_moments, cell_weights, trapezoid_weighted
 
 __all__ = [
     "is_log_branch",
@@ -316,13 +316,14 @@ class ConvolutionKernel:
     per octave and every L lies below 4.5 n, so a kernel holds fewer than
     2 log2(4 n) of them.  The moment tables and spectra are built on the
     first FFT call.  The axis value is a dot product with node weights
-    taken once from ``cell_moments``.
+    taken once from ``cell_moments`` (``_hat_weights``).
 
     At gamma = 0 and 1 (exact equality) ``apply`` takes the closed form
     (``_convolve_closed``) and builds no tables or spectra: each cell's
-    integrals of rho^e PL(w), e = 1 and 2, from node weights taken once
-    per grid, summed from the axis (e = 2, divided by r) and from the
-    support edge (e = 1); at gamma = 0 every node takes the axis value.
+    integrals of rho^e PL(w), e = 1 and 2, from the exact node weights of
+    ``grid.cell_weights``, which the axis value reads too, summed from the
+    axis (e = 2, divided by r) and from the support edge (e = 1); at
+    gamma = 0 every node takes the axis value.
 
     ``cubic`` gives the source term (V_gamma * u^2) u on a window of the
     first k nodes, with the window as the support of u.
@@ -338,11 +339,11 @@ class ConvolutionKernel:
         self.d = 2.0 - gamma
         self._closed = gamma in (0.0, 1.0)
         self._spectra: dict[int, np.ndarray] = {}
-        h, d = self.h, self.d
-        x0 = np.arange(self.n - 1) * h
-        self._axis_w = _hat_weights(d, x0, x0 + h, h)
-        if gamma == 1.0:  # the e = 2 node weights of the inner sum
-            self._w2 = _hat_weights(2.0, x0, x0 + h, h)
+        if self._closed:  # d = 1 or 2: the per-grid exact weights
+            self._axis_w = cell_weights(grid)[int(self.d)]
+        else:
+            x0 = np.arange(self.n - 1) * self.h
+            self._axis_w = _hat_weights(self.d, x0, x0 + self.h, self.h)
 
     @functools.cached_property
     def _tables(self):
@@ -442,9 +443,10 @@ class ConvolutionKernel:
             return t
 
         i = np.minimum(np.arange(1, m), n_c)
-        inner = np.cumsum(terms(2.0, self._w2), axis=-1)[..., i - 1]
+        weights = cell_weights(self.grid)
+        inner = np.cumsum(terms(2.0, weights[2]), axis=-1)[..., i - 1]
         outer = np.zeros(s.shape[:-1] + (n_c + 1,))
-        outer[..., :n_c] = np.cumsum(terms(1.0, self._axis_w)[..., ::-1], axis=-1)[..., ::-1]
+        outer[..., :n_c] = np.cumsum(terms(1.0, weights[1])[..., ::-1], axis=-1)[..., ::-1]
         out[..., 1:] = 4.0 * math.pi * (inner / (np.arange(1, m) * self.h) + outer[..., i])
         return out
 

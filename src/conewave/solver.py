@@ -27,8 +27,8 @@ Both backends compute u of slice n on its window (``Grid.window``), so they
 write zeros past node n + jr by construction (finite propagation speed).  Both
 hand each finished window to one recorder, which keeps the same per-slice
 values for every row (weighted norm by ``norms.slice_x_norm``, dissipation
-weight, mass functional by ``grid.MassWeights``, sup), so they can be
-cross-validated slice by slice; the march adds each slice's closure sweeps,
+weight, mass functional by ``grid.mass`` over the window's cells, sup), so
+they can be cross-validated slice by slice; the march adds each slice's closure sweeps,
 last relative step and sources from a chosen slice on (a stored run their
 table, a lean run the masses of G and of u^2).  A d'Alembert run keeps its
 u table, or, given the march's u table as a reference, only its per-slice
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, MassWeights, RadialProfile
+from .grid import Grid, RadialProfile, mass
 from .norms import WeightParams, slice_x_norm
 from .potential import cached_kernel
 from .waveops import ConeAccumulator, FreeField, duhamel_tails, lam_prefix
@@ -233,7 +233,7 @@ class _Recorder:
         self.r = grid.radii()
         self.wp = params.weights()
         self.h = grid.h
-        self.mw = MassWeights(grid)
+        self.grid = grid
         shape = (n_rows, grid.n_t)
         self.x_norm = np.zeros(shape)
         self.dissip = np.zeros(shape)
@@ -278,8 +278,8 @@ class _Recorder:
         if self.g is not None and n >= self.g_from:
             self.g[rows, n - self.g_from, :k] = g
         if self.source_mass is not None and n >= self.g_from:
-            self.source_mass[rows, n - self.g_from] = self.mw.mass(g)
-            self.square_mass[rows, n - self.g_from] = self.mw.mass(u**2)
+            self.source_mass[rows, n - self.g_from] = mass(g, self.grid)
+            self.square_mass[rows, n - self.g_from] = mass(u**2, self.grid)
         if self.u_ref is not None and n < len(self.u_ref):
             # both rows vanish past the window: the distance lies on it
             self.ref_diff[rows, n] = np.abs(u - self.u_ref[n, :k]).max(axis=-1)
@@ -293,7 +293,7 @@ class _Recorder:
         self.sup_u[rows, n] = sup
         self.x_norm[rows, n] = slice_x_norm(self.wp, r, t, u)
         self.dissip[rows, n] = ((1.0 + t + r) * au).max(axis=-1) / (1.0 + t)
-        self.mass[rows, n] = self.mw.mass(u)
+        self.mass[rows, n] = mass(u, self.grid)
         self.n_used[rows] = n + 1
         stop = ~finite
         stop[finite] = sup > self.params.blowup_threshold

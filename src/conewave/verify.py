@@ -297,8 +297,7 @@ def verify_free_decay(v0: RadialProfile, v1: RadialProfile, grid: Grid, R: float
     jr = int(round(R / grid.h))
     series: list[tuple[float, float]] = []
     best = 0.0
-    # the shell t - R <= r <= t + R of slice n is the nodes n - jr .. n + jr
-    # on the grid: the tail of the live window, empty once n - jr >= n_r
+    # the shell t - R <= r <= t + R: nodes n - jr .. n + jr, while n - jr < n_r
     for n in range(min(grid.n_t, grid.n_r + jr)):
         t = n * grid.h
         k = grid.window(n, jr)

@@ -29,24 +29,23 @@ take stacks of rows, one per point of a lockstep march, on a window of the
 first k nodes, and give each row what a one-row call gives, bit for bit.
 
 What depends only on the grid is tabulated once and read per slice as
-contiguous runs: ``lam_prefix`` reads the cell powers x0, x1^2 - x0^2 and
-x1^3 - x0^3 of a per-grid cached table; ``FreeField`` its clamped
-(min(i + n, n_r - 1)) and reflected (|i - n|) gather indices, r and 2r;
-``ConeAccumulator`` its fold staircase, lambda row and 2 k h denominators.
-The accumulator's runs need no clamps because a march window ends at
-kmax <= n + support_cells (see its docstring).  Each table entry is the
-value the per-call arithmetic gave, so the results are unchanged bit for
-bit.
+contiguous runs: ``lam_prefix`` sums the cells' exact lambda-weighted
+integrals with the e = 1 node weights of ``grid.cell_weights``, the one
+per-grid table that the mass functional and the closed-form convolution
+also read; ``FreeField`` its clamped (min(i + n, n_r - 1)) and reflected
+(|i - n|) gather indices, r and 2r; ``ConeAccumulator`` its fold
+staircase, lambda row and 2 k h denominators.  The accumulator's runs
+need no clamps because a march window ends at kmax <= n + support_cells
+(see its docstring).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .grid import Grid, RadialProfile, interp, trapezoid_weighted
+from .grid import Grid, RadialProfile, cell_weights, interp, trapezoid_weighted
 
 __all__ = [
     "kirchhoff_radial",
@@ -179,28 +178,14 @@ class FreeField:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _lam_cells(grid: Grid):
-    """(x0, x1^2 - x0^2, x1^3 - x0^3) of the cells [x0, x1 = x0 + h] of
-    ``grid``, read-only: a row of k nodes takes the first k - 1 of each."""
-    x0 = np.arange(grid.n_r - 1) * grid.h
-    x1 = x0 + grid.h
-    out = (x0, x1**2 - x0**2, x1**3 - x0**3)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def lam_prefix(g_row: np.ndarray, grid: Grid) -> np.ndarray:
     """Prefix integrals Phi(j) = int_0^{j h} lam * PL(g_row)(lam) dlam,
-    along the last axis, for the samples of the first nodes of ``grid``."""
+    along the last axis, for the samples of the first nodes of ``grid``:
+    the running sum of the cells' exact integrals (``grid.cell_weights``)."""
     g_row = np.asarray(g_row, dtype=float)
     n = g_row.shape[-1]
-    x0, d2, d3 = (a[: n - 1] for a in _lam_cells(grid))
-    h = grid.h
-    c1 = (g_row[..., 1:] - g_row[..., :-1]) / h
-    c0 = g_row[..., :-1] - c1 * x0
-    cell = c0 * d2 / 2.0 + c1 * d3 / 3.0
+    wl, wr = cell_weights(grid)[1]
+    cell = wl[: n - 1] * g_row[..., :-1] + wr[: n - 1] * g_row[..., 1:]
     out = np.empty(g_row.shape)
     out[..., 0] = 0.0
     np.cumsum(cell, axis=-1, out=out[..., 1:])

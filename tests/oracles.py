@@ -3,14 +3,15 @@
 The oracles deliberately avoid the package's fast paths: ``mass``,
 ``mass_rhs`` and ``frame_check`` integrate the mass functional of a
 profile through ``trapezoid_weighted``, the reference for
-``grid.MassWeights``; the Monte Carlo convolution samples the 3D integral
+``grid.mass``; the Monte Carlo convolution samples the 3D integral
 directly, the mpmath convolution integrates the shell kernel cell by cell
 at 30 digits, the exact convolution at gamma = 0 and 1 sums closed-form
 cell moments exactly and rounds once, the brute-force exponent scan re-derives
 the Kato parameter inequality, the slow cone integral nests Gauss
 quadratures, and ``w_weight`` is the paper's bilinear-estimate weight.
 ``free_table`` stacks free-field slices, and ``mass_series`` reads the
-mass chain off a stored run's tables.  The two drivers run the
+mass chain off a stored run's tables, each source row on its slice's live
+window, as the recorder sums it.  The two drivers run the
 package's march and cone accumulator on questions no CLI mode asks:
 Picard iteration on a short window, and equivariance under the scaling
 symmetry.
@@ -25,7 +26,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from conewave.grid import MassWeights, RadialProfile, trapezoid_weighted
+from conewave.grid import RadialProfile, trapezoid_weighted, mass as window_mass
 from conewave.norms import WeightParams, slice_x_norm, tau
 from conewave.potential import ConvolutionKernel, cached_kernel, is_log_branch
 from conewave.solver import solve_march
@@ -247,10 +248,10 @@ def mass_series(hist):
         raise ValueError("run must store history, the sources from slice 0 on")
     t = hist.t
     F = hist.mass.copy()
-    mw = MassWeights(hist.grid)
+    grid, jr = hist.grid, hist.params.support_cells
     rhs = np.empty(hist.n_used)
     for n in range(hist.n_used):
-        rhs[n] = mw.mass(hist.g[n]) / (1.0 + t[n]) ** 2
+        rhs[n] = window_mass(hist.g[n][: grid.window(n, jr)], grid) / (1.0 + t[n]) ** 2
     return t, F, rhs
 
 

@@ -1,18 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conewave.grid import (
     Grid,
-    MassWeights,
     RadialProfile,
     cell_moments,
     interp,
+    mass,
     trapezoid_weighted,
 )
 
-from oracles import mass, random_profile
+from conewave.waveops import lam_prefix
+
+from oracles import mass as oracle_mass, random_profile
 
 
 @pytest.fixture
@@ -176,26 +179,45 @@ class TestMassWeights:
         # node-aligned supports: both integrate the same cells; the worst
         # relative gap measured over these rows is 3.5e-14
         grid = Grid(h=h, n_r=n_r, n_t=1)
-        mw = MassWeights(grid)
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = random_profile(grid, rng, nonneg=True)
-            assert mw.mass(p.samples) == pytest.approx(mass(p), rel=1e-13)
-
-    def test_window_sums_as_padded_row(self, grid):
-        mw = MassWeights(grid)
-        p = random_profile(grid, np.random.default_rng(4))
-        k = int(round(p.support_radius / grid.h)) + 1
-        for kk in (k, k + 1, grid.n_r - 1, grid.n_r):
-            assert mw.mass(p.samples[:kk]) == mw.mass(p.samples)
+            assert mass(p.samples, grid) == pytest.approx(oracle_mass(p), rel=1e-13)
 
     def test_stack_rows_equal_one_row_calls(self, grid):
-        mw = MassWeights(grid)
         rng = np.random.default_rng(5)
         rows = np.stack([random_profile(grid, rng).samples for _ in range(6)])
         for k in (40, grid.n_r):
-            stack = mw.mass(rows[:, :k])
-            assert [float(m) for m in stack] == [mw.mass(row[:k]) for row in rows]
+            stack = mass(rows[:, :k], grid)
+            assert [float(m) for m in stack] == [mass(row[:k], grid) for row in rows]
+
+
+class TestCellWeights:
+    @pytest.mark.parametrize("h,n_r,n0", [(1 / 16, 1617, 1400), (1 / 64, 4000, 3000)])
+    def test_exact_on_far_shell(self, h, n_r, n0):
+        # a 32-cell shell far from the axis: lam_prefix and mass against
+        # exact rational sums of the float samples times the exact weights
+        # h^2 (3j + 1, 3j + 2)/6 and h^3 (6j^2 + 4j + 1, 6j^2 + 8j + 3)/12
+        grid = Grid(h=h, n_r=n_r, n_t=1)
+        row = np.zeros(n_r)
+        row[n0 : n0 + 33] = np.random.default_rng(6).uniform(0.5, 1.5, 33)
+        s = [Fraction(x) for x in row]
+        hf = Fraction(h)
+        phi, total2 = [Fraction(0)] * (n0 + 35), Fraction(0)
+        for j in range(n0 - 1, n0 + 34):
+            cell1 = hf**2 * ((3 * j + 1) * s[j] + (3 * j + 2) * s[j + 1]) / 6
+            phi[j + 1] = phi[j] + cell1
+            total2 += hf**3 * (
+                (6 * j * j + 4 * j + 1) * s[j] + (6 * j * j + 8 * j + 3) * s[j + 1]
+            ) / 12
+        got = lam_prefix(row, grid)
+        assert got[: n0 - 1].tolist() == [0.0] * (n0 - 1)
+        err = max(abs(Fraction(got[j]) - phi[j]) for j in range(n0 - 1, n0 + 35))
+        assert err <= Fraction(1e-15) * phi[-1]
+        assert got[-1] == got[n0 + 34]
+        exact = Fraction(4.0 * math.pi) * total2
+        for k in (n0 + 33, n0 + 40, n_r):
+            assert abs(Fraction(mass(row[:k], grid)) - exact) <= Fraction(1e-15) * exact
 
 
 class TestInterp:
