@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +188,7 @@ def trapezoid_weighted(p: RadialProfile, weight_exponent: float, a: float, b: fl
 
 
 @functools.lru_cache(maxsize=8)
-def cell_weights(grid: Grid) -> dict:
+def cell_weights(grid: Grid) -> types.MappingProxyType:
     """Exact node weights of the cells [j h, (j + 1) h] of ``grid``, by
     exponent e = 1, 2: (left, right), n_r - 1 entries each, read-only, with
     int_cell lambda**e PL(s) = left[j] s_j + right[j] s_{j+1}.  They are
@@ -201,7 +202,7 @@ def cell_weights(grid: Grid) -> dict:
     }
     for a in (*out[1], *out[2]):
         a.setflags(write=False)
-    return out
+    return types.MappingProxyType(out)  # shared by every caller: read-only
 
 
 def mass(row: np.ndarray, grid: Grid):
