@@ -5,8 +5,11 @@
   takes for each n_r and the agreement max |apply - direct| / max |direct|
   of the two; then the closed form that ``apply`` takes at gamma = 0 and
   1, against the exact cell-moment sums of ``tests/oracles.py``;
-* causal Duhamel march: per-diagonal accumulator (O(1) per node) vs the
-  direct nested quadrature (O(n_t) per node).
+* causal Duhamel march: the accumulator's characteristic recurrence
+  (O(1) per node) vs the direct nested quadrature (O(n_t) per node), and
+  the accumulator's last slice against the long-double direct sum of the
+  same quadrature (``tests/oracles.py::duhamel_sum_ld``), max |acc - sum|
+  / max |sum|, which shows how the recurrence's roundoff grows with n_t.
 
 Run:  PYTHONPATH=src python benchmarks/bench_cone.py
 """
@@ -22,7 +25,7 @@ from conewave.potential import ConvolutionKernel, _fft_length, convolve_profile_
 from conewave.waveops import ConeAccumulator, duhamel_direct
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import exact_convolution  # noqa: E402
+from oracles import duhamel_sum_ld, exact_convolution  # noqa: E402
 
 SIZES = (129, 257, 513, 1025, 2049)
 
@@ -79,8 +82,8 @@ def bench_closed_form():
 
 def bench_march():
     print("\ncausal march (full Duhamel table)")
-    print(f"{'n_t':>7} {'accum_s':>9} {'direct_s':>10} {'speedup':>8}")
-    for n_t in (65, 129, 257, 513):
+    print(f"{'n_t':>7} {'accum_s':>9} {'direct_s':>10} {'speedup':>8} {'max_rel':>9}")
+    for n_t in (65, 129, 257, 513, 1025, 2049):
         h = 8.0 / (n_t - 1)
         jr = max(1, int(round(1.0 / h)))
         grid = Grid(h=h, n_r=n_t + jr, n_t=n_t)
@@ -96,9 +99,11 @@ def bench_march():
         acc = ConeAccumulator(grid, jr)
         for n in range(n_t):
             if n >= 1:
-                acc.eval_slice(gt[n])
+                last = acc.eval_slice(gt[n])
             acc.push_slice(gt[n])
         accum_s = time.perf_counter() - t0
+        exact = duhamel_sum_ld(gt, grid, n_t - 1)
+        max_rel = np.max(np.abs(last - exact[: last.size])) / np.max(np.abs(exact))
 
         t0 = time.perf_counter()
         budget = 2.0
@@ -112,7 +117,10 @@ def bench_march():
                 break
         frac = done / max(1, sum(grid.window(n, jr) for n in range(1, n_t)))
         direct_s = (time.perf_counter() - t0) / max(frac, 1e-9)
-        print(f"{n_t:>7} {accum_s:>9.3f} {direct_s:>10.1f} {direct_s/accum_s:>8.0f}x")
+        print(
+            f"{n_t:>7} {accum_s:>9.3f} {direct_s:>10.1f} {direct_s/accum_s:>8.0f}x"
+            f" {max_rel:>9.1e}"
+        )
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ Prints a JSON record with up to four parts:
 * ``layers``  -- one CLI run (``cli.run`` in process) of each perfbench
   workload, lifespan, global and verify, at this seed, parent against
   change, interleaved in one process and split by layer: CPU seconds in the
-  free field, history plus closure evaluation, slice convolution (``cubic``
-  in the marches, ``apply`` in ``verify_bilinear``), recorder and push;
+  free field, closure evaluation (``eval_slice``), slice convolution
+  (``cubic`` in the marches, ``apply`` in ``verify_bilinear``), recorder,
+  and push with the history step (``push_slice``; a tree from before the
+  characteristic recurrence builds the history in ``eval_slice``);
 * ``configs`` -- CPU seconds, wall seconds and peak RSS (``ru_maxrss``) of
   one CLI run of each shipped config, two rounds alternating between the
   checkouts;
@@ -44,11 +46,11 @@ METRICS = ("run_ref_s", "setup_s", "peak_rss_mb")
 CONFIGS = tuple(sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")))
 LAYERS = {  # layer -> the (module, class, method) wrapped in each package
     "free_field": [("waveops", "FreeField", "slice")],
-    "history_and_closure_eval": [("waveops", "ConeAccumulator", "eval_slice")],
+    "closure_eval": [("waveops", "ConeAccumulator", "eval_slice")],
     "slice_convolution": [("potential", "ConvolutionKernel", "cubic"),
                           ("potential", "ConvolutionKernel", "apply")],
     "recorder": [("solver", "_Recorder", "record")],
-    "push": [("waveops", "ConeAccumulator", "push_slice")],
+    "push_and_history": [("waveops", "ConeAccumulator", "push_slice")],
 }
 
 

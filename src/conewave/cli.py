@@ -158,9 +158,7 @@ def _mode_solve(cfg: RunConfig):
         ts, vals, rem = scattering_check(hist, cfg.t_star)
         summary["scattering_final_over_initial"] = float(vals[-1] / vals[0]) if vals[0] else 0.0
         summary["scattering_tail_estimate"] = rem
-        invariants["scattering_decreasing"] = bool(
-            np.all(np.diff(vals) <= 1e-12 * max(1.0, float(vals[0])))
-        )
+        invariants["scattering_decreasing"] = bool(np.all(np.diff(vals) <= 1e-9 * vals[:-1]))
         _, dis = dissipation_monitor(liouville(hist), hist.grid)
         w = hist.t >= 10.0
         if np.count_nonzero(w) >= 2:

@@ -15,8 +15,11 @@ piecewise-linear slice; the outer integral uses the closed-form moments of
 (1+s)^-2 against the piecewise-linear inner values, plus a short-time
 closure on the newest cell where the inner integral degenerates.  With
 dt = dr every cone edge sits on grid nodes, so inner integrals differ by
-two prefix-sum lookups, and the time sums regroup into per-diagonal
-accumulators: a full causal march costs O(n_t * n_r) total instead of
+two prefix-sum lookups, and 2 r times the sum over the earlier slices obeys
+the discrete d'Alembert identity of an undamped 1+1-D wave (after
+u = (1+t) v the damped problem is one): each slice is one leapfrog step
+from the two before it plus the terms of the three newest source slices,
+so a full causal march costs O(n_t * n_r) total instead of
 O(n_t^2 * n_r).  The closure makes L exact for sources that are constant in
 lambda and linear in (t - s), e.g. L(1) = t - log(1+t) to roundoff.
 
@@ -24,19 +27,16 @@ Each operator has one fast path and one pointwise reference: ``FreeField``
 tabulates the free field that ``kirchhoff_radial``, ``dt_kirchhoff_radial``
 and ``free_field`` evaluate point by point, and ``ConeAccumulator`` marches
 the Duhamel term that ``duhamel_direct`` sums directly; ``duhamel_tails``
-runs the same bookkeeping backward over a finished run.  Both fast paths
+runs the same leapfrog step backward over a finished run.  Both fast paths
 take stacks of rows, one per point of a lockstep march, on a window of the
 first k nodes, and give each row what a one-row call gives, bit for bit.
 
-What depends only on the grid is tabulated once and read per slice as
-contiguous runs: ``lam_prefix`` sums the cells' exact lambda-weighted
-integrals with the e = 1 node weights of ``grid.cell_weights``, the one
-per-grid table that the mass functional and the closed-form convolution
-also read; ``FreeField`` its clamped (min(i + n, n_r - 1)) and reflected
-(|i - n|) gather indices, r and 2r; ``ConeAccumulator`` its fold
-staircase, lambda row and 2 k h denominators.  The accumulator's runs
-need no clamps because a march window ends at kmax <= n + support_cells
-(see its docstring).
+The cells' exact lambda-weighted integrals come from the e = 1 node
+weights of ``grid.cell_weights``, the one per-grid table that the mass
+functional and the closed-form convolution also read: ``lam_prefix`` sums
+them, and the cone steps add the two next to each node.  ``FreeField``
+tabulates its clamped (min(i + n, n_r - 1)) and reflected (|i - n|)
+gather indices, r and 2r once per field.
 """
 
 from __future__ import annotations
@@ -295,40 +295,78 @@ def duhamel_direct(g_table: np.ndarray, grid: Grid, r: float, t: float) -> float
 # ---------------------------------------------------------------------------
 
 
+def _at(a: np.ndarray, i: int) -> float:
+    """a[i], or 0.0 for an index outside ``a``: the weight of a dropped term."""
+    return float(a[i]) if 0 <= i < a.size else 0.0
+
+
+def _pair_sums(g_row: np.ndarray, c: int, size: int, grid: Grid):
+    """F(k) = Phi(k+1) - Phi(k-1) at nodes 0..size-1 for one source slice,
+    with Phi its prefix (``lam_prefix``) saturated past node ``c``: the sum
+    of the exact lambda-weighted integrals of the two cells next to k,
+    F(0) = 0 and zeros past c.  Returns (the samples of nodes 0..c, zero
+    padded, F)."""
+    g = np.asarray(g_row, dtype=float)[..., : c + 1]
+    if g.shape[-1] < c + 1:
+        g = np.concatenate([g, np.zeros(g.shape[:-1] + (c + 1 - g.shape[-1],))], axis=-1)
+    wl, wr = cell_weights(grid)[1]
+    cells = wl[:c] * g[..., :-1] + wr[:c] * g[..., 1:]
+    f = np.zeros(g.shape[:-1] + (size,))
+    f[..., 1 : c + 1] = cells
+    f[..., 1:c] += cells[..., 1:]
+    return g, f
+
+
+def _leapfrog(y, y_prev, f, w, k: int) -> None:
+    """One step of the discrete d'Alembert recurrence on nodes 1..k,
+    written over ``y_prev``:
+
+        y_prev(j) <- y(j+1) + y(j-1) - y_prev(j) - w0 f0(j)
+                     + w1 (f1(j+1) + f1(j-1)) + w2 f2(j)
+
+    for f = (f0, f1, f2) and w = (w0, w1, w2).  Every array vanishes at
+    node 0 and holds node k + 1."""
+    (f0, f1, f2), (w0, w1, w2) = f, w
+    out = y_prev[..., 1 : k + 1]
+    np.subtract(y[..., 2 : k + 2], out, out=out)
+    out += y[..., :k]
+    out -= w0 * f0[..., 1 : k + 1]
+    out += w1 * (f1[..., 2 : k + 2] + f1[..., :k])
+    out += w2 * f2[..., 1 : k + 1]
+
+
 class ConeAccumulator:
-    """Running per-diagonal sums that turn the causal march into O(1) work
-    per node and slice.
+    """The causal march's Duhamel term by its characteristic recurrence.
 
-    For evaluation at node (k, n) the composite time rule needs
+    After u = (1+t) v the damped problem is an undamped wave equation, and
+    the cone quadrature inherits the discrete d'Alembert identity: the
+    history part of slice n at node k >= 1 is Y_n(k) / (2 k h), with
 
-        sum_m w_m [Phi_m(k+n-m) - Phi_m(|k-n+m|)],
+        Y_n(k) = sum_m c_m [Phi_m(k+n-m) - Phi_m(|k-n+m|)],
 
-    i.e. one antidiagonal sum A(k+n), one diagonal sum B(k-n) and one
-    antidiagonal sum A(n-k).  Each finalized slice extends A and B by a
-    single vector add; entries that would fall beyond a slice's support are
-    folded into a running sum of slice totals (Phi saturates there).
+    c_m the endpoint weights at slice m of the time cells 0..n-2 (the
+    newest cell is left to the closure (J1, J2)).  Pushing source slice m
+    advances it by one step of ``_leapfrog``,
+
+        Y_{m+1}(k) = Y_m(k+1) + Y_m(k-1) - Y_{m-1}(k) - wl[m-2] F_{m-2}(k)
+                     + wl[m-1] (F_{m-1}(k+1) + F_{m-1}(k-1)) + wr[m-1] F_m(k),
+
+    where F_m(k) = Phi_m(k+1) - Phi_m(k-1), wl and wr are the
+    ``TimeWeights`` of the cells, a term with a negative index is dropped,
+    Y_0 = Y_1 = 0 and Y_n(0) = 0.  Each row keeps Y_n, Y_{n-1}, the F of
+    the last two slices, the lambda-moment antidiagonal that gives the axis
+    value, and the history of slice n with the J1 term of the previous
+    source, so each closure sweep of :meth:`eval_slice` costs one vector
+    add.
     ``support_cells`` is the source support radius in cells (R/h for the
-    nonlinear march).  The axis value needs one more sum, the lambda-moment
-    of the slices: by antidiagonal (``Ax``) for the march, by diagonal
-    (``Bx``) for the tails; the caller of :meth:`_add` names the one it reads.
+    nonlinear march); the recurrence runs on the live window
+    (``Grid.window``), past which Y_n vanishes.
 
-    Everything that depends only on (grid, support_cells, n) is read off
-    three tables built once: the fold staircase max(0, (x - jr) // 2), the
-    number of slices m with x - m > m + jr + 1, whose Phi_m has saturated
-    at node x - m (read as a run at x = n + k, reversed at x = n - k); the
-    lambda row k h; and the denominators 2 k h.  In a march the window
-    ends at kmax <= n + jr, so no fold index passes n, and the previous
-    slice's prefix Phi ends at node kmax, where it saturates: only its last
-    node clamps.
-
-    Source slices may be stacks (..., k) of rows on one grid: the sums then
-    carry the same leading shape, each row summed as a one-row accumulator
-    would, and :meth:`keep_rows` drops the rows whose march has ended.
-
-    The march pushes slices 0, 1, ... and reads :meth:`eval_slice`.
-    :func:`duhamel_tails` folds the slices of a finished run in from the last
-    one down and reads :meth:`_eval_tail`; there the totals in push order
-    are the suffix sums over the later slices.
+    Source slices may be stacks (..., k) of rows on one grid: the state
+    then carries the same leading shape, each row marched as a one-row
+    accumulator would, and :meth:`keep_rows` drops the rows whose march has
+    ended.  The march pushes slices 0, 1, ... and reads :meth:`eval_slice`;
+    :func:`duhamel_tails` runs the same step backward over a finished run.
     """
 
     def __init__(self, grid: Grid, support_cells: int):
@@ -336,154 +374,55 @@ class ConeAccumulator:
         self.jr = int(support_cells)
         grid.check_cone(self.jr)
         self.tw = TimeWeights(grid.n_t, grid.h)
-        # sized for the rows of the first pushed slice (see _sums)
-        self.A = self.B = self.Ax = self.Bx = self.totals = None
-        self.boff = grid.n_t - 1
         self.n_pushed = 0
-        self._phi_prev: np.ndarray | None = None
-        self._g_prev: np.ndarray | None = None
-        # _history(n, kmax) of the slice n = n_pushed being closed
-        self._memo: tuple | None = None
-        self._stair = np.maximum(0, (np.arange(grid.n_t + grid.n_r) - self.jr) // 2)
+        # sized for the rows of the first pushed slice
+        self._y = self._y_prev = self._f1 = self._f2 = self._ax = None
+        self._base: np.ndarray | None = None  # slice n_pushed but its J2 term
+        self._J2 = 0.0
         self._lam = grid.radii()
         self._den = 2.0 * np.arange(1, grid.n_r) * grid.h
 
-    def _sums(self, lead: tuple, moment: str) -> None:
-        """Allocate the diagonal sums and the named moment sum for source
-        rows of leading shape ``lead``."""
-        size = lead + (self.grid.n_t + self.grid.n_r,)
-        self.A = np.zeros(size)
-        self.B = np.zeros(size)
-        setattr(self, moment, np.zeros(size))
-        # totals[p] = sum of w_m T_m over the first p pushes
-        self.totals = np.zeros(lead + (self.grid.n_t + 1,))
-
-    def _add(self, m: int, w: float, g_row: np.ndarray, moment: str) -> None:
-        """Fold source slice m with time weight w into the diagonal sums
-        and into the moment sum ``moment`` ("Ax" or "Bx"); ``g_row`` may
-        stop at any node past the support (zeros follow)."""
-        g_row = np.asarray(g_row, dtype=float)
-        if self.A is None:
-            self._sums(g_row.shape[:-1], moment)
-        # samples must vanish strictly beyond index m + jr; the linear ramp
-        # of an edge sample still carries mass into the next cell, so the
-        # prefix saturates one index later
-        L = min(m + self.jr + 1, self.grid.n_r - 1)
-        g = g_row[..., : L + 1]
-        if g.shape[-1] < L + 1:
-            g = np.concatenate([g, np.zeros(g.shape[:-1] + (L + 1 - g.shape[-1],))], axis=-1)
-        phi = lam_prefix(g, self.grid)
-        wphi = w * phi
-        b0 = self.boff - m
-        self.A[..., m : m + L + 1] += wphi
-        self.B[..., b0 : b0 + L + 1] += wphi
-        x0 = m if moment == "Ax" else b0
-        getattr(self, moment)[..., x0 : x0 + L + 1] += w * self._lam[: L + 1] * g
-        p = self.n_pushed
-        self.totals[..., p + 1] = self.totals[..., p] + wphi[..., L]
-        self.n_pushed = p + 1
-        self._phi_prev = phi
-        self._g_prev = g_row
-        self._memo = None
-
     def keep_rows(self, keep: np.ndarray) -> None:
         """Keep only the source rows selected by ``keep`` (an index or mask
-        over the leading axis), between a push and the next evaluation."""
-        for name in ("A", "B", "Ax", "Bx", "totals", "_phi_prev", "_g_prev"):
-            sums = getattr(self, name)
-            if sums is not None:  # nothing pushed yet, or the other moment
-                setattr(self, name, sums[keep])
-        self._memo = None
+        over the leading axis)."""
+        for name in ("_y", "_y_prev", "_f1", "_f2", "_ax", "_base"):
+            state = getattr(self, name)
+            if state is not None:  # nothing pushed yet
+                setattr(self, name, state[keep])
 
     def push_slice(self, g_row: np.ndarray) -> None:
-        m = self.n_pushed
-        self._add(m, self.tw.w_slice[m], g_row, "Ax")
+        """Push source slice m = ``n_pushed``; ``g_row`` may stop at any
+        node past the support (zeros follow)."""
+        grid, tw, m = self.grid, self.tw, self.n_pushed
+        n_r = grid.n_r
+        k = grid.window(m + 1, self.jr) - 1  # F_m's last node too
+        g, f = _pair_sums(g_row, k, n_r + 1, grid)
+        if self._y is None:
+            lead = g.shape[:-1]
+            self._y, self._y_prev, self._f1, self._f2 = (
+                np.zeros(lead + (n_r + 1,)) for _ in range(4)
+            )
+            self._ax = np.zeros(lead + (grid.n_t + n_r,))
+        weights = (_at(tw.wl, m - 2), _at(tw.wl, m - 1), _at(tw.wr, m - 1))
+        _leapfrog(self._y, self._y_prev, (self._f2, self._f1, f), weights, k)
+        self._y, self._y_prev = self._y_prev, self._y
+        self._f2, self._f1 = self._f1, f
+        self._ax[..., m : m + k + 1] += tw.w_slice[m] * self._lam[: k + 1] * g
+        self.n_pushed = n = m + 1
+        J1, self._J2 = tw.closure(n)
+        base = np.empty(g.shape)
+        base[..., 1:] = self._y[..., 1 : k + 1] / self._den[:k] + J1 * g[..., 1:]
+        base[..., 0] = self._ax[..., n] - _at(tw.wl, m) * grid.h * g[..., 1] + J1 * g[..., 0]
+        self._base = base
 
     def eval_slice(self, g_cur: np.ndarray) -> np.ndarray:
         """Duhamel values of slice n = ``n_pushed`` on its live window
         (``Grid.window``), given the current source iterate ``g_cur``
-        of that slice.  The part that ``g_cur`` does not enter is computed
-        on the first call of a slice and kept until the next push, so each
-        further closure sweep costs one vector add."""
-        n = self.n_pushed
-        kmax = self.grid.window(n, self.jr) - 1
-        if n == 0:
-            return np.zeros(g_cur.shape[:-1] + (kmax + 1,))
-        if self._memo is None:
-            self._memo = self._history(n, kmax)
-        hist, j1gp, ax, J2 = self._memo
-        out = np.empty(g_cur.shape[:-1] + (kmax + 1,))
-        out[..., 1:] = hist + (j1gp + J2 * g_cur[..., 1 : kmax + 1])
-        out[..., 0] = ax + J2 * g_cur[..., 0]
-        return out
-
-    def _history(self, n: int, kmax: int):
-        """The part of :meth:`eval_slice` that does not depend on the
-        current source: the history term at nodes 1..kmax, the J1 closure
-        term of slice n-1 there, the axis value with its J1 term, and J2."""
-        # A at n + k, B at boff + k - n and the folds are contiguous runs;
-        # the totals are gathered through take, the fast one on row stacks
-        fold = self._stair[n + 1 : n + kmax + 1]  # slices with d - m > m + jr + 1
-        first = self.A[..., n + 1 : n + kmax + 1] + self.totals.take(fold, axis=-1)
-        b0 = self.boff - n
-        second = self.B[..., b0 + 1 : b0 + kmax + 1].copy()
-        n_low = min(n - 1, kmax)  # the nodes k < n
-        if n_low > 0:
-            a_low = self.A[..., n - n_low : n][..., ::-1]  # A at n - k
-            fold = self._stair[n - n_low : n][::-1]
-            second[..., :n_low] += a_low + self.totals.take(fold, axis=-1)
-
-        # Phi of slice n-1 on nodes 0..kmax, saturated past kmax
-        phi_prev = self._phi_prev
-        i_prev = np.empty(phi_prev.shape[:-1] + (kmax,))
-        np.subtract(phi_prev[..., 2:], phi_prev[..., :-2], out=i_prev[..., :-1])
-        i_prev[..., -1] = phi_prev[..., -1] - phi_prev[..., -2]
-        wl_top = self.tw.wl[n - 1]
-
-        J1, J2 = self.tw.closure(n)
-        g_prev = self._g_prev
-        gp = np.zeros(g_prev.shape[:-1] + (kmax + 1,))
-        gp[..., : min(g_prev.shape[-1], kmax + 1)] = g_prev[..., : kmax + 1]
-        hist = (first - second - wl_top * i_prev) / self._den[:kmax]
-        ax = self.Ax[..., n] - wl_top * self.grid.h * gp[..., 1]
-        return hist, J1 * gp[..., 1:], ax + J1 * gp[..., 0], J2
-
-    def _eval_tail(self, n: int, g_n: np.ndarray) -> np.ndarray:
-        """Backward Duhamel tail at every node of slice n, with slices
-        M, M-1, ..., n+1 folded in as :func:`duhamel_tails` does; ``g_n`` is
-        source slice n."""
-        n_r = self.grid.n_r
-        boff = self.boff
-        p = self.n_pushed  # slices n+1 .. n+p are in
-        tot = self.totals
-
-        # B at boff + k - n for k = 1..n_r-1; past k = n + jr + 1 every
-        # slice's support lies behind the diagonal, and Phi saturates
-        first = self.B[boff - n + 1 : boff - n + n_r].copy()
-        first[n + self.jr + 1 :] = tot[p]
-        # antidiagonal part (slices n+1..k+n); those with the cone edge past
-        # their support fold into the running total sum
-        mceil = np.maximum(self._stair[n + 1 : n + n_r], n + 1)
-        second = self.A[n + 1 : n + n_r] + (tot[p] - tot[np.maximum(p + n + 1 - mceil, 0)])
-        # slices m > k+n contribute Phi_m(m-(k+n)) via the negative diagonal
-        later = min(p, n_r - 1)
-        second[:later] += self.B[boff - n - later : boff - n][::-1]
-
-        # Phi of slice n+1, saturated past its last node
-        phi_next = self._phi_prev
-        ext = np.full(n_r + 1, phi_next[-1])
-        ext[: phi_next.size] = phi_next
-        i_next = ext[2:] - ext[:-2]
-        wr_bot = self.tw.wr[n]
-        # bottom cell [t_n, t_{n+1}] replaced by the closure
-        J1, J2 = self.tw.tail_closure(n)
-        g_next = self._g_prev
-        tail = np.zeros(n_r)
-        tail[1:] = (first - second - wr_bot * i_next) / self._den
-        tail[1:] += J1 * g_next[1:] + J2 * g_n[1:]
-        ax = self.Bx[boff - n] - wr_bot * self.grid.h * g_next[1]
-        tail[0] = ax + J1 * g_next[0] + J2 * g_n[0]
-        return tail
+        of that slice."""
+        k = self.grid.window(self.n_pushed, self.jr)
+        if self._base is None:
+            return np.zeros(g_cur.shape[:-1] + (k,))
+        return self._base + self._J2 * g_cur[..., :k]
 
 
 def duhamel_tails(g: np.ndarray, grid: Grid, support_cells: int, n_stop: int, g_from: int = 0):
@@ -491,12 +430,45 @@ def duhamel_tails(g: np.ndarray, grid: Grid, support_cells: int, n_stop: int, g_
     g_from..M are the rows of ``g``: yields (n, tail) for n = M-1 down to
     ``n_stop`` (>= ``g_from``), where ``tail`` is the part of L over the
     times after t_n, up to t_M, at every node of slice n.  The top slice
-    carries only the right-endpoint weight of its cell."""
+    carries only the right-endpoint weight of its cell, and the bottom cell
+    [t_n, t_{n+1}] is left to ``TimeWeights.tail_closure``.
+
+    The tail at node k >= 1 is Z_n(k) / (2 k h) plus the closure, with
+    Z_M = Z_{M-1} = 0 and the forward step of ``ConeAccumulator`` run
+    backward:
+
+        Z_n(k) = Z_{n+1}(k+1) + Z_{n+1}(k-1) - Z_{n+2}(k) - wr[n+2] F_{n+3}(k)
+                 + wr[n+1] (F_{n+2}(k+1) + F_{n+2}(k-1)) + wl[n+1] F_{n+1}(k).
+
+    Its backward domain of dependence passes the grid edge, where Phi
+    saturates, so Z_n runs on the nodes up to n_r - 1 + (n - n_stop).  The
+    axis value is the diagonal lambda-moment sum of the later slices."""
     if n_stop < g_from:
         raise ValueError(f"n_stop = {n_stop} lies before the first source row {g_from}")
-    acc = ConeAccumulator(grid, support_cells)
-    tw = acc.tw
+    jr = int(support_cells)
+    grid.check_cone(jr)
+    tw = TimeWeights(grid.n_t, grid.h)
+    n_r, boff = grid.n_r, grid.n_t - 1
+    lam, den = grid.radii(), 2.0 * np.arange(1, n_r) * grid.h
     M = g_from + len(g) - 1
-    for m in range(M, n_stop, -1):
-        acc._add(m, tw.wr[m - 1] if m == M else tw.w_slice[m], g[m - g_from], "Bx")
-        yield m - 1, acc._eval_tail(m - 1, g[m - 1 - g_from])
+    size = n_r + (M - n_stop) + 1
+    z, z_prev = np.zeros(size), np.zeros(size)  # Z_{n+1}, Z_{n+2}
+    f1 = f2 = np.zeros(size)  # F_{n+2}, F_{n+3}
+    ax = np.zeros(grid.n_t + n_r)  # diagonal lambda-moments, read at boff - n
+    for n in range(M - 1, n_stop - 1, -1):
+        m = n + 1
+        c = min(m + jr + 1, n_r - 1)
+        g_m, f = _pair_sums(g[m - g_from], c, size, grid)
+        w = tw.wr[M - 1] if m == M else tw.w_slice[m]
+        ax[boff - m : boff - m + c + 1] += w * lam[: c + 1] * g_m
+        weights = (_at(tw.wr, n + 2), _at(tw.wr, n + 1), tw.wl[m] if m < M else 0.0)
+        _leapfrog(z, z_prev, (f2, f1, f), weights, n_r - 1 + (n - n_stop))
+        z, z_prev = z_prev, z
+        f2, f1 = f1, f
+        J1, J2 = tw.tail_closure(n)
+        g_next, g_n = g[m - g_from], g[n - g_from]
+        tail = np.empty(n_r)
+        tail[1:] = z[1:n_r] / den
+        tail[1:] += J1 * g_next[1:] + J2 * g_n[1:]
+        tail[0] = ax[boff - n] - tw.wr[n] * grid.h * g_next[1] + J1 * g_next[0] + J2 * g_n[0]
+        yield n, tail

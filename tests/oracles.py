@@ -8,7 +8,8 @@ directly, the mpmath convolution integrates the shell kernel cell by cell
 at 30 digits, the exact convolution at gamma = 0 and 1 sums closed-form
 cell moments exactly and rounds once, the brute-force exponent scan re-derives
 the Kato parameter inequality, the slow cone integral nests Gauss
-quadratures, and ``w_weight`` is the paper's bilinear-estimate weight.
+quadratures, ``duhamel_sum_ld`` sums the march's cone quadrature directly
+in long double, and ``w_weight`` is the paper's bilinear-estimate weight.
 ``free_table`` stacks free-field slices, and ``mass_series`` reads the
 mass chain off a stored run's tables, each source row on its slice's live
 window, as the recorder sums it.  The two drivers run the
@@ -30,7 +31,7 @@ from conewave.grid import RadialProfile, trapezoid_weighted, mass as window_mass
 from conewave.norms import WeightParams, slice_x_norm, tau
 from conewave.potential import ConvolutionKernel, cached_kernel, is_log_branch
 from conewave.solver import solve_march
-from conewave.waveops import ConeAccumulator, FreeField
+from conewave.waveops import ConeAccumulator, FreeField, TimeWeights
 
 
 def profile_value(w: RadialProfile, x: np.ndarray) -> np.ndarray:
@@ -253,6 +254,52 @@ def mass_series(hist):
     for n in range(hist.n_used):
         rhs[n] = window_mass(hist.g[n][: grid.window(n, jr)], grid) / (1.0 + t[n]) ** 2
     return t, F, rhs
+
+
+def duhamel_sum_ld(g_table: np.ndarray, grid, n: int, top: int | None = None) -> np.ndarray:
+    """The march's cone quadrature at every node of slice n, summed
+    directly in long double and rounded once.
+
+    Forward (``top`` None): the history of the source slices 0..n-1 and the
+    closure of the newest cell, as ``ConeAccumulator.eval_slice`` gives it
+    for source slice n.  Backward: the tail over (t_n, t_top] of the slices
+    n+1..top, as ``duhamel_tails`` yields it.  ``g_table`` holds slices
+    0, 1, ... on all nodes.  Node k >= 1 takes
+
+        sum_m c_m [Phi_m(k + d) - Phi_m(|k - d|)] / (2 k h),  d = |n - m|,
+
+    with Phi_m the prefix sum of slice m's exact lambda-weighted cell
+    integrals (h^2/6 ((3j+1) g_j + (3j+2) g_{j+1})), saturated past the
+    last node; the axis takes sum_m c_m (d h) g_m(d).  c_m adds the
+    ``TimeWeights`` endpoint weights wl, wr of the cells next to slice m,
+    except the cell next to t_n, which the closure (J1, J2) takes."""
+    ld = np.longdouble
+    n_r, h = grid.n_r, ld(grid.h)
+    tw = TimeWeights(grid.n_t, grid.h)
+    wl, wr = tw.wl.astype(ld), tw.wr.astype(ld)
+    if top is None:
+        cells, near = range(0, n - 1), n - 1  # the cells the sum covers
+        J1, J2 = tw.closure(n)
+    else:
+        cells, near = range(n + 1, top), n + 1
+        J1, J2 = tw.tail_closure(n)
+    g = np.asarray(g_table, dtype=ld)
+    j = np.arange(n_r - 1, dtype=ld)
+    k = np.arange(n_r)
+    val = np.zeros(n_r, dtype=ld)
+    for m in sorted(set(cells) | {c + 1 for c in cells}):
+        c_m = (wl[m] if m in cells else ld(0)) + (wr[m - 1] if m - 1 in cells else ld(0))
+        phi = np.zeros(n_r, dtype=ld)
+        phi[1:] = np.cumsum(h * h / 6 * ((3 * j + 1) * g[m, :-1] + (3 * j + 2) * g[m, 1:]))
+        d = abs(n - m)
+        hi = np.minimum(k + d, n_r - 1)
+        lo = np.minimum(np.abs(k - d), n_r - 1)
+        val[1:] += c_m * (phi[hi] - phi[lo])[1:]
+        if d < n_r:
+            val[0] += c_m * d * h * g[m, d]
+    val[1:] /= 2 * k[1:] * h
+    val += ld(J1) * g[near] + ld(J2) * g[n]
+    return val.astype(float)
 
 
 def free_table(free: FreeField, n_slices: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from conewave.solver import (
 from conewave.verify import c1_constant
 from conewave.waveops import ConeAccumulator, FreeField, duhamel_tails
 
-from oracles import free_table, picard_iterates, scale_symmetry_mismatch
+from oracles import duhamel_sum_ld, free_table, picard_iterates, scale_symmetry_mismatch
 
 
 def _slow_tail(g, grid, M, r0, t0):
@@ -366,6 +366,18 @@ class TestPostprocessing:
         for k in (2, 8, 24, 64):
             slow = _slow_tail(g, grid, grid.n_t - 1, k * h, t0)
             assert fields[n0][k] == pytest.approx(slow, rel=2e-3)
+
+    def test_scattering_tails_against_long_double_sum(self):
+        # the late tails of a global run are tiny (1.3e-21 on the top slice
+        # against 3.0e-17 at t_star); each must hold its own digits
+        p = build(1.0, 1.0, 1 / 16, 40.0)
+        grid = p.grid
+        hist = solve_march(p, make_data("bump_v1_only", 1e-3, 1.0, grid))
+        M, n_stop = hist.n_used - 1, grid.index_of_time(20.0)
+        fields = dict(duhamel_tails(hist.g, grid, p.support_cells, n_stop, hist.g_from))
+        for n in (M - 1, M - 2, M - 3, M - 10, (M + n_stop) // 2, n_stop):
+            want = duhamel_sum_ld(hist.g, grid, n, top=M)
+            assert np.max(np.abs(fields[n] - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_scattering_refuses_blowup(self):
         p = build(-0.4, 1.0, 1 / 16, 20.0)

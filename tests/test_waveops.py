@@ -14,7 +14,7 @@ from conewave.waveops import (
     kirchhoff_radial,
 )
 
-from oracles import free_table, random_profile, slow_cone_integral
+from oracles import duhamel_sum_ld, free_table, random_profile, slow_cone_integral
 
 
 @pytest.fixture
@@ -192,6 +192,28 @@ class TestDuhamel:
             acc.push_slice(gt[n])
             twin.push_slice(gt[n])
         assert worst < 1e-10
+
+    def test_accumulator_against_long_double_sum(self):
+        # the recurrence's roundoff along a 100-time-unit march (800 steps)
+        # of signed random sources; it grows with n (2.9e-14 at n = 800)
+        h, jr = 1 / 8, 8
+        n_t = 801
+        grid = Grid(h=h, n_r=n_t + jr, n_t=n_t)
+        rng = np.random.default_rng(5)
+        r = grid.radii()
+        gt = np.zeros((n_t, grid.n_r))
+        for m in range(n_t):
+            row = np.convolve(rng.normal(size=grid.n_r), np.ones(5) / 5, "same")
+            row[r > m * h + 1.0 + 1e-12] = 0.0
+            gt[m] = row
+        acc = ConeAccumulator(grid, jr)
+        for n in range(n_t):
+            if n in (1, 2, 3, 100, 400, 800):
+                got = acc.eval_slice(gt[n])
+                want = duhamel_sum_ld(gt, grid, n)
+                assert np.all(want[got.size :] == 0.0)
+                assert np.max(np.abs(got - want[: got.size])) <= 1e-12 * np.max(np.abs(want))
+            acc.push_slice(gt[n])
 
     def test_positivity(self):
         grid = Grid(h=1 / 8, n_r=49, n_t=25)
