@@ -6,9 +6,10 @@
   of the two; then the closed form that ``apply`` takes at gamma = 0 and
   1, against the exact cell-moment sums of ``tests/oracles.py``;
 * causal Duhamel march: the accumulator's characteristic recurrence
-  (O(1) per node) vs the direct nested quadrature (O(n_t) per node), and
-  the accumulator's last slice against the long-double direct sum of the
-  same quadrature (``tests/oracles.py::duhamel_sum_ld``), max |acc - sum|
+  (O(1) per node) vs the long-double direct sum of the same quadrature
+  (``tests/oracles.py::duhamel_sum_ld``, O(n_t) per node), timed one
+  whole slice per call and extrapolated from a 2 s budget to every slice,
+  and the accumulator's last slice against that sum, max |acc - sum|
   / max |sum|, which shows how the recurrence's roundoff grows with n_t.
 
 Run:  PYTHONPATH=src python benchmarks/bench_cone.py
@@ -21,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from conewave.grid import Grid, RadialProfile
-from conewave.potential import ConvolutionKernel, _fft_length, convolve_profile_direct
-from conewave.waveops import ConeAccumulator, duhamel_direct
+from conewave.potential import ConvolutionKernel, _fft_length, convolve_power
+from conewave.waveops import ConeAccumulator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import duhamel_sum_ld, exact_convolution  # noqa: E402
@@ -56,7 +57,7 @@ def bench_convolution(gamma=-0.4):
         kern = ConvolutionKernel(gamma, w.grid)
         fft_ms = ms_per_call(kern, w)
         t0 = time.perf_counter()
-        direct = convolve_profile_direct(w, gamma)
+        direct = np.array([convolve_power(w, gamma, r) for r in w.grid.radii()])
         direct_ms = (time.perf_counter() - t0) * 1e3
         L = _fft_length(n, round(w.support_radius / w.h))
         max_rel = np.max(np.abs(kern.apply(w) - direct)) / np.max(np.abs(direct))
@@ -109,14 +110,11 @@ def bench_march():
         budget = 2.0
         done = 0
         for n in range(1, n_t):
-            for k in range(grid.window(n, jr)):
-                if (k + n) * h <= grid.r_max + 1e-12:
-                    duhamel_direct(gt, grid, k * h, n * h)
-                done += 1
+            duhamel_sum_ld(gt, grid, n)
+            done += 1
             if time.perf_counter() - t0 > budget:
                 break
-        frac = done / max(1, sum(grid.window(n, jr) for n in range(1, n_t)))
-        direct_s = (time.perf_counter() - t0) / max(frac, 1e-9)
+        direct_s = (time.perf_counter() - t0) * (n_t - 1) / done
         print(
             f"{n_t:>7} {accum_s:>9.3f} {direct_s:>10.1f} {direct_s/accum_s:>8.0f}x"
             f" {max_rel:>9.1e}"

@@ -151,9 +151,7 @@ def _mode_solve(cfg: RunConfig):
     if cfg.run_dalembert:
         diff = float(solve_dalembert(params, data, u_ref=hist.u).ref_diff.max())
         summary["backend_sup_diff"] = diff
-        invariants["backend_agreement"] = diff <= 50.0 * cfg.h**2 * max(
-            1.0, float(hist.sup_u.max())
-        )
+        invariants["backend_agreement"] = diff <= 50.0 * cfg.h**2 * summary["sup_u_max"]
     if scatter and not hist.blew_up:
         ts, vals, rem = scattering_check(hist, cfg.t_star)
         summary["scattering_final_over_initial"] = float(vals[-1] / vals[0]) if vals[0] else 0.0

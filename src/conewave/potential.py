@@ -12,7 +12,8 @@ needs no special casing and pure power-law data come out exact.
 
 Two evaluation paths share that quadrature:
 
-* ``convolve_power`` -- single target radius, used by verifiers and tests;
+* ``convolve_power`` -- single target radius, the reference that the tests
+  and perfbench's accuracy check hold the slice path to;
 * ``ConvolutionKernel.apply`` -- the first ``n_out`` grid nodes at once.
   The cell moments depend only on the index sum i+j (Hankel part) and
   difference i-j (Toeplitz parts), so a slice costs one FFT correlation
@@ -54,12 +55,10 @@ from .grid import RadialProfile, cell_moments, cell_weights, trapezoid_weighted
 
 __all__ = [
     "is_log_branch",
-    "kernel_value",
     "convolve_power",
     "ConvolutionKernel",
     "cached_kernel",
     "convolve_profile",
-    "convolve_profile_direct",
 ]
 
 GAMMA_LOW = -0.5
@@ -75,28 +74,6 @@ def is_log_branch(gamma: float) -> bool:
     """gamma = 2 up to roundoff: the log kernel, the log weight N_2 and the
     gamma = 2 proof branch of the estimates."""
     return abs(gamma - 2.0) < 1e-9
-
-
-def kernel_value(gamma: float, r: float, rho: float) -> float:
-    """Shell kernel k(r, rho); r = 0 returns the axis limit 4 pi rho**(2-g)."""
-    _check_gamma(gamma)
-    if rho <= 0.0:
-        return 0.0
-    if r == 0.0:
-        return 4.0 * math.pi * rho ** (2.0 - gamma)
-    a = r + rho
-    b = abs(r - rho)
-    if is_log_branch(gamma):
-        if b == 0.0:
-            return math.inf
-        return (2.0 * math.pi * rho / r) * (-math.log(b / a))
-    d = 2.0 - gamma
-    if b == 0.0:
-        val = a**d / d
-    else:
-        # a**d - b**d evaluated without cancellation near gamma = 2
-        val = -(a**d) * math.expm1(d * math.log(b / a)) / d
-    return (2.0 * math.pi * rho / r) * val
 
 
 def _zmom_log(z0: np.ndarray, z1: np.ndarray):
@@ -517,9 +494,3 @@ def convolve_profile(w: RadialProfile, gamma: float, n_out: int | None = None) -
     """Slice-path convolution at the first ``n_out`` grid nodes (every node
     by default), with kernel-table reuse."""
     return cached_kernel(gamma, w.grid).apply(w, n_out)
-
-
-def convolve_profile_direct(w: RadialProfile, gamma: float) -> np.ndarray:
-    """O(n^2) reference: the point path looped over all nodes."""
-    return np.array([convolve_power(w, gamma, r) for r in w.grid.radii()])
-

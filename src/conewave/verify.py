@@ -232,7 +232,6 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
     run_norm = 0.0
     t_list: list[float] = []
     norm_list: list[float] = []
-    ratio_list: list[float] = []
     max_ratio = 0.0
     violations = 0
     for n in range(grid.n_t):
@@ -248,7 +247,6 @@ def verify_trilinear(gamma: float, R: float, T: float, h: float) -> EstimateRepo
             t_list.append(t)
             norm_list.append(run_norm)
             ratio = run_norm / rhs
-            ratio_list.append(ratio)
             max_ratio = max(max_ratio, ratio)
             if explicit and ratio > 1.0 + _SLACK:
                 violations += 1

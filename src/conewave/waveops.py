@@ -23,11 +23,12 @@ so a full causal march costs O(n_t * n_r) total instead of
 O(n_t^2 * n_r).  The closure makes L exact for sources that are constant in
 lambda and linear in (t - s), e.g. L(1) = t - log(1+t) to roundoff.
 
-Each operator has one fast path and one pointwise reference: ``FreeField``
-tabulates the free field that ``kirchhoff_radial``, ``dt_kirchhoff_radial``
-and ``free_field`` evaluate point by point, and ``ConeAccumulator`` marches
-the Duhamel term that ``duhamel_direct`` sums directly; ``duhamel_tails``
-runs the same leapfrog step backward over a finished run.  Both fast paths
+``FreeField`` tabulates the free field that ``kirchhoff_radial``,
+``dt_kirchhoff_radial`` and ``free_field`` evaluate point by point.
+``ConeAccumulator`` marches the Duhamel term, and ``duhamel_tails`` runs
+the same leapfrog step backward over a finished run; their reference, a
+direct long-double sum of the same quadrature, lives with the tests
+(``tests/oracles.py::duhamel_sum_ld``).  Both fast paths
 take stacks of rows, one per point of a lockstep march, on a window of the
 first k nodes, and give each row what a one-row call gives, bit for bit.
 
@@ -55,7 +56,6 @@ __all__ = [
     "derivative_profile",
     "TimeWeights",
     "lam_prefix",
-    "duhamel_direct",
     "ConeAccumulator",
     "duhamel_tails",
 ]
@@ -238,56 +238,6 @@ class TimeWeights:
         lg = math.log1p(h / A1)
         J1 = 1.0 - (2.0 * A1 / h) * lg + A1 / B1
         return J1, (lg - h / B1) - J1
-
-
-def _interior_weights(tw: TimeWeights, n: int) -> np.ndarray:
-    """Composite weights of slices 0..n-1 for evaluation at slice n, with
-    cell n-1 left to the closure: cells 0..n-2 contribute their trapezoid
-    endpoint shares only."""
-    w = np.zeros(n)
-    if n >= 2:
-        w[0] = tw.wl[0]
-        w[1 : n - 1] += tw.wl[1 : n - 1]
-        w[1:n] += tw.wr[: n - 1]
-    return w
-
-
-def duhamel_direct(g_table: np.ndarray, grid: Grid, r: float, t: float) -> float:
-    """Reference nested quadrature of (L G)(r, t) over the cone region.
-
-    ``g_table`` rows are source slices (nonlinearity without the 1/(1+s)^2
-    factor, which is applied here) up to and including the slice at t; the
-    newest cell uses the closure.
-    """
-    n = grid.index_of_time(t)
-    if n + 1 > g_table.shape[0]:
-        raise ValueError("source history does not reach the requested time")
-    if r < 0.0:
-        raise ValueError("r must be >= 0")
-    if r + t > grid.r_max + 1e-9:
-        raise ValueError("cone exits the grid")
-    if n == 0:
-        return 0.0
-    h = grid.h
-    tw = TimeWeights(n + 1, h)
-    axis = r < 0.5 * h
-
-    def inner(m: int) -> float:
-        row = RadialProfile(grid, g_table[m])
-        if axis:
-            lam = (n - m) * h
-            return lam * interp(row, lam)
-        return trapezoid_weighted(row, 1.0, abs(r - (n - m) * h), r + (n - m) * h) / (2.0 * r)
-
-    w = _interior_weights(tw, n)
-    total = 0.0
-    for m in range(n):
-        if w[m] != 0.0:
-            total += w[m] * inner(m)
-    J1, J2 = tw.closure(n)
-    g_prev = interp(RadialProfile(grid, g_table[n - 1]), r if not axis else 0.0)
-    g_cur = interp(RadialProfile(grid, g_table[n]), r if not axis else 0.0)
-    return total + J1 * g_prev + J2 * g_cur
 
 
 # ---------------------------------------------------------------------------

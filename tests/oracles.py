@@ -3,13 +3,16 @@
 The oracles deliberately avoid the package's fast paths: ``mass``,
 ``mass_rhs`` and ``frame_check`` integrate the mass functional of a
 profile through ``trapezoid_weighted``, the reference for
-``grid.mass``; the Monte Carlo convolution samples the 3D integral
-directly, the mpmath convolution integrates the shell kernel cell by cell
-at 30 digits, the exact convolution at gamma = 0 and 1 sums closed-form
-cell moments exactly and rounds once, the brute-force exponent scan re-derives
-the Kato parameter inequality, the slow cone integral nests Gauss
-quadratures, ``duhamel_sum_ld`` sums the march's cone quadrature directly
-in long double, and ``w_weight`` is the paper's bilinear-estimate weight.
+``grid.mass``; ``kernel_value`` evaluates the shell kernel pointwise (in
+its expm1 form off the log branch), the Monte Carlo convolution samples
+the 3D integral directly, the mpmath convolution integrates the shell
+kernel cell by cell at 30 digits, the exact convolution at gamma = 0 and 1
+sums closed-form cell moments exactly and rounds once, the brute-force
+exponent scan re-derives the Kato parameter inequality, the slow cone
+integral nests Gauss quadratures, ``duhamel_sum_ld`` is the one direct sum
+of the march's cone quadrature (in long double, at every node of a slice,
+forward as ``ConeAccumulator`` and backward as ``duhamel_tails``), and
+``w_weight`` is the paper's bilinear-estimate weight.
 ``free_table`` stacks free-field slices, and ``mass_series`` reads the
 mass chain off a stored run's tables, each source row on its slice's live
 window, as the recorder sums it.  The two drivers run the
@@ -145,6 +148,27 @@ def slow_cone_integral(g_func, r0: float, t0: float, n_s: int = 400, n_lam: int 
         svals = mid + half * xs
         total += float(np.sum(wxs * [inner(s) / (1.0 + s) ** 2 for s in svals])) * half
     return total
+
+
+def kernel_value(gamma: float, r: float, rho: float) -> float:
+    """Shell kernel k(r, rho); r = 0 returns the axis limit 4 pi rho**(2-g)."""
+    if rho <= 0.0:
+        return 0.0
+    if r == 0.0:
+        return 4.0 * math.pi * rho ** (2.0 - gamma)
+    a = r + rho
+    b = abs(r - rho)
+    if is_log_branch(gamma):
+        if b == 0.0:
+            return math.inf
+        return (2.0 * math.pi * rho / r) * (-math.log(b / a))
+    d = 2.0 - gamma
+    if b == 0.0:
+        val = a**d / d
+    else:
+        # a**d - b**d evaluated without cancellation near gamma = 2
+        val = -(a**d) * math.expm1(d * math.log(b / a)) / d
+    return (2.0 * math.pi * rho / r) * val
 
 
 def mp_convolution(w: RadialProfile, gamma: float, r: float, dps: int = 30) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conewave import cli
 from conewave.cli import _KEYS, ConfigError, main, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -225,6 +226,25 @@ class TestDeterminism:
 
 
 class TestModes:
+    def test_backend_agreement_can_fail(self, tmp_path, monkeypatch):
+        # a backend difference of 100 h^2 sup_u lies above the bound
+        # 50 h^2 sup_u; with sup_u < 0.5 an absolute floor of 1 would hide it
+        real = cli.solve_dalembert
+
+        def skewed(params, data, u_ref):
+            hist = real(params, data, u_ref=u_ref)
+            hist.ref_diff[:] = 100.0 * params.grid.h**2 * np.abs(u_ref).max()
+            return hist
+
+        monkeypatch.setattr(cli, "solve_dalembert", skewed)
+        body = "mode = solve\nepsilon = 0.01\nh = 0.125\nt_max = 2\nrun_dalembert = 1\n"
+        path = write_cfg(tmp_path, "b.cfg", body + f"out = {tmp_path}/out\n")
+        assert main(["--config", path]) == 1
+        summary = strict_json(tmp_path / "out" / "summary.json")
+        assert 0.0 < summary["sup_u_max"] < 0.5
+        inv = (tmp_path / "out" / "invariants.txt").read_text()
+        assert "backend_agreement=fail" in inv
+
     def test_blowup_mode(self, tmp_path):
         path = write_cfg(
             tmp_path,

@@ -13,15 +13,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "conewave"
 
-# Exports that only tests call: the independent references of the shipped
-# operators, the Kato exponent calculus that ROADMAP item 6's sweep is to
-# use, and the one-point lifespan that a sweep's lockstep points are held
-# to.
+# Exports that only tests call: the pointwise free field, the reference of
+# ``FreeField``; the point path of the slice convolution, the reference of
+# ``ConvolutionKernel.apply`` that perfbench's accuracy check imports; the
+# Kato exponent calculus that ROADMAP item 6's sweep is to use; and the
+# one-point lifespan that a sweep's lockstep points are held to.
 TEST_ONLY_EXPORTS = (
-    "kernel_value",
-    "convolve_profile_direct",
     "free_field",
-    "duhamel_direct",
+    "convolve_power",
     "kato_bound",
     "j1_for_delta",
     "lifespan_measure",

@@ -1,13 +1,18 @@
 """The benchmark's tracer wraps conewave names by attribute lookup; a rename
 in the package would break only a traced benchmark run.  Parse the wrap list
 of ``perfbench/child.py`` (without installing the tracer) and resolve every
-wrapped name on its conewave object."""
+wrapped name on its conewave object.  Likewise for the scripts under
+``benchmarks/``: ``perfbench/run.py --micro`` runs ``bench_cone.py``, and
+``bench_sweep.py`` wraps the methods its ``LAYERS`` name; import both (their
+``main`` is guarded) and resolve every layer."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def _install_body() -> list:
@@ -55,3 +60,20 @@ def test_wrapped_names_resolve():
         obj = owners[owner]
         assert getattr(obj, "__module__", obj.__name__).startswith("conewave.")
         assert callable(getattr(obj, attr, None)), f"{owner}.{attr} does not resolve"
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_scripts_import_and_layers_resolve():
+    _load_script("bench_cone")
+    layers = _load_script("bench_sweep").LAYERS
+    assert layers
+    for label, methods in layers.items():
+        for mod, cls, meth in methods:
+            owner = getattr(importlib.import_module(f"conewave.{mod}"), cls)
+            assert callable(getattr(owner, meth, None)), f"{label}: {mod}.{cls}.{meth}"

@@ -8,7 +8,6 @@ from conewave.grid import Grid, RadialProfile
 from conewave.waveops import (
     ConeAccumulator,
     dt_kirchhoff_radial,
-    duhamel_direct,
     free_field,
     FreeField,
     kirchhoff_radial,
@@ -151,18 +150,20 @@ class TestDuhamel:
     def test_zero_source(self):
         grid = Grid(h=1 / 16, n_r=65, n_t=17)
         gt = np.zeros((grid.n_t, grid.n_r))
-        assert duhamel_direct(gt, grid, 0.5, 0.5) == 0.0
+        assert duhamel_sum_ld(gt, grid, 8)[8] == 0.0
 
     def test_closed_form_l_one(self):
-        grid = Grid(h=1 / 32, n_r=int(4.5 * 32) + 1, n_t=3 * 32 + 1)
+        h = 1 / 32
+        grid = Grid(h=h, n_r=int(4.5 * 32) + 1, n_t=3 * 32 + 1)
         gt = np.ones((grid.n_t, grid.n_r))
-        for (r, t) in [(0.7, 1.0), (0.0, 1.0), (1.25, 3.0), (0.3, 3.0)]:
+        for (k, n) in [(22, 32), (0, 32), (40, 96), (10, 96)]:
+            t = n * h
             want = t - math.log1p(t)
-            assert duhamel_direct(gt, grid, r, t) == pytest.approx(want, abs=1e-12)
+            assert duhamel_sum_ld(gt, grid, n)[k] == pytest.approx(want, abs=1e-12)
 
     def test_accumulator_matches_direct(self):
-        # the fast path must reproduce the nested quadrature to 1e-10 on
-        # coarse grids
+        # the fast path must reproduce the direct sum to 1e-10 on coarse
+        # grids
         h, jr = 1 / 16, 16
         n_t = 49
         grid = Grid(h=h, n_r=n_t + jr, n_t=n_t)
@@ -183,12 +184,12 @@ class TestDuhamel:
                 acc.eval_slice(2.0 * gt[n])
                 fast = acc.eval_slice(gt[n])
                 assert fast.tobytes() == twin.eval_slice(gt[n]).tobytes()
+                direct = duhamel_sum_ld(gt, grid, n)
                 kmax = fast.size - 1
                 for k in (0, 1, max(1, n // 2), min(kmax, n), kmax):
                     if (k + n) * h <= grid.r_max + 1e-12:
-                        ref = duhamel_direct(gt, grid, k * h, n * h)
-                        scale = max(1.0, abs(ref))
-                        worst = max(worst, abs(fast[k] - ref) / scale)
+                        scale = max(1.0, abs(direct[k]))
+                        worst = max(worst, abs(fast[k] - direct[k]) / scale)
             acc.push_slice(gt[n])
             twin.push_slice(gt[n])
         assert worst < 1e-10
@@ -219,14 +220,8 @@ class TestDuhamel:
         grid = Grid(h=1 / 8, n_r=49, n_t=25)
         rng = np.random.default_rng(5)
         gt = np.abs(rng.normal(size=(grid.n_t, grid.n_r)))
-        for (r, t) in [(0.5, 1.0), (1.5, 2.0), (0.0, 3.0)]:
-            assert duhamel_direct(gt, grid, r, t) >= 0.0
-
-    def test_off_grid_radius(self):
-        grid = Grid(h=1 / 32, n_r=int(4.5 * 32) + 1, n_t=2 * 32 + 1)
-        gt = np.ones((grid.n_t, grid.n_r))
-        want = 2.0 - math.log1p(2.0)
-        assert duhamel_direct(gt, grid, 0.7137, 2.0) == pytest.approx(want, abs=1e-12)
+        for (k, n) in [(4, 8), (12, 16), (0, 24)]:
+            assert duhamel_sum_ld(gt, grid, n)[k] >= 0.0
 
     def test_independent_nested_oracle(self):
         # smooth analytic source against scipy-grade nested quadrature
@@ -238,7 +233,7 @@ class TestDuhamel:
             return np.exp(-lam) * (1.0 + s)
 
         gt = np.array([g_func(r, n * h) for n in range(grid.n_t)])
-        got = duhamel_direct(gt, grid, 0.75, 2.0)
+        got = duhamel_sum_ld(gt, grid, 64)[24]  # r = 0.75, t = 2
         want = slow_cone_integral(g_func, 0.75, 2.0)
         assert got == pytest.approx(want, rel=2e-4)
 
