@@ -3,10 +3,12 @@
 Everything downstream (cone integrals, convolutions, norms) lives on a
 uniform grid with the same spacing ``h`` in ``r`` and ``t``, so every wave
 characteristic ``r +- (t - s)`` lands exactly on grid nodes.  Profiles are
-piecewise-linear in between nodes, and all quadrature integrates weight
-factors ``lambda**e`` analytically against that interpolant, cell by cell,
-left to right.  Pure power-law integrands are therefore exact and results
-are bitwise reproducible.
+piecewise-linear in between nodes and vanish past a support radius that is
+a node (``RadialProfile`` raises a cutoff declared inside a cell to the node
+that ends it), and all quadrature integrates weight factors ``lambda**e``
+analytically against that interpolant, cell by cell, left to right.  Pure
+power-law integrands are therefore exact and results are bitwise
+reproducible.
 
 ``trapezoid_weighted`` (any e, any interval) is the reference; the whole-cell
 integrals at e = 1, 2 of ``waveops.lam_prefix``, ``mass`` and the gamma = 0, 1
@@ -79,8 +81,10 @@ class Grid:
 @dataclass(frozen=True)
 class RadialProfile:
     """Sampled radial function: piecewise linear between nodes, zero beyond
-    ``support_radius`` (the cutoff may fall inside a cell, which makes sharp
-    indicator profiles exactly representable)."""
+    ``support_radius``, which is always a node.  A cutoff declared inside a
+    cell is raised to the node that ends that cell; one within 1e-12
+    (relative, in cells) of a node is that node.  Samples past the declared
+    cutoff must vanish."""
 
     grid: Grid
     samples: np.ndarray
@@ -110,6 +114,10 @@ class RadialProfile:
             k += 1
         if np.any(samples[k:]):
             raise ValueError("nonzero samples beyond the declared support radius")
+        j = round(sr / h)
+        if not math.isclose(sr / h, j, rel_tol=1e-12, abs_tol=1e-12):
+            j = math.ceil(sr / h)
+        object.__setattr__(self, "support_radius", min(j, n - 1) * h)
 
     @property
     def h(self) -> float:

@@ -7,8 +7,9 @@ For radial w the 3D convolution collapses to a 1D shell kernel
 
 with the log branch at g = 2 and the limit kernel 4 pi rho**(2-g) on the
 axis.  All quadrature integrates the kernel powers in closed form against
-the piecewise-linear (support-truncated) profile, so the |r-rho| singularity
-needs no special casing and pure power-law data come out exact.
+the piecewise-linear profile, cell by cell up to its support radius (a node,
+``grid.RadialProfile``), so the |r-rho| singularity needs no special casing
+and pure power-law data come out exact.
 
 Two evaluation paths share that quadrature:
 
@@ -35,10 +36,8 @@ Two evaluation paths share that quadrature:
   bitwise equal to a one-row call).
 
 Both paths take the z-moments of the kernel factor z**(2-g) (log z at
-g = 2) from one routine, ``_zmom``, in long double.  The slice tables and
-the near bases of the truncated last cell of ``apply`` turn them into
-unit-cell moments with ``_xi_moments``; the far bases of the truncated
-cell take the series ``_xi_series``, whose terms cancel nothing.
+g = 2) from one routine, ``_zmom``, in long double.  The slice tables turn
+them into unit-cell moments with ``_xi_moments``.
 ``convolve_power`` shares only ``_zmom``: it integrates each cell at the
 target in its own rho-polynomial form, split at rho = r, and so stays the
 independent reference the fast path is tested against.
@@ -106,75 +105,40 @@ def _zmom(gamma: float):
     return zmom
 
 
-def _xi_moments(zmom, base, sign: int, xi: float = 1.0):
-    """(T_0, T_1, T_2) with T_m = int_0^xi x^m K(base + sign*x) dx.
+def _xi_moments(zmom, base, sign: int):
+    """(T_0, T_1, T_2) with T_m = int_0^1 x^m K(base + sign*x) dx.
 
-    ``zmom`` gives the z-moments of K over z = base + sign*[0, xi].  The
+    ``zmom`` gives the z-moments of K over z = base + sign*[0, 1].  The
     m = 2 combination cancels ~base^2 of significance, so its operation
     order fixes the last bits of every table built from it.
     """
     if sign > 0:  # x = z - base
-        m0, m1, m2 = zmom(base, base + xi)
+        m0, m1, m2 = zmom(base, base + 1.0)
         return m0, m1 - base * m0, m2 - 2 * base * m1 + base * base * m0
-    m0, m1, m2 = zmom(base - xi, base)  # x = base - z
+    m0, m1, m2 = zmom(base - 1.0, base)  # x = base - z
     return m0, base * m0 - m1, base * base * m0 - 2 * base * m1 + m2
 
 
-# the truncated cell takes its moments from the series in x / base where
-# xi / base is at most this (the terms shrink by 1/8 or faster)
-_SERIES_RATIO = 0.125
-_SERIES_TERMS = 20
-
-
-def _xi_series(gamma: float, base: np.ndarray, sign: int, xi):
-    """(T_0, T_1, T_2) of ``_xi_moments`` as the series in x / base of
-    K(base + sign*x), for xi / base <= ``_SERIES_RATIO``: the binomial
-    series of (1 + u)^d, or log base + log1p(u) at gamma = 2.  Each T_m
-    keeps full relative precision however large the base, where the moment
-    form cancels ~3 (base/xi)^2 of significance."""
-    u = sign * xi / base
-    log = is_log_branch(gamma)
-    d = 2.0 - gamma
-    out = []
-    for m in range(3):
-        e = m + 1
-        if log:
-            total = np.log(base) / e
-            coef = -np.ones_like(u)
-            for k in range(1, _SERIES_TERMS + 1):
-                coef = -coef * u
-                total = total + coef / (k * (e + k))
-            out.append(total * xi**e)
-        else:
-            total = np.full_like(u, 1 / e)
-            coef = np.ones_like(u)
-            for k in range(1, _SERIES_TERMS + 1):
-                coef = coef * u * ((d - k + 1) / k)
-                total = total + coef / (e + k)
-            out.append(base**d * xi**e * total)
-    return tuple(out)
-
-
-def _cell_coeffs(s: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """Rows (j w_j, j dw_j + w_j, dw_j) for cells j0..j1-1, shape (..., 3,
-    j1 - j0) for samples (..., n): on cell j the profile times rho/h is the
+def _cell_coeffs(s: np.ndarray, J: int) -> np.ndarray:
+    """Rows (j w_j, j dw_j + w_j, dw_j) for cells 0..J-1, shape (..., 3, J)
+    for samples (..., n): on cell j the profile times rho/h is the
     quadratic sum_m a_m xi^m in xi = rho/h - j."""
-    j = np.arange(j0, j1)
-    w = s[..., j0:j1]
-    out = np.empty(w.shape[:-1] + (3, j1 - j0))
-    dw = np.subtract(s[..., j0 + 1 : j1 + 1], w, out=out[..., 2, :])
+    j = np.arange(J)
+    w = s[..., :J]
+    out = np.empty(w.shape[:-1] + (3, J))
+    dw = np.subtract(s[..., 1 : J + 1], w, out=out[..., 2, :])
     np.multiply(j, w, out=out[..., 0, :])
     np.multiply(j, dw, out=out[..., 1, :])
     out[..., 1, :] += w
     return out
 
 
-def _hat_weights(e: float, x0: np.ndarray, x1: np.ndarray, h: float):
-    """(left, right) node weights of int_{x0}^{x1} lambda**e PL(lambda):
-    the linear interpolant between the nodes at x0 and x0 + h, integrated
-    exactly up to x1 (<= x0 + h)."""
-    m0 = cell_moments(e, x0, x1)
-    m1 = cell_moments(e + 1.0, x0, x1)
+def _hat_weights(e: float, x0: np.ndarray, h: float):
+    """(left, right) node weights of int lambda**e PL(lambda) over the cells
+    [x0, x0 + h]: the linear interpolant between their end nodes, integrated
+    exactly."""
+    m0 = cell_moments(e, x0, x0 + h)
+    m1 = cell_moments(e + 1.0, x0, x0 + h)
     right = (m1 - x0 * m0) / h
     return m0 - right, right
 
@@ -193,7 +157,8 @@ def _poly_against_power(c0: np.ndarray, c1: np.ndarray, r0: float, sign: int, mo
 
 
 def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
-    """(V_gamma * w)(r) for the truncated piecewise-linear profile ``w``.
+    """(V_gamma * w)(r) for the piecewise-linear profile ``w``, over the
+    cells up to its support radius (a node).
 
     The target radius need not be a grid node; radii below h/2 use the axis
     limit kernel.  Each cell is integrated at the target in its own
@@ -212,10 +177,10 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
         return 0.0
     ld = np.longdouble
     s = w.samples.astype(ld)
-    n_cells = min(int(np.ceil(b / h - 1e-12)), w.grid.n_r - 1)
+    n_cells = round(b / h)
     j = np.arange(n_cells)
     x0 = (j * h).astype(ld)
-    x1 = np.minimum(j * h + h, b).astype(ld)
+    x1 = (j * h + h).astype(ld)
     rl = ld(r)
     c1 = (s[j + 1] - s[j]) / h
     c0 = s[j] - c1 * x0
@@ -265,8 +230,8 @@ def _moment_tables(gamma: float, n: int):
 
 
 def _fft_length(m: int, J: int) -> int:
-    """FFT length of ``apply`` for ``m`` output nodes and ``J`` full cells:
-    the smallest 2^a or 3 * 2^a at or above max(3m, 3(m + J)/2).
+    """FFT length of ``apply`` for ``m`` output nodes and a support of ``J``
+    cells: the smallest 2^a or 3 * 2^a at or above max(3m, 3(m + J)/2).
 
     Then floor(L/3) >= m - 1 holds the reflected Q(1..m-1), and the
     L - floor(L/3) >= m + J - 1 entries below them hold P(0..m+J-2), so
@@ -286,7 +251,7 @@ class ConvolutionKernel:
     kernel spectrum: one forward FFT and one inverse per call.  The spectrum
     of length L holds P on [0, L - floor(L/3)) and Q reflected onto the top
     floor(L/3) entries, so index i of the correlation is the Hankel sum and
-    index -i the sum of both Toeplitz parts.  For J full cells L is the
+    index -i the sum of both Toeplitz parts.  For J cells of support L is the
     smallest 2^a or 3 * 2^a at or above max(3 n_out, 3 (n_out + J)/2)
     (``_fft_length``): from 3 n_out to below 4.5 n_out in a march, where
     J = n_out - 1.  One spectrum is kept per L; the ladder has two lengths
@@ -320,7 +285,7 @@ class ConvolutionKernel:
             self._axis_w = cell_weights(grid)[int(self.d)]
         else:
             x0 = np.arange(self.n - 1) * self.h
-            self._axis_w = _hat_weights(self.d, x0, x0 + self.h, self.h)
+            self._axis_w = _hat_weights(self.d, x0, self.h)
 
     @functools.cached_property
     def _tables(self):
@@ -356,12 +321,12 @@ class ConvolutionKernel:
         m = self.n if n_out is None else n_out
         if not 1 <= m <= self.n:
             raise ValueError(f"n_out must lie in [1, {self.n}], got {n_out}")
-        return self._convolve(w.samples, min(w.support_radius, w.grid.r_max), m)
+        return self._convolve(w.samples, w.support_radius, m)
 
     def _convolve(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
         """(V_gamma * w) at the first ``m`` nodes for each row of ``s``: the
-        samples (..., k) of profiles supported on [0, b], with k at least
-        the nodes of the cells that reach b.  The closed form at gamma = 0
+        samples (..., k) of profiles supported on [0, b], b a node, with k
+        at least the nodes up to b.  The closed form at gamma = 0
         and 1, the FFT correlation elsewhere.  Each row's values are those
         of a one-row call, bit for bit."""
         if b <= 0.0:
@@ -371,15 +336,9 @@ class ConvolutionKernel:
         return self._convolve_fft(s, b, m)
 
     def _axis(self, s: np.ndarray, b: float, m: int):
-        """(out, J, xi*): zeros of shape (..., m) with the axis value at
-        node 0, and the support [0, b] split into J full cells and a
-        truncated cell of xi* h (0 when b is a node)."""
-        h = self.h
-        k_edge = b / h
-        J = int(np.floor(k_edge + 1e-12))
-        xi_star = k_edge - J
-        if xi_star < 1e-12:
-            xi_star = 0.0
+        """(out, J): zeros of shape (..., m) with the axis value at node 0,
+        and the J cells of the support [0, b]."""
+        J = round(b / self.h)
         out = np.zeros(s.shape[:-1] + (m,))
         # one dot product per row: a stacked product would sum in another order
         wl, wr = self._axis_w
@@ -387,11 +346,8 @@ class ConvolutionKernel:
         axis = np.array(
             [np.dot(wl[:J], r[:J]) + np.dot(wr[:J], r[1 : J + 1]) for r in rows]
         ).reshape(s.shape[:-1])
-        if xi_star > 0.0:
-            pl, pr = _hat_weights(self.d, np.array([J * h]), np.array([b]), h)
-            axis = axis + (pl[0] * s[..., J] + pr[0] * s[..., J + 1])
         out[..., 0] = 4.0 * math.pi * axis
-        return out, J, xi_star
+        return out, J
 
     def _convolve_closed(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
         """``_convolve`` at gamma = 0 and 1, where the shell kernel is a
@@ -400,52 +356,39 @@ class ConvolutionKernel:
             gamma = 0:  (V*w)(r) = 4 pi int rho^2 w,  the axis value at every node;
             gamma = 1:  (V*w)(r) = (4 pi / r) int_0^r rho^2 w + 4 pi int_r^b rho w,
 
-        from the cell integrals T_e = int rho^e PL(w) over each cell (the
-        truncated one included): at node i a running sum of T_2 over the
-        cells left of r_i and a running sum from the right of T_1."""
-        out, J, xi_star = self._axis(s, b, m)
+        from the cell integrals T_e = int rho^e PL(w) over each of the J
+        cells of the support: at node i a running sum of T_2 over the cells
+        left of r_i and a running sum from the right of T_1."""
+        out, J = self._axis(s, b, m)
         if self.gamma == 0.0:
             out[..., 1:] = out[..., :1]
             return out
-        n_c = J + (xi_star > 0.0)
-        if n_c == 0:  # a support below roundoff of the axis
-            return out
-
-        def terms(e, weights):
-            wl, wr = weights
-            t = wl[:J] * s[..., :J] + wr[:J] * s[..., 1 : J + 1]
-            if xi_star > 0.0:
-                pl, pr = _hat_weights(e, np.array([J * self.h]), np.array([b]), self.h)
-                t = np.concatenate([t, pl * s[..., J : J + 1] + pr * s[..., J + 1 : J + 2]], -1)
-            return t
-
-        i = np.minimum(np.arange(1, m), n_c)
         weights = cell_weights(self.grid)
-        inner = np.cumsum(terms(2.0, weights[2]), axis=-1)[..., i - 1]
-        outer = np.zeros(s.shape[:-1] + (n_c + 1,))
-        outer[..., :n_c] = np.cumsum(terms(1.0, weights[1])[..., ::-1], axis=-1)[..., ::-1]
+
+        def terms(e):
+            wl, wr = weights[e]
+            return wl[:J] * s[..., :J] + wr[:J] * s[..., 1 : J + 1]
+
+        i = np.minimum(np.arange(1, m), J)
+        inner = np.cumsum(terms(2), axis=-1)[..., i - 1]
+        outer = np.zeros(s.shape[:-1] + (J + 1,))
+        outer[..., :J] = np.cumsum(terms(1)[..., ::-1], axis=-1)[..., ::-1]
         out[..., 1:] = 4.0 * math.pi * (inner / (np.arange(1, m) * self.h) + outer[..., i])
         return out
 
     def _convolve_fft(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
         """``_convolve`` by one circular correlation of the cell-coefficient
         rows against a kernel spectrum; the rows share one transform call."""
-        out, J_full, xi_star = self._axis(s, b, m)
-        acc = np.zeros(out.shape)
-        if J_full > 0:
-            L = _fft_length(m, J_full)
-            af = np.fft.rfft(_cell_coeffs(s, 0, J_full), L, axis=-1)
-            # c[k] = sum_j a_j K(j + k): the Hankel sum sum_j a_j P(i+j) at
-            # k = i, and sum_{j>=i} a_j P(j-i) + sum_{j<i} a_j Q(i-j) at k = -i
-            np.conjugate(af, out=af)
-            af *= self._spectrum(L)
-            c = np.fft.irfft(af.sum(axis=-2), L)
-            acc = c[..., :m]
-            acc[..., 1:] -= c[..., : L - m : -1]
-
-        if xi_star > 0.0:
-            acc += self._partial_cell(s, J_full, xi_star, m)
-
+        out, J = self._axis(s, b, m)
+        L = _fft_length(m, J)
+        af = np.fft.rfft(_cell_coeffs(s, J), L, axis=-1)
+        # c[k] = sum_j a_j K(j + k): the Hankel sum sum_j a_j P(i+j) at
+        # k = i, and sum_{j>=i} a_j P(j-i) + sum_{j<i} a_j Q(i-j) at k = -i
+        np.conjugate(af, out=af)
+        af *= self._spectrum(L)
+        c = np.fft.irfft(af.sum(axis=-2), L)
+        acc = c[..., :m]
+        acc[..., 1:] -= c[..., : L - m : -1]
         out[..., 1:] = self._tables[2][: m - 1] * acc[..., 1:]
         return out
 
@@ -457,31 +400,6 @@ class ConvolutionKernel:
         propagation speed)."""
         k = u.shape[-1]
         return self._convolve(u * u, (k - 1) * self.h, k) * u
-
-    def _partial_cell(self, s: np.ndarray, J: int, xi_star: float, m: int) -> np.ndarray:
-        """Moment contribution of the truncated cell [J h, (J + xi*) h] at
-        the first ``m`` nodes, for each row of ``s``, in long double.  Near
-        bases take the moment form, as ``_moment_tables`` does; from
-        xi / base <= ``_SERIES_RATIO`` on, where the moment form's m = 2
-        combination would cancel more than long double carries, the
-        series ``_xi_series``."""
-        a = _cell_coeffs(s, J, J + 1)[..., 0, None]
-        zmom = _zmom(self.gamma)
-        i = np.arange(m, dtype=np.longdouble)
-        xi = np.longdouble(xi_star)
-
-        def moments(base, sign):
-            far = xi <= _SERIES_RATIO * base
-            t = np.empty((3, base.size), dtype=np.longdouble)
-            t[:, ~far] = _xi_moments(zmom, base[~far], sign, xi)
-            t[:, far] = _xi_series(self.gamma, base[far], sign, xi)
-            return a[..., 0, :] * t[0] + a[..., 1, :] * t[1] + a[..., 2, :] * t[2]
-
-        low = i <= J
-        res = moments(i + J, +1)
-        res[..., low] -= moments(J - i[low], +1)
-        res[..., ~low] -= moments(i[~low] - J, -1)
-        return res.astype(float)
 
 
 @functools.lru_cache(maxsize=8)

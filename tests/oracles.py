@@ -172,12 +172,11 @@ def kernel_value(gamma: float, r: float, rho: float) -> float:
 
 
 def mp_convolution(w: RadialProfile, gamma: float, r: float, dps: int = 30) -> float:
-    """(V_gamma * w)(r) for the truncated piecewise-linear profile ``w`` at
-    r > 0, by mpmath quadrature of the shell kernel on each cell, split at
-    rho = r where the kernel is singular."""
+    """(V_gamma * w)(r) for the piecewise-linear profile ``w`` at r > 0, by
+    mpmath quadrature of the shell kernel on each cell of its support,
+    split at rho = r where the kernel is singular."""
     with mpmath.workdps(dps):
         h, r = mpmath.mpf(w.h), mpmath.mpf(r)
-        b = mpmath.mpf(w.support_radius)
         d = 2 - mpmath.mpf(gamma)
 
         def kernel(rho):
@@ -186,9 +185,9 @@ def mp_convolution(w: RadialProfile, gamma: float, r: float, dps: int = 30) -> f
             return 2 * mpmath.pi * rho / r * val
 
         total = mpmath.mpf(0)
-        for j in range(math.ceil(w.support_radius / w.h - 1e-12)):
+        for j in range(round(w.support_radius / w.h)):
             x0 = j * h
-            x1 = min(x0 + h, b)
+            x1 = x0 + h
             s0 = mpmath.mpf(w.samples[j])
             ds = mpmath.mpf(w.samples[j + 1]) - s0
             ends = [x0, r, x1] if x0 < r < x1 else [x0, x1]
@@ -198,26 +197,25 @@ def mp_convolution(w: RadialProfile, gamma: float, r: float, dps: int = 30) -> f
 
 def _cell_moment_terms(w: RadialProfile, e: int) -> list[list[float]]:
     """Per cell j of the support: terms whose sum is int rho^e w(rho) drho
-    over cell j, cut at the support radius, for e in {1, 2}.
+    over cell j, for e in {1, 2}.
 
     On the cell rho = x0 + h xi and w = s0 (1 - xi) + s1 xi, so
     rho^e w expands into products of (x0, h xi) powers with xi^a (1 - xi)
-    and xi^(a+1), integrated exactly over [0, xi*].  For w >= 0 every term
+    and xi^(a+1), integrated exactly over [0, 1].  For w >= 0 every term
     is nonnegative, so summing them cancels nothing.
     """
-    h, b = w.h, w.support_radius
+    h = w.h
     powers = [(1, 0), (1, 1)] if e == 1 else [(1, 0), (2, 1), (1, 2)]  # (binomial, a)
     cells = []
-    for j in range(math.ceil(b / h - 1e-12)):
+    for j in range(round(w.support_radius / h)):
         x0 = j * h
-        xs = min(1.0, (b - x0) / h)
         s0, s1 = float(w.samples[j]), float(w.samples[j + 1])
         terms = []
         for binom, a in powers:
             coef = binom * x0 ** (e - a) * h ** (a + 1)
-            # int_0^xs xi^a (1 - xi) and int_0^xs xi^(a+1)
-            left = xs ** (a + 1) * (1.0 / (a + 1) - xs / (a + 2))
-            right = xs ** (a + 2) / (a + 2)
+            # int_0^1 xi^a (1 - xi) and int_0^1 xi^(a+1)
+            left = 1.0 / (a + 1) - 1.0 / (a + 2)
+            right = 1.0 / (a + 2)
             terms += [coef * s0 * left, coef * s1 * right]
         cells.append(terms)
     return cells

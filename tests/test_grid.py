@@ -59,12 +59,17 @@ class TestProfile:
     def test_support_validation_matches_radii_predicate(self, h):
         # the check raises exactly when a node with radii() > sr + 1e-12
         # carries a nonzero sample: supports on a node, 1e-13 to either
-        # side of one, and mid-cell, with one nonzero node near the edge
+        # side of one, and mid-cell, with one nonzero node near the edge.
+        # An accepted profile stores node j, or the node j + 1 that ends
+        # the cell when sr lies past node j by more than 1e-12 relative in
+        # cells, capped at the grid edge
         g = Grid(h=h, n_r=41, n_t=1)
         for j in (0, 1, 3, 7, 10, 29, 39, 40):
             for sr in (j * h, j * h + 1e-13, j * h - 1e-13, (j + 0.5) * h):
                 if not 0.0 <= sr <= g.r_max + 1e-12:
                     continue
+                past = sr > j * h and not math.isclose(sr / h, j, rel_tol=1e-12, abs_tol=1e-12)
+                node = min(j + past, g.n_r - 1)
                 for i in range(max(j - 1, 0), min(j + 3, g.n_r)):
                     samples = np.zeros(g.n_r)
                     samples[i] = 1.0
@@ -73,7 +78,28 @@ class TestProfile:
                         with pytest.raises(ValueError, match="beyond the declared support"):
                             RadialProfile(g, samples, support_radius=sr)
                     else:
-                        RadialProfile(g, samples, support_radius=sr)
+                        p = RadialProfile(g, samples, support_radius=sr)
+                        assert p.support_radius == g.radii()[node]
+
+    def test_off_node_cutoff_raised_to_cell_end(self, grid):
+        # a cutoff inside cell 10 is stored as node 11, which ends the cell;
+        # the samples past the declared cutoff still must vanish
+        s = np.zeros(grid.n_r)
+        s[:11] = 1.0
+        for frac in (0.01, 0.4, 0.99):
+            p = RadialProfile(grid, s, support_radius=(10 + frac) * grid.h)
+            assert p.support_radius == 11 * grid.h
+        s[11] = 1.0
+        with pytest.raises(ValueError, match="beyond the declared support"):
+            RadialProfile(grid, s, support_radius=10.4 * grid.h)
+
+    def test_node_cutoff_with_roundoff_stays(self):
+        # sr / h lies 3.6e-12 cells above node 32756: roundoff, not a cell
+        g = Grid(h=0.2, n_r=32801, n_t=1)
+        sr = 32746 * 0.2 + 2.0
+        assert abs(sr / g.h - 32756) > 1e-12
+        p = RadialProfile(g, np.zeros(g.n_r), support_radius=sr)
+        assert p.support_radius == g.radii()[32756]
 
     def test_shape_validation(self, grid):
         with pytest.raises(ValueError):

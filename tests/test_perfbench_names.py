@@ -4,7 +4,11 @@ of ``perfbench/child.py`` (without installing the tracer) and resolve every
 wrapped name on its conewave object.  Likewise for the scripts under
 ``benchmarks/``: ``perfbench/run.py --micro`` runs ``bench_cone.py``, and
 ``bench_sweep.py`` wraps the methods its ``LAYERS`` name; import both (their
-``main`` is guarded) and resolve every layer."""
+``main`` is guarded) and resolve every layer.  And the benchmark's accuracy
+gate: ``conv_rel_err`` of the accuracy child on the smoke configs stays
+within the ``MAX_CONV_REL_ERR`` of ``perfbench/run.py``, so a change to the
+convolution or to the profile semantics that breaks it shows here rather
+than only in a benchmark run."""
 
 import ast
 import importlib
@@ -12,7 +16,8 @@ import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CHILD = ROOT / "perfbench" / "child.py"
+PERFBENCH = ROOT / "perfbench"
+CHILD = PERFBENCH / "child.py"
 
 
 def _install_body() -> list:
@@ -62,11 +67,15 @@ def test_wrapped_names_resolve():
         assert callable(getattr(obj, attr, None)), f"{owner}.{attr} does not resolve"
 
 
-def _load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / f"{name}.py")
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _load_script(name: str):
+    return _load(ROOT / "benchmarks" / f"{name}.py")
 
 
 def test_benchmark_scripts_import_and_layers_resolve():
@@ -77,3 +86,22 @@ def test_benchmark_scripts_import_and_layers_resolve():
         for mod, cls, meth in methods:
             owner = getattr(importlib.import_module(f"conewave.{mod}"), cls)
             assert callable(getattr(owner, meth, None)), f"{label}: {mod}.{cls}.{meth}"
+
+
+def _run_constant(name: str):
+    """A module-level constant of ``perfbench/run.py``, read without
+    importing it (its imports need ``perfbench/`` on the path)."""
+    for node in ast.parse((PERFBENCH / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} is not assigned in perfbench/run.py")
+
+
+def test_accuracy_gate_holds_on_smoke_configs():
+    child = _load(CHILD)
+    workloads = _load(PERFBENCH / "workloads.py")
+    bound = _run_constant("MAX_CONV_REL_ERR")
+    for name in workloads.WORKLOADS:
+        for seed in range(4):
+            acc = child.accuracy(workloads.make_config(name, seed, smoke=True), seed)
+            assert acc["conv_rel_err"] <= bound, (name, seed, acc["per_gamma"])

@@ -87,14 +87,15 @@ class TestPaths:
     def test_slice_matches_point(self, gamma, grid):
         rng = np.random.default_rng(int(10 * (gamma + 1)))
         w = random_profile(grid, rng)
-        # the same samples with the support ending 0.4 cells past the last
-        # node, where the truncated cell carries mass
-        n_sup = int(round(w.support_radius / grid.h))
-        s = w.samples.copy()
-        s[n_sup] = s[n_sup - 1]
-        cut = RadialProfile(grid, s, support_radius=(n_sup + 0.4) * grid.h)
-        for prof in (w, cut):
-            fast = convolve_profile(prof, gamma)
+        # the same samples with the cutoff declared 0.4 cells past the last
+        # nonzero node: the profile raises it to the node that ends the cell,
+        # which is the support of ``w``, so both paths see ``w`` bit for bit
+        n_sup = round(w.support_radius / grid.h)
+        off = RadialProfile(grid, w.samples, support_radius=(n_sup - 0.6) * grid.h)
+        assert off.support_radius == w.support_radius
+        fast = convolve_profile(w, gamma)
+        assert convolve_profile(off, gamma).tobytes() == fast.tobytes()
+        for prof in (w, off):
             direct = np.array([convolve_power(prof, gamma, r) for r in grid.radii()])
             scale = np.max(np.abs(direct)) + 1e-300
             assert np.max(np.abs(fast - direct)) / scale < 1e-10
@@ -115,28 +116,11 @@ class TestPaths:
             close = convolve_profile(w, g)
             assert np.max(np.abs(close - base)) / np.max(np.abs(base)) < 1e-4
 
-    def test_partial_cell_truncation(self, grid):
-        # support radius strictly inside a cell: the ramp of the last cell
-        # is integrated only up to the cutoff
-        s = np.ones(grid.n_r)
-        sup = 1.0 + 0.4 * grid.h
-        r = grid.radii()
-        s[r > sup] = 0.0
-        w = RadialProfile(grid, s, support_radius=sup)
-        got = convolve_power(w, 0.0, 0.5)
-        # gamma = 0: convolution equals the total mass of the profile;
-        # dense-sampled reference integral of the truncated ramp
-        x = np.linspace(0.0, sup, 2_000_001)
-        ramp = np.where(x <= 1.0, 1.0, 1.0 - (x - 1.0) / grid.h)
-        want = 4 * math.pi * np.trapezoid(x**2 * ramp, x)
-        assert got == pytest.approx(want, rel=1e-9)
-        fast = convolve_profile(w, 0.0)
-        assert fast[32] == pytest.approx(got, rel=1e-10)
-
     @pytest.mark.parametrize("cells, bound", [(64.4, 1e-10), (64.0, 1e-11)])
     def test_log_branch_far_node_against_mpmath(self, cells, bound):
-        # a support ending inside a cell runs the truncated-cell moments,
-        # whose m = 2 combination cancels ~base^2 at far nodes
+        # the cutoff declared inside cell 64 is raised to node 65, so the
+        # last cell ramps to 0; at far nodes the slice tables' m = 2
+        # combination cancels ~base^2
         grid = Grid(h=1 / 16, n_r=2049, n_t=1)
         r = grid.radii()
         b = cells * grid.h
@@ -144,15 +128,6 @@ class TestPaths:
         got = ConvolutionKernel(2.0, grid).apply(w, n_out=2001)[2000]
         want = mp_convolution(w, 2.0, r[2000])
         assert got == pytest.approx(want, rel=bound)
-
-    def test_log_branch_truncated_cell_against_mpmath(self):
-        # ROADMAP item 3's probe: 5.5 cells at h = 1/256, node 1000; the
-        # long-double moment form was off by 4.7e-9 there, the series by
-        # 1.3e-10 (the 5.0-cell support, with no truncated cell: 1.6e-10)
-        w = log_branch_probe(5.5)
-        got = ConvolutionKernel(2.0, w.grid).apply(w, n_out=1001)[1000]
-        want = float(mp_convolution(w, 2.0, 1000 * w.h))
-        assert abs(got - want) <= 1e-9 * abs(want)
 
     @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0])
     def test_reference_far_nodes_against_mpmath(self, gamma):
@@ -170,7 +145,8 @@ class TestPaths:
     def test_reference_log_branch_against_mpmath(self, cells, bound):
         # ROADMAP item 3's probe on the reference: float64 log moments were
         # off by 4.3e-8 (5.0 cells) and 2.0e-6 (5.5 cells), long double by
-        # 6.3e-13 and 1.5e-10
+        # 6.3e-13 and 1.5e-10; the 5.5-cell cutoff now reads as the 6-cell
+        # node profile, 8.6e-10 off
         w = log_branch_probe(cells)
         r = 1000 * w.h
         want = mp_convolution(w, 2.0, r, dps=40)
@@ -178,8 +154,10 @@ class TestPaths:
 
 
 def log_branch_probe(cells: float) -> RadialProfile:
-    """1 + 0.5 cos 40r on ``cells`` cells of a 1025-node grid, h = 1/256:
-    node 1000 is a far target of a narrow support."""
+    """1 + 0.5 cos 40r up to ``cells`` cells of a 1025-node grid, h = 1/256,
+    and 0 past it: node 1000 is a far target of a narrow support.  A
+    fractional ``cells`` declares the cutoff inside a cell, which the
+    profile raises to the node that ends that cell."""
     grid = Grid(h=1 / 256, n_r=1025, n_t=1)
     r = grid.radii()
     b = cells * grid.h
@@ -187,8 +165,10 @@ def log_branch_probe(cells: float) -> RadialProfile:
 
 
 def positive_profile(grid, cells: float) -> RadialProfile:
-    """Smooth profile, positive on a support of ``cells`` cells (which may end
-    inside a cell) and zero beyond."""
+    """Smooth profile, positive up to ``cells`` cells and zero beyond.  A
+    fractional ``cells`` declares the cutoff inside a cell, which the
+    profile raises to the node that ends that cell: its last cell ramps to
+    0."""
     r = grid.radii()
     b = cells * grid.h
     x = np.minimum(r / b, 1.0)
@@ -220,21 +200,22 @@ class TestWindow:
     @pytest.mark.parametrize("gamma", [-0.4, 0.0, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("cells", [64, 64.4, 200.7])
     def test_cubic_prefix_bitwise(self, gamma, cells, grid):
-        # a zero tail past the nodes of the cells that reach the support
-        # changes no bit of the convolution, so the source of a window
-        # equals that of its zero-padded full row
+        # a zero tail past the support changes no bit of the convolution,
+        # so the source of a window equals that of its zero-padded full
+        # row; a cutoff declared inside a cell ends on the node that ends
+        # the cell, so the window up to that node is the support
         kern = ConvolutionKernel(gamma, grid)
         u = positive_profile(grid, cells)
         b = u.support_radius
         sq = u.samples * u.samples
         k = math.ceil(cells) + 1
+        assert b == (k - 1) * grid.h
         for m in (k, grid.n_r):
             want = kern._convolve(sq[:k], b, m).tobytes()
             for tail in (k + 1, grid.n_r):
                 assert kern._convolve(sq[:tail], b, m).tobytes() == want
-        if cells == k - 1:  # node-aligned: the window is the support
-            full = kern._convolve(sq, b, k) * u.samples[:k]
-            assert kern.cubic(u.samples[:k]).tobytes() == full.tobytes()
+        full = kern._convolve(sq, b, k) * u.samples[:k]
+        assert kern.cubic(u.samples[:k]).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("gamma", [-0.4, 0.0, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("cells", [64, 64.4])
@@ -271,7 +252,7 @@ class TestWindow:
     @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0, 2.5])
     def test_axis_dot_matches_trapezoid(self, gamma, grid):
         kern = ConvolutionKernel(gamma, grid)
-        for cells in (1, 1.3, 64, 64.4, 255.5, grid.n_r - 1):
+        for cells in (1, 2, 64, 65, grid.n_r - 1):
             w = positive_profile(grid, cells)
             want = 4 * math.pi * trapezoid_weighted(w, 2.0 - gamma, 0.0, grid.r_max)
             assert abs(kern.apply(w, n_out=1)[0] - want) <= 1e-14 * abs(want)
@@ -298,9 +279,9 @@ class TestWindow:
         assert kern._spectra == {} and "_tables" not in vars(kern)
 
     def test_fft_length_separates_p_and_q(self):
-        # every (n_out, full cells) pair of a 130-node grid: the reflected Q
-        # part fits in the top floor(L/3) entries and P below them, and L is
-        # 2^a or 3 * 2^a
+        # every (n_out, support cells) pair of a 130-node grid: the
+        # reflected Q part fits in the top floor(L/3) entries and P below
+        # them, and L is 2^a or 3 * 2^a
         n_r = 130
         for m in range(1, n_r + 1):
             for J in range(n_r):
@@ -340,24 +321,13 @@ class TestWindow:
         # convolution has an exact closed form at every node: an oracle for
         # the FFT path, which ``apply`` takes at every other gamma; each
         # bound is ten times the error of the power-of-two layout (P on
-        # [0, L/2))
+        # [0, L/2)).  The 64.4 rows declare the cutoff inside cell 64,
+        # which the profile raises to node 65; their bounds were set when
+        # that cell was cut at the cutoff
         grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
         w = positive_profile(grid, cells)
         want = exact_convolution(w, gamma)
         got = ConvolutionKernel(gamma, grid)._convolve_fft(w.samples, w.support_radius, n_r)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= bound
-
-    @pytest.mark.parametrize("n_r, bound", [(2049, 1e-12), (8193, 1e-11)])
-    def test_truncated_cell_at_scale(self, n_r, bound):
-        # a support ending inside a cell: at far nodes the truncated cell's
-        # moments cancel ~3 (base/xi)^2 of significance, which float64 (and
-        # long double) moments lose; its series in x/base keeps the error at
-        # the node-aligned level (1.8e-13 and 1.6e-12 on 64 cells), where
-        # the moment form was off by 3.7e-12 and 2.8e-10
-        grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
-        w = positive_profile(grid, 64.4)
-        want = exact_convolution(w, 1.0)
-        got = ConvolutionKernel(1.0, grid)._convolve_fft(w.samples, w.support_radius, n_r)
         assert np.max(np.abs(got - want) / np.abs(want)) <= bound
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
@@ -368,7 +338,7 @@ class TestWindow:
         # up to 1.3e-4 (one cell at n_r = 8193), and builds no FFT tables
         grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
         kern = ConvolutionKernel(gamma, grid)
-        for cells in (1, 64, 64.4, n_r - 1):
+        for cells in (1, 64, n_r - 1):
             w = positive_profile(grid, cells)
             want = exact_convolution(w, gamma)
             got = kern.apply(w)
