@@ -59,7 +59,7 @@ def bench_convolution(gamma=-0.4):
         t0 = time.perf_counter()
         direct = np.array([convolve_power(w, gamma, r) for r in w.grid.radii()])
         direct_ms = (time.perf_counter() - t0) * 1e3
-        L = _fft_length(n, round(w.support_radius / w.h))
+        L = _fft_length(n, w.support_cells)
         max_rel = np.max(np.abs(kern.apply(w) - direct)) / np.max(np.abs(direct))
         print(
             f"{n:>7} {L:>7} {fft_ms:>9.2f} {direct_ms:>10.1f} {direct_ms/fft_ms:>8.1f}x"

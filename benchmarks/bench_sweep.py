@@ -4,7 +4,10 @@ Prints a JSON record with up to four parts:
 
 * ``pairs``   -- alternating perfbench runs per workload (``perfbench/run.py
   --trace 0`` of each checkout): medians, quartiles and wins of run_ref_s,
-  setup_s and peak_rss_mb;
+  setup_s and peak_rss_mb.  A run that exits nonzero is recorded under
+  ``failed_runs`` (side, pair, workload, exit code, last stderr lines) and
+  the part goes on: medians and quartiles are over the runs that completed,
+  wins over the pairs where both sides completed;
 * ``layers``  -- one CLI run (``cli.run`` in process) of each perfbench
   workload, lifespan, global and verify, at this seed, parent against
   change, interleaved in one process and split by layer: CPU seconds in the
@@ -44,6 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("lifespan", "global", "verify")
 METRICS = ("run_ref_s", "setup_s", "peak_rss_mb")
 CONFIGS = tuple(sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")))
+STDERR_LINES = 20  # kept of a failed perfbench run
 LAYERS = {  # layer -> the (module, class, method) wrapped in each package
     "free_field": [("waveops", "FreeField", "slice")],
     "closure_eval": [("waveops", "ConeAccumulator", "eval_slice")],
@@ -55,20 +59,27 @@ LAYERS = {  # layer -> the (module, class, method) wrapped in each package
 
 
 def summary(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+    """Median and quartiles of the runs that completed (None marks a failed
+    run); None for each when fewer than two completed."""
+    done = [v for v in values if v is not None]
+    if len(done) < 2:
+        return {"median": None, "q1": None, "q3": None, "runs": values}
+    q1, _, q3 = statistics.quantiles(done, n=4, method="inclusive")
+    return {"median": statistics.median(done), "q1": q1, "q3": q3, "runs": values}
 
 
 def compare(parent: list, change: list) -> dict:
+    """Both sides' summaries, and the change's wins over the pairs where
+    both runs completed."""
     p, c = summary(parent), summary(change)
-    return {
-        "parent": p,
-        "change": c,
-        "change_wins": sum(b < a for a, b in zip(parent, change)),
-        "median_change_minus_parent": c["median"] - p["median"],
-        "relative_median_change": c["median"] / p["median"] - 1.0,
-        "parent_iqr": p["q3"] - p["q1"],
-    }
+    both = [(a, b) for a, b in zip(parent, change) if a is not None and b is not None]
+    out = {"parent": p, "change": c, "pairs_compared": len(both),
+           "change_wins": sum(b < a for a, b in both)}
+    if p["median"] is not None and c["median"] is not None:
+        out["median_change_minus_parent"] = c["median"] - p["median"]
+        out["relative_median_change"] = c["median"] / p["median"] - 1.0
+        out["parent_iqr"] = p["q3"] - p["q1"]
+    return out
 
 
 def sides(parent_dir: Path) -> dict:
@@ -81,23 +92,33 @@ def in_order(i: int) -> tuple:
 
 
 def run_pairs(parent_dir: Path, seed: int, pairs: int, seconds: int) -> dict:
-    got = {w: {s: [] for s in ("parent", "change")} for w in WORKLOADS}
+    got = {w: {s: [] for s in ("parent", "change")} for w in WORKLOADS}  # None: run failed
+    failed_runs = {w: [] for w in WORKLOADS}
     for i in range(pairs):
         for side in in_order(i):
             for w in WORKLOADS:
                 root = sides(parent_dir)[side]
                 cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", w,
                        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-                out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+                out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+                if out.returncode != 0:
+                    failed_runs[w].append({"side": side, "pair": i, "workload": w,
+                                           "exit": out.returncode,
+                                           "stderr_tail": out.stderr.splitlines()[-STDERR_LINES:]})
+                    got[w][side].append(None)
+                    print(f"pair {i} {side} {w} failed, exit {out.returncode}", file=sys.stderr)
+                    continue
                 rec = json.loads(out.stdout.strip().splitlines()[-1])
                 got[w][side].append(rec)
                 print(f"pair {i} {side} {w} run_ref_s {rec['metrics']['run_ref_s']['value']:.3f}",
                       file=sys.stderr)
     res = {}
     for w, by in got.items():
-        res[w] = {m: compare(*[[r["metrics"][m]["value"] for r in by[s]] for s in ("parent", "change")])
+        res[w] = {m: compare(*[[None if r is None else r["metrics"][m]["value"] for r in by[s]]
+                               for s in ("parent", "change")])
                   for m in METRICS}
-        res[w]["failed"] = {s: sum(r["failed"] for r in by[s]) for s in by}
+        res[w]["failed"] = {s: sum(r["failed"] for r in by[s] if r is not None) for s in by}
+        res[w]["failed_runs"] = failed_runs[w]
     return res
 
 

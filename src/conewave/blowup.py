@@ -11,8 +11,8 @@ radial data with v0 = 0, v1 >= 0) into
 all of which this module evaluates slice by slice against a run.  Each
 mass integral here (F, F'' and int u^2 dx, and the data mass C0) is
 ``grid.mass`` of a row of samples (the slice's live window in a run),
-which sums the exact cell integrals of r^2 PL over that row's cells with
-the node weights of ``grid.cell_weights``; a lean run records the first
+which sums the exact cell integrals of r^2 PL over that row's cells
+(``grid.cell_integrals``); a lean run records the first
 three per slice, so the chain reads scalar series.  The scalar
 comparison ODE built from the linear seed provides a lower envelope for F,
 and the seeded power series feeds the Kato-type parameter calculus that

@@ -50,7 +50,7 @@ import numpy as np
 from .blowup import mass_diagnostics
 from .grid import Grid
 from .harness import MIN_FIT_POINTS, sweep
-from .potential import is_log_branch
+from .potential import GAMMA_HIGH, GAMMA_LOW, is_log_branch
 from .solver import (
     DATA_FAMILIES,
     NumericalAbort,
@@ -266,7 +266,7 @@ _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
 # is checked with the rules that tie keys together, in ``parse_config``.
 _KEYS = {
     "mode": ("solve", _RUNNERS.__contains__, f"one of {tuple(_RUNNERS)}"),
-    "gamma": (1.0, lambda g: -0.5 < g < 3.0, "in (-1/2, 3)"),
+    "gamma": (1.0, lambda g: GAMMA_LOW < g < GAMMA_HIGH, "in (-1/2, 3)"),
     "R": (1.0, lambda v: 1.0 <= v < math.inf, ">= 1 and finite"),
     "epsilon": (1e-3, lambda v: 0.0 <= v < math.inf, ">= 0 and finite"),
     "epsilon_list": ("", None, None),

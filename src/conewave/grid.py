@@ -10,22 +10,22 @@ analytically against that interpolant, cell by cell, left to right.  Pure
 power-law integrands are therefore exact and results are bitwise
 reproducible.
 
-``trapezoid_weighted`` (any e, any interval) is the reference; the whole-cell
-integrals at e = 1, 2 of ``waveops.lam_prefix``, ``mass`` and the gamma = 0, 1
-closed-form convolution read one cached table of exact node weights, ``cell_weights``.
+``trapezoid_weighted`` (any e, any interval) is the reference.  The fast
+paths take their whole-cell integrals from ``cell_integrals``, which reads
+the cached exact node weights of ``cell_weights`` (any e), and a support's
+cells from ``RadialProfile.support_cells``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Grid", "RadialProfile", "cell_moments", "trapezoid_weighted", "cell_weights", "mass",
-           "interp"]
+__all__ = ["Grid", "RadialProfile", "cell_moments", "trapezoid_weighted", "cell_weights",
+           "cell_integrals", "mass", "interp"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,18 @@ class Grid:
         if self.n_r - 1 < self.n_t - 1 + support_cells:
             raise ValueError("grid must cover the forward cone: need r_max >= t_max + support")
 
+    def nodes_within(self, rho: float) -> int:
+        """Number of nodes with radius k h <= rho + 1e-12: a prefix, since
+        k h rounds monotonically in k.  Its end is found from the quotient
+        and corrected by the same float comparison, with no radii array."""
+        h, n, thr = self.h, self.n_r, rho + 1e-12
+        k = min(int(thr / h), n)
+        while k > 0 and (k - 1) * h > thr:
+            k -= 1
+        while k < n and not k * h > thr:
+            k += 1
+        return k
+
     def index_of_time(self, t: float) -> int:
         """Index of a grid time; rejects off-grid values."""
         n = int(round(t / self.h))
@@ -81,14 +93,15 @@ class Grid:
 @dataclass(frozen=True)
 class RadialProfile:
     """Sampled radial function: piecewise linear between nodes, zero beyond
-    ``support_radius``, which is always a node.  A cutoff declared inside a
-    cell is raised to the node that ends that cell; one within 1e-12
-    (relative, in cells) of a node is that node.  Samples past the declared
-    cutoff must vanish."""
+    ``support_radius``, which is always a node: ``support_cells`` cells
+    from the axis.  A cutoff declared inside a cell is raised to the node
+    that ends that cell; one within 1e-12 (relative, in cells) of a node is
+    that node.  Samples past the declared cutoff must vanish."""
 
     grid: Grid
     samples: np.ndarray
     support_radius: float = field(default=-1.0)  # -1 means "whole grid"
+    support_cells: int = field(init=False)  # support_radius = support_cells * h
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -97,27 +110,20 @@ class RadialProfile:
                 f"samples shape {samples.shape} does not match grid n_r={self.grid.n_r}"
             )
         object.__setattr__(self, "samples", samples)
-        sr = self.support_radius
+        sr, h, n = self.support_radius, self.grid.h, self.grid.n_r
         if sr < 0.0:
-            object.__setattr__(self, "support_radius", self.grid.r_max)
-            return
-        if not sr <= self.grid.r_max + 1e-12:
+            j = n - 1
+        elif not sr <= self.grid.r_max + 1e-12:
             raise ValueError(f"support_radius {sr} exceeds r_max {self.grid.r_max}")
-        # the nodes beyond the support are those with radii() > sr + 1e-12:
-        # a suffix, since k*h rounds monotonically in k; its start k is found
-        # from the quotient and corrected by the same float comparison
-        h, n, thr = self.grid.h, self.grid.n_r, sr + 1e-12
-        k = min(int(thr / h), n)
-        while k > 0 and (k - 1) * h > thr:
-            k -= 1
-        while k < n and not k * h > thr:
-            k += 1
-        if np.any(samples[k:]):
+        elif np.any(samples[self.grid.nodes_within(sr) :]):
             raise ValueError("nonzero samples beyond the declared support radius")
-        j = round(sr / h)
-        if not math.isclose(sr / h, j, rel_tol=1e-12, abs_tol=1e-12):
-            j = math.ceil(sr / h)
-        object.__setattr__(self, "support_radius", min(j, n - 1) * h)
+        else:
+            j = round(sr / h)
+            if not math.isclose(sr / h, j, rel_tol=1e-12, abs_tol=1e-12):
+                j = math.ceil(sr / h)
+            j = min(j, n - 1)
+        object.__setattr__(self, "support_cells", j)
+        object.__setattr__(self, "support_radius", j * h)
 
     @property
     def h(self) -> float:
@@ -195,22 +201,41 @@ def trapezoid_weighted(p: RadialProfile, weight_exponent: float, a: float, b: fl
     return total
 
 
-@functools.lru_cache(maxsize=8)
-def cell_weights(grid: Grid) -> types.MappingProxyType:
-    """Exact node weights of the cells [j h, (j + 1) h] of ``grid``, by
-    exponent e = 1, 2: (left, right), n_r - 1 entries each, read-only, with
-    int_cell lambda**e PL(s) = left[j] s_j + right[j] s_{j+1}.  They are
+# e = 1, 2 of each grid serve every march slice; each kernel reads its
+# e = 2 - gamma once.  16 holds cached_kernel's 8 with e = 1, 2 on 4 grids.
+@functools.lru_cache(maxsize=16)
+def cell_weights(grid: Grid, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact node weights (left, right) of the cells [j h, (j + 1) h] of
+    ``grid`` for lambda**e, read-only and shared: int_cell lambda**e PL(s)
+    = left[j] s_j + right[j] s_{j+1}.  At e = 1, 2 the closed forms
     h^2 (3j + 1, 3j + 2) / 6 and h^3 (6j^2 + 4j + 1, 6j^2 + 8j + 3) / 12,
-    one rounding each where h is a power of two."""
-    j = np.arange(grid.n_r - 1, dtype=float)
-    h2, h3 = grid.h**2, grid.h**3
-    out = {
-        1: ((3.0 * j + 1.0) * h2 / 6.0, (3.0 * j + 2.0) * h2 / 6.0),
-        2: (((6.0 * j + 4.0) * j + 1.0) * h3 / 12.0, ((6.0 * j + 8.0) * j + 3.0) * h3 / 12.0),
-    }
-    for a in (*out[1], *out[2]):
+    one rounding each where h is a power of two; at any other e the
+    interpolant integrated against ``cell_moments``."""
+    j, h = np.arange(grid.n_r - 1, dtype=float), grid.h
+    if e == 1:
+        out = (3.0 * j + 1.0) * h**2 / 6.0, (3.0 * j + 2.0) * h**2 / 6.0
+    elif e == 2:
+        out = (((6.0 * j + 4.0) * j + 1.0) * h**3 / 12.0, ((6.0 * j + 8.0) * j + 3.0) * h**3 / 12.0)
+    else:
+        x0 = j * h
+        m0 = cell_moments(e, x0, x0 + h)
+        right = (cell_moments(e + 1.0, x0, x0 + h) - x0 * m0) / h
+        out = m0 - right, right
+    for a in out:
         a.setflags(write=False)
-    return types.MappingProxyType(out)  # shared by every caller: read-only
+    return out
+
+
+def cell_integrals(s: np.ndarray, grid: Grid, e: float, c: int) -> np.ndarray:
+    """int lambda**e PL(s) over each cell 0..c-1 of ``grid``, shape (..., c),
+    for the samples (..., k) of the first k nodes; zeros follow the row."""
+    k = s.shape[-1]
+    if k <= c:
+        padded = np.zeros(s.shape[:-1] + (c + 1,))
+        padded[..., :k] = s
+        s = padded
+    wl, wr = cell_weights(grid, e)
+    return wl[:c] * s[..., :c] + wr[:c] * s[..., 1 : c + 1]
 
 
 def mass(row: np.ndarray, grid: Grid):
@@ -218,12 +243,8 @@ def mass(row: np.ndarray, grid: Grid):
     nodes of ``grid``, zero past them; a stack gives one mass per row, each
     the value of its one-row call.  Only the cells that touch a node of the
     window are summed."""
-    k = row.shape[-1]
-    c = min(k, grid.n_r - 1)
-    right = np.zeros(row.shape[:-1] + (c,))  # the last cell's right node may lie past k
-    right[..., : k - 1] = row[..., 1:k]
-    wl, wr = cell_weights(grid)[2]
-    total = 4.0 * math.pi * (wl[:c] * row[..., :c] + wr[:c] * right).sum(axis=-1)
+    c = min(row.shape[-1], grid.n_r - 1)
+    total = 4.0 * math.pi * cell_integrals(row, grid, 2, c).sum(axis=-1)
     return float(total) if row.ndim == 1 else total
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import is_log_branch
+from .potential import _check_gamma, is_log_branch
 
 __all__ = [
     "WeightParams",
@@ -42,8 +42,7 @@ class WeightParams:
     R: float
 
     def __post_init__(self):
-        if not (-0.5 < self.gamma < 3.0):
-            raise ValueError(f"gamma must lie in (-1/2, 3), got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.R < 1.0:
             raise ValueError(f"R must be >= 1, got {self.R}")
 

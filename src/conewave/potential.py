@@ -7,9 +7,9 @@ For radial w the 3D convolution collapses to a 1D shell kernel
 
 with the log branch at g = 2 and the limit kernel 4 pi rho**(2-g) on the
 axis.  All quadrature integrates the kernel powers in closed form against
-the piecewise-linear profile, cell by cell up to its support radius (a node,
-``grid.RadialProfile``), so the |r-rho| singularity needs no special casing
-and pure power-law data come out exact.
+the piecewise-linear profile, cell by cell over the ``support_cells`` cells
+of its support (``grid.RadialProfile``), so the |r-rho| singularity needs
+no special casing and pure power-law data come out exact.
 
 Two evaluation paths share that quadrature:
 
@@ -29,7 +29,8 @@ Two evaluation paths share that quadrature:
       gamma = 0:  (V*w)(r) = 4 pi int rho^2 w,
       gamma = 1:  (V*w)(r) = (4 pi / r) int_0^r rho^2 w + 4 pi int_r^b rho w,
 
-  two running sums of the cells' exact integrals of rho^e PL(w).
+  two running sums of the cells' exact integrals of rho^e PL(w)
+  (``grid.cell_integrals``).
   ``ConvolutionKernel.cubic`` gives the source term (V*u^2) u on a window
   of the first k nodes, which is the support of u: a march slice's live
   window.  It takes a stack of rows at once (one transform call; each row
@@ -40,7 +41,9 @@ g = 2) from one routine, ``_zmom``, in long double.  The slice tables turn
 them into unit-cell moments with ``_xi_moments``.
 ``convolve_power`` shares only ``_zmom``: it integrates each cell at the
 target in its own rho-polynomial form, split at rho = r, and so stays the
-independent reference the fast path is tested against.
+independent reference the fast path is tested against.  The axis value of
+``apply`` (the limit kernel 4 pi rho**(2-g)) is a dot product with the
+exact node weights of ``grid.cell_weights`` at e = 2 - g.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import math
 
 import numpy as np
 
-from .grid import RadialProfile, cell_moments, cell_weights, trapezoid_weighted
+from .grid import RadialProfile, cell_integrals, cell_weights, trapezoid_weighted
 
 __all__ = [
     "is_log_branch",
@@ -133,16 +136,6 @@ def _cell_coeffs(s: np.ndarray, J: int) -> np.ndarray:
     return out
 
 
-def _hat_weights(e: float, x0: np.ndarray, h: float):
-    """(left, right) node weights of int lambda**e PL(lambda) over the cells
-    [x0, x0 + h]: the linear interpolant between their end nodes, integrated
-    exactly."""
-    m0 = cell_moments(e, x0, x0 + h)
-    m1 = cell_moments(e + 1.0, x0, x0 + h)
-    right = (m1 - x0 * m0) / h
-    return m0 - right, right
-
-
 def _poly_against_power(c0: np.ndarray, c1: np.ndarray, r0: float, sign: int, moms) -> np.ndarray:
     """int (c0*rho + c1*rho^2) K(z) dz with rho = r0 + sign*z.
 
@@ -158,7 +151,7 @@ def _poly_against_power(c0: np.ndarray, c1: np.ndarray, r0: float, sign: int, mo
 
 def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
     """(V_gamma * w)(r) for the piecewise-linear profile ``w``, over the
-    cells up to its support radius (a node).
+    cells of its support (``support_cells``).
 
     The target radius need not be a grid node; radii below h/2 use the axis
     limit kernel.  Each cell is integrated at the target in its own
@@ -172,12 +165,11 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
     if r < 0.5 * h:
         return 4.0 * math.pi * trapezoid_weighted(w, 2.0 - gamma, 0.0, w.grid.r_max)
 
-    b = w.support_radius
-    if b <= 0.0:
+    n_cells = w.support_cells
+    if n_cells == 0:
         return 0.0
     ld = np.longdouble
     s = w.samples.astype(ld)
-    n_cells = round(b / h)
     j = np.arange(n_cells)
     x0 = (j * h).astype(ld)
     x1 = (j * h + h).astype(ld)
@@ -193,19 +185,17 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
     xl1 = np.minimum(x1, rl)
     left = xl1 > x0
     minus_left = np.zeros(n_cells, dtype=ld)
-    if np.any(left):
-        # z = r - rho, rho = r - z
-        minus_left[left] = _poly_against_power(
-            c0[left], c1[left], rl, -1, moms(rl - xl1[left], rl - x0[left])
-        )
+    # z = r - rho, rho = r - z
+    minus_left[left] = _poly_against_power(
+        c0[left], c1[left], rl, -1, moms(rl - xl1[left], rl - x0[left])
+    )
     xr0 = np.maximum(x0, rl)
     right = x1 > xr0
     minus_right = np.zeros(n_cells, dtype=ld)
-    if np.any(right):
-        # z = rho - r, rho = r + z
-        minus_right[right] = _poly_against_power(
-            c0[right], c1[right], rl, +1, moms(xr0[right] - rl, x1[right] - rl)
-        )
+    # z = rho - r, rho = r + z
+    minus_right[right] = _poly_against_power(
+        c0[right], c1[right], rl, +1, moms(xr0[right] - rl, x1[right] - rl)
+    )
 
     total = float((plus - minus_left - minus_right).sum())
     if is_log_branch(gamma):
@@ -257,15 +247,14 @@ class ConvolutionKernel:
     J = n_out - 1.  One spectrum is kept per L; the ladder has two lengths
     per octave and every L lies below 4.5 n, so a kernel holds fewer than
     2 log2(4 n) of them.  The moment tables and spectra are built on the
-    first FFT call.  The axis value is a dot product with node weights
-    taken once from ``cell_moments`` (``_hat_weights``).
+    first FFT call.  The axis value is a dot product with the node weights
+    of ``grid.cell_weights`` at e = 2 - gamma, read once.
 
     At gamma = 0 and 1 (exact equality) ``apply`` takes the closed form
     (``_convolve_closed``) and builds no tables or spectra: each cell's
-    integrals of rho^e PL(w), e = 1 and 2, from the exact node weights of
-    ``grid.cell_weights``, which the axis value reads too, summed from the
-    axis (e = 2, divided by r) and from the support edge (e = 1); at
-    gamma = 0 every node takes the axis value.
+    integrals of rho^e PL(w), e = 1 and 2 (``grid.cell_integrals``),
+    summed from the axis (e = 2, divided by r) and from the support edge
+    (e = 1); at gamma = 0 every node takes the axis value.
 
     ``cubic`` gives the source term (V_gamma * u^2) u on a window of the
     first k nodes, with the window as the support of u.
@@ -281,11 +270,7 @@ class ConvolutionKernel:
         self.d = 2.0 - gamma
         self._closed = gamma in (0.0, 1.0)
         self._spectra: dict[int, np.ndarray] = {}
-        if self._closed:  # d = 1 or 2: the per-grid exact weights
-            self._axis_w = cell_weights(grid)[int(self.d)]
-        else:
-            x0 = np.arange(self.n - 1) * self.h
-            self._axis_w = _hat_weights(self.d, x0, self.h)
+        self._axis_w = cell_weights(grid, self.d)
 
     @functools.cached_property
     def _tables(self):
@@ -321,24 +306,23 @@ class ConvolutionKernel:
         m = self.n if n_out is None else n_out
         if not 1 <= m <= self.n:
             raise ValueError(f"n_out must lie in [1, {self.n}], got {n_out}")
-        return self._convolve(w.samples, w.support_radius, m)
+        return self._convolve(w.samples, w.support_cells, m)
 
-    def _convolve(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
+    def _convolve(self, s: np.ndarray, J: int, m: int) -> np.ndarray:
         """(V_gamma * w) at the first ``m`` nodes for each row of ``s``: the
-        samples (..., k) of profiles supported on [0, b], b a node, with k
-        at least the nodes up to b.  The closed form at gamma = 0
-        and 1, the FFT correlation elsewhere.  Each row's values are those
-        of a one-row call, bit for bit."""
-        if b <= 0.0:
+        samples (..., k) of profiles supported on the first ``J`` cells,
+        with k > J.  The closed form at gamma = 0 and 1, the FFT
+        correlation elsewhere.  Each row's values are those of a one-row
+        call, bit for bit."""
+        if J == 0:
             return np.zeros(s.shape[:-1] + (m,))
         if self._closed:
-            return self._convolve_closed(s, b, m)
-        return self._convolve_fft(s, b, m)
+            return self._convolve_closed(s, J, m)
+        return self._convolve_fft(s, J, m)
 
-    def _axis(self, s: np.ndarray, b: float, m: int):
-        """(out, J): zeros of shape (..., m) with the axis value at node 0,
-        and the J cells of the support [0, b]."""
-        J = round(b / self.h)
+    def _axis(self, s: np.ndarray, J: int, m: int) -> np.ndarray:
+        """Zeros of shape (..., m) with the axis value at node 0, for a
+        support of ``J`` cells."""
         out = np.zeros(s.shape[:-1] + (m,))
         # one dot product per row: a stacked product would sum in another order
         wl, wr = self._axis_w
@@ -347,9 +331,9 @@ class ConvolutionKernel:
             [np.dot(wl[:J], r[:J]) + np.dot(wr[:J], r[1 : J + 1]) for r in rows]
         ).reshape(s.shape[:-1])
         out[..., 0] = 4.0 * math.pi * axis
-        return out, J
+        return out
 
-    def _convolve_closed(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
+    def _convolve_closed(self, s: np.ndarray, J: int, m: int) -> np.ndarray:
         """``_convolve`` at gamma = 0 and 1, where the shell kernel is a
         polynomial on each side of rho = r:
 
@@ -359,27 +343,22 @@ class ConvolutionKernel:
         from the cell integrals T_e = int rho^e PL(w) over each of the J
         cells of the support: at node i a running sum of T_2 over the cells
         left of r_i and a running sum from the right of T_1."""
-        out, J = self._axis(s, b, m)
+        out = self._axis(s, J, m)
         if self.gamma == 0.0:
             out[..., 1:] = out[..., :1]
             return out
-        weights = cell_weights(self.grid)
-
-        def terms(e):
-            wl, wr = weights[e]
-            return wl[:J] * s[..., :J] + wr[:J] * s[..., 1 : J + 1]
-
         i = np.minimum(np.arange(1, m), J)
-        inner = np.cumsum(terms(2), axis=-1)[..., i - 1]
+        inner = np.cumsum(cell_integrals(s, self.grid, 2, J), axis=-1)[..., i - 1]
         outer = np.zeros(s.shape[:-1] + (J + 1,))
-        outer[..., :J] = np.cumsum(terms(1)[..., ::-1], axis=-1)[..., ::-1]
+        t1 = cell_integrals(s, self.grid, 1, J)
+        outer[..., :J] = np.cumsum(t1[..., ::-1], axis=-1)[..., ::-1]
         out[..., 1:] = 4.0 * math.pi * (inner / (np.arange(1, m) * self.h) + outer[..., i])
         return out
 
-    def _convolve_fft(self, s: np.ndarray, b: float, m: int) -> np.ndarray:
+    def _convolve_fft(self, s: np.ndarray, J: int, m: int) -> np.ndarray:
         """``_convolve`` by one circular correlation of the cell-coefficient
         rows against a kernel spectrum; the rows share one transform call."""
-        out, J = self._axis(s, b, m)
+        out = self._axis(s, J, m)
         L = _fft_length(m, J)
         af = np.fft.rfft(_cell_coeffs(s, J), L, axis=-1)
         # c[k] = sum_j a_j K(j + k): the Hankel sum sum_j a_j P(i+j) at
@@ -399,7 +378,7 @@ class ConvolutionKernel:
         must vanish past the window (a slice's live window does, by finite
         propagation speed)."""
         k = u.shape[-1]
-        return self._convolve(u * u, (k - 1) * self.h, k) * u
+        return self._convolve(u * u, k - 1, k) * u
 
 
 @functools.lru_cache(maxsize=8)

@@ -131,9 +131,9 @@ def saturating_profile(gamma: float, R: float, t: float, grid: Grid) -> RadialPr
     """
     r = grid.radii()
     wp = WeightParams(gamma, R)
-    mask = r <= t + R + 1e-12
+    k = grid.nodes_within(t + R)
     vals = np.zeros(grid.n_r)
-    vals[mask] = 1.0 / weight_row(wp, r[mask], t)
+    vals[:k] = 1.0 / weight_row(wp, r[:k], t)
     return RadialProfile(grid, vals, support_radius=min(t + R, grid.r_max))
 
 
@@ -164,7 +164,7 @@ def verify_bilinear(
         nu, nw; returns the largest ratio."""
         nonlocal max_ratio, violations, samples
         # the cone nodes r <= t + R are a prefix: convolve only there
-        k = int(np.count_nonzero(r <= t + R + 1e-12))
+        k = grid.nodes_within(t + R)
         lhs = convolve_profile(RadialProfile(grid, prod, support), gamma, k)
         ratio = np.abs(lhs) / (bilinear_rhs(gamma, R, r[:k], t) * nu * nw)
         m = float(np.max(ratio))

@@ -32,12 +32,11 @@ direct long-double sum of the same quadrature, lives with the tests
 take stacks of rows, one per point of a lockstep march, on a window of the
 first k nodes, and give each row what a one-row call gives, bit for bit.
 
-The cells' exact lambda-weighted integrals come from the e = 1 node
-weights of ``grid.cell_weights``, the one per-grid table that the mass
-functional and the closed-form convolution also read: ``lam_prefix`` sums
-them, and the cone steps add the two next to each node.  ``FreeField``
-tabulates its clamped (min(i + n, n_r - 1)) and reflected (|i - n|)
-gather indices, r and 2r once per field.
+The cells' exact lambda-weighted integrals are ``grid.cell_integrals`` at
+e = 1, the sum that the mass functional and the closed-form convolution
+also take: ``lam_prefix`` sums them, and the cone steps add the two next
+to each node.  ``FreeField`` tabulates its clamped (min(i + n, n_r - 1))
+and reflected (|i - n|) gather indices, r and 2r once per field.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid, RadialProfile, cell_weights, interp, trapezoid_weighted
+from .grid import Grid, RadialProfile, cell_integrals, interp, trapezoid_weighted
 
 __all__ = [
     "kirchhoff_radial",
@@ -181,14 +180,11 @@ class FreeField:
 def lam_prefix(g_row: np.ndarray, grid: Grid) -> np.ndarray:
     """Prefix integrals Phi(j) = int_0^{j h} lam * PL(g_row)(lam) dlam,
     along the last axis, for the samples of the first nodes of ``grid``:
-    the running sum of the cells' exact integrals (``grid.cell_weights``)."""
+    the running sum of the cells' exact integrals (``grid.cell_integrals``)."""
     g_row = np.asarray(g_row, dtype=float)
-    n = g_row.shape[-1]
-    wl, wr = cell_weights(grid)[1]
-    cell = wl[: n - 1] * g_row[..., :-1] + wr[: n - 1] * g_row[..., 1:]
     out = np.empty(g_row.shape)
     out[..., 0] = 0.0
-    np.cumsum(cell, axis=-1, out=out[..., 1:])
+    np.cumsum(cell_integrals(g_row, grid, 1, g_row.shape[-1] - 1), axis=-1, out=out[..., 1:])
     return out
 
 
@@ -259,8 +255,7 @@ def _pair_sums(g_row: np.ndarray, c: int, size: int, grid: Grid):
     g = np.asarray(g_row, dtype=float)[..., : c + 1]
     if g.shape[-1] < c + 1:
         g = np.concatenate([g, np.zeros(g.shape[:-1] + (c + 1 - g.shape[-1],))], axis=-1)
-    wl, wr = cell_weights(grid)[1]
-    cells = wl[:c] * g[..., :-1] + wr[:c] * g[..., 1:]
+    cells = cell_integrals(g, grid, 1, c)
     f = np.zeros(g.shape[:-1] + (size,))
     f[..., 1 : c + 1] = cells
     f[..., 1:c] += cells[..., 1:]

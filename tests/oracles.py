@@ -185,7 +185,7 @@ def mp_convolution(w: RadialProfile, gamma: float, r: float, dps: int = 30) -> f
             return 2 * mpmath.pi * rho / r * val
 
         total = mpmath.mpf(0)
-        for j in range(round(w.support_radius / w.h)):
+        for j in range(w.support_cells):
             x0 = j * h
             x1 = x0 + h
             s0 = mpmath.mpf(w.samples[j])
@@ -207,7 +207,7 @@ def _cell_moment_terms(w: RadialProfile, e: int) -> list[list[float]]:
     h = w.h
     powers = [(1, 0), (1, 1)] if e == 1 else [(1, 0), (2, 1), (1, 2)]  # (binomial, a)
     cells = []
-    for j in range(round(w.support_radius / h)):
+    for j in range(w.support_cells):
         x0 = j * h
         s0, s1 = float(w.samples[j]), float(w.samples[j + 1])
         terms = []

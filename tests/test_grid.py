@@ -8,6 +8,7 @@ from conewave.grid import (
     Grid,
     RadialProfile,
     cell_moments,
+    cell_weights,
     interp,
     mass,
     trapezoid_weighted,
@@ -80,6 +81,7 @@ class TestProfile:
                     else:
                         p = RadialProfile(g, samples, support_radius=sr)
                         assert p.support_radius == g.radii()[node]
+                        assert p.support_cells * h == p.support_radius
 
     def test_off_node_cutoff_raised_to_cell_end(self, grid):
         # a cutoff inside cell 10 is stored as node 11, which ends the cell;
@@ -244,6 +246,33 @@ class TestCellWeights:
         exact = Fraction(4.0 * math.pi) * total2
         for k in (n0 + 33, n0 + 40, n_r):
             assert abs(Fraction(mass(row[:k], grid)) - exact) <= Fraction(1e-15) * exact
+
+    @pytest.mark.parametrize("e", [1, 2, 0, 2.4, -0.5])
+    def test_read_only_and_shared(self, grid, e):
+        # one cached pair per (grid, e), shared by every caller: a write
+        # through any of them would change every later integral
+        wl, wr = cell_weights(grid, e)
+        for a in (wl, wr):
+            assert a.shape == (grid.n_r - 1,)
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        again = cell_weights(grid, e)
+        assert again[0] is wl and again[1] is wr
+
+    @pytest.mark.parametrize("h,n_r", [(1 / 64, 257), (0.1, 41), (1 / 3, 300)])
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_closed_forms_match_moment_form(self, h, n_r, e):
+        # e = 1, 2 take the closed forms; every other e integrates the
+        # interpolant with cell_moments, whose m1 - x0 m0 cancels about
+        # log2(2 j) bits at cell j: the gap is at most 8.1 (j + 1) ulps
+        # over these grids, bounded here by 16 (j + 1)
+        grid = Grid(h=h, n_r=n_r, n_t=1)
+        x0 = grid.radii()[:-1]
+        m0 = cell_moments(e, x0, x0 + h)
+        right = (cell_moments(e + 1.0, x0, x0 + h) - x0 * m0) / h
+        ulps = 16.0 * np.arange(1, n_r)
+        for got, want in zip(cell_weights(grid, e), (m0 - right, right)):
+            assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
 
 
 class TestInterp:

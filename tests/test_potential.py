@@ -206,15 +206,15 @@ class TestWindow:
         # the cell, so the window up to that node is the support
         kern = ConvolutionKernel(gamma, grid)
         u = positive_profile(grid, cells)
-        b = u.support_radius
+        J = u.support_cells
         sq = u.samples * u.samples
         k = math.ceil(cells) + 1
-        assert b == (k - 1) * grid.h
+        assert J == k - 1 and u.support_radius == (k - 1) * grid.h
         for m in (k, grid.n_r):
-            want = kern._convolve(sq[:k], b, m).tobytes()
+            want = kern._convolve(sq[:k], J, m).tobytes()
             for tail in (k + 1, grid.n_r):
-                assert kern._convolve(sq[:tail], b, m).tobytes() == want
-        full = kern._convolve(sq, b, k) * u.samples[:k]
+                assert kern._convolve(sq[:tail], J, m).tobytes() == want
+        full = kern._convolve(sq, J, k) * u.samples[:k]
         assert kern.cubic(u.samples[:k]).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("gamma", [-0.4, 0.0, 1.0, 2.0, 2.5])
@@ -327,7 +327,7 @@ class TestWindow:
         grid = Grid(h=1 / 16, n_r=n_r, n_t=1)
         w = positive_profile(grid, cells)
         want = exact_convolution(w, gamma)
-        got = ConvolutionKernel(gamma, grid)._convolve_fft(w.samples, w.support_radius, n_r)
+        got = ConvolutionKernel(gamma, grid)._convolve_fft(w.samples, w.support_cells, n_r)
         assert np.max(np.abs(got - want) / np.abs(want)) <= bound
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
