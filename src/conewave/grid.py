@@ -75,7 +75,7 @@ class Grid:
         k h rounds monotonically in k.  Its end is found from the quotient
         and corrected by the same float comparison, with no radii array."""
         h, n, thr = self.h, self.n_r, rho + 1e-12
-        k = min(int(thr / h), n)
+        k = min(max(int(thr / h), 0), n)
         while k > 0 and (k - 1) * h > thr:
             k -= 1
         while k < n and not k * h > thr:

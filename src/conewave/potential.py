@@ -37,8 +37,10 @@ Two evaluation paths share that quadrature:
   bitwise equal to a one-row call).
 
 Both paths take the z-moments of the kernel factor z**(2-g) (log z at
-g = 2) from one routine, ``_zmom``, in long double.  The slice tables turn
-them into unit-cell moments with ``_xi_moments``.
+g = 2) from one routine, ``_zmom``, in long double, as differences of one
+antiderivative value per cell edge.  The slice tables turn them into
+unit-cell moments with ``_xi_moments``; the Hankel and Toeplitz tables
+read the moments of the same integer edges.
 ``convolve_power`` shares only ``_zmom``: it integrates each cell at the
 target in its own rho-polynomial form, split at rho = r, and so stays the
 independent reference the fast path is tested against.  The axis value of
@@ -78,48 +80,40 @@ def is_log_branch(gamma: float) -> bool:
     return abs(gamma - 2.0) < 1e-9
 
 
-def _zmom_log(z0: np.ndarray, z1: np.ndarray):
-    """(L_0, L_1, L_2) with L_k = int_{z0}^{z1} z**k log z dz, elementwise,
-    in the float type of the arguments (long double in both paths)."""
-
-    def anti(k, z):
-        out = np.zeros_like(z)
-        pos = z > 0
-        zp = z[pos]
-        p = z.dtype.type(k + 1)
-        out[pos] = zp**p * (np.log(zp) / p - 1 / p**2)
-        return out
-
-    return tuple(anti(k, z1) - anti(k, z0) for k in range(3))
-
-
-def _zmom(gamma: float):
-    """z-moments (M_0, M_1, M_2), M_k = int_{z0}^{z1} z**k K(z) dz, of the
-    kernel factor K(z) = z**(2-gamma) (log z at gamma = 2) for long-double
-    arguments: the power branch as differences of powers, which long double
-    carries through the cancellation of the combinations built on them."""
+def _zmom(gamma: float, z: np.ndarray):
+    """z-moments (M_0, M_1, M_2), M_k = int z**k K(z) dz, of the kernel
+    factor K(z) = z**(2-gamma) (log z at gamma = 2) over each cell between
+    consecutive entries of the monotone long-double edges ``z >= 0`` (last
+    axis): each edge's antiderivative is taken once and differenced, so a
+    decreasing run of edges gives negated moments.  On the power branch
+    these are differences of powers, which long double carries through the
+    cancellation of the combinations built on them."""
     if is_log_branch(gamma):
-        return _zmom_log
+
+        def anti(k):
+            out = np.zeros_like(z)
+            pos = z > 0
+            zp = z[pos]
+            p = z.dtype.type(k + 1)
+            out[pos] = zp**p * (np.log(zp) / p - 1 / p**2)
+            return out
+
+        return tuple(np.diff(anti(k), axis=-1) for k in range(3))
     d = np.longdouble(2.0 - gamma)
-
-    def zmom(z0, z1):
-        return tuple((z1**p - z0**p) / p for p in [d + k + 1 for k in range(3)])
-
-    return zmom
+    return tuple(np.diff(z**p, axis=-1) / p for p in [d + k + 1 for k in range(3)])
 
 
-def _xi_moments(zmom, base, sign: int):
-    """(T_0, T_1, T_2) with T_m = int_0^1 x^m K(base + sign*x) dx.
+def _xi_moments(moms, base, sign: int):
+    """(T_0, T_1, T_2) with T_m = int_0^1 x^m K(base + sign*x) dx, from the
+    z-moments ``moms`` of K over z = base + sign*[0, 1] (``_zmom``).
 
-    ``zmom`` gives the z-moments of K over z = base + sign*[0, 1].  The
-    m = 2 combination cancels ~base^2 of significance, so its operation
+    The m = 2 combination cancels ~base^2 of significance, so its operation
     order fixes the last bits of every table built from it.
     """
+    m0, m1, m2 = moms
     if sign > 0:  # x = z - base
-        m0, m1, m2 = zmom(base, base + 1.0)
         return m0, m1 - base * m0, m2 - 2 * base * m1 + base * base * m0
-    m0, m1, m2 = zmom(base - 1.0, base)  # x = base - z
-    return m0, base * m0 - m1, base * base * m0 - 2 * base * m1 + m2
+    return m0, base * m0 - m1, base * base * m0 - 2 * base * m1 + m2  # x = base - z
 
 
 def _cell_coeffs(s: np.ndarray, J: int) -> np.ndarray:
@@ -155,8 +149,11 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
 
     The target radius need not be a grid node; radii below h/2 use the axis
     limit kernel.  Each cell is integrated at the target in its own
-    rho-polynomial form, split at rho = r, in long double against the
-    z-moments of ``_zmom``: the form cancels ~(r/rho)^2 at far targets.
+    rho-polynomial form in long double against the z-moments of ``_zmom``,
+    taken once per cell edge and part: the (r + rho) part over all edges,
+    the |r - rho| part split at rho = r, with the edges left of r clamped to
+    r from above and those from the cell holding r onwards clamped to r
+    from below.  The form cancels ~(r/rho)^2 at far targets.
     """
     _check_gamma(gamma)
     if r < 0.0:
@@ -169,35 +166,25 @@ def convolve_power(w: RadialProfile, gamma: float, r: float) -> float:
     if n_cells == 0:
         return 0.0
     ld = np.longdouble
-    s = w.samples.astype(ld)
-    j = np.arange(n_cells)
-    x0 = (j * h).astype(ld)
-    x1 = (j * h + h).astype(ld)
+    s = w.samples[: n_cells + 1].astype(ld)
+    x = (np.arange(n_cells + 1) * h).astype(ld)  # the cell edges
     rl = ld(r)
-    c1 = (s[j + 1] - s[j]) / h
-    c0 = s[j] - c1 * x0
-    moms = _zmom(gamma)
+    c1 = np.diff(s) / h
+    c0 = s[:-1] - c1 * x[:-1]
 
     # (r + rho) part: z = r + rho, rho = -r + z
-    plus = _poly_against_power(c0, c1, -rl, +1, moms(rl + x0, rl + x1))
+    terms = _poly_against_power(c0, c1, -rl, +1, _zmom(gamma, rl + x))
+    # |r - rho| part: cell k - 1 holds r (on its left edge or inside)
+    k = int(np.searchsorted(x, rl, side="right"))
+    # left of r: z = r - rho decreases along the cells, so the moments and
+    # the product come out negated
+    zl = rl - np.minimum(x[: k + 1], rl)
+    terms[:k] += _poly_against_power(c0[:k], c1[:k], rl, -1, _zmom(gamma, zl))
+    # right of r: z = rho - r, rho = r + z
+    zr = np.maximum(x[k - 1 :], rl) - rl
+    terms[k - 1 :] -= _poly_against_power(c0[k - 1 :], c1[k - 1 :], rl, +1, _zmom(gamma, zr))
 
-    # |r - rho| part: split each cell at rho = r
-    xl1 = np.minimum(x1, rl)
-    left = xl1 > x0
-    minus_left = np.zeros(n_cells, dtype=ld)
-    # z = r - rho, rho = r - z
-    minus_left[left] = _poly_against_power(
-        c0[left], c1[left], rl, -1, moms(rl - xl1[left], rl - x0[left])
-    )
-    xr0 = np.maximum(x0, rl)
-    right = x1 > xr0
-    minus_right = np.zeros(n_cells, dtype=ld)
-    # z = rho - r, rho = r + z
-    minus_right[right] = _poly_against_power(
-        c0[right], c1[right], rl, +1, moms(xr0[right] - rl, x1[right] - rl)
-    )
-
-    total = float((plus - minus_left - minus_right).sum())
+    total = float(terms.sum())
     if is_log_branch(gamma):
         return 2.0 * math.pi / r * total
     return 2.0 * math.pi / (r * (2.0 - gamma)) * total
@@ -210,13 +197,15 @@ def _moment_tables(gamma: float, n: int):
     Q_m(s) = int_0^1 xi^m (s - xi)^d dxi   for s = 1 .. n-1  (Q[*, 0] = 0),
 
     with the log-kernel analogues at gamma = 2.  Computed in extended
-    precision: the m = 2 combinations cancel ~s^2 of significance.
+    precision: the m = 2 combinations cancel ~s^2 of significance.  The
+    z-moments are taken once per integer edge 0..2n-1; Q's cell
+    [s-1, s] is P's cell s-1, so both tables read the same moments.
     """
     ld = np.longdouble
-    zmom = _zmom(gamma)
-    P = np.stack(_xi_moments(zmom, np.arange(2 * n - 1, dtype=ld), +1)).astype(float)
-    Q = np.stack(_xi_moments(zmom, np.arange(1, n, dtype=ld), -1)).astype(float)
-    return P, np.concatenate([np.zeros((3, 1)), Q], axis=1)
+    moms = _zmom(gamma, np.arange(2 * n, dtype=ld))
+    P = np.stack(_xi_moments(moms, np.arange(2 * n - 1, dtype=ld), +1)).astype(float)
+    Q = _xi_moments([m[: n - 1] for m in moms], np.arange(1, n, dtype=ld), -1)
+    return P, np.concatenate([np.zeros((3, 1)), np.stack(Q).astype(float)], axis=1)
 
 
 def _fft_length(m: int, J: int) -> int:

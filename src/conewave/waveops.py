@@ -402,7 +402,7 @@ def duhamel_tails(g: np.ndarray, grid: Grid, support_cells: int, n_stop: int, g_
     ax = np.zeros(grid.n_t + n_r)  # diagonal lambda-moments, read at boff - n
     for n in range(M - 1, n_stop - 1, -1):
         m = n + 1
-        c = min(m + jr + 1, n_r - 1)
+        c = grid.window(m + 1, jr) - 1
         g_m, f = _pair_sums(g[m - g_from], c, size, grid)
         w = tw.wr[M - 1] if m == M else tw.w_slice[m]
         ax[boff - m : boff - m + c + 1] += w * lam[: c + 1] * g_m

@@ -174,24 +174,25 @@ def kernel_value(gamma: float, r: float, rho: float) -> float:
 def mp_convolution(w: RadialProfile, gamma: float, r: float, dps: int = 30) -> float:
     """(V_gamma * w)(r) for the piecewise-linear profile ``w`` at r > 0, by
     mpmath quadrature of the shell kernel on each cell of its support,
-    split at rho = r where the kernel is singular."""
+    split at rho = r where the kernel is singular.  The cells end on the
+    float node radii j h of ``Grid.radii``, which on a grid whose h is not
+    dyadic lie off the exact multiples of h."""
     with mpmath.workdps(dps):
         h, r = mpmath.mpf(w.h), mpmath.mpf(r)
         d = 2 - mpmath.mpf(gamma)
 
-        def kernel(rho):
-            a, c = r + rho, abs(r - rho)
+        def kernel(t):  # at rho = r + t, so |r - rho| = |t| never rounds to 0
+            a, c = 2 * r + t, abs(t)
             val = mpmath.log(a / c) if is_log_branch(gamma) else (a**d - c**d) / d
-            return 2 * mpmath.pi * rho / r * val
+            return 2 * mpmath.pi * (r + t) / r * val
 
         total = mpmath.mpf(0)
         for j in range(w.support_cells):
-            x0 = j * h
-            x1 = x0 + h
+            x0, x1 = mpmath.mpf(j * w.h), mpmath.mpf((j + 1) * w.h)  # node radii
             s0 = mpmath.mpf(w.samples[j])
             ds = mpmath.mpf(w.samples[j + 1]) - s0
-            ends = [x0, r, x1] if x0 < r < x1 else [x0, x1]
-            total += mpmath.quad(lambda rho: kernel(rho) * (s0 + ds * (rho - x0) / h), ends)
+            ends = [x0 - r, 0, x1 - r] if x0 < r < x1 else [x0 - r, x1 - r]
+            total += mpmath.quad(lambda t: kernel(t) * (s0 + ds * (r + t - x0) / h), ends)
         return float(total)
 
 

@@ -41,6 +41,25 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(h=0.1, n_r=4, n_t=0)
 
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.1, 0.2, 1 / 3, 0.7])
+    def test_nodes_within_matches_radii_predicate(self, h):
+        # the count of nodes with radii() <= rho + 1e-12, for rho from two
+        # cells left of the axis to two cells past the edge, and on and
+        # 1e-13 to either side of every node
+        g = Grid(h=h, n_r=41, n_t=1)
+        r = g.radii()
+        rng = np.random.default_rng(int(1 / h))
+        rhos = np.concatenate([rng.uniform(-2 * h, g.r_max + 2 * h, 3000), r, r - 1e-13, r + 1e-13])
+        for rho in rhos:
+            assert g.nodes_within(rho) == np.searchsorted(r, rho + 1e-12, side="right")
+
+    def test_nodes_within_negative_rho(self):
+        # no node lies left of the axis; -1e-13 is within 1e-12 of node 0
+        g = Grid(h=1 / 8, n_r=9, n_t=1)
+        for rho in (-0.05, -0.125, -0.19, -0.35, -10.0):
+            assert g.nodes_within(rho) == 0
+        assert g.nodes_within(-1e-13) == 1
+
     def test_index_of_time(self):
         g = Grid(h=0.25, n_r=4, n_t=9)
         assert g.index_of_time(1.5) == 6

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,9 +8,11 @@ from conewave.grid import Grid, RadialProfile, trapezoid_weighted
 from conewave.potential import (
     ConvolutionKernel,
     _fft_length,
+    _moment_tables,
     cached_kernel,
     convolve_power,
     convolve_profile,
+    is_log_branch,
 )
 from conewave.solver import Params, make_data, solve_march
 
@@ -151,6 +154,50 @@ class TestPaths:
         r = 1000 * w.h
         want = mp_convolution(w, 2.0, r, dps=40)
         assert abs(convolve_power(w, 2.0, r) - want) <= bound * abs(want)
+
+    @pytest.mark.parametrize("gamma", [-0.4, 1.0, 2.0])
+    def test_reference_split_at_target(self, gamma):
+        # the |r - rho| part splits the cells at r: a target inside a cell,
+        # on a node, on the support's last node, past the support and in
+        # [h/2, h); measured at most 3.4e-16 off
+        grid = Grid(h=1 / 16, n_r=65, n_t=1)
+        w = positive_profile(grid, 20)
+        for cells in (7.37, 9, 20, 27.5, 0.5, 0.8):
+            r = cells * grid.h
+            want = mp_convolution(w, gamma, r)
+            assert abs(convolve_power(w, gamma, r) - want) <= 2e-15 * abs(want)
+
+    @pytest.mark.parametrize("node", [6, 18])
+    def test_reference_node_on_non_dyadic_grid(self, node):
+        # on h = 0.1 a cell that ended at j h + h and the next that began at
+        # (j + 1) h left a one-ulp gap at node 6 and an overlap at node 18,
+        # which the z**0.5 of gamma = 2.5 read as 7.5e-9 and 1.2e-8; with
+        # one set of node edges both read 0 at 30 digits
+        grid = Grid(h=0.1, n_r=65, n_t=1)
+        w = positive_profile(grid, 20)
+        r = float(grid.radii()[node])
+        want = mp_convolution(w, 2.5, r)
+        assert abs(convolve_power(w, 2.5, r) - want) <= 2e-15 * abs(want)
+
+    @pytest.mark.parametrize("gamma", [-0.4, 0.5, 2.0, 2.5])
+    @pytest.mark.parametrize("n", [9, 1025])
+    def test_moment_tables_against_mpmath(self, gamma, n):
+        # P_m(s) = int_0^1 xi^m (s + xi)^d, Q_m(s) = int_0^1 xi^m (s - xi)^d
+        # (log(s +- xi) at gamma = 2) against 40-digit quadrature.  The m = 2
+        # combination cancels ~s^2 on top of the power difference's own
+        # ~s: measured at most 5.1e-16 for s <= 16, 1.5e-10 at s = 1024
+        # and 1.9e-9 at s = 2048, under the bound 1e-15 max(s, 1)^2
+        P, Q = _moment_tables(gamma, n)
+        assert P.shape == (3, 2 * n - 1) and Q.shape == (3, n)
+        assert not Q[:, 0].any()
+        with mpmath.workdps(40):
+            d = 2 - mpmath.mpf(gamma)
+            kern = mpmath.log if is_log_branch(gamma) else (lambda z: z**d)
+            for m in range(3):
+                for table, sign, points in ((P, 1, (0, 1, n - 1, 2 * n - 2)), (Q, -1, (1, n - 1))):
+                    for s in points:
+                        want = float(mpmath.quad(lambda x: x**m * kern(s + sign * x), [0, 1]))
+                        assert abs(table[m, s] - want) <= 1e-15 * max(s, 1) ** 2 * abs(want)
 
 
 def log_branch_probe(cells: float) -> RadialProfile:
