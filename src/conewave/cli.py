@@ -27,14 +27,16 @@ mode writes its per-slice series (``rows``) as ``results.csv``; both modes
 put its blow-up facts (``blew_up``, ``t_numeric``, ``threshold_crossings``,
 read off its sup series) into ``summary.json``.
 
-Grids cover the full forward cone (r_max = t_max + R).  Sweeps run lean
-marches (series only, O(n_r) memory per run); blow-up mode runs one that
-also keeps the masses of the source and of u^2 per slice.  Solve mode
-stores the march's u table, O(n_t * n_r) ~ (t_max/h)^2 doubles, and its
-source rows from t_star on (none without the scattering check); the
-d'Alembert check compares slice by slice against that u table and stores
-none of its own, and the v = u/(1+t) rows are formed one at a time.
-Desk-scale solve configs keep t_max/h within a few thousand.
+Grids cover the full forward cone (r_max = t_max + R).  Sweeps march each
+refinement level's points in lockstep on the lean d'Alembert stencil
+(series only, O(n_r) memory per point; ``solver.dalembert_batch``); blow-up
+mode runs a lean march that also keeps the masses of the source and of u^2
+per slice.  Solve mode stores the march's u table, O(n_t * n_r) ~
+(t_max/h)^2 doubles, and its source rows from t_star on (none without the
+scattering check); the d'Alembert check compares slice by slice against
+that u table and stores none of its own, and the v = u/(1+t) rows are
+formed one at a time.  Desk-scale solve configs keep t_max/h within a few
+thousand.
 """
 
 from __future__ import annotations

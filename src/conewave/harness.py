@@ -1,9 +1,11 @@
 """Lifespan sweeps: measure threshold blow-up times across epsilon and fit
 the log-log scaling law against the theoretical exponent 2/gamma.
 
-``sweep`` marches all epsilon of one refinement level in lockstep, as the
-rows of one ``solver.march_batch`` call per level; ``lifespan_measure`` is
-the one-point path, and each point of a sweep equals it field for field.
+``sweep`` marches all epsilon of one refinement level in lockstep on the
+d'Alembert stencil, as the rows of one lean ``solver.dalembert_batch`` call
+per level, one slice convolution per slice.  ``lifespan_measure`` measures
+one point on the integral-equation march (``solver.solve_march``), the
+independent reference that a sweep's lifespans are held to.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid
-from .solver import NumericalAbort, Params, march_batch, make_data, solve_march
+from .solver import NumericalAbort, Params, dalembert_batch, make_data, solve_march
 
 __all__ = [
     "MIN_FIT_POINTS", "LifespanPoint", "LifespanFit", "lifespan_measure", "fit_slope", "sweep",
@@ -114,7 +116,7 @@ def lifespan_measure(
     blowup_threshold: float = 1e6,
     refine: int = 1,
 ) -> LifespanPoint:
-    """Threshold blow-up time with grid-refinement acceptance.
+    """Threshold blow-up time with grid-refinement acceptance, on the march.
 
     Runs at h, h/2, ... (``refine``+1 levels), records the stop-threshold
     crossing per level, Richardson-extrapolates the two finest levels
@@ -178,11 +180,12 @@ def sweep(
 ) -> LifespanFit:
     """Measure each sweep point and fit the scaling law.
 
-    Each refinement level marches its points in lockstep (one
-    ``march_batch`` call); every point equals ``lifespan_measure`` of its
-    epsilon.  A point that aborts raises its ``NumericalAbort`` once the
-    level ends, the first in (point, level) order as a point-by-point sweep
-    would, and later points are not marched further.
+    Each refinement level marches its points in lockstep on the stencil
+    (one lean ``dalembert_batch`` call); every point equals the same
+    measurement made one point at a time on ``solve_dalembert``.  A point
+    that aborts raises its ``NumericalAbort`` once the level ends, the first
+    in (point, level) order as a point-by-point sweep would, and later
+    points are not marched further.
 
     Censored points never enter the fit (``fit_slope``); epsilons must be
     strictly increasing so the monotonicity check is meaningful.
@@ -201,7 +204,7 @@ def sweep(
             break
         hh = h / 2**lev
         params, data = _level_runs(gamma, R, eps[:n_run], hh, t_max, family, blowup_threshold)
-        for i, out in enumerate(march_batch(params, data, store_history=False, sources_from=None)):
+        for i, out in enumerate(dalembert_batch(params, data, store_history=False)):
             if isinstance(out, NumericalAbort):
                 abort, n_run = out, i
                 break

@@ -11,31 +11,34 @@ provided:
 
 * ``solve_march``   -- discretizes the integral equation itself: at each
   slice the Duhamel term comes from the cone accumulator, and the newest
-  cell is closed by a short fixed-point sweep in the current source slice;
-* ``solve_dalembert`` -- rewrites r*u as a 1+1-dimensional wave equation
+  cell is closed by a short fixed-point sweep in the current source slice,
+  one slice convolution per sweep;
+* ``dalembert_batch`` -- rewrites r*u as a 1+1-dimensional wave equation
   with source r*(V*u^2)u/(1+t)^2 and marches it with the exact
-  characteristic stencil (dt = dr).
+  characteristic stencil (dt = dr), one slice convolution per slice.
 
 A ``Params`` is one problem (gamma, R, grid, stop threshold); the data
-(v0, v1), which carry the amplitude epsilon, are its rows.  The march
-itself is ``march_batch``: the rows of one problem march in lockstep as one
-stack, each slice on its live window, with one slice convolution per
-closure sweep for all rows that still sweep.  Every row equals its
-one-point march bit for bit; ``solve_march`` is the batch of one.
+(v0, v1), which carry the amplitude epsilon, are its rows.  The stencil
+marches the rows of one problem in lockstep as one stack, each slice on its
+live window; every row equals its one-row run bit for bit, and
+``solve_dalembert`` is the batch of one.  Sweeps march on it.  The march is
+one row; solve and blow-up modes, and the one-point lifespan that a sweep
+is held to, run on it.
 
-Both backends compute u of slice n on its window (``Grid.window``), so they
-write zeros past node n + jr by construction (finite propagation speed).  Both
-hand each finished window to one recorder, which keeps the same per-slice
-values for every row (weighted norm by ``norms.slice_x_norm``, dissipation
-weight, mass functional by ``grid.mass`` over the window's cells, sup), so
-they can be cross-validated slice by slice; the march adds each slice's closure sweeps,
-last relative step and sources from a chosen slice on (a stored run their
-table, a lean run the masses of G and of u^2).  A d'Alembert run keeps its
-u table, or, given the march's u table as a reference, only its per-slice
-distance to it.  Each row's result is one ``SolutionHistory``: it holds the
-per-slice series and reads the blow-up facts (threshold crossings,
-lifespan) off its sup series.  Both always march the cubic equation: the
-linear field is the ``waveops.FreeField`` table, not a solver option.  A
+Both backends compute u of slice n on its window (``Grid.window``), so
+they write zeros past node n + jr by construction (finite propagation
+speed).  Both hand each finished window to one recorder, which keeps the
+same per-slice values for every row (weighted norm by
+``norms.slice_x_norm``, dissipation weight, mass functional by
+``grid.mass`` over the window's cells, sup), so they can be cross-validated
+slice by slice; the march adds each slice's closure sweeps, last relative
+step and sources from a chosen slice on (a stored run their table, a lean
+run the masses of G and of u^2).  A d'Alembert run keeps its u table, none
+(lean), or, given the march's u table as a reference, only its per-slice
+distance to it.  Each row's result is one ``SolutionHistory``: it holds
+the per-slice series and reads the blow-up facts (threshold crossings,
+lifespan) off its sup series.  Both always march the cubic equation; the
+march's linear field is the ``waveops.FreeField`` table.  A
 stored run is post-processed by ``liouville`` (the rows v_n = u_n/(1+t_n),
 one at a time), which ``dissipation_monitor`` reads, and by
 ``scattering_check`` (distance to the outgoing free wave).
@@ -59,8 +62,8 @@ __all__ = [
     "SolutionHistory",
     "DATA_FAMILIES",
     "make_data",
-    "march_batch",
     "solve_march",
+    "dalembert_batch",
     "solve_dalembert",
     "liouville",
     "scattering_check",
@@ -260,16 +263,17 @@ class _Recorder:
 
     def record(self, n, rows, u, g=None, sweeps=None, step=None) -> np.ndarray:
         """Record slice n of the batch ``rows``: ``u`` holds their samples
-        (len(rows), k) on the first k nodes, zero past them; a march adds
-        their sources ``g`` there, closure ``sweeps`` and last relative
-        ``step``.  Returns the mask of the rows that stop at this slice."""
+        (len(rows), k) on the first k nodes, zero past them; a march (one
+        row) adds its sources ``g`` there, closure ``sweeps`` and last
+        relative ``step``.  Returns the mask of the rows that stop at this
+        slice."""
         finite = np.isfinite(u).all(axis=-1)
         if not finite.all():
             for i in rows[~finite]:
                 self.aborts[i] = NumericalAbort(n, self.backend)
             rows, u = rows[finite], u[finite]
-            if sweeps is not None:
-                g, sweeps, step = g[finite], sweeps[finite], step[finite]
+            if not rows.size:
+                return ~finite
         k = u.shape[-1]
         if rows.size and rows[-1] - rows[0] + 1 == rows.size:
             rows = slice(rows[0], rows[-1] + 1)  # a run of rows: views, no gathers
@@ -332,85 +336,23 @@ class _Recorder:
 
 
 def _close_slice(acc: ConeAccumulator, kern, base: np.ndarray, g: np.ndarray):
-    """Close slice n = ``acc.n_pushed`` for the rows of ``base`` (the free
-    field on the live window) by fixed-point sweeps in the source rows
-    ``g``, which start from the previous slice's sources and are updated in
-    place.  A row freezes once its step falls to ``_PICARD_TOL`` relative
-    to its source, or once the step grows (closure no longer contracting,
-    late blow-up stage); the other rows sweep on.  Returns (u, sweeps,
-    last relative step) per row."""
-    n_rows = base.shape[0]
-    u = np.empty_like(base)
-    sweeps = np.zeros(n_rows, dtype=int)
-    step = np.zeros(n_rows)
-    prev = np.full(n_rows, math.inf)
-    live = np.arange(n_rows)
-    for sweep in range(_MAX_SLICE_SWEEPS):
-        # a plain slice while every row sweeps: no gather copies
-        sel = slice(None) if live.size == n_rows else live
-        u[sel] = base[sel] + acc.eval_slice(g)[sel]
-        g_new = kern.cubic(u[sel])
-        delta = np.abs(g_new - g[sel]).max(axis=-1)
-        scale = 1.0 + np.abs(g_new).max(axis=-1)
-        g[sel] = g_new
-        sweeps[sel] = sweep + 1
-        step[sel] = delta / scale
-        done = delta <= _PICARD_TOL * scale
-        if sweep:
-            done |= delta > prev[sel]
-        if done.all():
+    """Close slice n = ``acc.n_pushed`` of a march from ``base`` (the free
+    field on the live window) by fixed-point sweeps in its source row,
+    starting from ``g`` (the previous slice's sources on the window).  The
+    sweeps stop once the step falls to ``_PICARD_TOL`` relative to the
+    source, or once it grows (closure no longer contracting, late blow-up
+    stage).  Returns (u, sources, sweeps, last relative step)."""
+    prev = math.inf
+    for sweep in range(1, _MAX_SLICE_SWEEPS + 1):
+        u = base + acc.eval_slice(g)
+        g_new = kern.cubic(u)
+        delta = float(np.abs(g_new - g).max())
+        scale = 1.0 + float(np.abs(g_new).max())
+        g = g_new
+        if delta <= _PICARD_TOL * scale or (sweep > 1 and delta > prev):
             break
-        prev[sel] = delta
-        if done.any():
-            live = live[~done]
-    return u, sweeps, step
-
-
-def march_batch(params: Params, data: list, store_history: bool = True,
-                sources_from: int | None = 0) -> list:
-    """March the integral equation of one problem for several data rows in
-    lockstep.
-
-    ``data`` holds each row's (v0, v1).  Each slice runs one free-field
-    slice, one closure (``_close_slice``), one record and one push for all
-    rows that still march.  A row leaves the batch when it crosses the stop
-    threshold or hits a non-finite value.  With ``store_history`` the
-    record keeps the u table and the sources from slice ``sources_from`` on
-    (None: none); a lean record keeps those sources' masses and those of
-    u^2.  Returns per row its ``SolutionHistory`` (whose ``params`` is
-    ``params``) or its ``NumericalAbort``, each equal to a one-row march.
-    """
-    grid = params.grid
-    jr = params.support_cells
-    acc = ConeAccumulator(grid, jr)
-    kern = cached_kernel(params.gamma, grid)
-    rows = np.arange(len(data))
-    free = FreeField([d[0] for d in data], [d[1] for d in data], grid)
-    rec = _Recorder(params, len(data), "march", store_history, sources_from)
-
-    for n in range(grid.n_t):
-        base = free.slice(n, grid.window(n, jr))
-        if n == 0:
-            u = base
-            g = kern.cubic(u)
-            sweeps = np.zeros(rows.size, dtype=int)
-            step = np.zeros(rows.size)
-        else:
-            g = np.zeros(base.shape)
-            g[:, : g_prev.shape[-1]] = g_prev
-            u, sweeps, step = _close_slice(acc, kern, base, g)
-        stop = rec.record(n, rows, u, g, sweeps, step)
-        if stop.any():
-            keep = ~stop
-            rows = rows[keep]
-            if not rows.size:
-                break
-            g = g[keep]
-            acc.keep_rows(keep)
-            free = FreeField([data[i][0] for i in rows], [data[i][1] for i in rows], grid)
-        acc.push_slice(g)
-        g_prev = g
-    return [rec.outcome(i) for i in range(len(data))]
+        prev = delta
+    return u, g, sweep, delta / scale
 
 
 def solve_march(
@@ -421,75 +363,121 @@ def solve_march(
 ) -> SolutionHistory:
     """March the integral equation causally on the characteristic grid.
 
-    Each slice is free field + accumulated Duhamel history; the current
-    slice enters only through the newest-cell closure and is resolved by a
-    few fixed-point sweeps (tolerance ``_PICARD_TOL``).  Marching
-    stops early once sup|u| exceeds ``params.blowup_threshold``.  This is
-    the one-point batch of ``march_batch``.
+    Each slice is free field + accumulated Duhamel history on its live
+    window; the current slice enters only through the newest-cell closure
+    and is resolved by a few fixed-point sweeps (``_close_slice``, one slice
+    convolution each).  Marching stops early once sup|u| exceeds
+    ``params.blowup_threshold``.  With ``store_history`` the record keeps
+    the u table and the sources from slice ``sources_from`` on (None:
+    none); a lean record keeps those sources' masses and those of u^2.
     """
-    (out,) = march_batch(params, [data], store_history, sources_from)
-    if isinstance(out, NumericalAbort):
-        raise out
-    return out
-
-
-def solve_dalembert(params: Params, data, u_ref: np.ndarray | None = None) -> SolutionHistory:
-    """Independent backend: U = r u solves U_tt - U_rr = r G/(1+t)^2 with
-    odd reflection at the axis; exact characteristic stencil at dt = dr.
-
-    Given ``u_ref`` (rows of slices 0, 1, ..., such as a march's u table),
-    the history keeps max|u - u_ref[n]| per slice (``ref_diff``) and no u
-    table."""
     v0, v1 = data
     grid = params.grid
     jr = params.support_cells
+    acc = ConeAccumulator(grid, jr)
     kern = cached_kernel(params.gamma, grid)
-    rec = _Recorder(params, 1, "dalembert", u_ref=u_ref)
+    free = FreeField(v0, v1, grid)
+    rec = _Recorder(params, 1, "march", store_history, sources_from)
     row = np.zeros(1, dtype=int)
-    n_r, n_t = grid.n_r, grid.n_t
-    h = grid.h
+
+    for n in range(grid.n_t):
+        base = free.slice(n, grid.window(n, jr))
+        if n == 0:
+            u, g, sweeps, step = base, kern.cubic(base), 0, 0.0
+        else:
+            g = np.zeros(base.shape)
+            g[: g_prev.size] = g_prev
+            u, g, sweeps, step = _close_slice(acc, kern, base, g)
+        if rec.record(n, row, u[None], g[None], sweeps, step)[0]:
+            break
+        acc.push_slice(g)
+        g_prev = g
+    return rec.history()
+
+
+def dalembert_batch(params: Params, data: list, store_history: bool = True,
+                    u_ref: np.ndarray | None = None) -> list:
+    """Independent backend for several data rows of one problem in
+    lockstep: U = r u solves U_tt - U_rr = r G/(1+t)^2 with odd reflection
+    at the axis, by the exact characteristic stencil at dt = dr,
+
+        U_{n+1}(k) = U_n(k+1) + U_n(k-1) - U_{n-1}(k) + h^2 S_n(k),
+
+    S_n = r G_n/(1+t_n)^2, one slice convolution per slice.
+
+    ``data`` holds each row's (v0, v1).  The rows march as one stack (a
+    single row as a 1-D row), each slice on its live window in three
+    rotating U buffers; u of slice n is U/r there, with the axis value
+    (4 u_1 - u_2)/3.  A row leaves the batch when it crosses the stop
+    threshold or hits a non-finite value.  With ``store_history`` the
+    record keeps the u table; given ``u_ref`` (rows of slices 0, 1, ...,
+    such as a march's u table) it keeps max|u - u_ref[n]| per slice
+    (``ref_diff``) instead.  Returns per row its ``SolutionHistory`` or its
+    ``NumericalAbort``, each equal to a one-row batch.
+    """
+    grid = params.grid
+    jr = params.support_cells
+    kern = cached_kernel(params.gamma, grid)
+    rec = _Recorder(params, len(data), "dalembert", store_history, u_ref=u_ref)
+    rows = np.arange(len(data))
+    n_t, n_r, h = grid.n_t, grid.n_r, grid.h
     r = grid.radii()
     damp = 1.0 / (1.0 + np.arange(n_t) * h) ** 2
 
-    def close(n, U_row):
-        # slice n from U = r u: zero beyond the cone, divide by r on the
-        # window, axis limit; True when the run stops here
-        k = grid.window(n, jr)
-        U_row[k:] = 0.0
-        u = np.empty(k)
-        u[1:] = U_row[1:k] / r[1:k]
-        u[0] = (4.0 * u[1] - u[2]) / 3.0
-        return u, rec.record(n, row, u[None])[0]
+    def stack(profiles):
+        # a lone row stays 1-D: the closed-form cubic costs more on a stack
+        return profiles[0].samples if len(data) == 1 else np.stack([p.samples for p in profiles])
 
-    def source(n, u):
-        # r G/(1+t)^2 of slice n from its window u, zero past it
-        S = np.zeros(n_r)
-        S[: u.size] = r[: u.size] * kern.cubic(u) * damp[n]
-        return S
-
-    u = v0.samples[: grid.window(0, jr)]
-    if rec.record(0, row, u[None])[0] or n_t == 1:
-        return rec.history()
-
-    U_prev = r * v0.samples
-    psi = lam_prefix((v0 + v1).samples, grid)
-    S = source(0, u)
-    U_cur = np.zeros(n_r)
-    U_cur[1:-1] = (
-        0.5 * (U_prev[2:] + U_prev[:-2])
-        + 0.5 * (psi[2:] - psi[:-2])
-        + 0.5 * h * h * S[1:-1]
-    )
-    u, stop = close(1, U_cur)
-    for n in range(1, n_t - 1):
-        if stop:
+    v0 = stack([d[0] for d in data])
+    U_prev, U_cur, U_next = np.zeros(v0.shape), r * v0, np.zeros(v0.shape)
+    S = np.zeros(v0.shape)  # S_n on its window, zeros past it
+    # the prefix integrals of lam (v0 + v1) that the first step reads
+    psi = lam_prefix(stack([d[0] + d[1] for d in data])[..., : grid.window(1, jr) + 1], grid)
+    u = v0[..., : grid.window(0, jr)]
+    for n in range(n_t):
+        stop = rec.record(n, rows, u.reshape(-1, u.shape[-1]))
+        if stop.any():
+            if stop.all():
+                break
+            keep = ~stop
+            rows, u, U_prev, U_cur, U_next, S, psi = (
+                a[keep] for a in (rows, u, U_prev, U_cur, U_next, S, psi)
+            )
+        if n == n_t - 1:
             break
-        S = source(n, u)
-        U_next = np.zeros(n_r)
-        U_next[1:-1] = U_cur[2:] + U_cur[:-2] - U_prev[1:-1] + h * h * S[1:-1]
-        u, stop = close(n + 1, U_next)
-        U_prev, U_cur = U_cur, U_next
-    return rec.history()
+        k = u.shape[-1]
+        S[..., :k] = r[:k] * kern.cubic(u) * damp[n]
+        # U_{n+1} on nodes 1..m-1: zero at the axis, past the window and on
+        # the grid edge
+        m = min(grid.window(n + 1, jr), n_r - 1)
+        out = U_next[..., 1:m]
+        if n == 0:
+            out[...] = (
+                0.5 * (U_cur[..., 2 : m + 1] + U_cur[..., : m - 1])
+                + 0.5 * (psi[..., 2 : m + 1] - psi[..., : m - 1])
+                + 0.5 * h * h * S[..., 1:m]
+            )
+        else:
+            np.add(U_cur[..., 2 : m + 1], U_cur[..., : m - 1], out=out)
+            out -= U_prev[..., 1:m]
+            out += h * h * S[..., 1:m]
+        U_prev, U_cur, U_next = U_cur, U_next, U_prev
+        k = grid.window(n + 1, jr)
+        u = np.empty(U_cur.shape[:-1] + (k,))
+        u[..., 1:] = U_cur[..., 1:k] / r[1:k]
+        ax = u.T  # ax[j]: node j of every row (a scalar for a lone row)
+        ax[0] = (4.0 * ax[1] - ax[2]) / 3.0
+    return [rec.outcome(i) for i in range(len(data))]
+
+
+def solve_dalembert(params: Params, data, u_ref: np.ndarray | None = None) -> SolutionHistory:
+    """The d'Alembert stencil for one data row: the batch of one of
+    ``dalembert_batch``, storing its u table, or given ``u_ref`` only its
+    per-slice distance to it."""
+    (out,) = dalembert_batch(params, [data], u_ref=u_ref)
+    if isinstance(out, NumericalAbort):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,11 @@ lambda and linear in (t - s), e.g. L(1) = t - log(1+t) to roundoff.
 ``ConeAccumulator`` marches the Duhamel term, and ``duhamel_tails`` runs
 the same leapfrog step backward over a finished run; their reference, a
 direct long-double sum of the same quadrature, lives with the tests
-(``tests/oracles.py::duhamel_sum_ld``).  Both fast paths
-take stacks of rows, one per point of a lockstep march, on a window of the
-first k nodes, and give each row what a one-row call gives, bit for bit.
+(``tests/oracles.py::duhamel_sum_ld``).  Both fast paths take one source
+row, on a window of the first k nodes: the march is one data row, and a
+sweep's lockstep rows march on the d'Alembert stencil
+(``solver.dalembert_batch``), whose first step takes ``lam_prefix`` of a
+stack of rows.
 
 The cells' exact lambda-weighted integrals are ``grid.cell_integrals`` at
 e = 1, the sum that the mass functional and the closed-form convolution
@@ -122,25 +124,17 @@ class FreeField:
     min(i + n, n_r - 1) and the reflected |i - n|; both are runs of two
     tables built once per field, as are r and 2r.
 
-    ``v0`` and ``v1`` are profiles, or equal-length sequences of profiles
-    for a stack of fields; a slice then has one row per pair.
     """
 
-    def __init__(self, v0, v1, grid: Grid):
-        single = isinstance(v0, RadialProfile)
-        pairs = [(v0, v1)] if single else list(zip(v0, v1, strict=True))
-        if any(a.grid != grid or b.grid != grid for a, b in pairs):
+    def __init__(self, v0: RadialProfile, v1: RadialProfile, grid: Grid):
+        if v0.grid != grid or v1.grid != grid:
             raise ValueError("data profiles must live on the marching grid")
         self.grid = grid
-        tables = []
-        for a, b in pairs:
-            psum = a + b
-            tables.append(
-                (lam_prefix(psum.samples, grid), a.samples, derivative_profile(a).samples,
-                 psum.samples)
-            )
-        cols = [np.stack(col) for col in zip(*tables)]
-        self._psi, self._v0s, self._dv0, self._sum_s = (c[0] for c in cols) if single else cols
+        psum = v0 + v1
+        self._psi = lam_prefix(psum.samples, grid)
+        self._v0s = v0.samples
+        self._dv0 = derivative_profile(v0).samples
+        self._sum_s = psum.samples
         n_t, n_r = grid.n_t, grid.n_r
         self._clamp = np.minimum(np.arange(n_t + n_r), n_r - 1)  # at i + n
         self._reflect = np.abs(np.arange(-n_t, n_r))  # at i - n + n_t
@@ -160,15 +154,13 @@ class FreeField:
         lo = self._reflect[n_t - n + 1 : n_t - n + k]
         r = self._r[1:k]
         r2 = self._2r[1:k]
-        out = np.empty(self._psi.shape[:-1] + (k,))
-        w_part = (self._psi.take(hi, axis=-1) - self._psi.take(lo, axis=-1)) / r2
-        s0_hi = self._v0s.take(hi, axis=-1)
-        s0_lo = self._v0s.take(lo, axis=-1)
-        dt_part = ((r + t) * s0_hi + (r - t) * s0_lo) / r2
-        out[..., 1:] = dt_part + w_part
+        out = np.empty(k)
+        w_part = (self._psi.take(hi) - self._psi.take(lo)) / r2
+        dt_part = ((r + t) * self._v0s.take(hi) + (r - t) * self._v0s.take(lo)) / r2
+        out[1:] = dt_part + w_part
         # axis: phi(t) + t phi'(t) + t (v0+v1)(t)
         j = min(n, n_r - 1)
-        out[..., 0] = self._v0s[..., j] + t * self._dv0[..., j] + t * self._sum_s[..., j]
+        out[0] = self._v0s[j] + t * self._dv0[j] + t * self._sum_s[j]
         return out
 
 
@@ -298,7 +290,7 @@ class ConeAccumulator:
 
     where F_m(k) = Phi_m(k+1) - Phi_m(k-1), wl and wr are the
     ``TimeWeights`` of the cells, a term with a negative index is dropped,
-    Y_0 = Y_1 = 0 and Y_n(0) = 0.  Each row keeps Y_n, Y_{n-1}, the F of
+    Y_0 = Y_1 = 0 and Y_n(0) = 0.  The state is Y_n, Y_{n-1}, the F of
     the last two slices, the lambda-moment antidiagonal that gives the axis
     value, and the history of slice n with the J1 term of the previous
     source, so each closure sweep of :meth:`eval_slice` costs one vector
@@ -307,10 +299,7 @@ class ConeAccumulator:
     nonlinear march); the recurrence runs on the live window
     (``Grid.window``), past which Y_n vanishes.
 
-    Source slices may be stacks (..., k) of rows on one grid: the state
-    then carries the same leading shape, each row marched as a one-row
-    accumulator would, and :meth:`keep_rows` drops the rows whose march has
-    ended.  The march pushes slices 0, 1, ... and reads :meth:`eval_slice`;
+    The march pushes slices 0, 1, ... and reads :meth:`eval_slice`;
     :func:`duhamel_tails` runs the same step backward over a finished run.
     """
 
@@ -320,34 +309,19 @@ class ConeAccumulator:
         grid.check_cone(self.jr)
         self.tw = TimeWeights(grid.n_t, grid.h)
         self.n_pushed = 0
-        # sized for the rows of the first pushed slice
-        self._y = self._y_prev = self._f1 = self._f2 = self._ax = None
+        self._y, self._y_prev, self._f1, self._f2 = (np.zeros(grid.n_r + 1) for _ in range(4))
+        self._ax = np.zeros(grid.n_t + grid.n_r)
         self._base: np.ndarray | None = None  # slice n_pushed but its J2 term
         self._J2 = 0.0
         self._lam = grid.radii()
         self._den = 2.0 * np.arange(1, grid.n_r) * grid.h
 
-    def keep_rows(self, keep: np.ndarray) -> None:
-        """Keep only the source rows selected by ``keep`` (an index or mask
-        over the leading axis)."""
-        for name in ("_y", "_y_prev", "_f1", "_f2", "_ax", "_base"):
-            state = getattr(self, name)
-            if state is not None:  # nothing pushed yet
-                setattr(self, name, state[keep])
-
     def push_slice(self, g_row: np.ndarray) -> None:
         """Push source slice m = ``n_pushed``; ``g_row`` may stop at any
         node past the support (zeros follow)."""
         grid, tw, m = self.grid, self.tw, self.n_pushed
-        n_r = grid.n_r
         k = grid.window(m + 1, self.jr) - 1  # F_m's last node too
-        g, f = _pair_sums(g_row, k, n_r + 1, grid)
-        if self._y is None:
-            lead = g.shape[:-1]
-            self._y, self._y_prev, self._f1, self._f2 = (
-                np.zeros(lead + (n_r + 1,)) for _ in range(4)
-            )
-            self._ax = np.zeros(lead + (grid.n_t + n_r,))
+        g, f = _pair_sums(g_row, k, grid.n_r + 1, grid)
         weights = (_at(tw.wl, m - 2), _at(tw.wl, m - 1), _at(tw.wr, m - 1))
         _leapfrog(self._y, self._y_prev, (self._f2, self._f1, f), weights, k)
         self._y, self._y_prev = self._y_prev, self._y

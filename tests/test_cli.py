@@ -285,7 +285,7 @@ class TestModes:
             eps, t_numeric, _, thr, _ = csv[-1].split(",")
             rows[tag] = (eps, float(t_numeric), float(thr))
         # the config's stop threshold reaches the runs, not only the CSV column
-        assert rows == {"default": ("6.1", 10.5, 1e6), "low": ("6.1", 10.375, 1000.0)}
+        assert rows == {"default": ("6.1", 10.75, 1e6), "low": ("6.1", 10.625, 1000.0)}
 
     def test_sweep_with_too_few_blowups_reports_every_point(self, tmp_path):
         # two of five points stay censored, leaving three for a four-point fit:

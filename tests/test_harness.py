@@ -5,7 +5,7 @@ import pytest
 
 from conewave import harness
 from conewave.harness import fit_slope, lifespan_measure, sweep
-from conewave.solver import NumericalAbort
+from conewave.solver import NumericalAbort, solve_dalembert
 
 
 class TestFitSlope:
@@ -60,24 +60,41 @@ class TestLifespanMeasure:
         assert len(pt.levels) == 2
 
 
+def _serial_stencil_points(eps, h, t_max, refine=1, blowup_threshold=1e6):
+    """The sweep's points measured one point at a time, level by level, on
+    ``solve_dalembert``: a point-by-point stencil sweep."""
+    points = []
+    for e in eps:
+        levels = []
+        for lev in range(refine + 1):
+            hh = h / 2**lev
+            params, (data,) = harness._level_runs(
+                -0.4, 1.0, [e], hh, t_max, "bump_v1_only", blowup_threshold
+            )
+            hist = solve_dalembert(params, data)
+            levels.append((hh, hist.t_numeric))
+        points.append(harness._point(e, levels, hist))
+    return points
+
+
 class TestLockstepSweep:
-    """A sweep marches each level's points in lockstep; every point must be
-    what the one-point path measures."""
+    """A sweep marches each level's points in lockstep on the stencil; every
+    point must be what the same stencil measures one point at a time."""
 
     def test_points_equal_one_point_runs(self):
-        # censored (0.05, 6.0), blow-up at t = 5.5 (8.0) and within a few
+        # censored (0.05, 6.0), blow-up at t = 5.625 (8.0) and within a few
         # slices (30.0): rows leave the batch at different slices
         eps = [0.05, 6.0, 8.0, 30.0]
         fit = sweep(-0.4, 1.0, eps, 1 / 8, 8.0, refine=1)
-        solo = [lifespan_measure(-0.4, 1.0, e, 1 / 8, 8.0, refine=1) for e in eps]
+        solo = _serial_stencil_points(eps, 1 / 8, 8.0)
         assert [p.censored for p in fit.points] == [True, True, False, False]
         # repr prints every float exactly, nan and the sign of zero included
         assert [repr(p) for p in fit.points] == [repr(p) for p in solo]
         assert math.isnan(fit.slope)
 
     def test_histories_keep_series_only(self, monkeypatch):
-        # a sweep's marches keep no table and no mass chain: they ask for
-        # no sources
+        # a sweep's stencils and the one-point march keep no table and no
+        # mass chain
         marched = []
 
         def spy(march):
@@ -87,7 +104,7 @@ class TestLockstepSweep:
                 return out
             return wrapped
 
-        monkeypatch.setattr(harness, "march_batch", spy(harness.march_batch))
+        monkeypatch.setattr(harness, "dalembert_batch", spy(harness.dalembert_batch))
         monkeypatch.setattr(harness, "solve_march", spy(harness.solve_march))
         sweep(-0.4, 1.0, [6.0, 8.0], 1 / 8, 8.0, refine=0)
         lifespan_measure(-0.4, 1.0, 8.0, 1 / 8, 8.0, refine=0)
@@ -97,18 +114,29 @@ class TestLockstepSweep:
             assert hist.source_mass is None and hist.square_mass is None
 
     def test_abort_order_matches_serial_sweep(self):
-        # with no stop threshold the march runs into overflow: 8.0 aborts at
-        # slice 45, before 6.0 (slice 90), but a point-by-point sweep meets
-        # 6.0's abort first, and so must the lockstep sweep
-        kw = dict(h=1 / 8, t_max=12.0, blowup_threshold=math.inf, refine=1)
+        # with no stop threshold the stencil runs into overflow: 8.0 aborts
+        # at slice 49, before 6.0 (slice 93), but a point-by-point sweep
+        # meets 6.0's abort first, and so must the lockstep sweep
+        kw = dict(h=1 / 8, t_max=12.0, blowup_threshold=math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalAbort) as serial:
-                for e in (6.0, 8.0):
-                    lifespan_measure(-0.4, 1.0, e, **kw)
+                _serial_stencil_points([6.0, 8.0], **kw)
             with pytest.raises(NumericalAbort) as batched:
-                sweep(-0.4, 1.0, [6.0, 8.0], **kw)
+                sweep(-0.4, 1.0, [6.0, 8.0], refine=1, **kw)
         got = (batched.value.slice_index, batched.value.backend)
-        assert got == (serial.value.slice_index, serial.value.backend) == (90, "march")
+        assert got == (serial.value.slice_index, serial.value.backend) == (93, "dalembert")
+
+    def test_march_reference_agrees(self):
+        # the march, an independent discretization, as the sweep's
+        # reference: at h = 1/8 -> 1/16 the two Richardson lifespans of
+        # these points differ by 1/24, 1/12, 1/12 and 0, within a bound of
+        # two fine cells
+        eps = [4.7, 5.4, 6.0, 7.0]
+        fit = sweep(-0.4, 1.0, eps, 1 / 8, 30.0, refine=1)
+        for p in fit.points:
+            ref = lifespan_measure(-0.4, 1.0, p.epsilon, 1 / 8, 30.0, refine=1)
+            assert not p.censored and not ref.censored
+            assert abs(p.t_numeric - ref.t_numeric) <= 2.0 / 16
 
 
 class TestSweepFixture:

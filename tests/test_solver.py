@@ -9,10 +9,10 @@ from conewave.norms import slice_x_norm
 from conewave.solver import (
     NumericalAbort,
     Params,
+    dalembert_batch,
     dissipation_monitor,
     liouville,
     make_data,
-    march_batch,
     scattering_check,
     solve_dalembert,
     solve_march,
@@ -179,7 +179,9 @@ class TestMarch:
 
 
 class TestMarchBatch:
-    """Rows of a lockstep march against one-point marches of the same data."""
+    """Rows of a lockstep stencil batch (``dalembert_batch``) against
+    one-row stencils of the same data, and the one-row march's closure
+    record."""
 
     def _points(self, eps, **kw):
         params = build(-0.4, 1.0, 1 / 16, 6.0, **kw)
@@ -187,30 +189,37 @@ class TestMarchBatch:
 
     @pytest.mark.parametrize("store", [False, True])
     def test_rows_equal_one_point_marches(self, store):
-        # 8.0 leaves the batch at t = 4.6, 0.5 and 5.0 march to the end
-        params, data = self._points([0.5, 8.0, 5.0])
-        batch = march_batch(params, data, store_history=store)
+        # 0.5 and 5.0 march to the end; 8.0 leaves the batch at slice 90
+        # (late blow-up), 30.0 at slice 17 (within a few slices)
+        params, data = self._points([0.5, 8.0, 5.0, 30.0])
+        batch = dalembert_batch(params, data, store_history=store)
         for d, got in zip(data, batch):
-            want = solve_march(params, d, store_history=store)
+            want = solve_dalembert(params, d)
             assert got.n_used == want.n_used and got.params is params
             assert repr(got.crossings) == repr(want.crossings)
             for a, b in zip(got.rows(), want.rows()):
                 assert repr(a) == repr(b)
-            assert got.closure_sweeps.tobytes() == want.closure_sweeps.tobytes()
-            assert got.closure_step.tobytes() == want.closure_step.tobytes()
+            assert got.closure_sweeps is None and got.g is None
             if store:
                 assert got.u.tobytes() == want.u.tobytes()
-                assert got.g.tobytes() == want.g.tobytes()
             else:
-                assert got.source_mass.tobytes() == want.source_mass.tobytes()
-                assert got.square_mass.tobytes() == want.square_mass.tobytes()
-        assert batch[1].blew_up and batch[1].n_used < batch[0].n_used
+                assert got.u is None and got.source_mass is None
+        assert [h.n_used for h in batch] == [97, 91, 97, 18]
+
+    def test_rows_keep_their_reference_distance(self):
+        # a shared reference table: each row's distance to it is its
+        # one-row distance
+        params, data = self._points([0.5, 8.0])
+        ref = solve_march(params, data[0]).u
+        for d, got in zip(data, dalembert_batch(params, data, u_ref=ref)):
+            want = solve_dalembert(params, d, u_ref=ref)
+            assert got.u is None and got.ref_diff.tobytes() == want.ref_diff.tobytes()
 
     def test_blowup_facts_read_off_sup_series(self):
         # each fact follows from the sup series and the stop threshold
         params, data = self._points([0.5, 8.0, 5.0])
         h, stop = params.grid.h, params.blowup_threshold
-        batch = march_batch(params, data, store_history=False)
+        batch = dalembert_batch(params, data, store_history=False)
         for hist in batch:
             assert np.array_equal(hist.t, np.arange(hist.n_used) * h)
             for c, t in hist.crossings.items():
@@ -229,18 +238,24 @@ class TestMarchBatch:
         # slice 0 needs no closure; every later slice records 1 to
         # _MAX_SLICE_SWEEPS sweeps and the step it stopped at
         params, data = self._points([5.0])
-        hist = march_batch(params, data)[0]
+        hist = solve_march(params, data[0])
         assert hist.closure_sweeps[0] == 0 and hist.closure_step[0] == 0.0
         assert np.all((hist.closure_sweeps[1:] >= 1) & (hist.closure_sweeps[1:] <= 4))
         assert np.all(hist.closure_step >= 0.0)
         assert solve_dalembert(params, data[0]).closure_sweeps is None
 
     def test_abort_is_held_for_its_row(self):
-        params, data = self._points([5.0, 1e150], thr=1e308)
+        # the rows on either side of the aborted one march on as alone
+        params, data = self._points([5.0, 1e150, 0.5], thr=1e308)
         with np.errstate(over="ignore", invalid="ignore"):
-            ok, bad = march_batch(params, data, store_history=False)
-        assert isinstance(bad, NumericalAbort) and (bad.backend, bad.slice_index) == ("march", 2)
-        assert ok.n_used == params.grid.n_t
+            ok, bad, late = dalembert_batch(params, data, store_history=False)
+            with pytest.raises(NumericalAbort) as solo:
+                solve_dalembert(params, data[1])
+        assert isinstance(bad, NumericalAbort) and (bad.backend, bad.slice_index) == ("dalembert", 2)
+        assert solo.value.slice_index == bad.slice_index
+        assert ok.n_used == late.n_used == params.grid.n_t
+        for got, d in ((ok, data[0]), (late, data[2])):
+            assert got.sup_u.tobytes() == solve_dalembert(params, d).sup_u.tobytes()
 
 
 class TestDalembert:

@@ -129,21 +129,20 @@ class TestFreeField:
             assert np.all(tab[n][outside] == 0.0)
 
 
-    @pytest.mark.parametrize("stack", [False, True])
-    def test_window_matches_full_slice(self, stack):
+    def test_window_matches_full_slice(self):
         # n_r > n_t + jr: the clamp of i + n at n_r - 1 binds on the full
         # slices, and the window reads the same table runs bit for bit
         h, jr = 1 / 16, 16
         grid = Grid(h=h, n_r=120, n_t=60)
         r = grid.radii()
         bump = np.where(r <= 1, (1 - np.minimum(r, 1) ** 2) ** 3, 0.0)
-        prof = [RadialProfile(grid, c * bump, support_radius=1.0) for c in (1.0, -0.5, 0.25, 2.0)]
-        free = FreeField(prof[:2], prof[2:], grid) if stack else FreeField(prof[0], prof[2], grid)
+        v0, v1 = (RadialProfile(grid, c * bump, support_radius=1.0) for c in (1.0, 0.25))
+        free = FreeField(v0, v1, grid)
         for n in range(grid.n_t):
             full = free.slice(n)
-            assert full.shape[-1] == grid.n_r
+            assert full.shape == (grid.n_r,)
             for k in (1, 2, grid.window(n, jr), grid.n_r - 1):
-                assert free.slice(n, k).tobytes() == full[..., :k].tobytes()
+                assert free.slice(n, k).tobytes() == full[:k].tobytes()
 
 
 class TestDuhamel:
