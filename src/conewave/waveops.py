@@ -123,7 +123,6 @@ class FreeField:
     The gather indices of slice n at nodes i >= 1 are the clamped
     min(i + n, n_r - 1) and the reflected |i - n|; both are runs of two
     tables built once per field, as are r and 2r.
-
     """
 
     def __init__(self, v0: RadialProfile, v1: RadialProfile, grid: Grid):
@@ -340,7 +339,7 @@ class ConeAccumulator:
         of that slice."""
         k = self.grid.window(self.n_pushed, self.jr)
         if self._base is None:
-            return np.zeros(g_cur.shape[:-1] + (k,))
+            return np.zeros(k)
         return self._base + self._J2 * g_cur[..., :k]
 
 

@@ -17,7 +17,8 @@ SRC = ROOT / "src" / "conewave"
 # ``FreeField``; the point path of the slice convolution, the reference of
 # ``ConvolutionKernel.apply`` that perfbench's accuracy check imports; the
 # Kato exponent calculus that ROADMAP item 6's sweep is to use; and the
-# one-point lifespan that a sweep's lockstep points are held to.
+# one-point lifespan on the integral-equation march, the independent
+# reference that a sweep's stencil lifespans are held to.
 TEST_ONLY_EXPORTS = (
     "free_field",
     "convolve_power",
