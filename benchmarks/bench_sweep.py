@@ -5,9 +5,11 @@ Prints a JSON record with up to four parts:
 * ``pairs``   -- alternating perfbench runs per workload (``perfbench/run.py
   --trace 0`` of each checkout): medians, quartiles and wins of run_ref_s,
   setup_s and peak_rss_mb.  A run that exits nonzero is recorded under
-  ``failed_runs`` (side, pair, workload, exit code, last stderr lines) and
-  the part goes on: medians and quartiles are over the runs that completed,
-  wins over the pairs where both sides completed;
+  ``failed_runs`` (side, pair, workload, exit code, last stderr lines with
+  the checkout's path dropped) and counted in ``failed`` beside the failed
+  operations of the runs that completed, and the part goes on: medians and
+  quartiles are over the runs that completed, wins over the pairs where both
+  sides completed, out of ``pairs_run``;
 * ``layers``  -- one CLI run (``cli.run`` in process) of each perfbench
   workload, lifespan, global and verify, at this seed, parent against
   change, interleaved in one process and split by layer: CPU seconds in the
@@ -73,7 +75,7 @@ def compare(parent: list, change: list) -> dict:
     both runs completed."""
     p, c = summary(parent), summary(change)
     both = [(a, b) for a, b in zip(parent, change) if a is not None and b is not None]
-    out = {"parent": p, "change": c, "pairs_compared": len(both),
+    out = {"parent": p, "change": c, "pairs_run": len(parent), "pairs_compared": len(both),
            "change_wins": sum(b < a for a, b in both)}
     if p["median"] is not None and c["median"] is not None:
         out["median_change_minus_parent"] = c["median"] - p["median"]
@@ -104,7 +106,8 @@ def run_pairs(parent_dir: Path, seed: int, pairs: int, seconds: int) -> dict:
                 if out.returncode != 0:
                     failed_runs[w].append({"side": side, "pair": i, "workload": w,
                                            "exit": out.returncode,
-                                           "stderr_tail": out.stderr.splitlines()[-STDERR_LINES:]})
+                                           "stderr_tail": out.stderr.replace(f"{root}/", "")
+                                           .splitlines()[-STDERR_LINES:]})
                     got[w][side].append(None)
                     print(f"pair {i} {side} {w} failed, exit {out.returncode}", file=sys.stderr)
                     continue
@@ -117,7 +120,8 @@ def run_pairs(parent_dir: Path, seed: int, pairs: int, seconds: int) -> dict:
         res[w] = {m: compare(*[[None if r is None else r["metrics"][m]["value"] for r in by[s]]
                                for s in ("parent", "change")])
                   for m in METRICS}
-        res[w]["failed"] = {s: sum(r["failed"] for r in by[s] if r is not None) for s in by}
+        res[w]["failed"] = {s: {"ops": sum(r["failed"] for r in by[s] if r is not None),
+                                "runs": sum(r is None for r in by[s])} for s in by}
         res[w]["failed_runs"] = failed_runs[w]
     return res
 

@@ -263,10 +263,11 @@ class _Recorder:
 
     def record(self, n, rows, u, g=None, sweeps=None, step=None) -> np.ndarray:
         """Record slice n of the batch ``rows``: ``u`` holds their samples
-        (len(rows), k) on the first k nodes, zero past them; a march (one
-        row) adds its sources ``g`` there, closure ``sweeps`` and last
-        relative ``step``.  Returns the mask of the rows that stop at this
-        slice."""
+        (len(rows), k) on the first k nodes, zero past them, a lone row's
+        as a 1-D row; a march (one row) adds its sources ``g`` there,
+        closure ``sweeps`` and last relative ``step``.  Returns the mask of
+        the rows that stop at this slice."""
+        u = u.reshape(len(rows), -1)
         finite = np.isfinite(u).all(axis=-1)
         if not finite.all():
             for i in rows[~finite]:
@@ -388,7 +389,7 @@ def solve_march(
             g = np.zeros(base.shape)
             g[: g_prev.size] = g_prev
             u, g, sweeps, step = _close_slice(acc, kern, base, g)
-        if rec.record(n, row, u[None], g[None], sweeps, step)[0]:
+        if rec.record(n, row, u, g, sweeps, step)[0]:
             break
         acc.push_slice(g)
         g_prev = g
@@ -435,7 +436,7 @@ def dalembert_batch(params: Params, data: list, store_history: bool = True,
     psi = lam_prefix(stack([d[0] + d[1] for d in data])[..., : grid.window(1, jr) + 1], grid)
     u = v0[..., : grid.window(0, jr)]
     for n in range(n_t):
-        stop = rec.record(n, rows, u.reshape(-1, u.shape[-1]))
+        stop = rec.record(n, rows, u)
         if stop.any():
             if stop.all():
                 break

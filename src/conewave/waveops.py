@@ -243,13 +243,13 @@ def _pair_sums(g_row: np.ndarray, c: int, size: int, grid: Grid):
     of the exact lambda-weighted integrals of the two cells next to k,
     F(0) = 0 and zeros past c.  Returns (the samples of nodes 0..c, zero
     padded, F)."""
-    g = np.asarray(g_row, dtype=float)[..., : c + 1]
-    if g.shape[-1] < c + 1:
-        g = np.concatenate([g, np.zeros(g.shape[:-1] + (c + 1 - g.shape[-1],))], axis=-1)
+    g = np.asarray(g_row, dtype=float)[: c + 1]
+    if g.size < c + 1:
+        g = np.concatenate([g, np.zeros(c + 1 - g.size)])
     cells = cell_integrals(g, grid, 1, c)
-    f = np.zeros(g.shape[:-1] + (size,))
-    f[..., 1 : c + 1] = cells
-    f[..., 1:c] += cells[..., 1:]
+    f = np.zeros(size)
+    f[1 : c + 1] = cells
+    f[1:c] += cells[1:]
     return g, f
 
 
@@ -263,12 +263,12 @@ def _leapfrog(y, y_prev, f, w, k: int) -> None:
     for f = (f0, f1, f2) and w = (w0, w1, w2).  Every array vanishes at
     node 0 and holds node k + 1."""
     (f0, f1, f2), (w0, w1, w2) = f, w
-    out = y_prev[..., 1 : k + 1]
-    np.subtract(y[..., 2 : k + 2], out, out=out)
-    out += y[..., :k]
-    out -= w0 * f0[..., 1 : k + 1]
-    out += w1 * (f1[..., 2 : k + 2] + f1[..., :k])
-    out += w2 * f2[..., 1 : k + 1]
+    out = y_prev[1 : k + 1]
+    np.subtract(y[2 : k + 2], out, out=out)
+    out += y[:k]
+    out -= w0 * f0[1 : k + 1]
+    out += w1 * (f1[2 : k + 2] + f1[:k])
+    out += w2 * f2[1 : k + 1]
 
 
 class ConeAccumulator:
@@ -325,12 +325,12 @@ class ConeAccumulator:
         _leapfrog(self._y, self._y_prev, (self._f2, self._f1, f), weights, k)
         self._y, self._y_prev = self._y_prev, self._y
         self._f2, self._f1 = self._f1, f
-        self._ax[..., m : m + k + 1] += tw.w_slice[m] * self._lam[: k + 1] * g
+        self._ax[m : m + k + 1] += tw.w_slice[m] * self._lam[: k + 1] * g
         self.n_pushed = n = m + 1
         J1, self._J2 = tw.closure(n)
-        base = np.empty(g.shape)
-        base[..., 1:] = self._y[..., 1 : k + 1] / self._den[:k] + J1 * g[..., 1:]
-        base[..., 0] = self._ax[..., n] - _at(tw.wl, m) * grid.h * g[..., 1] + J1 * g[..., 0]
+        base = np.empty(k + 1)
+        base[1:] = self._y[1 : k + 1] / self._den[:k] + J1 * g[1:]
+        base[0] = self._ax[n] - _at(tw.wl, m) * grid.h * g[1] + J1 * g[0]
         self._base = base
 
     def eval_slice(self, g_cur: np.ndarray) -> np.ndarray:
@@ -340,7 +340,7 @@ class ConeAccumulator:
         k = self.grid.window(self.n_pushed, self.jr)
         if self._base is None:
             return np.zeros(k)
-        return self._base + self._J2 * g_cur[..., :k]
+        return self._base + self._J2 * g_cur[:k]
 
 
 def duhamel_tails(g: np.ndarray, grid: Grid, support_cells: int, n_stop: int, g_from: int = 0):

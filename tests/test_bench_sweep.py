@@ -1,6 +1,6 @@
 """``benchmarks/bench_sweep.py --parts pairs`` with ``subprocess.run``
-stubbed: a perfbench run that fails is recorded with its stderr, and the
-other runs still count."""
+stubbed: a perfbench run that fails is recorded with its stderr and
+counted as failed, and the other runs still count."""
 
 import json
 import subprocess
@@ -52,9 +52,11 @@ def test_failed_run_is_recorded_and_the_rest_counted(tmp_path, monkeypatch, pair
             lost = w == "global"
             assert cmp["parent"]["runs"] == [2.0] * pairs
             assert cmp["change"]["runs"] == [None] * lost + [1.0] * (pairs - lost)
+            assert cmp["pairs_run"] == pairs
             assert cmp["pairs_compared"] == cmp["change_wins"] == pairs - lost
             assert cmp["parent"]["median"] == 2.0
             assert cmp["change"]["median"] == (None if pairs - lost < 2 else 1.0)
-        assert res[w]["failed"] == {"parent": 0, "change": 0}
+        assert res[w]["failed"] == {"parent": {"ops": 0, "runs": 0},
+                                    "change": {"ops": 0, "runs": int(lost)}}
         if w != "global":
             assert res[w]["failed_runs"] == []
