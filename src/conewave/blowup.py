@@ -12,7 +12,7 @@ all of which this module evaluates slice by slice against a run.  Each
 mass integral here (F, F'' and int u^2 dx, and the data mass C0) is
 ``grid.mass`` of a row of samples (the slice's live window in a run),
 which sums the exact cell integrals of r^2 PL over that row's cells
-(``grid.cell_integrals``); a lean run records the first
+(``grid.cell_integrals``); a lean stencil run records the first
 three per slice, so the chain reads scalar series.  The scalar
 comparison ODE built from the linear seed provides a lower envelope for F,
 and the seeded power series feeds the Kato-type parameter calculus that
@@ -179,7 +179,8 @@ def mass_diagnostics(hist: SolutionHistory, v1: RadialProfile, epsilon: float) -
     """
     if hist.source_mass is None or hist.g_from:
         raise ValueError("mass_diagnostics needs the source_mass and square_mass series "
-                         "from slice 0 on: a lean march with sources_from=0")
+                         "from slice 0 on: a lean stencil run (solve_dalembert with "
+                         "store_history=False, sources_from=0)")
     params, grid = hist.params, hist.grid
     h, R, gamma, n_used = grid.h, params.R, params.gamma, hist.n_used
     t, F = hist.t, hist.mass

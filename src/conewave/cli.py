@@ -22,21 +22,25 @@ the same directory are removed).  An output directory that cannot be made
 is a config error.  With a fixed seed the outputs are byte-identical across
 repeated runs.
 
-Solve and blow-up mode march one run, a ``solver.SolutionHistory``.  Solve
-mode writes its per-slice series (``rows``) as ``results.csv``; both modes
-put its blow-up facts (``blew_up``, ``t_numeric``, ``threshold_crossings``,
-read off its sup series) into ``summary.json``.
+Every mode that marches runs on the d'Alembert stencil.  Solve and
+blow-up mode run one row of it (``solver.solve_dalembert``), a
+``solver.SolutionHistory``.  Solve mode writes its per-slice series
+(``rows``) as ``results.csv``; both modes put its blow-up facts
+(``blew_up``, ``t_numeric``, ``threshold_crossings``, read off its sup
+series) into ``summary.json``.  With ``run_dalembert = 1`` solve mode also
+runs the integral-equation march (``solver.solve_march``) as the
+independent cross-check of the stencil; the key keeps its old name.
 
 Grids cover the full forward cone (r_max = t_max + R).  Sweeps march each
-refinement level's points in lockstep on the lean d'Alembert stencil
-(series only, O(n_r) memory per point; ``solver.dalembert_batch``); blow-up
-mode runs a lean march that also keeps the masses of the source and of u^2
-per slice.  Solve mode stores the march's u table, O(n_t * n_r) ~
+refinement level's points in lockstep on the lean stencil (series only,
+O(n_r) memory per point; ``solver.dalembert_batch``); blow-up mode runs a
+lean stencil that also keeps the masses of the source and of u^2 per
+slice.  Solve mode stores the stencil's u table, O(n_t * n_r) ~
 (t_max/h)^2 doubles, and its source rows from t_star on (none without the
-scattering check); the d'Alembert check compares slice by slice against
-that u table and stores none of its own, and the v = u/(1+t) rows are
-formed one at a time.  Desk-scale solve configs keep t_max/h within a few
-thousand.
+scattering check); the march of the backend check compares slice by slice
+against that u table and stores none of its own, and the v = u/(1+t) rows
+are formed one at a time.  Desk-scale solve configs keep t_max/h within a
+few thousand.
 """
 
 from __future__ import annotations
@@ -115,15 +119,17 @@ def _write_invariants(path: Path, invariants: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _march(cfg: RunConfig, family: str, sources_from: int | None = 0):
-    """March the configured problem with data of ``family``, keeping the
-    sources from slice ``sources_from`` on (None: none); solve mode stores
-    the tables, blow-up mode marches lean.  Returns the problem, the data
-    and the history, with the summary fields that both march modes report."""
+def _stencil(cfg: RunConfig, family: str, sources_from: int | None):
+    """Run the configured problem with data of ``family`` on the stencil,
+    keeping the sources from slice ``sources_from`` on (None: none); solve
+    mode stores the tables, blow-up mode runs lean.  Returns the problem,
+    the data and the history, with the summary fields that both modes
+    report."""
     grid = Grid.for_domain(cfg.h, cfg.t_max + cfg.R, cfg.t_max)
     params = Params(gamma=cfg.gamma, R=cfg.R, grid=grid, blowup_threshold=cfg.blowup_threshold)
     data = make_data(family, cfg.epsilon, cfg.R, grid)
-    hist = solve_march(params, data, store_history=cfg.mode == "solve", sources_from=sources_from)
+    hist = solve_dalembert(params, data, store_history=cfg.mode == "solve",
+                           sources_from=sources_from)
     head = {
         "gamma": cfg.gamma,
         "epsilon": cfg.epsilon,
@@ -139,7 +145,7 @@ def _mode_solve(cfg: RunConfig):
     # only the scattering check reads sources, and only from t_star on
     scatter = cfg.gamma > 0.0 and cfg.t_star > 0.0
     n_star = round(cfg.t_star / cfg.h) if scatter else None
-    params, data, hist, summary = _march(cfg, cfg.family, n_star)
+    params, data, hist, summary = _stencil(cfg, cfg.family, n_star)
     invariants = {}
     if cfg.family == "bump_v1_only":
         invariants["positivity"] = hist.min_value() >= -1e-12 * max(
@@ -151,7 +157,8 @@ def _mode_solve(cfg: RunConfig):
         sup_u_max=float(hist.sup_u.max()),
     )
     if cfg.run_dalembert:
-        diff = float(solve_dalembert(params, data, u_ref=hist.u).ref_diff.max())
+        # the reference march, against the stencil's u table
+        diff = float(solve_march(params, data, u_ref=hist.u).ref_diff.max())
         summary["backend_sup_diff"] = diff
         invariants["backend_agreement"] = diff <= 50.0 * cfg.h**2 * summary["sup_u_max"]
     if scatter and not hist.blew_up:
@@ -224,7 +231,7 @@ def _mode_verify(cfg: RunConfig):
 
 
 def _mode_blowup(cfg: RunConfig):
-    _, data, hist, summary = _march(cfg, "bump_v1_only")
+    _, data, hist, summary = _stencil(cfg, "bump_v1_only", 0)
     diag = mass_diagnostics(hist, data[1], cfg.epsilon)
     invariants = {}
     # pair/cubic ratios are reported only: their printed constants are not
@@ -325,9 +332,10 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if abs(cfg["R"] / h - round(cfg["R"] / h)) > 1e-9:
         raise ConfigError(f"R must be an integer number of cells h, got R={cfg['R']}, h={h}")
     if cfg["mode"] == "solve" and cfg["gamma"] > 0.0 and ts > 0.0:
-        # the scattering check starts at t_star and needs a slice after it
-        if not ts < cfg["t_max"] or abs(round(ts / h) * h - ts) > 1e-9 * max(1.0, ts):
-            raise ConfigError(f"t_star must be a multiple of h below t_max, got {ts}")
+        # the scattering distance runs from t_star to two slices before t_max
+        tol = 1e-9 * max(1.0, ts)
+        if not ts <= cfg["t_max"] - 2.0 * h + tol or abs(round(ts / h) * h - ts) > tol:
+            raise ConfigError(f"t_star must be a multiple of h at least 2h below t_max, got {ts}")
     eps_text = cfg["epsilon_list"]
     try:
         eps = [float(s) for s in eps_text.split(",") if s.strip()]

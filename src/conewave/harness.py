@@ -2,10 +2,12 @@
 the log-log scaling law against the theoretical exponent 2/gamma.
 
 ``sweep`` marches all epsilon of one refinement level in lockstep on the
-d'Alembert stencil, as the rows of one lean ``solver.dalembert_batch`` call
-per level, one slice convolution per slice.  ``lifespan_measure`` measures
-one point on the integral-equation march (``solver.solve_march``), the
-independent reference that a sweep's lifespans are held to.
+d'Alembert stencil, the production backend of every mode, as the rows of
+one lean ``solver.dalembert_batch`` call per level, one slice convolution
+per slice.  ``lifespan_measure`` measures one point on the
+integral-equation march (``solver.solve_march``), the independent
+reference that a sweep's lifespans are held to; the march's other role is
+solve mode's backend check.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def lifespan_measure(
     for lev in range(refine + 1):
         hh = h / 2**lev
         params, (data,) = _level_runs(gamma, R, [epsilon], hh, t_max, family, blowup_threshold)
-        hist = solve_march(params, data, store_history=False, sources_from=None)
+        hist = solve_march(params, data, store_history=False)
         levels.append((hh, hist.t_numeric))
     return _point(epsilon, levels, hist)
 

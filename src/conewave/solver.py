@@ -9,21 +9,22 @@ satisfies the integral equation
 with u0 the free field of data (v0, v0+v1).  Two independent backends are
 provided:
 
+* ``dalembert_batch`` -- rewrites r*u as a 1+1-dimensional wave equation
+  with source r*(V*u^2)u/(1+t)^2 and marches it with the exact
+  characteristic stencil (dt = dr), one slice convolution per slice;
 * ``solve_march``   -- discretizes the integral equation itself: at each
   slice the Duhamel term comes from the cone accumulator, and the newest
   cell is closed by a short fixed-point sweep in the current source slice,
-  one slice convolution per sweep;
-* ``dalembert_batch`` -- rewrites r*u as a 1+1-dimensional wave equation
-  with source r*(V*u^2)u/(1+t)^2 and marches it with the exact
-  characteristic stencil (dt = dr), one slice convolution per slice.
+  one slice convolution per sweep.
 
 A ``Params`` is one problem (gamma, R, grid, stop threshold); the data
-(v0, v1), which carry the amplitude epsilon, are its rows.  The stencil
-marches the rows of one problem in lockstep as one stack, each slice on its
-live window; every row equals its one-row run bit for bit, and
-``solve_dalembert`` is the batch of one.  Sweeps march on it.  The march is
-one row; solve and blow-up modes, and the one-point lifespan that a sweep
-is held to, run on it.
+(v0, v1), which carry the amplitude epsilon, are its rows.  The stencil is
+the production backend: it marches the rows of one problem in lockstep as
+one stack, each slice on its live window; every row equals its one-row run
+bit for bit, and ``solve_dalembert`` is the batch of one.  Sweeps, solve
+mode and blow-up mode march on it.  The march is one row and the
+independent reference: solve mode's backend check and the one-point
+lifespan that a sweep is held to run on it.
 
 Both backends compute u of slice n on its window (``Grid.window``), so
 they write zeros past node n + jr by construction (finite propagation
@@ -31,17 +32,19 @@ speed).  Both hand each finished window to one recorder, which keeps the
 same per-slice values for every row (weighted norm by
 ``norms.slice_x_norm``, dissipation weight, mass functional by
 ``grid.mass`` over the window's cells, sup), so they can be cross-validated
-slice by slice; the march adds each slice's closure sweeps, last relative
-step and sources from a chosen slice on (a stored run their table, a lean
-run the masses of G and of u^2).  A d'Alembert run keeps its u table, none
-(lean), or, given the march's u table as a reference, only its per-slice
-distance to it.  Each row's result is one ``SolutionHistory``: it holds
-the per-slice series and reads the blow-up facts (threshold crossings,
-lifespan) off its sup series.  Both always march the cubic equation; the
-march's linear field is the ``waveops.FreeField`` table.  A
-stored run is post-processed by ``liouville`` (the rows v_n = u_n/(1+t_n),
-one at a time), which ``dissipation_monitor`` reads, and by
-``scattering_check`` (distance to the outgoing free wave).
+slice by slice.  A stencil run keeps its u table or none (lean), and its
+sources G from a chosen slice on (a stored run their table, a lean run the
+masses of G and of u^2).  A march keeps its u table, none, or, given a
+reference table, only its per-slice distance to it, and adds each slice's
+closure sweeps and last relative step.  Each row's result is one
+``SolutionHistory``: it holds the per-slice series and reads the blow-up
+facts (threshold crossings, lifespan) off its sup series.  Both always
+march the cubic equation; the march's linear field is the
+``waveops.FreeField`` table.  A stored run is post-processed by
+``liouville`` (the rows v_n = u_n/(1+t_n), one at a time), which
+``dissipation_monitor`` reads, and a stored stencil run with its sources by
+``scattering_check`` (distance to the outgoing free wave, by the stencil
+run backward).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 from .grid import Grid, RadialProfile, mass
 from .norms import WeightParams, slice_x_norm
 from .potential import cached_kernel
-from .waveops import ConeAccumulator, FreeField, duhamel_tails, lam_prefix
+from .waveops import ConeAccumulator, FreeField, lam_prefix
 
 __all__ = [
     "NumericalAbort",
@@ -122,9 +125,9 @@ _LOW_THRESHOLD_FACTOR = 100.0
 @dataclass
 class SolutionHistory:
     """The one record of a run: per-slice series of the slices 0 ..
-    ``n_used - 1``, u table (None unless stored), the march's sources from
-    slice ``g_from`` on (table ``g`` or lean masses, or None) and closure
-    record.  The blow-up facts are read off ``sup_u``: a run stops
+    ``n_used - 1``, u table (None unless stored), the stencil's sources
+    from slice ``g_from`` on (table ``g`` or lean masses, or None) and the
+    march's closure record.  The blow-up facts are read off ``sup_u``: a run stops
     at the first slice whose sup|u| exceeds ``params.blowup_threshold``."""
 
     params: Params
@@ -138,10 +141,10 @@ class SolutionHistory:
     u: np.ndarray | None = None
     g: np.ndarray | None = None
     g_from: int = 0
-    # a d'Alembert run given a reference u table: max|u - u_ref[n]| per
-    # slice n, for the slices of both runs
+    # a march given a reference u table: max|u - u_ref[n]| per slice n,
+    # for the slices of both runs
     ref_diff: np.ndarray | None = None
-    # a lean march, per slice from g_from on: the masses of G and of u^2
+    # a lean stencil run, per slice from g_from on: the masses of G and of u^2
     source_mass: np.ndarray | None = None
     square_mass: np.ndarray | None = None
     # per slice of a march: closure sweeps, and the last step max|g_new - g|
@@ -190,9 +193,11 @@ class SolutionHistory:
         return zip(self.t, self.x_norm_running, self.dissipation, self.mass, self.sup_u)
 
     def min_value(self) -> float:
+        """The least u over the nodes r > 0, which both backends march; the
+        stencil's axis value is the extrapolation (4 u_1 - u_2)/3."""
         if self.u is None:
             raise ValueError("run stored no history")
-        return float(np.min(self.u[: self.n_used]))
+        return float(np.min(self.u[: self.n_used, 1:]))
 
 
 def make_data(family: str, epsilon: float, R: float, grid: Grid):
@@ -216,20 +221,21 @@ def make_data(family: str, epsilon: float, R: float, grid: Grid):
 
 class _Recorder:
     """The recorder of a run of ``params``, one row per data row of a
-    batch.  Each finished slice goes through ``record`` with the rows still
-    marching, which stores the rows (with ``store_history``) and that
-    slice's own values, and reports the rows that stop: a row stops when
-    its sup|u| exceeds the stop threshold, or with a ``NumericalAbort``
-    kept for it on a non-finite value.  ``outcome`` builds each row's
-    result, with the running max of the weighted norm.
+    batch.  Each finished slice goes through ``finite``, which keeps a
+    ``NumericalAbort`` for each row with a non-finite value, and then its
+    finite rows through ``record``, which stores the rows (with
+    ``store_history``) and that slice's own values, and reports the rows
+    that stop: a row stops when its sup|u| exceeds the stop threshold.
+    ``outcome`` builds each row's result, with the running max of the
+    weighted norm.
 
-    A march keeps its sources from slice ``sources_from`` on (None: none),
-    with ``store_history`` as a table, else as the masses of G and of u^2.
-    Given a reference table ``u_ref``, the record keeps each slice's
-    max|u - u_ref[n]| instead of storing u."""
+    A stencil keeps its sources from slice ``sources_from`` on (None:
+    none), with ``store_history`` as a table, else as the masses of G and
+    of u^2.  Given a reference table ``u_ref``, the record keeps each
+    slice's max|u - u_ref[n]| instead of storing u."""
 
     def __init__(self, params: Params, n_rows: int, backend: str, store_history: bool = True,
-                 sources_from: int | None = 0, u_ref: np.ndarray | None = None):
+                 sources_from: int | None = None, u_ref: np.ndarray | None = None):
         grid = params.grid
         self.params = params
         self.backend = backend
@@ -248,7 +254,7 @@ class _Recorder:
         self.u = np.zeros(shape + (grid.n_r,)) if store_history and u_ref is None else None
         self.g = self.source_mass = self.square_mass = None
         self.g_from = sources_from or 0
-        if backend == "march" and sources_from is not None:
+        if sources_from is not None:
             if not 0 <= sources_from < grid.n_t:
                 raise ValueError(f"sources_from must be a slice of the grid, got {sources_from}")
             kept = (n_rows, grid.n_t - sources_from)
@@ -261,22 +267,25 @@ class _Recorder:
         self.n_used = np.zeros(n_rows, dtype=int)
         self.aborts: list = [None] * n_rows
 
+    def finite(self, n, rows, u) -> np.ndarray:
+        """The mask of the batch ``rows`` whose samples ``u`` of slice n
+        (len(rows), k), a lone row's as a 1-D row, are all finite; each
+        other row stops with a ``NumericalAbort``."""
+        ok = np.isfinite(u.reshape(len(rows), -1)).all(axis=-1)
+        for i in rows[~ok]:
+            self.aborts[i] = NumericalAbort(n, self.backend)
+        return ok
+
     def record(self, n, rows, u, g=None, sweeps=None, step=None) -> np.ndarray:
-        """Record slice n of the batch ``rows``: ``u`` holds their samples
-        (len(rows), k) on the first k nodes, zero past them, a lone row's
-        as a 1-D row; a march (one row) adds its sources ``g`` there,
-        closure ``sweeps`` and last relative ``step``.  Returns the mask of
-        the rows that stop at this slice."""
+        """Record slice n of the finite batch ``rows``: ``u`` holds their
+        samples (len(rows), k) on the first k nodes, zero past them, a lone
+        row's as a 1-D row, and ``g`` their sources on the same nodes where
+        they are kept; a march (one row) adds its closure ``sweeps`` and
+        last relative ``step``.  Returns the mask of the rows that stop at
+        this slice."""
         u = u.reshape(len(rows), -1)
-        finite = np.isfinite(u).all(axis=-1)
-        if not finite.all():
-            for i in rows[~finite]:
-                self.aborts[i] = NumericalAbort(n, self.backend)
-            rows, u = rows[finite], u[finite]
-            if not rows.size:
-                return ~finite
         k = u.shape[-1]
-        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+        if rows[-1] - rows[0] + 1 == rows.size:
             rows = slice(rows[0], rows[-1] + 1)  # a run of rows: views, no gathers
         if self.u is not None:
             self.u[rows, n, :k] = u
@@ -300,9 +309,7 @@ class _Recorder:
         self.dissip[rows, n] = ((1.0 + t + r) * au).max(axis=-1) / (1.0 + t)
         self.mass[rows, n] = mass(u, self.grid)
         self.n_used[rows] = n + 1
-        stop = ~finite
-        stop[finite] = sup > self.params.blowup_threshold
-        return stop
+        return sup > self.params.blowup_threshold
 
     def outcome(self, i: int):
         """Row i's ``SolutionHistory``, or its ``NumericalAbort``."""
@@ -360,7 +367,7 @@ def solve_march(
     params: Params,
     data,
     store_history: bool = True,
-    sources_from: int | None = 0,
+    u_ref: np.ndarray | None = None,
 ) -> SolutionHistory:
     """March the integral equation causally on the characteristic grid.
 
@@ -369,8 +376,9 @@ def solve_march(
     and is resolved by a few fixed-point sweeps (``_close_slice``, one slice
     convolution each).  Marching stops early once sup|u| exceeds
     ``params.blowup_threshold``.  With ``store_history`` the record keeps
-    the u table and the sources from slice ``sources_from`` on (None:
-    none); a lean record keeps those sources' masses and those of u^2.
+    the u table; given ``u_ref`` (rows of slices 0, 1, ..., such as a
+    stencil's u table) it keeps max|u - u_ref[n]| per slice (``ref_diff``)
+    instead.
     """
     v0, v1 = data
     grid = params.grid
@@ -378,7 +386,7 @@ def solve_march(
     acc = ConeAccumulator(grid, jr)
     kern = cached_kernel(params.gamma, grid)
     free = FreeField(v0, v1, grid)
-    rec = _Recorder(params, 1, "march", store_history, sources_from)
+    rec = _Recorder(params, 1, "march", store_history, u_ref=u_ref)
     row = np.zeros(1, dtype=int)
 
     for n in range(grid.n_t):
@@ -389,7 +397,7 @@ def solve_march(
             g = np.zeros(base.shape)
             g[: g_prev.size] = g_prev
             u, g, sweeps, step = _close_slice(acc, kern, base, g)
-        if rec.record(n, row, u, g, sweeps, step)[0]:
+        if not rec.finite(n, row, u)[0] or rec.record(n, row, u, sweeps=sweeps, step=step)[0]:
             break
         acc.push_slice(g)
         g_prev = g
@@ -397,8 +405,8 @@ def solve_march(
 
 
 def dalembert_batch(params: Params, data: list, store_history: bool = True,
-                    u_ref: np.ndarray | None = None) -> list:
-    """Independent backend for several data rows of one problem in
+                    sources_from: int | None = None) -> list:
+    """The production backend, for several data rows of one problem in
     lockstep: U = r u solves U_tt - U_rr = r G/(1+t)^2 with odd reflection
     at the axis, by the exact characteristic stencil at dt = dr,
 
@@ -410,16 +418,19 @@ def dalembert_batch(params: Params, data: list, store_history: bool = True,
     single row as a 1-D row), each slice on its live window in three
     rotating U buffers; u of slice n is U/r there, with the axis value
     (4 u_1 - u_2)/3.  A row leaves the batch when it crosses the stop
-    threshold or hits a non-finite value.  With ``store_history`` the
-    record keeps the u table; given ``u_ref`` (rows of slices 0, 1, ...,
-    such as a march's u table) it keeps max|u - u_ref[n]| per slice
-    (``ref_diff``) instead.  Returns per row its ``SolutionHistory`` or its
-    ``NumericalAbort``, each equal to a one-row batch.
+    threshold or hits a non-finite value, and no slice convolution runs on
+    a non-finite row.  With ``store_history`` the record keeps the u table.
+    From slice ``sources_from`` on (None: none) it keeps the sources G_n:
+    with ``store_history`` as a table (``g``, which ``scattering_check``
+    reads), else as the per-slice masses of G and of u^2 (``source_mass``,
+    ``square_mass``, which ``blowup.mass_diagnostics`` reads).  Returns per
+    row its ``SolutionHistory`` or its ``NumericalAbort``, each equal to a
+    one-row batch.
     """
     grid = params.grid
     jr = params.support_cells
     kern = cached_kernel(params.gamma, grid)
-    rec = _Recorder(params, len(data), "dalembert", store_history, u_ref=u_ref)
+    rec = _Recorder(params, len(data), "dalembert", store_history, sources_from)
     rows = np.arange(len(data))
     n_t, n_r, h = grid.n_t, grid.n_r, grid.h
     r = grid.radii()
@@ -436,7 +447,15 @@ def dalembert_batch(params: Params, data: list, store_history: bool = True,
     psi = lam_prefix(stack([d[0] + d[1] for d in data])[..., : grid.window(1, jr) + 1], grid)
     u = v0[..., : grid.window(0, jr)]
     for n in range(n_t):
-        stop = rec.record(n, rows, u)
+        ok = rec.finite(n, rows, u)
+        if not ok.all():
+            if not ok.any():
+                break
+            rows, u, U_prev, U_cur, U_next, S, psi = (
+                a[ok] for a in (rows, u, U_prev, U_cur, U_next, S, psi)
+            )
+        G = kern.cubic(u) if sources_from is not None and n >= sources_from else None
+        stop = rec.record(n, rows, u, G)
         if stop.any():
             if stop.all():
                 break
@@ -444,10 +463,11 @@ def dalembert_batch(params: Params, data: list, store_history: bool = True,
             rows, u, U_prev, U_cur, U_next, S, psi = (
                 a[keep] for a in (rows, u, U_prev, U_cur, U_next, S, psi)
             )
+            G = None if G is None else G[keep]
         if n == n_t - 1:
             break
         k = u.shape[-1]
-        S[..., :k] = r[:k] * kern.cubic(u) * damp[n]
+        S[..., :k] = r[:k] * (kern.cubic(u) if G is None else G) * damp[n]
         # U_{n+1} on nodes 1..m-1: zero at the axis, past the window and on
         # the grid edge
         m = min(grid.window(n + 1, jr), n_r - 1)
@@ -471,11 +491,11 @@ def dalembert_batch(params: Params, data: list, store_history: bool = True,
     return [rec.outcome(i) for i in range(len(data))]
 
 
-def solve_dalembert(params: Params, data, u_ref: np.ndarray | None = None) -> SolutionHistory:
+def solve_dalembert(params: Params, data, store_history: bool = True,
+                    sources_from: int | None = None) -> SolutionHistory:
     """The d'Alembert stencil for one data row: the batch of one of
-    ``dalembert_batch``, storing its u table, or given ``u_ref`` only its
-    per-slice distance to it."""
-    (out,) = dalembert_batch(params, [data], u_ref=u_ref)
+    ``dalembert_batch``, with its options."""
+    (out,) = dalembert_batch(params, [data], store_history, sources_from)
     if isinstance(out, NumericalAbort):
         raise out
     return out
@@ -507,34 +527,57 @@ def dissipation_monitor(v, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scattering_check(hist: SolutionHistory, t_star: float):
-    """Weighted distance to the outgoing free wave.
+    """Weighted distance to the outgoing free wave of a stored stencil run
+    that keeps its sources from t_star on (``solve_dalembert`` with
+    ``sources_from``).
 
-    Builds u_plus by subtracting the remaining Duhamel tail (truncated at
-    the end of the run; ``waveops.duhamel_tails``) and returns
-    (t, sup_r (1+t+r)|u - u_plus|) for t >= t_star, plus an estimate of the
-    neglected tail.  Refuses blown-up runs.
+    The outgoing wave u_plus is the source-free stencil run that matches u
+    at the last two slices M - 1 and M.  So D = r (u - u_plus) runs the
+    stencil backward over the kept sources S_n = r G_n/(1+t_n)^2, from
+    D_M = D_{M-1} = 0:
+
+        D_{n-1}(k) = D_n(k+1) + D_n(k-1) - D_{n+1}(k) + h^2 S_n(k),
+
+    with D_n(0) = 0.  Its backward domain of dependence passes the grid
+    edge, so D_n runs on the nodes up to n_r - 1 + (M - n), past which it
+    vanishes.  u - u_plus is D/r, with the stencil's axis value
+    (4 d_1 - d_2)/3.  Returns (t, sup_r (1+t+r)|u - u_plus|) for
+    t_star <= t <= t_{M-2} (at M - 1 and M the distance is 0 by
+    construction), plus an estimate of the tail neglected beyond the run.
+    Refuses runs that blew up, gamma <= 0, a run without those sources,
+    and a t_star less than two slices before the end.
     """
     if hist.blew_up:
         raise ValueError("scattering_check refuses runs that blew up")
     if hist.g is None:
-        raise ValueError("run must store source history")
+        raise ValueError("scattering_check needs a stored stencil run that keeps its sources "
+                         "(solve_dalembert with sources_from)")
     if hist.params.gamma <= 0.0:
         raise ValueError("scattering diagnostics need gamma > 0")
     grid = hist.grid
-    h = grid.h
+    h, n_r = grid.h, grid.n_r
     n_star = grid.index_of_time(t_star)
     M = hist.n_used - 1
-    if n_star >= M:
-        raise ValueError("t_star must leave room before the end of the run")
+    if n_star > M - 2:
+        raise ValueError("t_star must leave two slices before the end of the run")
+    if n_star < hist.g_from:
+        raise ValueError(f"t_star lies before the first kept source, slice {hist.g_from}")
     r = grid.radii()
-    out_t = []
-    out_val = []
-    for n, tail in duhamel_tails(hist.g, grid, hist.params.support_cells, n_star, hist.g_from):
-        t = n * h
-        out_t.append(t)
-        out_val.append(float(np.max((1.0 + t + r) * np.abs(tail))))
-    out_t.reverse()
-    out_val.reverse()
+    d_next, d_cur = np.zeros((2, n_r + M - n_star + 1))  # D_{n+1}, D_n
+    d = np.empty(n_r)
+    ts = np.arange(n_star, M - 1) * h
+    vals = np.empty(ts.size)
+    for n in range(M - 1, n_star, -1):
+        # D_{n-1} on nodes 1..m, written over D_{n+1}
+        m = n_r + M - n
+        out = d_next[1 : m + 1]
+        np.subtract(d_cur[2 : m + 2], out, out=out)
+        out += d_cur[:m]
+        out[: n_r - 1] += h * h * (r[1:] * hist.g[n - hist.g_from, 1:] / (1.0 + n * h) ** 2)
+        d_next, d_cur = d_cur, d_next
+        d[1:] = d_cur[1:n_r] / r[1:]
+        d[0] = (4.0 * d[1] - d[2]) / 3.0
+        vals[n - 1 - n_star] = np.max((1.0 + ts[n - 1 - n_star] + r) * np.abs(d))
     # crude estimate of the neglected tail beyond the run, assuming the
     # source keeps its (1+s)^-(gamma+1) envelope
     supg = float(np.max(np.abs(hist.g[-1])))
@@ -543,4 +586,4 @@ def scattering_check(hist: SolutionHistory, t_star: float):
     rem = supg * U ** (hist.params.gamma + 1.0) * (
         U ** (2.0 - q) / (q - 2.0) - (1.0 + t_star) * U ** (1.0 - q) / (q - 1.0)
     ) / 2.0
-    return np.array(out_t), np.array(out_val), rem
+    return ts, vals, rem

@@ -25,14 +25,13 @@ lambda and linear in (t - s), e.g. L(1) = t - log(1+t) to roundoff.
 
 ``FreeField`` tabulates the free field that ``kirchhoff_radial``,
 ``dt_kirchhoff_radial`` and ``free_field`` evaluate point by point.
-``ConeAccumulator`` marches the Duhamel term, and ``duhamel_tails`` runs
-the same leapfrog step backward over a finished run; their reference, a
-direct long-double sum of the same quadrature, lives with the tests
-(``tests/oracles.py::duhamel_sum_ld``).  Both fast paths take one source
-row, on a window of the first k nodes: the march is one data row, and a
-sweep's lockstep rows march on the d'Alembert stencil
-(``solver.dalembert_batch``), whose first step takes ``lam_prefix`` of a
-stack of rows.
+``ConeAccumulator`` marches the Duhamel term for the reference march
+(``solver.solve_march``) and for ``verify.verify_trilinear``; its
+reference, a direct long-double sum of the same quadrature, lives with the
+tests (``tests/oracles.py::duhamel_sum_ld``).  It takes one source row, on
+a window of the first k nodes; the production backend, the d'Alembert
+stencil (``solver.dalembert_batch``), marches stacks of rows and takes
+``lam_prefix`` of a stack in its first step.
 
 The cells' exact lambda-weighted integrals are ``grid.cell_integrals`` at
 e = 1, the sum that the mass functional and the closed-form convolution
@@ -58,7 +57,6 @@ __all__ = [
     "TimeWeights",
     "lam_prefix",
     "ConeAccumulator",
-    "duhamel_tails",
 ]
 
 
@@ -183,12 +181,11 @@ class TimeWeights:
     """Closed-form moments of (1+s)^-2 on the time cells.
 
     ``wl[m]``/``wr[m]`` weight the left/right endpoint of cell
-    [t_m, t_{m+1}].  The two closures replace the one cell next to the
+    [t_m, t_{m+1}].  The closure replaces the one cell next to the
     evaluation time, where the inner integral degenerates, by the model
     I(s) ~ 2 r |t-s| * [linear interpolant of G(r, .)]: ``closure(n)``
     returns (J1, J2) multiplying the source slices n-1 and n for the
-    forward value at t_n, and ``tail_closure(n)`` returns (J1, J2)
-    multiplying the slices n+1 and n for the backward tail at t_n.
+    value at t_n.
     """
 
     def __init__(self, n_t: int, h: float):
@@ -218,14 +215,6 @@ class TimeWeights:
         K1 = h / Ac - lg
         return J1, K1 - J1
 
-    def tail_closure(self, n: int) -> tuple[float, float]:
-        h = self.h
-        A1 = 1.0 + n * h
-        B1 = A1 + h
-        lg = math.log1p(h / A1)
-        J1 = 1.0 - (2.0 * A1 / h) * lg + A1 / B1
-        return J1, (lg - h / B1) - J1
-
 
 # ---------------------------------------------------------------------------
 # Incremental cone accumulator (the marching hot path)
@@ -237,8 +226,8 @@ def _at(a: np.ndarray, i: int) -> float:
     return float(a[i]) if 0 <= i < a.size else 0.0
 
 
-def _pair_sums(g_row: np.ndarray, c: int, size: int, grid: Grid):
-    """F(k) = Phi(k+1) - Phi(k-1) at nodes 0..size-1 for one source slice,
+def _pair_sums(g_row: np.ndarray, c: int, grid: Grid):
+    """F(k) = Phi(k+1) - Phi(k-1) at nodes 0..n_r for one source slice,
     with Phi its prefix (``lam_prefix``) saturated past node ``c``: the sum
     of the exact lambda-weighted integrals of the two cells next to k,
     F(0) = 0 and zeros past c.  Returns (the samples of nodes 0..c, zero
@@ -247,7 +236,7 @@ def _pair_sums(g_row: np.ndarray, c: int, size: int, grid: Grid):
     if g.size < c + 1:
         g = np.concatenate([g, np.zeros(c + 1 - g.size)])
     cells = cell_integrals(g, grid, 1, c)
-    f = np.zeros(size)
+    f = np.zeros(grid.n_r + 1)
     f[1 : c + 1] = cells
     f[1:c] += cells[1:]
     return g, f
@@ -298,8 +287,7 @@ class ConeAccumulator:
     nonlinear march); the recurrence runs on the live window
     (``Grid.window``), past which Y_n vanishes.
 
-    The march pushes slices 0, 1, ... and reads :meth:`eval_slice`;
-    :func:`duhamel_tails` runs the same step backward over a finished run.
+    The march pushes slices 0, 1, ... and reads :meth:`eval_slice`.
     """
 
     def __init__(self, grid: Grid, support_cells: int):
@@ -320,7 +308,7 @@ class ConeAccumulator:
         node past the support (zeros follow)."""
         grid, tw, m = self.grid, self.tw, self.n_pushed
         k = grid.window(m + 1, self.jr) - 1  # F_m's last node too
-        g, f = _pair_sums(g_row, k, grid.n_r + 1, grid)
+        g, f = _pair_sums(g_row, k, grid)
         weights = (_at(tw.wl, m - 2), _at(tw.wl, m - 1), _at(tw.wr, m - 1))
         _leapfrog(self._y, self._y_prev, (self._f2, self._f1, f), weights, k)
         self._y, self._y_prev = self._y_prev, self._y
@@ -341,52 +329,3 @@ class ConeAccumulator:
         if self._base is None:
             return np.zeros(k)
         return self._base + self._J2 * g_cur[:k]
-
-
-def duhamel_tails(g: np.ndarray, grid: Grid, support_cells: int, n_stop: int, g_from: int = 0):
-    """Backward Duhamel tails of a finished run whose source slices
-    g_from..M are the rows of ``g``: yields (n, tail) for n = M-1 down to
-    ``n_stop`` (>= ``g_from``), where ``tail`` is the part of L over the
-    times after t_n, up to t_M, at every node of slice n.  The top slice
-    carries only the right-endpoint weight of its cell, and the bottom cell
-    [t_n, t_{n+1}] is left to ``TimeWeights.tail_closure``.
-
-    The tail at node k >= 1 is Z_n(k) / (2 k h) plus the closure, with
-    Z_M = Z_{M-1} = 0 and the forward step of ``ConeAccumulator`` run
-    backward:
-
-        Z_n(k) = Z_{n+1}(k+1) + Z_{n+1}(k-1) - Z_{n+2}(k) - wr[n+2] F_{n+3}(k)
-                 + wr[n+1] (F_{n+2}(k+1) + F_{n+2}(k-1)) + wl[n+1] F_{n+1}(k).
-
-    Its backward domain of dependence passes the grid edge, where Phi
-    saturates, so Z_n runs on the nodes up to n_r - 1 + (n - n_stop).  The
-    axis value is the diagonal lambda-moment sum of the later slices."""
-    if n_stop < g_from:
-        raise ValueError(f"n_stop = {n_stop} lies before the first source row {g_from}")
-    jr = int(support_cells)
-    grid.check_cone(jr)
-    tw = TimeWeights(grid.n_t, grid.h)
-    n_r, boff = grid.n_r, grid.n_t - 1
-    lam, den = grid.radii(), 2.0 * np.arange(1, n_r) * grid.h
-    M = g_from + len(g) - 1
-    size = n_r + (M - n_stop) + 1
-    z, z_prev = np.zeros(size), np.zeros(size)  # Z_{n+1}, Z_{n+2}
-    f1 = f2 = np.zeros(size)  # F_{n+2}, F_{n+3}
-    ax = np.zeros(grid.n_t + n_r)  # diagonal lambda-moments, read at boff - n
-    for n in range(M - 1, n_stop - 1, -1):
-        m = n + 1
-        c = grid.window(m + 1, jr) - 1
-        g_m, f = _pair_sums(g[m - g_from], c, size, grid)
-        w = tw.wr[M - 1] if m == M else tw.w_slice[m]
-        ax[boff - m : boff - m + c + 1] += w * lam[: c + 1] * g_m
-        weights = (_at(tw.wr, n + 2), _at(tw.wr, n + 1), tw.wl[m] if m < M else 0.0)
-        _leapfrog(z, z_prev, (f2, f1, f), weights, n_r - 1 + (n - n_stop))
-        z, z_prev = z_prev, z
-        f2, f1 = f1, f
-        J1, J2 = tw.tail_closure(n)
-        g_next, g_n = g[m - g_from], g[n - g_from]
-        tail = np.empty(n_r)
-        tail[1:] = z[1:n_r] / den
-        tail[1:] += J1 * g_next[1:] + J2 * g_n[1:]
-        tail[0] = ax[boff - n] - tw.wr[n] * grid.h * g_next[1] + J1 * g_next[0] + J2 * g_n[0]
-        yield n, tail

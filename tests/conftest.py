@@ -14,28 +14,30 @@ from conewave.solver import Params, make_data, solve_dalembert, solve_march
 
 @pytest.fixture(scope="session")
 def global_run():
-    """Criterion-5 workhorse: gamma=1, R=1, eps=1e-3, t_max=200."""
+    """Criterion-5 workhorse: gamma=1, R=1, eps=1e-3, t_max=200, on the
+    stencil as solve mode runs it, with its sources from t_star = 100."""
     grid = Grid.for_domain(1 / 16, 201.0, 200.0)
     params = Params(gamma=1.0, R=1.0, grid=grid)
     data = make_data("bump_v1_only", 1e-3, 1.0, grid)
-    return params, data, solve_march(params, data)
+    return params, data, solve_dalembert(params, data, sources_from=grid.index_of_time(100.0))
 
 
 @pytest.fixture(scope="session")
 def blowup_run():
-    """Criterion-7 qualifying blow-up run with stored history."""
+    """Criterion-7 qualifying blow-up run on the stencil, with its u table
+    and its sources from slice 0 on."""
     grid = Grid.for_domain(1 / 64, 56.0, 55.0)
     params = Params(gamma=-0.4, R=1.0, grid=grid)
     data = make_data("bump_v1_only", 4.1, 1.0, grid)
-    return params, data, solve_march(params, data)
+    return params, data, solve_dalembert(params, data, sources_from=0)
 
 
 @pytest.fixture(scope="session")
 def blowup_lean(blowup_run):
-    """The blow-up run marched as blow-up mode marches it: no tables, the
-    mass chain's series from slice 0 on."""
+    """The blow-up run marched as blow-up mode marches it: a lean stencil,
+    no tables, the mass chain's series from slice 0 on."""
     params, data, _ = blowup_run
-    return params, data, solve_march(params, data, store_history=False)
+    return params, data, solve_dalembert(params, data, store_history=False, sources_from=0)
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,10 @@ sums closed-form cell moments exactly and rounds once, the brute-force
 exponent scan re-derives the Kato parameter inequality, the slow cone
 integral nests Gauss quadratures, ``duhamel_sum_ld`` is the one direct sum
 of the march's cone quadrature (in long double, at every node of a slice,
-forward as ``ConeAccumulator`` and backward as ``duhamel_tails``), and
-``w_weight`` is the paper's bilinear-estimate weight.
+as ``ConeAccumulator`` gives it), ``stencil_tail_ld`` is the one direct sum
+of the d'Alembert stencil's Duhamel terms of the later sources (in long
+double, at every node of a slice, as ``scattering_check`` marches them
+backward), and ``w_weight`` is the paper's bilinear-estimate weight.
 ``free_table`` stacks free-field slices, and ``mass_series`` reads the
 mass chain off a stored run's tables, each source row on its slice's live
 window, as the recorder sums it.  The two drivers run the
@@ -279,15 +281,12 @@ def mass_series(hist):
     return t, F, rhs
 
 
-def duhamel_sum_ld(g_table: np.ndarray, grid, n: int, top: int | None = None) -> np.ndarray:
+def duhamel_sum_ld(g_table: np.ndarray, grid, n: int) -> np.ndarray:
     """The march's cone quadrature at every node of slice n, summed
-    directly in long double and rounded once.
-
-    Forward (``top`` None): the history of the source slices 0..n-1 and the
-    closure of the newest cell, as ``ConeAccumulator.eval_slice`` gives it
-    for source slice n.  Backward: the tail over (t_n, t_top] of the slices
-    n+1..top, as ``duhamel_tails`` yields it.  ``g_table`` holds slices
-    0, 1, ... on all nodes.  Node k >= 1 takes
+    directly in long double and rounded once: the history of the source
+    slices 0..n-1 and the closure of the newest cell, as
+    ``ConeAccumulator.eval_slice`` gives it for source slice n.
+    ``g_table`` holds slices 0, 1, ... on all nodes.  Node k >= 1 takes
 
         sum_m c_m [Phi_m(k + d) - Phi_m(|k - d|)] / (2 k h),  d = |n - m|,
 
@@ -300,12 +299,8 @@ def duhamel_sum_ld(g_table: np.ndarray, grid, n: int, top: int | None = None) ->
     n_r, h = grid.n_r, ld(grid.h)
     tw = TimeWeights(grid.n_t, grid.h)
     wl, wr = tw.wl.astype(ld), tw.wr.astype(ld)
-    if top is None:
-        cells, near = range(0, n - 1), n - 1  # the cells the sum covers
-        J1, J2 = tw.closure(n)
-    else:
-        cells, near = range(n + 1, top), n + 1
-        J1, J2 = tw.tail_closure(n)
+    cells = range(0, n - 1)  # the cells the sum covers
+    J1, J2 = tw.closure(n)
     g = np.asarray(g_table, dtype=ld)
     j = np.arange(n_r - 1, dtype=ld)
     k = np.arange(n_r)
@@ -321,8 +316,40 @@ def duhamel_sum_ld(g_table: np.ndarray, grid, n: int, top: int | None = None) ->
         if d < n_r:
             val[0] += c_m * d * h * g[m, d]
     val[1:] /= 2 * k[1:] * h
-    val += ld(J1) * g[near] + ld(J2) * g[n]
+    val += ld(J1) * g[n - 1] + ld(J2) * g[n]
     return val.astype(float)
+
+
+def stencil_tail_ld(g_table: np.ndarray, grid, n: int, top: int, g_from: int = 0) -> np.ndarray:
+    """u - u_plus at every node of slice n of a d'Alembert stencil run
+    whose source slices g_from..top are the rows of ``g_table``, with
+    u_plus the source-free stencil run that matches u at slices top - 1
+    and top: the stencil's own Duhamel terms of the later sources, summed
+    directly in long double and rounded once.
+
+    The discrete d'Alembert Green's function at dt = dr, with odd
+    reflection at the axis, carries the term h^2 S_m(j) of the source
+    S_m = r G_m/(1+t_m)^2 to D_n(k) = r_k (u - u_plus)_n(k) when
+
+        |k - j| < m - n <= k + j  and  k - j + m - n is odd,
+
+    for n < m < top.  The sum runs over the source nodes j, so it knows no
+    grid edge for D.  u - u_plus is D_n/r off the axis and (4 d_1 - d_2)/3
+    on it, the stencil's axis value."""
+    ld = np.longdouble
+    n_r, h = grid.n_r, ld(grid.h)
+    k = np.arange(n_r)[:, None]
+    j = np.arange(1, n_r)[None, :]
+    D = np.zeros(n_r, dtype=ld)
+    for m in range(n + 1, top):
+        p = m - n
+        s = j * h * np.asarray(g_table[m - g_from, 1:], dtype=ld) / (1 + m * h) ** 2
+        reach = (np.abs(k - j) < p) & (p <= k + j) & ((k - j + p) % 2 == 1)
+        D += h * h * np.where(reach, s, ld(0)).sum(axis=1)
+    d = np.zeros(n_r, dtype=ld)
+    d[1:] = D[1:] / (np.arange(1, n_r) * h)
+    d[0] = (4 * d[1] - d[2]) / 3
+    return d.astype(float)
 
 
 def free_table(free: FreeField, n_slices: int) -> np.ndarray:

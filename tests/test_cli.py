@@ -82,7 +82,7 @@ class TestMainExitCodes:
              "mode = verify\nlemma_samples = 0\n", "mode = verify\ntrilinear_h = 0\n",
              "mode = verify\nverify_T = -1\n",
              "mode = sweep\ngamma = -0.4\nepsilon_list = 4,5\nrefine = -1\n",
-             "t_star = 500\n", "t_star = 3.01\n",
+             "t_star = 500\n", "t_star = 3.01\n", "t_star = 19.75\n",
              "mode = sweep\ngamma = -0.4\nepsilon_list = 4.6,5.1,5.4\n",
              "mode = blowup\ngamma = -0.4\nepsilon = 0\nt_max = 3\n",
              "mode = verify\nseed = -1\n", "epsilon = nan\n", "epsilon = inf\n",
@@ -93,7 +93,8 @@ class TestMainExitCodes:
              "zero_blowup_threshold", "negative_blowup_threshold", "nan_blowup_threshold",
              "verify_gamma_not_a_number", "verify_gamma_out_of_range", "zero_lemma_samples",
              "zero_trilinear_h", "negative_verify_T", "negative_refine",
-             "t_star_past_t_max", "t_star_off_grid", "sweep_with_three_points",
+             "t_star_past_t_max", "t_star_off_grid", "t_star_one_slice_before_t_max",
+             "sweep_with_three_points",
              "blowup_zero_epsilon", "negative_seed", "epsilon_nan", "epsilon_inf",
              "epsilon_list_nan", "trilinear_h_not_reciprocal"],
     )
@@ -229,14 +230,15 @@ class TestModes:
     def test_backend_agreement_can_fail(self, tmp_path, monkeypatch):
         # a backend difference of 100 h^2 sup_u lies above the bound
         # 50 h^2 sup_u; with sup_u < 0.5 an absolute floor of 1 would hide it
-        real = cli.solve_dalembert
+        # skews the check backend, the march against the stencil's u table
+        real = cli.solve_march
 
         def skewed(params, data, u_ref):
             hist = real(params, data, u_ref=u_ref)
             hist.ref_diff[:] = 100.0 * params.grid.h**2 * np.abs(u_ref).max()
             return hist
 
-        monkeypatch.setattr(cli, "solve_dalembert", skewed)
+        monkeypatch.setattr(cli, "solve_march", skewed)
         body = "mode = solve\nepsilon = 0.01\nh = 0.125\nt_max = 2\nrun_dalembert = 1\n"
         path = write_cfg(tmp_path, "b.cfg", body + f"out = {tmp_path}/out\n")
         assert main(["--config", path]) == 1

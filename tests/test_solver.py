@@ -9,6 +9,7 @@ from conewave.norms import slice_x_norm
 from conewave.solver import (
     NumericalAbort,
     Params,
+    SolutionHistory,
     dalembert_batch,
     dissipation_monitor,
     liouville,
@@ -18,38 +19,9 @@ from conewave.solver import (
     solve_march,
 )
 from conewave.verify import c1_constant
-from conewave.waveops import ConeAccumulator, FreeField, duhamel_tails
+from conewave.waveops import ConeAccumulator, FreeField
 
-from oracles import duhamel_sum_ld, free_table, picard_iterates, scale_symmetry_mismatch
-
-
-def _slow_tail(g, grid, M, r0, t0):
-    """Backward cone integral of the source table g (rows 0..M, piecewise
-    linear in lam and s) from t0 to t_M at radius r0, by nested Gauss
-    panels: an evaluation independent of the accumulator."""
-    h = grid.h
-    r_nodes = grid.radii()
-    xs, wxs = np.polynomial.legendre.leggauss(16)
-
-    def g_interp(lam, s):
-        m = min(int(s / h), M - 1)
-        w = s / h - m
-        row = (1 - w) * g[m] + w * g[m + 1]
-        return np.interp(lam, r_nodes, row) if lam <= grid.r_max else 0.0
-
-    total = 0.0
-    edges = np.linspace(t0, M * h, 81)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for s, ws in zip(mid + half * xs, wxs * half):
-            lo, hi = abs(r0 - (s - t0)), r0 + (s - t0)
-            if hi <= lo:
-                continue
-            lmid, lhalf = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            lam = lmid + lhalf * xs
-            inner = sum(wl * lv * g_interp(lv, s) for lv, wl in zip(lam, wxs * lhalf))
-            total += ws * inner / (2.0 * r0) / (1.0 + s) ** 2
-    return total
+from oracles import free_table, picard_iterates, scale_symmetry_mismatch, stencil_tail_ld
 
 
 def build(gamma, R, h, t_max, thr=1e6):
@@ -190,30 +162,27 @@ class TestMarchBatch:
     @pytest.mark.parametrize("store", [False, True])
     def test_rows_equal_one_point_marches(self, store):
         # 0.5 and 5.0 march to the end; 8.0 leaves the batch at slice 90
-        # (late blow-up), 30.0 at slice 17 (within a few slices)
+        # (late blow-up), 30.0 at slice 17 (within a few slices); each row
+        # keeps its sources from slice 10 on, as a table or as masses
         params, data = self._points([0.5, 8.0, 5.0, 30.0])
-        batch = dalembert_batch(params, data, store_history=store)
+        batch = dalembert_batch(params, data, store_history=store, sources_from=10)
         for d, got in zip(data, batch):
-            want = solve_dalembert(params, d)
+            want = solve_dalembert(params, d, store_history=store, sources_from=10)
             assert got.n_used == want.n_used and got.params is params
             assert repr(got.crossings) == repr(want.crossings)
             for a, b in zip(got.rows(), want.rows()):
                 assert repr(a) == repr(b)
-            assert got.closure_sweeps is None and got.g is None
-            if store:
-                assert got.u.tobytes() == want.u.tobytes()
-            else:
-                assert got.u is None and got.source_mass is None
+            assert got.closure_sweeps is None and got.g_from == 10
+            kept = ("u", "g") if store else ("source_mass", "square_mass")
+            for name in ("u", "g", "source_mass", "square_mass"):
+                a, b = getattr(got, name), getattr(want, name)
+                if name in kept:
+                    assert a.tobytes() == b.tobytes()
+                else:
+                    assert a is None and b is None
+            # the sources of slices 10 .. n_used - 1, the stop slice included
+            assert len(getattr(got, kept[1])) == got.n_used - 10
         assert [h.n_used for h in batch] == [97, 91, 97, 18]
-
-    def test_rows_keep_their_reference_distance(self):
-        # a shared reference table: each row's distance to it is its
-        # one-row distance
-        params, data = self._points([0.5, 8.0])
-        ref = solve_march(params, data[0]).u
-        for d, got in zip(data, dalembert_batch(params, data, u_ref=ref)):
-            want = solve_dalembert(params, d, u_ref=ref)
-            assert got.u is None and got.ref_diff.tobytes() == want.ref_diff.tobytes()
 
     def test_blowup_facts_read_off_sup_series(self):
         # each fact follows from the sup series and the stop threshold
@@ -280,13 +249,23 @@ class TestDalembert:
         assert sup < 5e-4
 
     def test_record_keeps_u_only(self):
-        # the source table's readers take march runs: a d'Alembert history
-        # keeps no g, and scattering_check refuses it
+        # a stencil run keeps its sources only from a given slice on:
+        # without one it keeps no g, and scattering_check refuses it
         p = build(1.0, 1.0, 1 / 16, 8.0)
         hist = solve_dalembert(p, make_data("bump_v1_only", 1e-3, 1.0, p.grid))
         assert hist.g is None and hist.u.shape == (p.grid.n_t, p.grid.n_r)
         with pytest.raises(ValueError):
             scattering_check(hist, 4.0)
+
+    def test_positive_off_the_axis(self):
+        # v0 = 0, v1 >= 0: every marched node (r > 0) stays >= 0, which is
+        # what min_value reads; the axis value, the extrapolation
+        # (4 u_1 - u_2)/3, dips below 0 once the data's trailing edge
+        # leaves the axis
+        p = build(1.0, 1.0, 1 / 16, 3.0)
+        hist = solve_dalembert(p, make_data("bump_v1_only", 1e-3, 1.0, p.grid))
+        assert hist.min_value() >= 0.0
+        assert hist.u[:, 0].min() < 0.0
 
     def test_rows_vanish_past_window(self):
         # u of slice n is computed on its window, nodes 0..n + jr, and is
@@ -345,76 +324,91 @@ class TestPostprocessing:
     def test_zero_run_diagnostics(self):
         p = build(1.0, 1.0, 1 / 16, 4.0)
         d = make_data("bump_v1_only", 0.0, 1.0, p.grid)
-        hist = solve_march(p, d)
+        hist = solve_dalembert(p, d, sources_from=p.grid.index_of_time(2.0))
         ts, vals, rem = scattering_check(hist, 2.0)
         assert np.all(vals == 0.0)
         _, dis = dissipation_monitor(liouville(hist), p.grid)
         assert np.all(dis == 0.0)
 
-    def test_scattering_tail_against_nested_quadrature(self):
-        # independent slow evaluation of the backward cone integral
-        p = build(1.0, 1.0, 1 / 16, 8.0)
-        d = make_data("bump_v1_only", 0.8, 1.0, p.grid)
-        hist = solve_march(p, d)
-        grid = hist.grid
-        fields = dict(duhamel_tails(hist.g, grid, p.support_cells, grid.index_of_time(4.0)))
-        h = grid.h
-        t0 = 5.0
-        n0 = grid.index_of_time(t0)
-        scale = float(np.max(np.abs(fields[n0])))
-        for k in (8, 24, 64, 100):
-            slow = _slow_tail(hist.g, grid, hist.n_used - 1, k * h, t0)
-            assert fields[n0][k] == pytest.approx(slow, rel=2e-2, abs=2e-2 * scale)
+    @staticmethod
+    def _hold_to_long_double_sum(hist, t_star):
+        # every distance, down to the tiny late ones, holds its own digits;
+        # the series ends two slices before the top, where it is 0 by
+        # construction
+        grid, M = hist.grid, hist.n_used - 1
+        r, n_star = grid.radii(), grid.index_of_time(t_star)
+        ts, vals, _ = scattering_check(hist, t_star)
+        assert ts.tobytes() == (np.arange(n_star, M - 1) * grid.h).tobytes()
+        for n, t, val in zip(range(n_star, M - 1), ts, vals):
+            tail = stencil_tail_ld(hist.g, grid, n, M, hist.g_from)
+            want = float(np.max((1.0 + t + r) * np.abs(tail)))
+            assert abs(val - want) <= 1e-12 * want
+        return vals
 
-    def test_scattering_tail_inner_cone_limit(self):
-        # a source held near the axis puts mass below the inner cone limit
-        # |r - (s - t)|, where the outgoing shell of a real run has almost none
-        p = build(1.0, 1.0, 1 / 16, 8.0)
+    def test_scattering_check_against_long_double_sum(self):
+        # a global run: its backward domain of dependence passes the grid
+        # edge from t_star on
+        p = build(1.0, 1.0, 1 / 8, 12.0)
         grid = p.grid
-        h = grid.h
+        n_star = grid.index_of_time(4.0)
+        hist = solve_dalembert(p, make_data("bump_v1_only", 0.8, 1.0, grid), sources_from=n_star)
+        vals = self._hold_to_long_double_sum(hist, 4.0)
+        assert vals[-1] < 1e-2 * vals[0]
+
+    def test_scattering_check_source_to_grid_edge(self):
+        # a source that fills the cone out to the grid edge at every slice,
+        # and sits on the axis, where the odd reflection acts
+        p = build(1.0, 1.0, 1 / 8, 8.0)
+        grid = p.grid
         r = grid.radii()
-        t = np.arange(grid.n_t) * h
+        t = np.arange(grid.n_t) * grid.h
         g = np.where(r[None, :] <= t[:, None] + p.R + 1e-12, np.exp(-r), 0.0)
-        fields = dict(duhamel_tails(g, grid, p.support_cells, grid.index_of_time(4.0)))
-        t0 = 5.0
-        n0 = grid.index_of_time(t0)
-        for k in (2, 8, 24, 64):
-            slow = _slow_tail(g, grid, grid.n_t - 1, k * h, t0)
-            assert fields[n0][k] == pytest.approx(slow, rel=2e-3)
-
-    def test_scattering_tails_against_long_double_sum(self):
-        # the late tails of a global run are tiny (1.3e-21 on the top slice
-        # against 3.0e-17 at t_star); each must hold its own digits
-        p = build(1.0, 1.0, 1 / 16, 40.0)
-        grid = p.grid
-        hist = solve_march(p, make_data("bump_v1_only", 1e-3, 1.0, grid))
-        M, n_stop = hist.n_used - 1, grid.index_of_time(20.0)
-        fields = dict(duhamel_tails(hist.g, grid, p.support_cells, n_stop, hist.g_from))
-        for n in (M - 1, M - 2, M - 3, M - 10, (M + n_stop) // 2, n_stop):
-            want = duhamel_sum_ld(hist.g, grid, n, top=M)
-            assert np.max(np.abs(fields[n] - want)) <= 1e-10 * np.max(np.abs(want))
+        zero = np.zeros(grid.n_t)
+        hist = SolutionHistory(p, grid.n_t, zero, zero, zero, zero, g=g)
+        self._hold_to_long_double_sum(hist, 1.0)
 
     def test_scattering_refuses_blowup(self):
         p = build(-0.4, 1.0, 1 / 16, 20.0)
         d = make_data("bump_v1_only", 5.4, 1.0, p.grid)
-        hist = solve_march(p, d)
+        hist = solve_dalembert(p, d, sources_from=0)
         assert hist.blew_up
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="blew up"):
             scattering_check(hist, 5.0)
+        # a quiet run at gamma <= 0 is refused too
+        quiet = solve_dalembert(p, make_data("bump_v1_only", 0.5, 1.0, p.grid), sources_from=0)
+        assert not quiet.blew_up
+        with pytest.raises(ValueError, match="gamma > 0"):
+            scattering_check(quiet, 5.0)
+
+    def test_scattering_refuses_march_history(self):
+        # the march keeps no sources, so its history cannot be checked
+        p = build(1.0, 1.0, 1 / 16, 4.0)
+        march = solve_march(p, make_data("bump_v1_only", 0.5, 1.0, p.grid))
+        assert march.g is None and march.u is not None
+        with pytest.raises(ValueError, match="stored stencil run"):
+            scattering_check(march, 2.0)
+
+    def test_scattering_needs_two_slices_after_t_star(self):
+        p = build(1.0, 1.0, 1 / 16, 4.0)
+        hist = solve_dalembert(p, make_data("bump_v1_only", 0.5, 1.0, p.grid), sources_from=0)
+        with pytest.raises(ValueError, match="two slices"):
+            scattering_check(hist, 4.0 - 1 / 16)
+        ts, vals, _ = scattering_check(hist, 4.0 - 2 / 16)
+        assert len(ts) == len(vals) == 1 and vals[0] > 0.0
 
 
 class TestLeanRecord:
-    """Solve mode's lean record (sources from t_star on, a d'Alembert run
-    against the march's u table, v rows one at a time) against the same
-    diagnostics computed from full tables."""
+    """Solve mode's lean record (stencil sources from t_star on, the
+    reference march against the stencil's u table, v rows one at a time)
+    against the same diagnostics computed from full tables."""
 
     @pytest.fixture(scope="class")
     def runs(self):
         p = build(1.0, 1.0, 1 / 16, 8.0)
         d = make_data("bump_v1_only", 0.8, 1.0, p.grid)
         n_star = p.grid.index_of_time(4.0)
-        full = solve_march(p, d)
-        lean = solve_march(p, d, sources_from=n_star)
+        full = solve_dalembert(p, d, sources_from=0)
+        lean = solve_dalembert(p, d, sources_from=n_star)
         return p, d, n_star, full, lean
 
     def test_sources_from_t_star(self, runs):
@@ -422,22 +416,22 @@ class TestLeanRecord:
         assert lean.g_from == n_star and len(lean.g) == lean.n_used - n_star
         assert lean.g.tobytes() == full.g[n_star:].tobytes()
         assert lean.u.tobytes() == full.u.tobytes()
-        assert solve_march(p, runs[1], sources_from=None).g is None
+        assert solve_dalembert(p, runs[1]).g is None
 
     def test_scattering_check_bitwise(self, runs):
         _, _, _, full, lean = runs
         for a, b in zip(scattering_check(full, 4.0), scattering_check(lean, 4.0)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        # the tails before the first stored source row are not there
-        with pytest.raises(ValueError):
+        # the distances before the first kept source row are not there
+        with pytest.raises(ValueError, match="first kept source"):
             scattering_check(lean, 3.0)
 
     def test_backend_sup_diff_bitwise(self, runs):
         p, d, _, full, _ = runs
-        alt = solve_dalembert(p, d)
+        alt = solve_march(p, d)
         n = min(full.n_used, alt.n_used)
         want = max(float(np.max(np.abs(a - b))) for a, b in zip(full.u[:n], alt.u[:n]))
-        ref = solve_dalembert(p, d, u_ref=full.u)
+        ref = solve_march(p, d, u_ref=full.u)
         assert ref.u is None and ref.g is None and len(ref.ref_diff) == n
         assert float(ref.ref_diff.max()) == want
         for a, b in zip(ref.rows(), alt.rows()):
@@ -460,19 +454,19 @@ class TestLeanRecord:
         p, d = runs[:2]
         for bad in (-1, p.grid.n_t):
             with pytest.raises(ValueError, match="sources_from"):
-                solve_march(p, d, store_history=store, sources_from=bad)
+                solve_dalembert(p, d, store_history=store, sources_from=bad)
 
     def test_mass_diagnostics_needs_the_series(self, runs):
         # a stored run keeps tables; a lean run from t_star on keeps the
         # series of the later slices only
         p, d, n_star, full, lean = runs
-        late = solve_march(p, d, store_history=False, sources_from=n_star)
-        every = solve_march(p, d, store_history=False)
+        late = solve_dalembert(p, d, store_history=False, sources_from=n_star)
+        every = solve_dalembert(p, d, store_history=False, sources_from=0)
         assert late.g_from == n_star and late.u is None and late.g is None
         for name in ("source_mass", "square_mass"):
             want = getattr(every, name)[n_star:]
             assert getattr(late, name).tobytes() == want.tobytes()
-        for hist in (full, lean, late):
+        for hist in (full, lean, late, solve_march(p, d, store_history=False)):
             with pytest.raises(ValueError, match="source_mass and square_mass"):
                 mass_diagnostics(hist, d[1], 0.8)
 
