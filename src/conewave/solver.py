@@ -193,11 +193,9 @@ class SolutionHistory:
         return zip(self.t, self.x_norm_running, self.dissipation, self.mass, self.sup_u)
 
     def min_value(self) -> float:
-        """The least u over the nodes r > 0, which both backends march; the
-        stencil's axis value is the extrapolation (4 u_1 - u_2)/3."""
         if self.u is None:
             raise ValueError("run stored no history")
-        return float(np.min(self.u[: self.n_used, 1:]))
+        return float(np.min(self.u[: self.n_used]))
 
 
 def make_data(family: str, epsilon: float, R: float, grid: Grid):
@@ -241,7 +239,6 @@ class _Recorder:
         self.backend = backend
         self.r = grid.radii()
         self.wp = params.weights()
-        self.h = grid.h
         self.grid = grid
         shape = (n_rows, grid.n_t)
         self.x_norm = np.zeros(shape)
@@ -300,7 +297,7 @@ class _Recorder:
         if self.sweeps is not None:
             self.sweeps[rows, n] = sweeps
             self.step[rows, n] = step
-        t = n * self.h
+        t = n * self.grid.h
         r = self.r[:k]
         au = np.abs(u)
         sup = au.max(axis=-1)
@@ -404,6 +401,15 @@ def solve_march(
     return rec.history()
 
 
+def _axis_value(u1, u2):
+    """u at the axis from nodes 1 and 2: the even extrapolation
+    (4 u_1 - u_2)/3, or 0 where it takes another sign than u_1.  Where the
+    data's trailing edge leaves the axis (u_2 > 4 u_1 >= 0) the
+    extrapolation undershoots by O(h^2), and u is >= 0 there."""
+    x = (4.0 * u1 - u2) / 3.0
+    return np.where(np.sign(x) == np.sign(u1), x, 0.0)
+
+
 def dalembert_batch(params: Params, data: list, store_history: bool = True,
                     sources_from: int | None = None) -> list:
     """The production backend, for several data rows of one problem in
@@ -417,7 +423,7 @@ def dalembert_batch(params: Params, data: list, store_history: bool = True,
     ``data`` holds each row's (v0, v1).  The rows march as one stack (a
     single row as a 1-D row), each slice on its live window in three
     rotating U buffers; u of slice n is U/r there, with the axis value
-    (4 u_1 - u_2)/3.  A row leaves the batch when it crosses the stop
+    of ``_axis_value``.  A row leaves the batch when it crosses the stop
     threshold or hits a non-finite value, and no slice convolution runs on
     a non-finite row.  With ``store_history`` the record keeps the u table.
     From slice ``sources_from`` on (None: none) it keeps the sources G_n:
@@ -446,24 +452,27 @@ def dalembert_batch(params: Params, data: list, store_history: bool = True,
     # the prefix integrals of lam (v0 + v1) that the first step reads
     psi = lam_prefix(stack([d[0] + d[1] for d in data])[..., : grid.window(1, jr) + 1], grid)
     u = v0[..., : grid.window(0, jr)]
+
+    def drop(keep, G=None):
+        # the rows of the batch leave where keep is False; returns G's rows kept
+        nonlocal rows, u, U_prev, U_cur, U_next, S, psi
+        rows, u, U_prev, U_cur, U_next, S, psi = (
+            a[keep] for a in (rows, u, U_prev, U_cur, U_next, S, psi)
+        )
+        return None if G is None else G[keep]
+
     for n in range(n_t):
         ok = rec.finite(n, rows, u)
         if not ok.all():
             if not ok.any():
                 break
-            rows, u, U_prev, U_cur, U_next, S, psi = (
-                a[ok] for a in (rows, u, U_prev, U_cur, U_next, S, psi)
-            )
+            drop(ok)
         G = kern.cubic(u) if sources_from is not None and n >= sources_from else None
         stop = rec.record(n, rows, u, G)
         if stop.any():
             if stop.all():
                 break
-            keep = ~stop
-            rows, u, U_prev, U_cur, U_next, S, psi = (
-                a[keep] for a in (rows, u, U_prev, U_cur, U_next, S, psi)
-            )
-            G = None if G is None else G[keep]
+            G = drop(~stop, G)
         if n == n_t - 1:
             break
         k = u.shape[-1]
@@ -486,8 +495,7 @@ def dalembert_batch(params: Params, data: list, store_history: bool = True,
         k = grid.window(n + 1, jr)
         u = np.empty(U_cur.shape[:-1] + (k,))
         u[..., 1:] = U_cur[..., 1:k] / r[1:k]
-        ax = u.T  # ax[j]: node j of every row (a scalar for a lone row)
-        ax[0] = (4.0 * ax[1] - ax[2]) / 3.0
+        u[..., 0] = _axis_value(u[..., 1], u[..., 2])
     return [rec.outcome(i) for i in range(len(data))]
 
 
@@ -540,10 +548,11 @@ def scattering_check(hist: SolutionHistory, t_star: float):
 
     with D_n(0) = 0.  Its backward domain of dependence passes the grid
     edge, so D_n runs on the nodes up to n_r - 1 + (M - n), past which it
-    vanishes.  u - u_plus is D/r, with the stencil's axis value
-    (4 d_1 - d_2)/3.  Returns (t, sup_r (1+t+r)|u - u_plus|) for
-    t_star <= t <= t_{M-2} (at M - 1 and M the distance is 0 by
-    construction), plus an estimate of the tail neglected beyond the run.
+    vanishes.  u - u_plus is D/r, with the even extrapolation
+    (4 d_1 - d_2)/3 at the axis: D has no sign to keep.  Returns
+    (t, sup_r (1+t+r)|u - u_plus|) for t_star <= t <= t_{M-2} (at M - 1
+    and M the distance is 0 by construction), plus an estimate of the tail
+    neglected beyond the run.
     Refuses runs that blew up, gamma <= 0, a run without those sources,
     and a t_star less than two slices before the end.
     """

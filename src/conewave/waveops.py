@@ -190,7 +190,7 @@ class TimeWeights:
 
     def __init__(self, n_t: int, h: float):
         self.h = h
-        m = np.arange(n_t - 1) if n_t > 1 else np.arange(0)
+        m = np.arange(n_t - 1)
         A = 1.0 + m * h
         B = A + h
         logr = np.log1p(h / A)
@@ -198,13 +198,9 @@ class TimeWeights:
         self.wr = (logr - h / B) / h
         self.wl = m0 - self.wr
         # interior weight of slice m when it is not adjacent to the cap
-        self.w_slice = np.empty(n_t)
-        if n_t > 1:
-            self.w_slice[0] = self.wl[0]
-            self.w_slice[1:-1] = self.wr[:-1] + self.wl[1:]
-            self.w_slice[-1] = self.wr[-1]
-        else:
-            self.w_slice[0] = 0.0
+        self.w_slice = np.zeros(n_t)
+        self.w_slice[:-1] += self.wl
+        self.w_slice[1:] += self.wr
 
     def closure(self, n: int) -> tuple[float, float]:
         h = self.h

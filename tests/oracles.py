@@ -335,7 +335,7 @@ def stencil_tail_ld(g_table: np.ndarray, grid, n: int, top: int, g_from: int = 0
 
     for n < m < top.  The sum runs over the source nodes j, so it knows no
     grid edge for D.  u - u_plus is D_n/r off the axis and (4 d_1 - d_2)/3
-    on it, the stencil's axis value."""
+    on it, as ``scattering_check`` takes it."""
     ld = np.longdouble
     n_r, h = grid.n_r, ld(grid.h)
     k = np.arange(n_r)[:, None]

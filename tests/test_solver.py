@@ -10,6 +10,7 @@ from conewave.solver import (
     NumericalAbort,
     Params,
     SolutionHistory,
+    _axis_value,
     dalembert_batch,
     dissipation_monitor,
     liouville,
@@ -257,15 +258,20 @@ class TestDalembert:
         with pytest.raises(ValueError):
             scattering_check(hist, 4.0)
 
-    def test_positive_off_the_axis(self):
-        # v0 = 0, v1 >= 0: every marched node (r > 0) stays >= 0, which is
-        # what min_value reads; the axis value, the extrapolation
-        # (4 u_1 - u_2)/3, dips below 0 once the data's trailing edge
-        # leaves the axis
-        p = build(1.0, 1.0, 1 / 16, 3.0)
-        hist = solve_dalembert(p, make_data("bump_v1_only", 1e-3, 1.0, p.grid))
+    @pytest.mark.parametrize("h,eps", [(1 / 16, 1e-3), (1 / 4, 0.5)])
+    def test_positivity(self, h, eps):
+        # v0 = 0, v1 >= 0: u stays >= 0 on every node, the axis included,
+        # also where the data's trailing edge leaves the axis
+        p = build(1.0, 1.0, h, 3.0)
+        hist = solve_dalembert(p, make_data("bump_v1_only", eps, 1.0, p.grid))
         assert hist.min_value() >= 0.0
-        assert hist.u[:, 0].min() < 0.0
+
+    def test_axis_value_keeps_the_sign_of_node_1(self):
+        u1 = np.array([1.0, 1.0, -1.0, 0.0, 0.0, 2.0, -2.0])
+        u2 = np.array([0.5, 5.0, -5.0, 1.0, 0.0, -1.0, 1.0])
+        want = np.array([3.5 / 3.0, 0.0, 0.0, 0.0, 0.0, 3.0, -3.0])
+        assert np.array_equal(_axis_value(u1, u2), want)
+        assert _axis_value(np.float64(1.0), np.float64(0.5)) == 3.5 / 3.0
 
     def test_rows_vanish_past_window(self):
         # u of slice n is computed on its window, nodes 0..n + jr, and is
